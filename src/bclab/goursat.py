@@ -10,7 +10,8 @@ coordinates:
     solve_transport_phi  lateral coordinates frozen along the receding
                          family's characteristic curves
     build_chart          the boundary-normal chart (time, lateral, depth)
-                         built from the phase pair, with the gauge phase that
+                         built from the phase pair and the receding field's
+                         lateral coordinates, with the gauge phase that
                          removes the outgoing potential component and the
                          lateral volume factor
     transform_operator   coefficients of the operator rewritten in the chart,
@@ -22,18 +23,29 @@ face sits at depth zero and the chart restricts to the identity there.
 Characteristic launches are independent per boundary node and integrate as
 one vectorized batch, so results are deterministic regardless of how the
 work is scheduled.
+
+Fans move onto the tensor slab one depth row at a time.  In 1D a cubic
+spline in the row's ray positions does it.  In 2D each row is a fold-free
+image of the regular launch lattice, so the launch indices of the ray
+through every slab node come from Newton on the row's bicubic interpolant,
+warm-started from the row above.  The phase and the lateral coordinates are
+affine in those indices; the covector slots take one bicubic evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CloughTocher2DInterpolator, CubicSpline, RectBivariateSpline
-from scipy.spatial import Delaunay
+from scipy.interpolate import CubicSpline, RectBivariateSpline
+
+# bench/tracing.py wraps these two scipy names here when it traces a run, so
+# they stay bound; this module no longer calls them
+from scipy.interpolate import CloughTocher2DInterpolator  # noqa: F401
+from scipy.spatial import Delaunay  # noqa: F401
 
 from .expr import Call, Const, Expr
 from .geometry import MetricField, SpacetimeGrid
@@ -121,13 +133,6 @@ class _Fan:
     pos: np.ndarray        # (nz+1, *lattice, n) tangential positions
     ptan: np.ndarray       # (nz+1, *lattice, n) tangential covector
     pn: np.ndarray         # (nz+1, *lattice) depth covector component
-    value: np.ndarray      # (*lattice,) frozen phase value per ray
-    _tri: dict = field(default_factory=dict)
-
-    def triangulation(self, row: int) -> Delaunay:
-        if row not in self._tri:
-            self._tri[row] = Delaunay(self.pos[row].reshape(-1, 2))
-        return self._tri[row]
 
     def trimmed(self, slices: tuple) -> "_Fan":
         take = (slice(None),) + slices
@@ -138,7 +143,6 @@ class _Fan:
             pos=self.pos[take],
             ptan=self.ptan[take],
             pn=self.pn[take],
-            value=self.value[slices],
         )
 
 
@@ -218,7 +222,6 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
     cur_pos = np.stack(mesh, axis=-1)
     cur_p = np.zeros(lattice + (n,))
     cur_p[..., 0] = 1.0 if side == "+" else -1.0
-    value = (mesh[0] - grid.t1) if side == "+" else (grid.t2 - mesh[0])
 
     zs = hz * np.arange(nz + 1)
     for m in range(nz + 1):
@@ -239,11 +242,11 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
         cur_pos = cur_pos + (hz / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         cur_p = cur_p + (hz / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
 
-    return _Fan(side, tuple(axes), zs, pos, ptan, pn, value)
+    return _Fan(side, tuple(axes), zs, pos, ptan, pn)
 
 
 # ---------------------------------------------------------------------------
-# Fan -> tensor-slab resampling (cubic, row by row)
+# Fan -> tensor-slab resampling (row by row)
 # ---------------------------------------------------------------------------
 
 def _coverage_axes(fan: _Fan, grid: SpacetimeGrid):
@@ -275,37 +278,74 @@ def _coverage_axes(fan: _Fan, grid: SpacetimeGrid):
     return tuple(axes)
 
 
-def _resample_rows(fan: _Fan, target_axes: tuple, fields: dict) -> dict:
-    """Interpolate per-ray row samples onto tensor (time, lateral) nodes.
+_NEWTON_STEPS = 20
 
-    fields maps name -> (nrows, *lattice) arrays.  Output arrays are shaped
-    (*target_counts, nrows) with the depth row index last.
+
+def _launch_indices(fan: _Fan, target_axes: tuple) -> np.ndarray:
+    """Fractional launch indices (a, b) of the ray through each target node.
+
+    Every row of a 2D fan is a fold-free image of the regular launch lattice,
+    so pos[m](a, b) = node has one solution in the lattice.  Newton on the
+    row's bicubic interpolant finds it: row 0 is the lattice itself, where
+    the affine guess is exact, and each later row starts from the previous
+    row's solution.  Returns (nrows, *target_counts, 2).  Raises ValueError
+    naming the row when a node does not converge or lands off the lattice.
     """
-    names = list(fields)
-    nrows = fan.pos.shape[0]
-    tdim = tuple(len(ax) for ax in target_axes)
-    out = {name: np.empty(tdim + (nrows,)) for name in names}
-    if len(target_axes) == 1:
-        times = target_axes[0]
-        for m in range(nrows):
-            x = fan.pos[m, :, 0]
-            mat = np.stack([fields[name][m] for name in names], axis=-1)
-            vals = CubicSpline(x, mat)(times)
-            for i, name in enumerate(names):
-                out[name][:, m] = vals[:, i]
-    else:
-        mesh_t, mesh_x = np.meshgrid(target_axes[0], target_axes[1], indexing="ij")
-        for m in range(nrows):
-            tri = fan.triangulation(m)
-            for name in names:
-                interp = CloughTocher2DInterpolator(tri, fields[name][m].reshape(-1))
-                vals = interp(mesh_t, mesh_x)
-                if np.any(np.isnan(vals)):
-                    raise ValueError(
-                        "fan rows leave the target window; increase pad_time/pad_lat"
-                    )
-                out[name][:, :, m] = vals
+    target = np.stack(np.meshgrid(*target_axes, indexing="ij"), axis=-1)
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(target))))
+    top = np.array(fan.pos.shape[1:-1]) - 1.0
+    idx = np.stack([(target[..., d] - ax[0]) / (ax[1] - ax[0])
+                    for d, ax in enumerate(fan.axes)], axis=-1)
+    out = np.empty((fan.pos.shape[0],) + idx.shape)
+    for row, pos in enumerate(fan.pos):
+        for step in range(_NEWTON_STEPS + 1):
+            value, da, db = _bicubic(pos, idx[..., 0], idx[..., 1], slopes=True)
+            res = value - target
+            norm = np.max(np.abs(res), axis=-1)
+            if np.all(norm <= tol) or step == _NEWTON_STEPS:
+                break
+            det = da[..., 0] * db[..., 1] - db[..., 0] * da[..., 1]
+            idx = idx - np.stack([db[..., 1] * res[..., 0] - db[..., 0] * res[..., 1],
+                                  da[..., 0] * res[..., 1] - da[..., 1] * res[..., 0]],
+                                 axis=-1) / det[..., None]
+        bad = ~(norm <= tol) | np.any((idx < -1e-9) | (idx > top + 1e-9), axis=-1)
+        if np.any(bad):
+            raise ValueError(
+                f"fan row {row} (depth {fan.depth_nodes[row]:.4f}): {int(np.sum(bad))} target "
+                f"nodes do not invert inside the launch lattice (worst residual "
+                f"{float(np.max(norm[bad])):.2e}); increase pad_time/pad_lat"
+            )
+        out[row] = idx
     return out
+
+
+def _resample_rows(fan: _Fan, target_axes: tuple):
+    """Launch coordinates and covector slots of the ray through each target node.
+
+    Returns (launch, slots) shaped (*target_counts, nrows, n) and
+    (*target_counts, nrows, n+1), the depth row index before the component.
+    In 1D a cubic spline in the row's positions interpolates both; in 2D the
+    launch indices come from _launch_indices, the launch coordinates are
+    affine in them, and the slots of a row take one stacked bicubic call.
+    """
+    nrows, n = fan.pos.shape[0], fan.pos.shape[-1]
+    tdim = tuple(len(ax) for ax in target_axes)
+    launch = np.empty(tdim + (nrows, n))
+    slots = np.empty(tdim + (nrows, n + 1))
+    if n == 1:
+        for m in range(nrows):
+            mat = np.column_stack([fan.axes[0], fan.ptan[m, :, 0], fan.pn[m]])
+            vals = CubicSpline(fan.pos[m, :, 0], mat)(target_axes[0])
+            launch[:, m, 0] = vals[:, 0]
+            slots[:, m] = vals[:, 1:]
+    else:
+        idx = _launch_indices(fan, target_axes)
+        for m in range(nrows):
+            row = np.concatenate([fan.ptan[m], fan.pn[m][..., None]], axis=-1)
+            slots[..., m, :] = _bicubic(row, idx[m, ..., 0], idx[m, ..., 1])
+        for d, ax in enumerate(fan.axes):
+            launch[..., d] = ax[0] + (ax[1] - ax[0]) * np.moveaxis(idx[..., d], 0, -1)
+    return launch, slots
 
 
 def _slab_env(grid: SpacetimeGrid, time_axis, lat_axes, depth_nodes) -> dict:
@@ -341,6 +381,7 @@ class EikonalField:
     _ext_axes: tuple
     _ext_psi: np.ndarray
     _ext_grad: np.ndarray
+    _ext_phi: list
 
     def residual(self) -> np.ndarray:
         """Null-constraint defect of the cached gradient at every slab node."""
@@ -372,33 +413,28 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
 
     side '+' seeds the phase advancing with time, '-' the receding one.  The
     phase is frozen along each characteristic; rays launch from a padded face
-    lattice and the fan is resampled onto the tensor slab by cubic
-    interpolation row by row.  Raises CharacteristicCrossing when the family
-    folds over before reaching the depth.
+    lattice and every depth row of the fan is inverted for the launch point
+    of the ray through each slab node (see the module notes).  The phase is
+    the launch time shifted to the window; a '-' field also keeps the launch
+    lateral coordinates, which solve_transport_phi and build_chart read.
+    Raises CharacteristicCrossing when the family folds over before reaching
+    the depth, and ValueError when a row does not invert inside the padded
+    lattice.
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     if not 0.0 < depth:
         raise ValueError("depth must be positive")
     if pad_time is None or pad_lat is None:
-        slope = _slope_bound(metric, grid)
-        if pad_time is None:
-            pad_time = 1.6 * depth * slope + 0.5 * (grid.t2 - grid.t1) + 4.0 * grid.dt
-        if pad_lat is None:
-            pad_lat = 1.6 * depth * slope + 4.0 * max(grid.h)
+        default_time, default_lat = _default_pads(grid, depth, _slope_bound(metric, grid))
+        pad_time = default_time if pad_time is None else pad_time
+        pad_lat = default_lat if pad_lat is None else pad_lat
 
     fan = _integrate_fan(metric, side, grid, depth, pad_time, pad_lat)
     ext_axes = _coverage_axes(fan, grid)
-
-    nrows = fan.pos.shape[0]
-    fields = {"psi": np.broadcast_to(fan.value, (nrows,) + fan.value.shape)}
-    for d in range(grid.n):
-        fields[f"p{d}"] = fan.ptan[..., d]
-    fields[f"p{grid.n}"] = fan.pn
-    ext = _resample_rows(fan, ext_axes, fields)
-
-    ext_psi = ext["psi"]
-    ext_grad = np.stack([ext[f"p{d}"] for d in range(grid.n + 1)], axis=-1)
+    launch, ext_grad = _resample_rows(fan, ext_axes)
+    ext_psi = launch[..., 0] - grid.t1 if side == "+" else grid.t2 - launch[..., 0]
+    ext_phi = [launch[..., j] for j in range(1, grid.n)] if side == "-" else []
 
     window = _window_slices(grid, ext_axes)
     return EikonalField(
@@ -413,7 +449,14 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
         _ext_axes=ext_axes,
         _ext_psi=ext_psi,
         _ext_grad=ext_grad,
+        _ext_phi=ext_phi,
     )
+
+
+def _default_pads(grid: SpacetimeGrid, depth: float, slope: float) -> tuple:
+    """(pad_time, pad_lat) launch margins for a fan reaching the given depth."""
+    drift = 1.6 * depth * slope
+    return drift + 0.5 * (grid.t2 - grid.t1) + 4.0 * grid.dt, drift + 4.0 * max(grid.h)
 
 
 def _window_slices(grid: SpacetimeGrid, ext_axes: tuple) -> tuple:
@@ -435,26 +478,18 @@ def solve_transport_phi(metric: MetricField, psi_minus: EikonalField,
 
     Each field equals its launch value on the face and is constant along the
     rays of psi_minus, which realizes the defining first-order transport
-    equation exactly at ray points.  Returns n-1 slab arrays.
+    equation exactly at ray points.  solve_eikonal already inverted the fan
+    for those launch values, so this returns n-1 window views of them; the
+    metric argument is not read.
     """
     if psi_minus.side != "-":
         raise ValueError("transport runs along the receding ('-') family")
-    n = grid.n
-    if n == 1:
-        return []
-    fan = psi_minus._fan
-    nrows = fan.pos.shape[0]
-    mesh = np.meshgrid(*fan.axes, indexing="ij")
-    fields = {}
-    for j in range(1, n):
-        fields[f"phi{j}"] = np.broadcast_to(mesh[j], (nrows,) + mesh[j].shape)
-    ext = _resample_rows(fan, psi_minus._ext_axes, fields)
     window = _window_slices(grid, psi_minus._ext_axes)
-    return [ext[f"phi{j}"][window] for j in range(1, n)]
+    return [p[window] for p in psi_minus._ext_phi]
 
 
 # ---------------------------------------------------------------------------
-# Fractional-row cubic evaluation (used by the chart pulls)
+# Cubic Lagrange stencils (fan resampling and the chart pulls)
 # ---------------------------------------------------------------------------
 
 def _lagrange_weights(t: np.ndarray):
@@ -473,8 +508,8 @@ def _lagrange_dweights(t: np.ndarray):
     return dm1, d0, dp1, dp2
 
 
-def _row_base(F: np.ndarray, r: np.ndarray):
-    i0 = np.clip(np.floor(r).astype(int), 1, F.shape[0] - 3)
+def _row_base(size: int, r: np.ndarray):
+    i0 = np.clip(np.floor(r).astype(int), 1, size - 3)
     return i0, r - i0
 
 
@@ -486,13 +521,42 @@ def _row_gather(F: np.ndarray, i0: np.ndarray, weights) -> np.ndarray:
 
 
 def _row_value(F, r):
-    i0, t = _row_base(F, r)
+    i0, t = _row_base(F.shape[0], r)
     return _row_gather(F, i0, _lagrange_weights(t))
 
 
 def _row_slope(F, r):
-    i0, t = _row_base(F, r)
+    i0, t = _row_base(F.shape[0], r)
     return _row_gather(F, i0, _lagrange_dweights(t))
+
+
+def _bicubic(F: np.ndarray, a: np.ndarray, b: np.ndarray, slopes: bool = False):
+    """4x4 Lagrange evaluation of F (Na, Nb, k) at fractional indices (a, b).
+
+    Returns the (..., k) values, and with slopes also their derivatives in a
+    and in b.
+    """
+    ia, ta = _row_base(F.shape[0], a)
+    ib, tb = _row_base(F.shape[1], b)
+    nb = F.shape[1]
+    # one flat gather per stencil node, components first
+    planes = np.moveaxis(F, -1, 0).reshape(F.shape[-1], -1)
+    base = ia * nb + ib
+    cells = [[planes.take(base + (p * nb + q), axis=1) for q in (-1, 0, 1, 2)]
+             for p in (-1, 0, 1, 2)]
+
+    def along_b(weights):
+        return [sum(w * c for w, c in zip(weights, row)) for row in cells]
+
+    def along_a(weights, rows):
+        return np.moveaxis(sum(w * r for w, r in zip(weights, rows)), 0, -1)
+
+    rows = along_b(_lagrange_weights(tb))
+    value = along_a(_lagrange_weights(ta), rows)
+    if not slopes:
+        return value
+    return (value, along_a(_lagrange_dweights(ta), rows),
+            along_a(_lagrange_weights(ta), along_b(_lagrange_dweights(tb))))
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +628,14 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     """Assemble the boundary-normal chart from the phase pair.
 
     The chart coordinates are y0 (time), the transported lateral fields, and
-    the depth yn, all linear in the two phases; on the face the map restricts
-    to the identity.  Coefficient fields of the transformed operator are
-    sampled along the receding family's rays and re-gridded onto a rectangle
-    in chart coordinates whose depth step is three times its time step (the
-    forward run then sits safely inside the stability bound).
+    the depth yn; y0 and yn are linear in the two phases, and on the face the
+    map restricts to the identity.  The lateral fields come from psi_minus,
+    sliced onto the overlap of the two fields' extended axes; phi must be
+    what solve_transport_phi returned for psi_minus and is only checked for
+    shape and kept on the chart.  Coefficient fields of the transformed
+    operator are sampled along the receding family's rays and re-gridded onto
+    a rectangle in chart coordinates whose depth step is three times its time
+    step (the forward run then sits safely inside the stability bound).
 
     y_depth caps the chart depth; the default takes what the fan coverage
     supports.  Nodes where the Jacobian leaves [1/j_max, j_max], or where the
@@ -616,19 +683,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     psi_m = on_axes(psi_minus._ext_psi, psi_minus._ext_axes)
     grad_m = on_axes(psi_minus._ext_grad, psi_minus._ext_axes)
 
-    # lateral transport fields on the shared extended slab
-    fan = psi_minus._fan
-    nrows = fan.pos.shape[0]
-    if n > 1:
-        mesh = np.meshgrid(*fan.axes, indexing="ij")
-        launch_fields = {
-            f"phi{j}": np.broadcast_to(mesh[j], (nrows,) + mesh[j].shape)
-            for j in range(1, n)
-        }
-        phi_ext = _resample_rows(fan, ext_axes, launch_fields)
-        phi_ext = [phi_ext[f"phi{j}"] for j in range(1, n)]
-    else:
-        phi_ext = []
+    phi_ext = [on_axes(p, psi_minus._ext_axes) for p in psi_minus._ext_phi]
 
     spacings = [grid.dt] + list(grid.h[:-1]) + [hz]
     dphi = [np.stack(np.gradient(p, *spacings, edge_order=2), axis=-1) for p in phi_ext]
@@ -677,7 +732,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     y_of_x = np.stack([c[window] for c in y_comps], axis=-1)
 
     # ---- pull the coefficient fields onto a chart-space rectangle ----------
-    pull_fan = _trim_fan(fan, ext_axes)
+    pull_fan = _trim_fan(psi_minus._fan, ext_axes)
     slab_fields = {"s": psi_p, "ghpm": ghpm, "g1": g1_x,
                    "Am": Am_x, "focal": focal.astype(float)}
     for j in range(n - 1):
@@ -1162,18 +1217,25 @@ def solve_transformed_ibvp(op: TransformedOperator, f, grid: SpacetimeGrid,
 def find_chart_depth(metric: MetricField, grid: SpacetimeGrid, cap: float) -> float:
     """Largest slab depth (multiple of the depth spacing) both families reach.
 
-    Bisects on the crossing error; the positivity of the phase-pair
-    normalization is enforced later by the chart's focal mask.
+    Bisects on the crossing error.  Each probe only integrates the two fans
+    with solve_eikonal's default pads and checks folds, radicands and
+    coverage; nothing is resampled.  Those are the checks where
+    solve_eikonal refuses a fold, so both agree on the depth.  The positivity
+    of the phase-pair normalization is enforced later by the chart's focal
+    mask.
     """
     hz = grid.h[-1]
     nz_cap = int(math.floor(cap / hz + 1e-9))
     if nz_cap < 3:
         raise ValueError("cap must allow at least three depth steps")
 
+    slope = _slope_bound(metric, grid)
+
     def clean(nz: int) -> bool:
+        pads = _default_pads(grid, nz * hz, slope)
         try:
             for side in ("+", "-"):
-                solve_eikonal(metric, side, grid, nz * hz)
+                _coverage_axes(_integrate_fan(metric, side, grid, nz * hz, *pads), grid)
             return True
         except CharacteristicCrossing:
             return False
@@ -1206,9 +1268,9 @@ def sample_field(samples: np.ndarray, grid: SpacetimeGrid, points: np.ndarray) -
 
     bases, offsets = [], []
     for frac, size in zip(fracs, sizes):
-        i0 = np.clip(np.floor(frac).astype(int), 1, size - 3)
+        i0, t = _row_base(size, frac)
         bases.append(i0)
-        offsets.append(_lagrange_weights(frac - i0))
+        offsets.append(_lagrange_weights(t))
 
     out = np.zeros(points.shape[:-1], dtype=samples.dtype)
     for combo in product((-1, 0, 1, 2), repeat=n + 1):

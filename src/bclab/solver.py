@@ -38,6 +38,7 @@ __all__ = [
     "BoundarySignal",
     "CFLViolation",
     "Instability",
+    "SweepNotConverged",
     "solve_ibvp",
     "energy",
     "graph_norm_sq",
@@ -56,6 +57,10 @@ class CFLViolation(ValueError):
 
 class Instability(RuntimeError):
     """Field peak grew beyond the configured factor of the imposed data scale."""
+
+
+class SweepNotConverged(RuntimeError):
+    """Fixed-point sweeps of an implicit step used up max_sweeps above sweep_tol."""
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +558,14 @@ def solve_ibvp(
     face (manufactured-solution runs).  `initial` is an optional pair
     (u at t1, u at t1+dt) of complex arrays; default is the quiescent start.
     `forcing` is an Expr, (re, im) Expr pair, or callable(env) -> array.
+    store is "all" (every time level) or "boundary" (the three face layers
+    only).  Raises SweepNotConverged when the fixed-point sweeps of a step
+    with time cross terms do not meet sweep_tol within max_sweeps.
     """
+    if store not in ("all", "boundary"):
+        raise ValueError(f"store must be 'all' or 'boundary', got {store!r}")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     if provider is None:
         provider = _ExprProvider(metric, A, grid, v1=v1, first_order=first_order)
         if check:
@@ -652,8 +664,14 @@ def solve_ibvp(
             up1[interior] -= delta
             if not iterate:
                 break
-            if float(np.max(np.abs(delta))) <= sweep_tol * scale:
+            update = float(np.max(np.abs(delta)))
+            if update <= sweep_tol * scale:
                 break
+        else:
+            raise SweepNotConverged(
+                f"fixed-point sweeps at t = {t:.4f} did not converge in {max_sweeps} "
+                f"sweeps: last update {update:.3e} > sweep_tol * scale = {sweep_tol * scale:.3e}"
+            )
 
         u_prev, u_curr = u_curr, up1
         samples[m + 1] = u_curr

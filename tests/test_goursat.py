@@ -24,6 +24,8 @@ from bclab.goursat import (
     CharacteristicCrossing,
     FocalRegion,
     GoursatChart,
+    _bicubic,
+    _launch_indices,
     _normal_root,
     build_chart,
     export_chart_csv,
@@ -345,6 +347,31 @@ def test_ray_oracle_transport_2d():
     assert np.abs(sample_field(em.psi, g, pts) - (1.4 - t0)).max() <= 1e-7
 
 
+def test_launch_inversion_oracle_2d():
+    h = 1 / 16
+    g = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=0.35 * h,
+                      t1=0.0, t2=1.4)
+    em = solve_eikonal(VAR_METRIC_2D, "-", g, 0.25)
+    fan, axes = em._fan, em._ext_axes
+    idx = _launch_indices(fan, axes)
+    # the rays drift by several lattice cells, so the warm starts do work
+    assert np.abs(idx[-1] - idx[0]).max() > 2.0
+    # every row's solved indices map back onto the target nodes
+    target = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    for m, pos in enumerate(fan.pos):
+        assert np.abs(_bicubic(pos, idx[m, ..., 0], idx[m, ..., 1]) - target).max() <= 1e-12
+    # psi and phi are affine in the launch coordinates, so interpolating the
+    # launch lattice at the solved indices reproduces them to round-off
+    launch = np.stack(np.meshgrid(*fan.axes, indexing="ij"), axis=-1)
+    for m in range(len(fan.pos)):
+        got = _bicubic(launch, idx[m, ..., 0], idx[m, ..., 1])
+        assert np.abs(em._ext_psi[..., m] - (1.4 - got[..., 0])).max() <= 1e-13
+        assert np.abs(em._ext_phi[0][..., m] - got[..., 1]).max() <= 1e-13
+    # the whole launch box inverts at the face, but the drifting rows leave it
+    with pytest.raises(ValueError, match=r"fan row 1 .*target nodes.*worst residual"):
+        _launch_indices(fan, fan.axes)
+
+
 def test_transport_orthogonality_2d():
     # the transported fields are constant on receding rays, so their
     # gradients pair to zero with the receding phase gradient
@@ -474,6 +501,25 @@ def test_find_chart_depth_waveguide():
                       t1=0.0, t2=0.8)
     got = find_chart_depth(WAVEGUIDE, g, 0.5)
     assert got == pytest.approx(0.15625, abs=1e-12)
+
+
+def test_find_chart_depth_agrees_with_full_solve():
+    # the search checks folds only; the full solve must agree on both sides
+    # of the returned depth
+    h = 1 / 16
+    g = SpacetimeGrid(n=2, extent=(1.0, 0.25), h=(h, h), dt=0.3 * h,
+                      t1=0.0, t2=0.8)
+    got = find_chart_depth(WAVEGUIDE, g, 0.5)
+    assert got == pytest.approx(0.1875, abs=1e-12)
+    for side in ("+", "-"):
+        solve_eikonal(WAVEGUIDE, side, g, got)
+    refused = 0
+    for side in ("+", "-"):
+        try:
+            solve_eikonal(WAVEGUIDE, side, g, got + h)
+        except CharacteristicCrossing:
+            refused += 1
+    assert refused >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from bclab.solver import (
     CFLViolation,
     Instability,
     SampledCoefficients,
+    SweepNotConverged,
     WaveField,
     apply_operator_symbolic,
     cfl_time_step,
@@ -105,6 +106,26 @@ def test_store_boundary_drops_interior():
     assert np.array_equal(slim.face_trace(), full.samples[:, 0])
     with pytest.raises(ValueError):
         slim.slice(0)
+
+
+def test_store_rejects_unknown_value():
+    g = grid1(1 / 32, t2=0.2)
+    with pytest.raises(ValueError, match="'bondary'"):
+        solve_ibvp(MetricField.minkowski(1), None, BoundarySignal(0.1, 0.05), g,
+                   store="bondary")
+
+
+def test_sweep_exhaustion_raises():
+    # g^{0j} != 0 takes the fixed-point sweep path, which needs several
+    # sweeps per step; a budget of one must fail loudly at the first step
+    g = SpacetimeGrid(n=2, extent=(1.0, 1.0), h=(1 / 16, 1 / 16), dt=1 / 64,
+                      t1=0.0, t2=0.1)
+    x1, x2 = np.meshgrid(g.axis(1), g.axis(2), indexing="ij")
+    u0 = (np.sin(math.pi * x1) * np.sin(math.pi * x2)).astype(complex)
+    with pytest.raises(SweepNotConverged, match=r"t = 0\.0156 .* 1 sweeps"):
+        solve_ibvp(VAR_METRIC_2D, None, None, g, initial=(u0, u0), max_sweeps=1)
+    wf = solve_ibvp(VAR_METRIC_2D, None, None, g, initial=(u0, u0))
+    assert np.isfinite(wf.samples).all()
 
 
 # ---------------------------------------------------------------------------
