@@ -13,9 +13,12 @@ time-space coefficients g^{0j} couple the new level to its neighbors, which a
 short fixed-point iteration resolves; the coupling is O(CFL * |g^{0j}|), far
 below 1, so a handful of sweeps reaches round-off.
 
-Optional hooks used by the transformed-operator pipeline: a forcing term, a
-first-order term sum_j b_j d_j u, a zeroth-order term c u, and coefficient
-fields supplied as samples instead of expressions.
+One provider, SampledCoefficients, feeds the stepper.  It holds the
+coefficients as node samples, one time level at a time: read from arrays, or
+evaluated from the metric's expressions when the run is expression-backed.
+The staggered values are second-order averages of those samples.  Optional
+hooks used by the transformed-operator pipeline: a forcing term, a
+first-order term sum_j b_j d_j u and a zeroth-order term c u.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .expr import Const, Expr
 from .geometry import (
     MetricField,
     SpacetimeGrid,
+    _as_expr,
     check_hyperbolicity,
     max_characteristic_speed,
 )
@@ -163,165 +167,134 @@ class WaveField:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient providers
+# Coefficient provider
 # ---------------------------------------------------------------------------
 
-def _env_shift(grid: SpacetimeGrid, t: float, half_axis: int | None):
-    """Coordinate env at time t; half_axis j>=1 shifts that axis to midpoints."""
-    axes = []
-    for i in range(1, grid.n + 1):
-        coords = grid.axis(i)
-        if half_axis == i:
-            coords = 0.5 * (coords[:-1] + coords[1:])
-        axes.append(coords)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    env = {f"x{i + 1}": mesh[i] for i in range(grid.n)}
-    shape = tuple(a.size for a in axes)
-    env["x0"] = np.full(shape, float(t))
-    return env, shape
-
-
-class _ExprProvider:
-    """Evaluates expression-backed coefficients at the staggered points.
-
-    Time-independent coefficient sets are detected and cached after the first
-    evaluation of each staggering kind.
-    """
-
-    def __init__(self, metric: MetricField, A, grid: SpacetimeGrid,
-                 v1=None, first_order=None):
-        self.metric = metric
-        self.grid = grid
-        size = metric.n + 1
-        self.A = list(metric.A) if A is None else [_to_expr(a) for a in A]
-        if len(self.A) != size:
-            raise ValueError("potential needs n+1 components")
-        self.rho = metric.rho()
-        self.v1 = v1
-        self.first_order = first_order
-        names = set()
-        for row in metric.g:
-            for entry in row:
-                names |= entry.variables()
-        for a in self.A:
-            names |= a.variables()
-        self.static = "x0" not in names
-        self._cache = {}
-
-    def has_time_cross(self) -> bool:
-        return any(not _is_zero(self.metric.g[0][k]) for k in range(1, self.metric.n + 1))
-
-    def _evaluate(self, t: float, half_axis: int | None):
-        env, shape = _env_shift(self.grid, t, half_axis)
-        size = self.metric.n + 1
-        g = np.empty(shape + (size, size))
-        for j in range(size):
-            for k in range(size):
-                g[..., j, k] = _bcast(self.metric.g[j][k].evaluate(env), shape)
-        A = np.empty(shape + (size,))
-        for j in range(size):
-            A[..., j] = _bcast(self.A[j].evaluate(env), shape)
-        rho = _bcast(self.rho.evaluate(env), shape)
-        return {"g": g, "A": A, "rho": rho}
-
-    def at(self, t: float, half_axis: int | None = None) -> dict:
-        key = (None if self.static else round(t, 12), half_axis)
-        if key not in self._cache:
-            if not self.static and len(self._cache) > 8 * (self.grid.n + 2):
-                self._cache.clear()
-            self._cache[key] = self._evaluate(t, half_axis)
-        return self._cache[key]
-
-    def zeroth_at(self, t: float) -> np.ndarray | None:
-        if self.v1 is None:
-            return None
-        env, shape = _env_shift(self.grid, t, None)
-        return _complex_eval(self.v1, env, shape)
-
-    def first_order_at(self, t: float):
-        if self.first_order is None:
-            return None
-        env, shape = _env_shift(self.grid, t, None)
-        return [_complex_eval(b, env, shape) for b in self.first_order]
-
-
 class SampledCoefficients:
-    """Coefficient provider backed by arrays sampled on the grid's nodes.
+    """The stepper's coefficient provider: node samples, averaged where staggered.
 
-    g: (nt, *shape, n+1, n+1) or (*shape, n+1, n+1) when time-independent;
-    A and rho follow the same convention.  Half-level and half-node values
-    are second-order averages of the node samples.  An optional zeroth-order
-    field (complex, same sampling convention) and first-order coefficients
-    b_j keep the transformed-operator structure expressible.
+    Node level m holds g^{jk} (*shape, n+1, n+1), A_j (*shape, n+1), rho, an
+    optional complex zeroth-order field v1 and optional first-order
+    coefficients b_j, all on the spatial nodes at t1 + m*dt.  The constructor
+    takes them as arrays, each either with a leading time axis of length nt
+    or time-independent; `from_metric` evaluates them from expressions, one
+    node level at a time.  rho is ((-1)^n det g)^(-1/2) of the node samples
+    unless given.  Half levels are the average of the two bracketing node
+    levels and half nodes the average of neighbours along the axis, so both
+    are second order.  Values are cached by half-level index, and the cache
+    keeps only the levels within one step of the latest request.
     """
 
     def __init__(self, grid: SpacetimeGrid, g, A, rho=None, v1=None, first_order=None):
+        g = np.asarray(g, dtype=float)
+        A = np.asarray(A, dtype=float)
+        rho = None if rho is None else np.asarray(rho, dtype=float)
+        v1 = None if v1 is None else np.asarray(v1)
+        first = None if first_order is None else [np.asarray(b) for b in first_order]
+        scalars = [arr for arr in [rho, v1] + (first or []) if arr is not None]
+
+        def sample(m):
+            def pick(arr, extra=0):
+                return arr if arr is None or arr.ndim == grid.n + extra else arr[m]
+
+            return {"g": pick(g, 2), "A": pick(A, 1), "rho": pick(rho), "v1": pick(v1),
+                    "first": None if first is None else [pick(b) for b in first]}
+
+        static = (g.ndim == grid.n + 2 and A.ndim == grid.n + 1
+                  and all(arr.ndim == grid.n for arr in scalars))
+        self._start(grid, g.shape[-1] - 1, sample, static,
+                    bool(np.any(g[..., 0, 1:] != 0.0)))
+
+    @classmethod
+    def from_metric(cls, metric: MetricField, grid: SpacetimeGrid,
+                    v1=None, first_order=None) -> "SampledCoefficients":
+        """Provider whose node levels come from metric.eval_g and eval_A.
+
+        v1 and each b_j are an Expr, an (re, im) pair of Exprs, a
+        callable(env), or None (zero).
+        """
+        shape = grid.shape
+        spatial = grid.spatial_env()
+
+        def sample(m):
+            env = dict(spatial, x0=np.full(shape, grid.t1 + m * grid.dt))
+            return {"g": metric.eval_g(env, shape=shape), "A": metric.eval_A(env, shape=shape),
+                    "rho": None,
+                    "v1": None if v1 is None else _complex_eval(v1, env, shape),
+                    "first": None if first_order is None
+                    else [_complex_eval(b, env, shape) for b in first_order]}
+
+        fields = [e for row in metric.g for e in row] + metric.A + [v1] + list(first_order or [])
+        time_cross = any(not _is_zero(metric.g[0][k]) for k in range(1, metric.n + 1))
+        provider = cls.__new__(cls)
+        provider._start(grid, metric.n, sample, all(map(_time_free, fields)), time_cross)
+        return provider
+
+    def _start(self, grid, n, sample, static, time_cross):
         self.grid = grid
-        self.g = np.asarray(g, dtype=float)
-        self.A = np.asarray(A, dtype=float)
-        size = self.g.shape[-1]
-        self.n = size - 1
-        if rho is None:
-            sign = (-1.0) ** self.n
-            self.rho = (sign * np.linalg.det(self.g)) ** -0.5
-        else:
-            self.rho = np.asarray(rho, dtype=float)
-        self.v1 = None if v1 is None else np.asarray(v1)
-        self.first_order = None if first_order is None else [np.asarray(b) for b in first_order]
+        self.n = n
+        self._sample = sample
+        self._static = static
+        self._time_cross = time_cross
         self._cache = {}
 
     def has_time_cross(self) -> bool:
-        return bool(np.any(self.g[..., 0, 1:] != 0.0))
+        return self._time_cross
 
-    def _level(self, arr, t: float, extra_dims: int = 0):
-        """Pick (or average) the time level; arrays without a leading time
-        axis are time-independent and returned as-is."""
-        if arr.ndim == self.grid.n + extra_dims:
-            return arr
-        pos = (t - self.grid.t1) / self.grid.dt
-        m = int(round(pos))
-        if abs(pos - m) < 1e-9:
-            return arr[m]
-        lo = int(math.floor(pos))
-        return 0.5 * (arr[lo] + arr[lo + 1])
+    def _index(self, t: float) -> int:
+        """Half-level index 2*(t - t1)/dt; 0 for every t when nothing depends on time."""
+        if self._static:
+            return 0
+        return int(round(2.0 * (t - self.grid.t1) / self.grid.dt))
 
-    def _half_axis(self, arr, axis: int):
-        lo = [slice(None)] * arr.ndim
-        hi = [slice(None)] * arr.ndim
-        lo[axis - 1] = slice(0, arr.shape[axis - 1] - 1)
-        hi[axis - 1] = slice(1, arr.shape[axis - 1])
-        return 0.5 * (arr[tuple(lo)] + arr[tuple(hi)])
-
-    def at(self, t: float, half_axis: int | None = None) -> dict:
-        key = (round(t, 12), half_axis)
+    def _level(self, k: int, half_axis: int | None = None) -> dict:
+        key = (k, half_axis)
         if key not in self._cache:
-            g = self._level(self.g, t, extra_dims=2)
-            A = self._level(self.A, t, extra_dims=1)
-            rho = self._level(self.rho, t)
             if half_axis is not None:
-                g = self._half_axis(g, half_axis)
-                A = self._half_axis(A, half_axis)
-                rho = self._half_axis(rho, half_axis)
-            self._cache[key] = {"g": g, "A": A, "rho": rho}
-            if len(self._cache) > 64:
-                first = next(iter(self._cache))
-                if first != key:
-                    del self._cache[first]
+                node = self._level(k)
+                value = {name: _davg(node[name], half_axis - 1) for name in ("g", "A", "rho")}
+            elif k % 2:
+                lo, hi = self._level(k - 1), self._level(k + 1)
+                value = {name: _mean(lo[name], hi[name]) for name in lo}
+            else:
+                value = self._sample(k // 2)
+                if value["rho"] is None:
+                    sign = (-1.0) ** self.n
+                    value["rho"] = (sign * np.linalg.det(value["g"])) ** -0.5
+            # a step reads half levels 2m-2 .. 2m+2
+            for stale in [cached for cached in self._cache if abs(cached[0] - k) > 4]:
+                del self._cache[stale]
+            self._cache[key] = value
         return self._cache[key]
 
+    def at(self, t: float, half_axis: int | None = None) -> dict:
+        """g, A and rho at time t (node or half level), on half nodes along
+        half_axis (1..n) when given."""
+        return self._level(self._index(t), half_axis)
+
     def zeroth_at(self, t: float):
-        return None if self.v1 is None else self._level(self.v1, t)
+        return self._level(self._index(t))["v1"]
 
     def first_order_at(self, t: float):
-        if self.first_order is None:
-            return None
-        return [self._level(b, t) for b in self.first_order]
+        return self._level(self._index(t))["first"]
 
 
-def _to_expr(value):
-    from .geometry import _as_expr
+def _mean(a, b):
+    """Average of two node samples: arrays, lists of arrays, or None."""
+    if a is None:
+        return None
+    if isinstance(a, list):
+        return [_mean(x, y) for x, y in zip(a, b)]
+    return 0.5 * (a + b)
 
-    return _as_expr(value)
+
+def _time_free(field) -> bool:
+    """True for None, or an Expr or (re, im) pair of Exprs without x0."""
+    if field is None:
+        return True
+    if isinstance(field, tuple):
+        return all(map(_time_free, field))
+    return isinstance(field, Expr) and "x0" not in field.variables()
 
 
 def _is_zero(e: Expr) -> bool:
@@ -480,7 +453,7 @@ class _Stepper:
 
         first = P.first_order_at(t)
         if first is not None:
-            out = out + first[0] * d0m_plain(um1, up1, dt)
+            out = out + first[0] * (up1 - um1) / (2.0 * dt)
             for j in range(1, n + 1):
                 out = out + first[j] * _dcen(um, j - 1, self.h[j - 1])
         zeroth = P.zeroth_at(t)
@@ -516,10 +489,6 @@ class _Stepper:
         if first is not None:
             out = out + first[0] / (2.0 * dt)
         return out
-
-
-def d0m_plain(um1, up1, dt):
-    return (up1 - um1) / (2.0 * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -558,16 +527,28 @@ def solve_ibvp(
     face (manufactured-solution runs).  `initial` is an optional pair
     (u at t1, u at t1+dt) of complex arrays; default is the quiescent start.
     `forcing` is an Expr, (re, im) Expr pair, or callable(env) -> array.
+    Without `provider`, the coefficients come from `metric` (with its
+    potential replaced by A when given), v1 and first_order; a `provider`
+    (a SampledCoefficients) carries all of them, so passing A, v1 or
+    first_order with it raises ValueError.
     store is "all" (every time level) or "boundary" (the three face layers
-    only).  Raises SweepNotConverged when the fixed-point sweeps of a step
-    with time cross terms do not meet sweep_tol within max_sweeps.
+    only; memory then does not grow with the number of time levels).  Raises
+    SweepNotConverged when the fixed-point sweeps of a step with time cross
+    terms do not meet sweep_tol within max_sweeps.
     """
     if store not in ("all", "boundary"):
         raise ValueError(f"store must be 'all' or 'boundary', got {store!r}")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
-    if provider is None:
-        provider = _ExprProvider(metric, A, grid, v1=v1, first_order=first_order)
+    if provider is not None:
+        for name, value in (("A", A), ("v1", v1), ("first_order", first_order)):
+            if value is not None:
+                raise ValueError(f"{name} would be ignored: the provider carries the "
+                                 f"coefficients, so build it with {name} instead")
+    else:
+        if A is not None:
+            metric = metric.with_potential(A)
+        provider = SampledCoefficients.from_metric(metric, grid, v1=v1, first_order=first_order)
         if check:
             report = check_hyperbolicity(metric, grid)
             report.raise_if_failed()
@@ -628,12 +609,19 @@ def solve_ibvp(
     def forcing_at(t: float):
         if forcing is None:
             return None
-        env, eshape = _env_shift(grid, t, None)
-        return _complex_eval(forcing, env, eshape)
+        return _complex_eval(forcing, grid.env_at_time(t), shape)
 
-    samples = np.empty((nt,) + shape, dtype=complex)
-    samples[0] = u_prev
-    samples[1] = u_curr
+    # the first three depth layers of every level; all levels only on request
+    layers = np.empty((nt,) + shape[:-1] + (3,), dtype=complex)
+    samples = np.empty((nt,) + shape, dtype=complex) if store == "all" else None
+
+    def keep(level: int, u: np.ndarray):
+        layers[level] = u[..., 0:3]
+        if samples is not None:
+            samples[level] = u
+
+    keep(0, u_prev)
+    keep(1, u_curr)
 
     def face_max(u: np.ndarray) -> float:
         worst = 0.0
@@ -674,7 +662,7 @@ def solve_ibvp(
             )
 
         u_prev, u_curr = u_curr, up1
-        samples[m + 1] = u_curr
+        keep(m + 1, u_curr)
 
         if guard_factor is not None:
             data_scale = max(data_scale, face_max(u_curr))
@@ -687,11 +675,10 @@ def solve_ibvp(
                     f"{data_scale:.3e} at t = {times[m + 1]:.4f}"
                 )
 
-    face3 = samples[..., 0:3].copy()
     cfl = grid.dt * (vmax if vmax is not None else 1.0) / min(grid.h)
     return WaveField(
-        samples=samples if store == "all" else None,
-        boundary_layers=face3,
+        samples=samples,
+        boundary_layers=layers,
         grid=grid,
         cfl_number=cfl,
     )
@@ -721,9 +708,11 @@ def energy(u: WaveField, t: float, metric: MetricField, A=None, v1=None) -> floa
     if samples is None:
         raise ValueError("energy needs a fully stored field")
     n = grid.n
-    env, shape = _env_shift(grid, t, None)
-    A_list = metric.A if A is None else [_to_expr(a) for a in A]
-    A_vals = [np.asarray(_bcast(a.evaluate(env), shape)) for a in A_list]
+    env = grid.env_at_time(t)
+    shape = grid.shape
+    if A is not None:
+        metric = metric.with_potential(A)
+    A_vals = metric.eval_A(env, shape=shape)
     g = metric.eval_g(env, shape=shape)
 
     um = samples[m]
@@ -733,8 +722,8 @@ def energy(u: WaveField, t: float, metric: MetricField, A=None, v1=None) -> floa
         du0 = (samples[m] - samples[m - 1]) / grid.dt
     else:
         du0 = (samples[m + 1] - samples[m - 1]) / (2.0 * grid.dt)
-    d0 = du0 - 1j * A_vals[0] * um
-    dsp = [np.gradient(um, grid.h[k - 1], axis=k - 1) - 1j * A_vals[k] * um
+    d0 = du0 - 1j * A_vals[..., 0] * um
+    dsp = [np.gradient(um, grid.h[k - 1], axis=k - 1) - 1j * A_vals[..., k] * um
            for k in range(1, n + 1)]
 
     integrand = np.abs(d0) ** 2
@@ -781,7 +770,7 @@ def apply_operator_symbolic(metric: MetricField, A, u_re: Expr, u_im: Expr | Non
     """
     n = metric.n
     size = n + 1
-    A_list = list(metric.A) if A is None else [_to_expr(a) for a in A]
+    A_list = list(metric.A) if A is None else [_as_expr(a) for a in A]
     rho = metric.rho()
     u_im = Const(0.0) if u_im is None else u_im
 

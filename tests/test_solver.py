@@ -7,6 +7,7 @@ the continuum problem satisfies exactly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,7 +100,14 @@ def test_store_boundary_drops_interior():
     g = grid1(1 / 64, t2=0.5, dt=1 / 128)
     sig = BoundarySignal(0.2, 0.1)
     full = solve_ibvp(MetricField.minkowski(1), None, sig, g)
-    slim = solve_ibvp(MetricField.minkowski(1), None, sig, g, store="boundary")
+    tracemalloc.start()
+    try:
+        slim = solve_ibvp(MetricField.minkowski(1), None, sig, g, store="boundary")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # less than one complex array over every time level
+    assert peak < g.nt * math.prod(g.shape) * 16
     assert slim.samples is None
     assert np.array_equal(slim.boundary_layers, full.boundary_layers)
     assert slim.boundary_layers.shape == (g.nt, 3)
@@ -252,6 +260,62 @@ TIME_METRIC_1D = MetricField(
      ["0", "-1 - 0.1*cos(x0)*sin(x1)"]],
     None,
 )
+
+
+@pytest.mark.parametrize("metric, A, v1, first_order", [
+    (VAR_METRIC_2D, None, None, None),
+    (VAR_METRIC_2D, ["0.1*x0*x1", "0.3", "0.2*sin(x2)"], None, None),
+    (TIME_METRIC_1D, None, None, None),
+    (TIME_METRIC_1D, None, "0.5*cos(x1)*sin(x0)", [None, "0.3*sin(x1) + 0.1*x0"]),
+])
+def test_expression_run_matches_sampled_arrays(metric, A, v1, first_order):
+    # an expression-backed run samples the same node levels as arrays tabulated
+    # from eval_g/eval_A, and averages them onto the staggered points alike
+    n = metric.n
+    g = SpacetimeGrid(n=n, extent=(1.0,) * n, h=(1 / 16,) * n, dt=1 / 64, t1=0.0, t2=0.25)
+    env = g.env_at_time(0.0)
+    u0 = np.ones(g.shape, dtype=complex)
+    for i in range(1, n + 1):
+        u0 = u0 * np.sin(math.pi * env[f"x{i}"])
+    v1 = None if v1 is None else parse_expr(v1)
+    first_order = None if first_order is None else [
+        None if b is None else parse_expr(b) for b in first_order]
+    expr_run = solve_ibvp(metric, A, None, g, initial=(u0, 1.01 * u0),
+                          v1=v1, first_order=first_order)
+
+    sampled = metric if A is None else metric.with_potential(A)
+
+    def nodes(fn):
+        return np.stack([fn(g.env_at_time(t)) for t in g.times()])
+
+    def scalar(e):
+        if e is None:
+            return np.zeros((g.nt,) + g.shape)
+        return nodes(lambda env: np.broadcast_to(e.evaluate(env), g.shape))
+
+    provider = SampledCoefficients(
+        g, nodes(lambda env: sampled.eval_g(env, shape=g.shape)),
+        nodes(lambda env: sampled.eval_A(env, shape=g.shape)),
+        v1=None if v1 is None else scalar(v1),
+        first_order=None if first_order is None else [scalar(b) for b in first_order])
+    array_run = solve_ibvp(metric, None, None, g, initial=(u0, 1.01 * u0), provider=provider)
+    scale = np.max(np.abs(array_run.samples))
+    assert np.max(np.abs(expr_run.samples - array_run.samples)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("given", [
+    {"A": ["0.1", "0"]},
+    {"v1": parse_expr("1")},
+    {"first_order": [None, parse_expr("1")]},
+])
+def test_provider_rejects_coefficients_it_would_ignore(given):
+    g = grid1(1 / 16, t2=0.2)
+    env = g.env_at_time(0.0)
+    m = MetricField.minkowski(1)
+    provider = SampledCoefficients(g, m.eval_g(env, shape=g.shape), m.eval_A(env, shape=g.shape))
+    (name,) = given
+    with pytest.raises(ValueError, match=rf"^{name} would be ignored"):
+        solve_ibvp(m, f=None, grid=g, provider=provider, **{"A": None, **given})
 
 
 def test_manufactured_variable_metric_second_order():
