@@ -498,22 +498,24 @@ def _roots_xi0(g: np.ndarray, xi_sp: np.ndarray):
         return (-b - sq) / a, (-b + sq) / a, disc
 
 
+def _characteristic_speed(g: np.ndarray) -> float:
+    """Max |xi_0| over direction_sample for a sampled (..., n+1, n+1) metric."""
+    vmax = 0.0
+    for d in direction_sample(g.shape[-1] - 1):
+        lo, hi, _ = _roots_xi0(g, d)
+        vmax = max(vmax, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+    return vmax
+
+
 def max_characteristic_speed(metric: MetricField, grid: SpacetimeGrid, time_samples: int = 9) -> float:
     """Max |xi_0| over unit spatial covectors: the fastest local phase speed.
 
     Used for the CFL bound and for front propagation at maximal speed.
     """
-    dirs = direction_sample(metric.n)
     times = grid.times()
     stride = max(1, (len(times) - 1) // max(1, time_samples - 1))
-    vmax = 0.0
-    for t in times[::stride]:
-        env = grid.env_at_time(t)
-        g = metric.eval_g(env, shape=grid.shape)
-        for d in dirs:
-            lo, hi, _ = _roots_xi0(g, d)
-            vmax = max(vmax, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    return vmax
+    return max(_characteristic_speed(metric.eval_g(grid.env_at_time(t), shape=grid.shape))
+               for t in times[::stride])
 
 
 # ---------------------------------------------------------------------------

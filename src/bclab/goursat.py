@@ -24,12 +24,15 @@ Characteristic launches are independent per boundary node and integrate as
 one vectorized batch, so results are deterministic regardless of how the
 work is scheduled.
 
-Fans move onto the tensor slab one depth row at a time.  In 1D a cubic
-spline in the row's ray positions does it.  In 2D each row is a fold-free
-image of the regular launch lattice, so the launch indices of the ray
-through every slab node come from Newton on the row's bicubic interpolant,
+Every move between a characteristic fan and a tensor grid goes through one
+n-axis 4-point Lagrange stencil, _lagrange, at fractional grid indices.
+Fans move onto the tensor slab one depth row at a time: each row is a
+fold-free image of the regular launch lattice, so the launch indices of the
+ray through every slab node come from Newton on the row's interpolant,
 warm-started from the row above.  The phase and the lateral coordinates are
-affine in those indices; the covector slots take one bicubic evaluation.
+affine in those indices; the covector slots take one stencil evaluation.
+The chart pull samples the slab fields at the ray points and the ray
+samples at the chart's launch lattice the same way.
 """
 
 from __future__ import annotations
@@ -40,15 +43,15 @@ from itertools import product
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
-# bench/tracing.py wraps these two scipy names here when it traces a run, so
+# bench/tracing.py wraps these four scipy names here when it traces a run, so
 # they stay bound; this module no longer calls them
-from scipy.interpolate import CloughTocher2DInterpolator  # noqa: F401
+from scipy.interpolate import (  # noqa: F401
+    CloughTocher2DInterpolator, CubicSpline, RectBivariateSpline)
 from scipy.spatial import Delaunay  # noqa: F401
 
 from .expr import Call, Const, Expr
-from .geometry import MetricField, SpacetimeGrid
+from .geometry import MetricField, SpacetimeGrid, _as_expr, _characteristic_speed
 from .solver import CFLViolation, SampledCoefficients, WaveField, solve_ibvp
 
 __all__ = [
@@ -281,33 +284,34 @@ def _coverage_axes(fan: _Fan, grid: SpacetimeGrid):
 _NEWTON_STEPS = 20
 
 
-def _launch_indices(fan: _Fan, target_axes: tuple) -> np.ndarray:
-    """Fractional launch indices (a, b) of the ray through each target node.
+def _grid_indices(points: np.ndarray, axes) -> np.ndarray:
+    """Fractional indices of points[..., d] on the regular axes[d]."""
+    return (points - [ax[0] for ax in axes]) / [ax[1] - ax[0] for ax in axes]
 
-    Every row of a 2D fan is a fold-free image of the regular launch lattice,
-    so pos[m](a, b) = node has one solution in the lattice.  Newton on the
-    row's bicubic interpolant finds it: row 0 is the lattice itself, where
+
+def _launch_indices(fan: _Fan, target_axes: tuple) -> np.ndarray:
+    """Fractional launch indices of the ray through each target node.
+
+    Every fan row is a fold-free image of the regular launch lattice, so
+    pos[m](indices) = node has one solution in the lattice.  Newton on the
+    row's Lagrange interpolant finds it: row 0 is the lattice itself, where
     the affine guess is exact, and each later row starts from the previous
-    row's solution.  Returns (nrows, *target_counts, 2).  Raises ValueError
+    row's solution.  Returns (nrows, *target_counts, n).  Raises ValueError
     naming the row when a node does not converge or lands off the lattice.
     """
     target = np.stack(np.meshgrid(*target_axes, indexing="ij"), axis=-1)
     tol = 1e-13 * max(1.0, float(np.max(np.abs(target))))
     top = np.array(fan.pos.shape[1:-1]) - 1.0
-    idx = np.stack([(target[..., d] - ax[0]) / (ax[1] - ax[0])
-                    for d, ax in enumerate(fan.axes)], axis=-1)
+    idx = _grid_indices(target, fan.axes)
     out = np.empty((fan.pos.shape[0],) + idx.shape)
     for row, pos in enumerate(fan.pos):
         for step in range(_NEWTON_STEPS + 1):
-            value, da, db = _bicubic(pos, idx[..., 0], idx[..., 1], slopes=True)
+            value, jac = _lagrange(pos, idx, slopes=True)
             res = value - target
             norm = np.max(np.abs(res), axis=-1)
             if np.all(norm <= tol) or step == _NEWTON_STEPS:
                 break
-            det = da[..., 0] * db[..., 1] - db[..., 0] * da[..., 1]
-            idx = idx - np.stack([db[..., 1] * res[..., 0] - db[..., 0] * res[..., 1],
-                                  da[..., 0] * res[..., 1] - da[..., 1] * res[..., 0]],
-                                 axis=-1) / det[..., None]
+            idx = idx - np.linalg.solve(jac, res[..., None])[..., 0]
         bad = ~(norm <= tol) | np.any((idx < -1e-9) | (idx > top + 1e-9), axis=-1)
         if np.any(bad):
             raise ValueError(
@@ -324,27 +328,19 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
 
     Returns (launch, slots) shaped (*target_counts, nrows, n) and
     (*target_counts, nrows, n+1), the depth row index before the component.
-    In 1D a cubic spline in the row's positions interpolates both; in 2D the
-    launch indices come from _launch_indices, the launch coordinates are
-    affine in them, and the slots of a row take one stacked bicubic call.
+    The launch indices come from _launch_indices; the launch coordinates are
+    affine in them, and the slots of a row take one stacked _lagrange call.
     """
+    idx = _launch_indices(fan, target_axes)
     nrows, n = fan.pos.shape[0], fan.pos.shape[-1]
-    tdim = tuple(len(ax) for ax in target_axes)
+    tdim = idx.shape[1:-1]
     launch = np.empty(tdim + (nrows, n))
     slots = np.empty(tdim + (nrows, n + 1))
-    if n == 1:
-        for m in range(nrows):
-            mat = np.column_stack([fan.axes[0], fan.ptan[m, :, 0], fan.pn[m]])
-            vals = CubicSpline(fan.pos[m, :, 0], mat)(target_axes[0])
-            launch[:, m, 0] = vals[:, 0]
-            slots[:, m] = vals[:, 1:]
-    else:
-        idx = _launch_indices(fan, target_axes)
-        for m in range(nrows):
-            row = np.concatenate([fan.ptan[m], fan.pn[m][..., None]], axis=-1)
-            slots[..., m, :] = _bicubic(row, idx[m, ..., 0], idx[m, ..., 1])
-        for d, ax in enumerate(fan.axes):
-            launch[..., d] = ax[0] + (ax[1] - ax[0]) * np.moveaxis(idx[..., d], 0, -1)
+    for m in range(nrows):
+        row = np.concatenate([fan.ptan[m], fan.pn[m][..., None]], axis=-1)
+        slots[..., m, :] = _lagrange(row, idx[m])
+    for d, ax in enumerate(fan.axes):
+        launch[..., d] = ax[0] + (ax[1] - ax[0]) * np.moveaxis(idx[..., d], 0, -1)
     return launch, slots
 
 
@@ -530,33 +526,47 @@ def _row_slope(F, r):
     return _row_gather(F, i0, _lagrange_dweights(t))
 
 
-def _bicubic(F: np.ndarray, a: np.ndarray, b: np.ndarray, slopes: bool = False):
-    """4x4 Lagrange evaluation of F (Na, Nb, k) at fractional indices (a, b).
+def _contract(cells: list, weights) -> list:
+    """Contract the last stencil axis of a lexicographic list of gathers."""
+    return [sum(w * c for w, c in zip(weights, cells[i:i + 4]))
+            for i in range(0, len(cells), 4)]
 
-    Returns the (..., k) values, and with slopes also their derivatives in a
-    and in b.
+
+def _lagrange(F: np.ndarray, fracs: np.ndarray, slopes: bool = False):
+    """4-point Lagrange evaluation of F (*grid, k) at fractional indices.
+
+    fracs[..., d] indexes grid axis d; near an edge the stencil clamps to the
+    four edge nodes.  Returns the (..., k) values, and with slopes also their
+    (..., k, d) derivatives along each axis.  Sum-factorized: one flat gather
+    per stencil node, then one contraction per axis, last axis first.
     """
-    ia, ta = _row_base(F.shape[0], a)
-    ib, tb = _row_base(F.shape[1], b)
-    nb = F.shape[1]
-    # one flat gather per stencil node, components first
+    shape = F.shape[:-1]
+    ndim = len(shape)
+    strides = [int(np.prod(shape[d + 1:])) for d in range(ndim)]
+    base, ts = 0, []
+    for d in range(ndim):
+        i0, t = _row_base(shape[d], fracs[..., d])
+        base = base + strides[d] * i0
+        ts.append(t)
+    # components first, so the weights broadcast over the trailing point axes
     planes = np.moveaxis(F, -1, 0).reshape(F.shape[-1], -1)
-    base = ia * nb + ib
-    cells = [[planes.take(base + (p * nb + q), axis=1) for q in (-1, 0, 1, 2)]
-             for p in (-1, 0, 1, 2)]
-
-    def along_b(weights):
-        return [sum(w * c for w, c in zip(weights, row)) for row in cells]
-
-    def along_a(weights, rows):
-        return np.moveaxis(sum(w * r for w, r in zip(weights, rows)), 0, -1)
-
-    rows = along_b(_lagrange_weights(tb))
-    value = along_a(_lagrange_weights(ta), rows)
+    cells = [planes.take(base + int(np.dot(offs, strides)), axis=1)
+             for offs in product((-1, 0, 1, 2), repeat=ndim)]
+    weights = [_lagrange_weights(t) for t in ts]
+    # partial[j]: the last j axes contracted with value weights
+    partial = [cells]
+    for d in reversed(range(ndim)):
+        partial.append(_contract(partial[-1], weights[d]))
+    value = np.moveaxis(partial[-1][0], 0, -1)
     if not slopes:
         return value
-    return (value, along_a(_lagrange_dweights(ta), rows),
-            along_a(_lagrange_weights(ta), along_b(_lagrange_dweights(tb))))
+    jac = []
+    for d in range(ndim):
+        part = _contract(partial[ndim - 1 - d], _lagrange_dweights(ts[d]))
+        for e in reversed(range(d)):
+            part = _contract(part, weights[e])
+        jac.append(part[0])
+    return value, np.moveaxis(np.stack(jac, axis=-1), 0, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -802,37 +812,26 @@ def _fields_at_fan(fan: _Fan, ext_axes: tuple, slab_fields: dict) -> dict:
     """Sample extended-slab fields at the fan's ray points, row by row.
 
     Fan rows sit exactly on the slab depth nodes, so only the (time, lateral)
-    directions interpolate.
+    directions interpolate: one _lagrange call per row and field, at the ray
+    points' fractional indices on ext_axes.
     """
-    names = list(slab_fields)
-    nrows = fan.pos.shape[0]
-    lattice = fan.pos.shape[1:-1]
-    out = {name: np.empty((nrows,) + lattice) for name in names}
-    if len(ext_axes) == 1:
-        for m in range(nrows):
-            x = fan.pos[m, :, 0]
-            mat = np.stack([slab_fields[name][:, m] for name in names], axis=-1)
-            vals = CubicSpline(ext_axes[0], mat)(x)
-            for i, name in enumerate(names):
-                out[name][m] = vals[:, i]
-    else:
-        for m in range(nrows):
-            t_pts = fan.pos[m, ..., 0].reshape(-1)
-            x_pts = fan.pos[m, ..., 1].reshape(-1)
-            for name in names:
-                spl = RectBivariateSpline(ext_axes[0], ext_axes[1], slab_fields[name][:, :, m])
-                out[name][m] = spl.ev(t_pts, x_pts).reshape(lattice)
-    return out
+    fracs = _grid_indices(fan.pos, ext_axes)
+    return {name: np.stack([_lagrange(field[..., m, None], fracs[m])[..., 0]
+                            for m in range(len(fracs))])
+            for name, field in slab_fields.items()}
 
 
 def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
                    T1: float, T2: float, y_depth, y_time_step):
     """Re-grid per-ray samples onto the chart rectangle.
 
-    Stage one interpolates across rays onto virtual launches at the chart's
-    own time lattice; stage two inverts the advancing phase along each
-    virtual ray (Newton-refined cubic row lookup) to land on the requested
-    chart depth nodes.  Returns (y_grid, pulled fields, fractional row index).
+    Stage one samples every row across rays at virtual launches on the
+    chart's own time lattice and the grid's lateral nodes, one _lagrange call
+    per row and field.  Stage two inverts the advancing phase along each
+    virtual ray (two Newton steps on the 4-point row interpolant from a
+    linear bracket) to land on the requested chart depth nodes, and raises
+    ValueError when a node still misses its phase value by more than
+    1e-9 * dty.  Returns (y_grid, pulled fields, fractional row index).
     """
     n = grid.n
     window = T2 - T1
@@ -864,24 +863,13 @@ def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
         raise ValueError("fan launch coverage too narrow for the chart; increase pad_time")
     xi_star = T1 + dty * np.arange(n_star)
 
-    names = list(fan_samples)
     nrows = fan.pos.shape[0]
-    if n == 1:
-        stage1 = {name: np.empty((nrows, n_star)) for name in names}
-        for m in range(nrows):
-            mat = np.stack([fan_samples[name][m] for name in names], axis=-1)
-            vals = CubicSpline(fan.axes[0], mat)(xi_star)
-            for i, name in enumerate(names):
-                stage1[name][m] = vals[:, i]
-        lat_shape = ()
-    else:
-        lat_nodes = grid.axis(1)
-        stage1 = {name: np.empty((nrows, n_star, len(lat_nodes))) for name in names}
-        for m in range(nrows):
-            for name in names:
-                spl = RectBivariateSpline(fan.axes[0], fan.axes[1], fan_samples[name][m])
-                stage1[name][m] = spl(xi_star, lat_nodes, grid=True)
-        lat_shape = (len(lat_nodes),)
+    nodes = np.stack(np.meshgrid(xi_star, *[grid.axis(i) for i in range(1, n)],
+                                 indexing="ij"), axis=-1)
+    fracs = _grid_indices(nodes, fan.axes)
+    stage1 = {name: np.stack([_lagrange(rows[m][..., None], fracs)[..., 0] for m in range(nrows)])
+              for name, rows in fan_samples.items()}
+    lat_shape = nodes.shape[1:-1]
 
     # feasible chart depth: every virtual ray must reach its deepest target
     S = stage1["s"]
@@ -890,7 +878,7 @@ def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
         i_idx = np.arange(nt_y)
         cols = i_idx + 3 * nq
         s_star = dty * (i_idx - 3.0 * nq)
-        deepest = S[-1, cols] if n == 1 else S[-1, cols].max(axis=-1)
+        deepest = S[-1, cols].reshape(nt_y, -1).max(axis=-1)
         if np.all(deepest <= s_star + 1e-12):
             break
         nq -= 1
@@ -899,9 +887,7 @@ def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
 
     i_grid, q_grid = np.meshgrid(np.arange(nt_y), np.arange(nq + 1), indexing="ij")
     cols = (i_grid + 3 * q_grid).ravel()
-    s_star = (dty * (i_grid - 3.0 * q_grid)).ravel()
-    if lat_shape:
-        s_star = s_star[:, None]
+    s_star = (dty * (i_grid - 3.0 * q_grid)).ravel()[(...,) + (None,) * len(lat_shape)]
 
     S_t = S[:, cols]
     SS = -S_t
@@ -919,21 +905,26 @@ def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
         r = np.clip(r - (fval - s_star) / slope, 0.0, nrows - 1.0)
 
     def to_y_shape(flat):
-        shaped = flat.reshape((nt_y, nq + 1) + lat_shape)
-        if lat_shape:
-            shaped = np.moveaxis(shaped, 1, -1)
-        return shaped
-
-    pulled = {}
-    for name in names:
-        vals = _row_value(stage1[name][:, cols], r)
-        pulled[name] = to_y_shape(vals)
-    row_index = to_y_shape(r)
+        return np.moveaxis(flat.reshape((nt_y, nq + 1) + lat_shape), 1, -1)
 
     extent = tuple(grid.extent[:-1]) + (nq * dz,)
     h = tuple(grid.h[:-1]) + (dz,)
     y_grid = SpacetimeGrid(n=n, extent=extent, h=h, dt=dty, t1=T1, t2=T2,
                            boundary_patch=grid.boundary_patch)
+
+    miss = to_y_shape(np.abs(_row_value(S_t, r) - s_star))
+    bad = miss > 1e-9 * dty
+    if np.any(bad):
+        worst = np.unravel_index(np.argmax(miss), miss.shape)
+        node = [y_grid.times()[worst[0]]] + [y_grid.axis(d)[worst[d]] for d in range(1, n + 1)]
+        raise ValueError(
+            f"chart pull: {int(np.sum(bad))} chart nodes miss the advancing phase after "
+            f"two Newton steps (worst residual {float(miss[worst]):.2e} at chart node "
+            f"y = ({', '.join(f'{c:.4f}' for c in node)})); refine the slab depth step"
+        )
+
+    pulled = {name: to_y_shape(_row_value(rows[:, cols], r)) for name, rows in stage1.items()}
+    row_index = to_y_shape(r)
     return y_grid, pulled, row_index
 
 
@@ -1079,7 +1070,7 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart,
     if A is None:
         A = metric.A
     built = [a.render() for a in chart.metric.A]
-    given = [_as_expr_like(a).render() for a in A]
+    given = [_as_expr(a).render() for a in A]
     if built != given:
         raise ValueError("chart was built for a different potential")
 
@@ -1137,7 +1128,7 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart,
     for j in range(1, n):
         A_vec[..., j] = A_j[j - 1]
 
-    vmax = _sampled_speed(G)
+    vmax = _characteristic_speed(G)
     return TransformedOperator(
         g0_plus_j=g0_plus_j,
         g0_jk=g0_jk,
@@ -1156,34 +1147,10 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart,
     )
 
 
-def _as_expr_like(a):
-    from .geometry import _as_expr
-
-    return _as_expr(a)
-
-
 def _chart_env(y_grid: SpacetimeGrid) -> dict:
     axes = [y_grid.times()] + [y_grid.axis(i) for i in range(1, y_grid.n + 1)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return {f"x{i}": mesh[i] for i in range(y_grid.n + 1)}
-
-
-def _sampled_speed(G: np.ndarray) -> float:
-    """Characteristic speed bound of a sampled coefficient matrix field."""
-    n = G.shape[-1] - 1
-    if n == 1:
-        dirs = [np.array([1.0])]
-    else:
-        angles = np.linspace(0.0, np.pi, 8, endpoint=False)
-        dirs = [np.array([math.cos(a), math.sin(a)]) for a in angles]
-    worst = 0.0
-    for e in dirs:
-        a = G[..., 0, 0]
-        b = np.einsum("...j,j->...", G[..., 0, 1:], e)
-        c = np.einsum("...jk,j,k->...", G[..., 1:, 1:], e, e)
-        disc = np.sqrt(np.maximum(b * b - a * c, 0.0))
-        worst = max(worst, float(np.max((np.abs(b) + disc) / np.abs(a))))
-    return worst
 
 
 def transformed_time_step(op: TransformedOperator, fraction: float = 0.5) -> float:
@@ -1197,7 +1164,8 @@ def solve_transformed_ibvp(op: TransformedOperator, f, grid: SpacetimeGrid,
 
     f is face data in chart coordinates (identical to face data in the
     original coordinates, since the chart restricts to the identity there).
-    Remaining keyword arguments pass through to the forward solver.
+    Remaining keyword arguments pass through to the forward solver.  The
+    returned cfl_number is dt * op.vmax / min(h).
     """
     if grid != op.grid:
         raise ValueError("grid must be the operator's chart rectangle")
@@ -1206,8 +1174,10 @@ def solve_transformed_ibvp(op: TransformedOperator, f, grid: SpacetimeGrid,
         raise CFLViolation(
             f"dt = {grid.dt:.3e} exceeds {cfl_fraction} * h / v_max = {bound:.3e}"
         )
-    return solve_ibvp(None, None, f, grid, forcing, provider=op.provider(),
-                      check=False, **kwargs)
+    wf = solve_ibvp(None, None, f, grid, forcing, provider=op.provider(),
+                    check=False, **kwargs)
+    wf.cfl_number = grid.dt * op.vmax / min(grid.h)
+    return wf
 
 
 # ---------------------------------------------------------------------------
@@ -1260,27 +1230,8 @@ def sample_field(samples: np.ndarray, grid: SpacetimeGrid, points: np.ndarray) -
     points[..., :] = (t, x1, ..., xn).  Clamps the stencil at edges; callers
     keep points inside the domain.
     """
-    n = grid.n
-    fracs = [(points[..., 0] - grid.t1) / grid.dt]
-    for k in range(1, n + 1):
-        fracs.append(points[..., k] / grid.h[k - 1])
-    sizes = (grid.nt,) + grid.shape
-
-    bases, offsets = [], []
-    for frac, size in zip(fracs, sizes):
-        i0, t = _row_base(size, frac)
-        bases.append(i0)
-        offsets.append(_lagrange_weights(t))
-
-    out = np.zeros(points.shape[:-1], dtype=samples.dtype)
-    for combo in product((-1, 0, 1, 2), repeat=n + 1):
-        w = np.ones(points.shape[:-1])
-        idx = []
-        for d, off in enumerate(combo):
-            w = w * offsets[d][off + 1]
-            idx.append(bases[d] + off)
-        out += w * samples[tuple(idx)]
-    return out
+    fracs = (points - ([grid.t1] + [0.0] * grid.n)) / ([grid.dt] + list(grid.h))
+    return _lagrange(samples[..., None], fracs)[..., 0]
 
 
 def export_chart_csv(chart: GoursatChart, path: str) -> None:

@@ -24,9 +24,11 @@ from bclab.goursat import (
     CharacteristicCrossing,
     FocalRegion,
     GoursatChart,
-    _bicubic,
+    _lagrange,
     _launch_indices,
     _normal_root,
+    _pull_to_chart,
+    _trim_fan,
     build_chart,
     export_chart_csv,
     export_operator_npz,
@@ -359,17 +361,86 @@ def test_launch_inversion_oracle_2d():
     # every row's solved indices map back onto the target nodes
     target = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     for m, pos in enumerate(fan.pos):
-        assert np.abs(_bicubic(pos, idx[m, ..., 0], idx[m, ..., 1]) - target).max() <= 1e-12
+        assert np.abs(_lagrange(pos, idx[m]) - target).max() <= 1e-12
     # psi and phi are affine in the launch coordinates, so interpolating the
     # launch lattice at the solved indices reproduces them to round-off
     launch = np.stack(np.meshgrid(*fan.axes, indexing="ij"), axis=-1)
     for m in range(len(fan.pos)):
-        got = _bicubic(launch, idx[m, ..., 0], idx[m, ..., 1])
+        got = _lagrange(launch, idx[m])
         assert np.abs(em._ext_psi[..., m] - (1.4 - got[..., 0])).max() <= 1e-13
         assert np.abs(em._ext_phi[0][..., m] - got[..., 1]).max() <= 1e-13
     # the whole launch box inverts at the face, but the drifting rows leave it
     with pytest.raises(ValueError, match=r"fan row 1 .*target nodes.*worst residual"):
         _launch_indices(fan, fan.axes)
+
+
+def test_launch_inversion_oracle_1d():
+    g = grid1(1 / 32)
+    em = solve_eikonal(VAR_METRIC_1D, "-", g, 0.375)
+    fan, axes = em._fan, em._ext_axes
+    idx = _launch_indices(fan, axes)
+    assert np.abs(idx[-1] - idx[0]).max() > 2.0
+    target = axes[0][:, None]
+    for m, pos in enumerate(fan.pos):
+        assert np.abs(_lagrange(pos, idx[m]) - target).max() <= 1e-12
+    launch = fan.axes[0][:, None]
+    for m in range(len(fan.pos)):
+        got = _lagrange(launch, idx[m])
+        assert np.abs(em._ext_psi[..., m] - (2.0 - got[..., 0])).max() <= 1e-13
+    with pytest.raises(ValueError, match=r"fan row 1 .*target nodes.*worst residual"):
+        _launch_indices(fan, fan.axes)
+
+
+@pytest.mark.parametrize("shape", [(9,), (7, 8), (6, 7, 5)])
+def test_lagrange_exact_on_cubics(shape):
+    """Values and every slope of a tensor cubic, edge cells included."""
+    ndim = len(shape)
+    rng = np.random.default_rng(ndim)
+    coef = rng.standard_normal((4,) * ndim + (2,))
+    spec = ",".join(f"...{a}" for a in "abc"[:ndim]) + f",{'abc'[:ndim]}k->...k"
+
+    def poly(idx, along=None):
+        # cubic in every u_d = idx_d / (N_d - 1); along=d takes d/d(idx_d)
+        factors = []
+        for d, size in enumerate(shape):
+            u = idx[..., d] / (size - 1.0)
+            if d == along:
+                basis = [np.zeros_like(u), np.ones_like(u), 2.0 * u, 3.0 * u * u]
+                factors.append(np.stack(basis, axis=-1) / (size - 1.0))
+            else:
+                factors.append(np.stack([u ** p for p in range(4)], axis=-1))
+        return np.einsum(spec, *factors, coef)
+
+    nodes = np.stack(np.meshgrid(*[np.arange(float(s)) for s in shape], indexing="ij"), axis=-1)
+    F = poly(nodes)
+    top = np.array(shape) - 1.0
+    pts = np.concatenate([rng.random((40, ndim)) * top,
+                          rng.random((10, ndim)),                  # first cells
+                          top - rng.random((10, ndim)),            # last cells
+                          np.zeros((1, ndim)), top[None]])
+    value, jac = _lagrange(F, pts, slopes=True)
+    assert jac.shape == (len(pts), 2, ndim)
+    assert np.abs(value - poly(pts)).max() <= 1e-12
+    assert np.abs(_lagrange(F, pts) - value).max() == 0.0
+    for d in range(ndim):
+        assert np.abs(jac[..., d] - poly(pts, along=d)).max() <= 1e-12
+
+
+def test_chart_pull_refuses_unconverged_depth_lookup():
+    g = grid1(1 / 32)
+    em = solve_eikonal(MetricField.minkowski(1), "-", g, 0.375)
+    fan = _trim_fan(em._fan, em._ext_axes)
+    z = fan.depth_nodes[:, None]
+    # flat space: the receding ray from launch t0 sits at t = t0 - z, where
+    # the advancing phase is t - z - t1
+    s = fan.pos[..., 0] - g.t1 - z
+    _pull_to_chart(fan, {"s": s}, g, 0.0, 2.0, None, None)
+    # a row-to-row wiggle keeps s monotone in depth, so every chart node has
+    # a root, but two Newton steps no longer reach it
+    wiggle = 0.03 * z * np.cos(np.pi * np.arange(len(z)))[:, None]
+    with pytest.raises(ValueError, match=r"\d+ chart nodes miss the advancing phase .*"
+                                         r"worst residual .* at chart node y = \("):
+        _pull_to_chart(fan, {"s": s - wiggle}, g, 0.0, 2.0, None, None)
 
 
 def test_transport_orthogonality_2d():
@@ -680,6 +751,19 @@ def test_transformed_solve_cfl_guard():
         solve_transformed_ibvp(op, None, op.grid, cfl_fraction=0.01)
     assert op.vmax == pytest.approx(1.0)
     assert transformed_time_step(op) == pytest.approx(0.5 * min(op.grid.h))
+
+
+def test_transformed_run_reports_chart_cfl_number():
+    h = 1 / 16
+    g = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=0.35 * h,
+                      t1=0.0, t2=1.4)
+    ep = solve_eikonal(VAR_METRIC_2D, "+", g, 0.3125)
+    em = solve_eikonal(VAR_METRIC_2D, "-", g, 0.3125)
+    ch = build_chart(ep, em, solve_transport_phi(VAR_METRIC_2D, em, g), 0.0, 1.4)
+    op = transform_operator(VAR_METRIC_2D, None, ch)
+    assert op.vmax > 1.01
+    wf = solve_transformed_ibvp(op, None, op.grid)
+    assert wf.cfl_number == pytest.approx(op.grid.dt * op.vmax / min(op.grid.h), rel=1e-14)
 
 
 def test_potential_mismatch_raises():
