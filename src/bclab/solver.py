@@ -11,7 +11,11 @@ fluxes live on staggered points (time half-levels for the j=0 flux, spatial
 half-nodes for j>=1) and the outer covariant derivative is centered.  Mixed
 time-space coefficients g^{0j} couple the new level to its neighbors, which a
 short fixed-point iteration resolves; the coupling is O(CFL * |g^{0j}|), far
-below 1, so a handful of sweeps reaches round-off.
+below 1, so a handful of sweeps reaches round-off.  Every term without the
+new level is evaluated once per step; a sweep recomputes only the time flux
+ahead of the step (one centered difference of the new level per axis), the
+g^{j0} cross fluxes of its average onto half nodes, and the b_0 term.  The
+converged flux ahead of a step is the next step's flux behind it.
 
 One provider, SampledCoefficients, feeds the stepper.  It holds the
 coefficients as node samples, one time level at a time: read from arrays, or
@@ -24,7 +28,7 @@ first-order term sum_j b_j d_j u and a zeroth-order term c u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,6 +155,8 @@ class WaveField:
     grid: SpacetimeGrid
     cfl_number: float
     scheme_order: int = 2
+    # per step: "sweeps" (int) and "last_update", the final max |delta|
+    diagnostics: dict = field(default_factory=dict)
 
     def slice(self, m: int) -> np.ndarray:
         if self.samples is None:
@@ -182,7 +188,8 @@ class SampledCoefficients:
     unless given.  Half levels are the average of the two bracketing node
     levels and half nodes the average of neighbours along the axis, so both
     are second order.  Values are cached by half-level index, and the cache
-    keeps only the levels within one step of the latest request.
+    keeps only the half levels within half a step of the latest request,
+    which are the levels one step reads.
     """
 
     def __init__(self, grid: SpacetimeGrid, g, A, rho=None, v1=None, first_order=None):
@@ -261,8 +268,8 @@ class SampledCoefficients:
                 if value["rho"] is None:
                     sign = (-1.0) ** self.n
                     value["rho"] = (sign * np.linalg.det(value["g"])) ** -0.5
-            # a step reads half levels 2m-2 .. 2m+2
-            for stale in [cached for cached in self._cache if abs(cached[0] - k) > 4]:
+            # a step reads half levels 2m .. 2m+2
+            for stale in [cached for cached in self._cache if abs(cached[0] - k) > 2]:
                 del self._cache[stale]
             self._cache[key] = value
         return self._cache[key]
@@ -329,65 +336,52 @@ def _complex_eval(field, env, shape):
 # Spatial difference helpers
 # ---------------------------------------------------------------------------
 
-def _dcen(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered difference along axis; boundary entries are zero (unused)."""
-    out = np.zeros_like(u)
-    mid = [slice(None)] * u.ndim
+def _shifted(u: np.ndarray, axis: int, gap: int = 1):
+    """The views u[gap:] and u[:-gap] along axis."""
     hi = [slice(None)] * u.ndim
     lo = [slice(None)] * u.ndim
-    mid[axis] = slice(1, u.shape[axis] - 1)
-    hi[axis] = slice(2, u.shape[axis])
-    lo[axis] = slice(0, u.shape[axis] - 2)
-    out[tuple(mid)] = (u[tuple(hi)] - u[tuple(lo)]) / (2.0 * h)
+    hi[axis] = slice(gap, u.shape[axis])
+    lo[axis] = slice(0, u.shape[axis] - gap)
+    return u[tuple(hi)], u[tuple(lo)]
+
+
+def _interior(values: np.ndarray, axis: int) -> np.ndarray:
+    """Place values on the interior nodes along axis; boundary entries are zero."""
+    shape = list(values.shape)
+    shape[axis] += 2
+    out = np.zeros(tuple(shape), dtype=values.dtype)
+    mid = [slice(None)] * values.ndim
+    mid[axis] = slice(1, shape[axis] - 1)
+    out[tuple(mid)] = values
     return out
+
+
+def _dcen(u: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Centered difference along axis; boundary entries are zero (unused)."""
+    hi, lo = _shifted(u, axis, 2)
+    return _interior((hi - lo) / (2.0 * h), axis)
 
 
 def _ddiff(u: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Forward difference onto half nodes: (u[i+1] - u[i]) / h."""
-    hi = [slice(None)] * u.ndim
-    lo = [slice(None)] * u.ndim
-    hi[axis] = slice(1, u.shape[axis])
-    lo[axis] = slice(0, u.shape[axis] - 1)
-    return (u[tuple(hi)] - u[tuple(lo)]) / h
+    hi, lo = _shifted(u, axis)
+    return (hi - lo) / h
 
 
 def _davg(u: np.ndarray, axis: int) -> np.ndarray:
     """Average onto half nodes: (u[i+1] + u[i]) / 2."""
-    hi = [slice(None)] * u.ndim
-    lo = [slice(None)] * u.ndim
-    hi[axis] = slice(1, u.shape[axis])
-    lo[axis] = slice(0, u.shape[axis] - 1)
-    return 0.5 * (u[tuple(hi)] + u[tuple(lo)])
+    hi, lo = _shifted(u, axis)
+    return 0.5 * (hi + lo)
 
 
 def _half_diff(w: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Difference of half-node fluxes back onto interior nodes along axis."""
-    full_shape = list(w.shape)
-    full_shape[axis] += 1
-    out = np.zeros(tuple(full_shape), dtype=w.dtype)
-    mid = [slice(None)] * w.ndim
-    mid[axis] = slice(1, full_shape[axis] - 1)
-    hi = [slice(None)] * w.ndim
-    lo = [slice(None)] * w.ndim
-    hi[axis] = slice(1, w.shape[axis])
-    lo[axis] = slice(0, w.shape[axis] - 1)
-    out[tuple(mid)] = (w[tuple(hi)] - w[tuple(lo)]) / h
-    return out
+    return _interior(_ddiff(w, axis, h), axis)
 
 
 def _half_avg(w: np.ndarray, axis: int) -> np.ndarray:
     """Average of half-node fluxes back onto interior nodes along axis."""
-    full_shape = list(w.shape)
-    full_shape[axis] += 1
-    out = np.zeros(tuple(full_shape), dtype=w.dtype)
-    mid = [slice(None)] * w.ndim
-    mid[axis] = slice(1, full_shape[axis] - 1)
-    hi = [slice(None)] * w.ndim
-    lo = [slice(None)] * w.ndim
-    hi[axis] = slice(1, w.shape[axis])
-    lo[axis] = slice(0, w.shape[axis] - 1)
-    out[tuple(mid)] = 0.5 * (w[tuple(hi)] + w[tuple(lo)])
-    return out
+    return _interior(_davg(w, axis), axis)
 
 
 # ---------------------------------------------------------------------------
@@ -395,50 +389,85 @@ def _half_avg(w: np.ndarray, axis: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Stepper:
+    """The residual of one leapfrog step, affine in the new level u^{m+1}.
+
+    `level` holds the coefficient arrays of a step: the weights of u^{m+1}
+    in w0p and in the cross fluxes, and the map's diagonal; a static
+    provider builds them once per run.  `explicit` evaluates, once per step,
+    every term without u^{m+1}; `residual` adds the terms in u^{m+1}, which
+    is all a sweep recomputes.
+    """
+
     def __init__(self, provider, grid: SpacetimeGrid):
         self.provider = provider
-        self.grid = grid
         self.n = grid.n
         self.dt = grid.dt
         self.h = grid.h
+        self._fixed = None
 
-    def _time_flux(self, coeffs, u_new, u_old):
-        """Flux w_0 at a half level from the bracketing levels."""
-        n = self.n
+    def _flux_weights(self, coeffs):
+        """Weights of the time flux at a half level: w_0 = new u_new + old u_old
+        + sum_k cen[k] (dcen_k u_new + dcen_k u_old)."""
         g, A, rho = coeffs["g"], coeffs["A"], coeffs["rho"]
-        ubar = 0.5 * (u_new + u_old)
-        d0 = (u_new - u_old) / self.dt - 1j * A[..., 0] * ubar
-        w = g[..., 0, 0] * d0
-        for k in range(1, n + 1):
-            dk = 0.5 * (_dcen(u_new, k - 1, self.h[k - 1]) + _dcen(u_old, k - 1, self.h[k - 1]))
-            w = w + g[..., 0, k] * (dk - 1j * A[..., k] * ubar)
-        return rho * w
+        a = rho * g[..., 0, 0] / self.dt
+        b = -0.5j * rho * sum(g[..., 0, k] * A[..., k] for k in range(self.n + 1))
+        return a + b, b - a, [0.5 * rho * g[..., 0, k] for k in range(1, self.n + 1)]
 
-    def apply(self, um1, um, up1, t, forcing_val=None):
-        """Residual form: value of L_h u (+ first order + zeroth) - F at level m."""
-        n = self.n
-        dt = self.dt
+    def _side(self, weight, cen, u):
+        """One bracketing level's part of a time flux."""
+        w = weight * u
+        for k, p in enumerate(cen):
+            w = w + p * _dcen(u, k, self.h[k])
+        return w
+
+    def time_flux(self, t, u_new, u_old):
+        """Flux w_0 at half level t from the bracketing levels."""
+        new, old, cen = self._flux_weights(self.provider.at(t))
+        return self._side(new, cen, u_new) + self._side(old, cen, u_old)
+
+    def level(self, t) -> dict:
+        """Coefficient arrays of the step at node level t."""
+        if self._fixed is not None:
+            return self._fixed
+        dt, h = self.dt, self.h
         P = self.provider
         cm = P.at(t)
-        cp = P.at(t + 0.5 * dt)
-        cq = P.at(t - 0.5 * dt)
+        A = cm["A"]
+        new, old, cen = self._flux_weights(P.at(t + 0.5 * dt))
+        halves = [P.at(t, half_axis=j) for j in range(1, self.n + 1)]
+        cross = [ch["rho"] * ch["g"][..., j, 0] / (2.0 * dt) for j, ch in enumerate(halves, 1)]
+        lead = 1.0 / dt - 0.5j * A[..., 0]  # weight of w0p in the time difference
+        # davg weighs a node by 1/2 on each side, dcen not at all
+        diag = lead * new
+        for axis, cw in enumerate(cross):
+            diag = diag + _half_diff(0.5 * cw, axis, h[axis]) \
+                - 1j * A[..., axis + 1] * _half_avg(0.5 * cw, axis)
+        diag = -diag / cm["rho"]
+        first = P.first_order_at(t)
+        if first is not None:
+            diag = diag + first[0] / (2.0 * dt)
+        out = {"A": A, "rho": cm["rho"], "halves": halves, "first": first,
+               "zeroth": P.zeroth_at(t), "lead": lead, "new": new, "old": old,
+               "cen": cen, "cross": cross, "diag": diag}
+        if P._static:
+            self._fixed = out
+        return out
 
-        w0p = self._time_flux(cp, up1, um)
-        w0q = self._time_flux(cq, um, um1)
-        A0m = cm["A"][..., 0]
-        total = (w0p - w0q) / dt - 1j * A0m * 0.5 * (w0p + w0q)
+    def explicit(self, c, um1, um, w0q, forcing_val=None):
+        """The terms of the residual without u^{m+1}, and the u^m part of w0p."""
+        n, dt, h = self.n, self.dt, self.h
+        A = c["A"]
+        total = (c["lead"] - 2.0 / dt) * w0q
 
-        # node-centered covariant derivatives at level m (for cross terms)
-        d0m = (up1 - um1) / (2.0 * dt) - 1j * A0m * um
-        dmk = [None] * (n + 1)
-        for k in range(1, n + 1):
-            dmk[k] = _dcen(um, k - 1, self.h[k - 1]) - 1j * cm["A"][..., k] * um
-
-        for j in range(1, n + 1):
-            ch = P.at(t, half_axis=j)
+        # node-centered covariant derivatives at level m; d0m lacks its
+        # u^{m+1} part, which `residual` adds through the cross weights
+        d0m = -um1 / (2.0 * dt) - 1j * A[..., 0] * um
+        dmk = [None] + [_dcen(um, k - 1, h[k - 1]) - 1j * A[..., k] * um
+                        for k in range(1, n + 1)]
+        for j, ch in enumerate(c["halves"], 1):
             gh, Ah, rhoh = ch["g"], ch["A"], ch["rho"]
             axis = j - 1
-            dj = _ddiff(um, axis, self.h[axis]) - 1j * Ah[..., j] * _davg(um, axis)
+            dj = _ddiff(um, axis, h[axis]) - 1j * Ah[..., j] * _davg(um, axis)
             w = gh[..., j, j] * dj
             w = w + gh[..., j, 0] * _davg(d0m, axis)
             for k in range(1, n + 1):
@@ -446,49 +475,43 @@ class _Stepper:
                     continue
                 w = w + gh[..., j, k] * _davg(dmk[k], axis)
             w = rhoh * w
-            total = total + _half_diff(w, axis, self.h[axis]) \
-                - 1j * cm["A"][..., j] * _half_avg(w, axis)
+            total = total + _half_diff(w, axis, h[axis]) - 1j * A[..., j] * _half_avg(w, axis)
+        out = -total / c["rho"]
 
-        out = -total / cm["rho"]
-
-        first = P.first_order_at(t)
+        first = c["first"]
         if first is not None:
-            out = out + first[0] * (up1 - um1) / (2.0 * dt)
+            out = out - first[0] * um1 / (2.0 * dt)
             for j in range(1, n + 1):
-                out = out + first[j] * _dcen(um, j - 1, self.h[j - 1])
-        zeroth = P.zeroth_at(t)
-        if zeroth is not None:
-            out = out + zeroth * um
+                out = out + first[j] * _dcen(um, j - 1, h[j - 1])
+        if c["zeroth"] is not None:
+            out = out + c["zeroth"] * um
         if forcing_val is not None:
             out = out - forcing_val
+        return out, self._side(c["old"], c["cen"], um)
+
+    def w0p(self, c, wum, up1):
+        """Flux w_0 at the half level after the step, from u^{m+1} and the u^m part."""
+        return self._side(c["new"], c["cen"], up1) + wum
+
+    def residual(self, c, base, wum, up1):
+        """base (from `explicit`) plus the terms in u^{m+1}."""
+        A = c["A"]
+        total = c["lead"] * self.w0p(c, wum, up1)
+        for axis, cw in enumerate(c["cross"]):
+            w = cw * _davg(up1, axis)
+            total = total + _half_diff(w, axis, self.h[axis]) \
+                - 1j * A[..., axis + 1] * _half_avg(w, axis)
+        out = base - total / c["rho"]
+        if c["first"] is not None:
+            out = out + c["first"][0] * up1 / (2.0 * self.dt)
         return out
 
-    def diagonal(self, t) -> np.ndarray:
-        """Exact coefficient of u^{m+1}[node] in apply(...); used by the sweep."""
-        n = self.n
-        dt = self.dt
-        P = self.provider
-        cm = P.at(t)
-        cp = P.at(t + 0.5 * dt)
-        g, A, rho = cp["g"], cp["A"], cp["rho"]
-        bracket = g[..., 0, 0] * (1.0 / dt - 0.5j * A[..., 0])
-        for k in range(1, n + 1):
-            bracket = bracket - 0.5j * g[..., 0, k] * A[..., k]
-        diag = (1.0 / dt - 0.5j * cm["A"][..., 0]) * rho * bracket
-
-        for j in range(1, n + 1):
-            ch = P.at(t, half_axis=j)
-            axis = j - 1
-            rg = ch["rho"] * ch["g"][..., j, 0] / (4.0 * dt)
-            diff_part = _half_diff(rg, axis, self.h[axis]) * self.h[axis]  # rg[+] - rg[-]
-            avg_part = _half_avg(rg, axis)
-            diag = diag + diff_part / self.h[axis] - 1j * cm["A"][..., j] * avg_part
-
-        out = -diag / cm["rho"]
-        first = P.first_order_at(t)
-        if first is not None:
-            out = out + first[0] / (2.0 * dt)
-        return out
+    def apply(self, um1, um, up1, t, forcing_val=None):
+        """Residual form: value of L_h u (+ first order + zeroth) - F at level m."""
+        w0q = self.time_flux(t - 0.5 * self.dt, um, um1)
+        c = self.level(t)
+        base, wum = self.explicit(c, um1, um, w0q, forcing_val)
+        return self.residual(c, base, wum, up1)
 
 
 # ---------------------------------------------------------------------------
@@ -639,27 +662,34 @@ def solve_ibvp(
     span = grid.t2 - grid.t1
     data_scale = max(float(np.max(np.abs(u_prev))), float(np.max(np.abs(u_curr))))
 
+    sweeps = np.zeros(nt - 2, dtype=int)
+    last_update = np.zeros(nt - 2)
+    # the flux at the half level before the step; later steps reuse w0p
+    w0q = stepper.time_flux(times[1] - 0.5 * grid.dt, u_curr, u_prev)
     for m in range(1, nt - 1):
         t = times[m]
         up1 = 2.0 * u_curr - u_prev
         boundary_fill(m + 1, up1)
-        diag = stepper.diagonal(t)
         fval = forcing_at(t)
+        coeffs = stepper.level(t)
+        base, wum = stepper.explicit(coeffs, u_prev, u_curr, w0q, forcing_val=fval)
+        diag = coeffs["diag"][interior]
         scale = max(float(np.max(np.abs(u_curr))), 1.0)
-        for _ in range(max_sweeps):
-            resid = stepper.apply(u_prev, u_curr, up1, t, forcing_val=fval)
-            delta = resid[interior] / diag[interior]
+        for sweep in range(1, max_sweeps + 1):
+            resid = stepper.residual(coeffs, base, wum, up1)
+            delta = resid[interior] / diag
             up1[interior] -= delta
-            if not iterate:
-                break
-            update = float(np.max(np.abs(delta)))
-            if update <= sweep_tol * scale:
+            update = float(np.max(np.abs(delta), initial=0.0))
+            if not iterate or update <= sweep_tol * scale:
                 break
         else:
             raise SweepNotConverged(
                 f"fixed-point sweeps at t = {t:.4f} did not converge in {max_sweeps} "
                 f"sweeps: last update {update:.3e} > sweep_tol * scale = {sweep_tol * scale:.3e}"
             )
+        sweeps[m - 1] = sweep
+        last_update[m - 1] = update
+        w0q = stepper.w0p(coeffs, wum, up1)
 
         u_prev, u_curr = u_curr, up1
         keep(m + 1, u_curr)
@@ -681,6 +711,7 @@ def solve_ibvp(
         boundary_layers=layers,
         grid=grid,
         cfl_number=cfl,
+        diagnostics={"sweeps": sweeps, "last_update": last_update},
     )
 
 

@@ -15,8 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import binary_dilation
 
+from bclab.dn import dn_trace
 from bclab.expr import parse_expr
-from bclab.geometry import MetricField, SpacetimeGrid, influence_region
+from bclab.geometry import (
+    GaugeField,
+    MetricField,
+    SpacetimeGrid,
+    apply_conjugation_gauge,
+    influence_region,
+)
 from bclab.solver import (
     BoundarySignal,
     CFLViolation,
@@ -24,6 +31,7 @@ from bclab.solver import (
     SampledCoefficients,
     SweepNotConverged,
     WaveField,
+    _Stepper,
     apply_operator_symbolic,
     cfl_time_step,
     energy,
@@ -134,6 +142,58 @@ def test_sweep_exhaustion_raises():
         solve_ibvp(VAR_METRIC_2D, None, None, g, initial=(u0, u0), max_sweeps=1)
     wf = solve_ibvp(VAR_METRIC_2D, None, None, g, initial=(u0, u0))
     assert np.isfinite(wf.samples).all()
+
+
+def test_diagnostics_count_sweeps_per_step():
+    # g^{0j} != 0 takes several sweeps per step, a metric without it one
+    g = SpacetimeGrid(n=2, extent=(1.0, 1.0), h=(1 / 16, 1 / 16), dt=1 / 64,
+                      t1=0.0, t2=0.25)
+    x1, x2 = np.meshgrid(g.axis(1), g.axis(2), indexing="ij")
+    u0 = (np.sin(math.pi * x1) * np.sin(math.pi * x2)).astype(complex)
+    cross = solve_ibvp(VAR_METRIC_2D, None, None, g, initial=(u0, u0))
+    flat = solve_ibvp(MetricField.minkowski(2), None, None, g, initial=(u0, u0))
+    for wf in (cross, flat):
+        assert wf.diagnostics["sweeps"].shape == (g.nt - 2,)
+        assert wf.diagnostics["sweeps"].dtype.kind == "i"
+        assert wf.diagnostics["last_update"].shape == (g.nt - 2,)
+        assert np.all(wf.diagnostics["last_update"] > 0.0)
+    assert np.all(cross.diagnostics["sweeps"] > 1)
+    assert np.all(flat.diagnostics["sweeps"] == 1)
+    # each cross-term step stopped on the default sweep_tol
+    scale = max(float(np.max(np.abs(cross.samples))), 1.0)
+    assert np.all(cross.diagnostics["last_update"] <= 1e-13 * scale)
+
+
+TIME_CROSS_2D = MetricField(
+    2,
+    [["1 + 0.1*sin(x0)*cos(x2)", "0.05*cos(x0)*sin(x2)", "0.1*cos(x1 + x0)"],
+     ["0.05*cos(x0)*sin(x2)", "-1 - 0.1*cos(x1)", "0.05*sin(x1)*sin(x2)"],
+     ["0.1*cos(x1 + x0)", "0.05*sin(x1)*sin(x2)", "-1 - 0.1*sin(x0 + x2)"]],
+    ["0.1*x2*cos(x0)", "0.2*sin(x1 + x0)", "0.1*cos(x2)*sin(x0)"],
+)
+
+
+def test_stepper_diagonal_is_exact():
+    # the residual is affine in u^{m+1}: its finite difference at a node is
+    # the diagonal the sweep divides by, with every term of the operator on
+    g = SpacetimeGrid(n=2, extent=(1.0, 1.0), h=(1 / 16, 1 / 16), dt=1 / 64,
+                      t1=0.0, t2=0.25)
+    v1 = (parse_expr("0.5*cos(x1)*sin(x0)"), parse_expr("0.2*x2"))
+    first = [parse_expr("0.4 + 0.1*x0*x1"), parse_expr("0.3*sin(x2)"),
+             (None, parse_expr("0.2*cos(x0)"))]
+    stepper = _Stepper(SampledCoefficients.from_metric(TIME_CROSS_2D, g, v1, first), g)
+    rng = np.random.default_rng(5)
+    um1, um, up1 = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+                    for _ in range(3))
+    t = g.times()[3]
+    base = stepper.apply(um1, um, up1, t)
+    diag = stepper.level(t)["diag"]
+    eps = 1e-3
+    for node in [(1, 1), (1, 8), (8, 15), (7, 9)]:
+        bumped = up1.copy()
+        bumped[node] += eps
+        slope = (stepper.apply(um1, um, bumped, t)[node] - base[node]) / eps
+        assert abs(slope - diag[node]) <= 1e-9 * abs(diag[node])
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +599,25 @@ def test_energy_gauge_conjugation_invariant():
     e0 = energy(wf, t, m)
     e1 = energy(phased, t, m, A=[parse_expr("0"), parse_expr("0.3")])
     assert e1 == pytest.approx(e0, rel=2e-3)
+
+
+def test_dn_trace_gauge_invariant():
+    # c = exp(i phase) is 1 on the face with its derivatives, so the runs with
+    # A and with the conjugated potential share their DN trace up to O(h^2)
+    c = GaugeField("0.5*x1^3*cos(x0)")
+    A = apply_conjugation_gauge(VAR_METRIC_1D.A, c)
+    sig = BoundarySignal(0.3, 0.2)
+    gaps = []
+    for h in (1 / 32, 1 / 64, 1 / 128):
+        probe = SpacetimeGrid(n=1, extent=(1.0,), h=(h,), dt=h / 4, t1=0.0, t2=0.9)
+        steps = math.ceil(0.9 / cfl_time_step(VAR_METRIC_1D, probe))
+        g = SpacetimeGrid(n=1, extent=(1.0,), h=(h,), dt=0.9 / steps, t1=0.0, t2=0.9)
+        base = dn_trace(solve_ibvp(VAR_METRIC_1D, None, sig, g), VAR_METRIC_1D)
+        gauged = dn_trace(solve_ibvp(VAR_METRIC_1D, A, sig, g), VAR_METRIC_1D, A)
+        gaps.append(float(np.max(np.abs(base.values - gauged.values))))
+    assert gaps[-1] <= 1e-4
+    assert math.log2(gaps[0] / gaps[1]) >= 1.8
+    assert math.log2(gaps[1] / gaps[2]) >= 1.8
 
 
 def test_graph_norm_bound_refinement_stable():
