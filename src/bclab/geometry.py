@@ -478,39 +478,62 @@ def direction_sample(n: int, count: int = 64) -> np.ndarray:
     return np.array(dirs)
 
 
-def _roots_xi0(g: np.ndarray, xi_sp: np.ndarray):
-    """Roots in xi_0 of sum g^{jk} xi_j xi_k = 0 for a spatial covector xi'.
-
-    g has shape (..., n+1, n+1); xi_sp has shape (n,).  Returns (roots-, roots+,
-    discriminant) with broadcasting over the leading shape.
-    """
-    n = g.shape[-1] - 1
-    b = np.zeros(g.shape[:-2])
-    c = np.zeros(g.shape[:-2])
-    for j in range(1, n + 1):
-        b = b + g[..., 0, j] * xi_sp[j - 1]
-        for k in range(1, n + 1):
-            c = c + g[..., j, k] * xi_sp[j - 1] * xi_sp[k - 1]
-    a = g[..., 0, 0]
-    disc = b * b - a * c
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (-b - sq) / a, (-b + sq) / a, disc
-
-
 def _characteristic_speed(g: np.ndarray) -> float:
-    """Max |xi_0| over direction_sample for a sampled (..., n+1, n+1) metric."""
+    """Max |xi_0| over direction_sample for a sampled (..., n+1, n+1) metric: the
+    roots of g^{00} xi_0^2 + 2 b xi_0 + c, b = g^{0j} xi_j and c = g^{jk} xi_j xi_k."""
+    n = g.shape[-1] - 1
+    a = g[..., 0, 0]
     vmax = 0.0
-    for d in direction_sample(g.shape[-1] - 1):
-        lo, hi, _ = _roots_xi0(g, d)
-        vmax = max(vmax, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+    for d in direction_sample(n):
+        b = c = 0.0
+        for j in range(1, n + 1):
+            b = b + g[..., 0, j] * d[j - 1]
+            for k in range(1, n + 1):
+                c = c + g[..., j, k] * d[j - 1] * d[k - 1]
+        sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vmax = max(vmax, float(np.max(np.abs((-b - sq) / a))),
+                       float(np.max(np.abs((-b + sq) / a))))
     return vmax
+
+
+def _sym_eigs(entries: list):
+    """Least and largest eigenvalue per node of [[a]] or [[a, b], [b, d]], given as
+    [a] or [a, b, d]."""
+    if len(entries) == 1:
+        return entries[0], entries[0]
+    a, b, d = entries
+    mid, rad = 0.5 * (a + d), np.sqrt(0.25 * (a - d) ** 2 + b * b)
+    return mid - rad, mid + rad
+
+
+def _cone(g: np.ndarray) -> dict:
+    """Closed-form cone quantities per node of a sampled (..., n+1, n+1) metric.
+
+    With b = g^{0j} and the spatial block G, the characteristic polynomial
+    g^{00} xi_0^2 + 2 (b.xi) xi_0 + xi.G.xi has discriminant xi.M.xi for
+    M = b b^T - g^{00} G.  Over unit spatial covectors: `ell` = lambda_min(-G),
+    the spatial ellipticity; `disc` = lambda_min(M), the least discriminant;
+    `speed` = (|b| + sqrt(lambda_max(M))) / g^{00}, an upper bound on the
+    largest root |xi_0| that is exact for n = 1.  Exact over covectors for the
+    n <= 2 a SpacetimeGrid allows; solve_ibvp runs it on every node level.
+    """
+    pairs = [(1, 1)] if g.shape[-1] == 2 else [(1, 1), (1, 2), (2, 2)]
+    g00 = g[..., 0, 0]
+    G = [g[..., j, k] for j, k in pairs]
+    M = [g[..., 0, j] * g[..., 0, k] - g00 * gjk for (j, k), gjk in zip(pairs, G)]
+    disc, top = _sym_eigs(M)
+    beta = np.sqrt(sum(g[..., 0, j] ** 2 for j in range(1, g.shape[-1])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        speed = (beta + np.sqrt(np.maximum(top, 0.0))) / g00
+    return {"ell": -_sym_eigs(G)[1], "disc": disc, "speed": speed}
 
 
 def max_characteristic_speed(metric: MetricField, grid: SpacetimeGrid, time_samples: int = 9) -> float:
     """Max |xi_0| over unit spatial covectors: the fastest local phase speed.
 
-    Used for the CFL bound and for front propagation at maximal speed.
+    Sampled at time_samples levels and over direction_sample; cfl_time_step
+    takes its step from it.
     """
     times = grid.times()
     stride = max(1, (len(times) - 1) // max(1, time_samples - 1))
@@ -537,91 +560,54 @@ class HyperbolicityReport:
             raise NonHyperbolic(condition, point, value)
 
 
+def _cone_failures(g: np.ndarray, cone: dict, t: float, axes: list) -> list:
+    """(condition, node, value) at the worst node of each cone condition that
+    node level t of g fails; cone is _cone(g), axes the level's spatial axes."""
+    n = g.shape[-1] - 1
+
+    def worst(values):
+        idx = np.unravel_index(int(np.argmin(values)), values.shape)
+        idx = idx + (0,) * (n - len(idx))  # the face x_n = 0 lacks the last index
+        return (float(t),) + tuple(float(axes[i][idx[i]]) for i in range(n))
+
+    checks = (("time coefficient positivity", g[..., 0, 0], 1.0),
+              ("spatial ellipticity", cone["ell"], -1.0),
+              ("real distinct characteristic roots", cone["disc"], 1.0),
+              ("time-like boundary face", -g[..., 0, n, n], -1.0))
+    return [(condition, worst(values), sign * float(np.min(values)))
+            for condition, values, sign in checks if np.min(values) <= 0.0]
+
+
 def check_hyperbolicity(metric: MetricField, grid: SpacetimeGrid, time_samples: int = 9) -> HyperbolicityReport:
-    """Scan grid nodes and a deterministic direction set for the cone conditions.
+    """Check the cone conditions in closed form at time_samples levels (and t2).
 
     Checks: g^{00} >= c0 > 0; spatial block negative definite (c1 > 0); the
-    two roots of the characteristic polynomial real and distinct (positive
-    discriminant) per sampled direction; the boundary face time-like.
+    two roots of the characteristic polynomial real and distinct for every
+    spatial covector (positive discriminant); the boundary face time-like.
+    Each level is exact over covectors (`_cone`); solve_ibvp applies the same
+    check to every level it steps through.
     """
-    n = metric.n
-    dirs = direction_sample(n)
     times = grid.times()
     stride = max(1, (len(times) - 1) // max(1, time_samples - 1))
     sampled = list(times[::stride])
     if times[-1] not in sampled:
         sampled.append(times[-1])
 
-    c0 = math.inf
-    c1 = math.inf
-    min_disc = math.inf
+    axes = [grid.axis(i) for i in range(1, metric.n + 1)]
+    c0 = c1 = min_disc = math.inf
     boundary_max = -math.inf
-    failures = []
-
-    axes = [grid.axis(i) for i in range(1, n + 1)]
-
-    def node_of(flat_index, t):
-        idx = np.unravel_index(flat_index, grid.shape)
-        return (float(t),) + tuple(float(axes[i][idx[i]]) for i in range(n))
-
+    first = {}  # the first failure of each condition
     for t in sampled:
-        env = grid.env_at_time(t)
-        g = metric.eval_g(env, shape=grid.shape)
-
-        g00 = g[..., 0, 0]
-        local_c0 = float(np.min(g00))
-        if local_c0 < c0:
-            c0 = local_c0
-        if local_c0 <= 0.0:
-            where = int(np.argmin(g00))
-            failures.append(("time coefficient positivity", node_of(where, t), local_c0))
-
-        for d in dirs:
-            quad = np.zeros(grid.shape)
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    quad += g[..., j, k] * d[j - 1] * d[k - 1]
-            ell = -quad  # spatial ellipticity: quad <= -c1 |xi|^2, |d| = 1
-            local_c1 = float(np.min(ell))
-            if local_c1 < c1:
-                c1 = local_c1
-            if local_c1 <= 0.0:
-                where = int(np.argmin(ell))
-                failures.append(("spatial ellipticity", node_of(where, t), -local_c1))
-
-            _, _, disc = _roots_xi0(g, d)
-            local_disc = float(np.min(disc))
-            if local_disc < min_disc:
-                min_disc = local_disc
-            if local_disc <= 0.0:
-                where = int(np.argmin(disc))
-                failures.append(("real distinct characteristic roots", node_of(where, t), local_disc))
-
-        # boundary face x_n = 0 time-like: normal covector nu = (0,..,0,-1)
-        face = g[..., 0, :, :]  # x_n = 0 slice; axes are (x1..xn, j, k)
-        gnn = face[..., n, n]
-        local_bmax = float(np.max(gnn))
-        if local_bmax > boundary_max:
-            boundary_max = local_bmax
-        if local_bmax >= 0.0:
-            failures.append(("time-like boundary face", (float(t),), local_bmax))
-
-    # deduplicate failures by condition, keep first occurrence order
-    seen = set()
-    unique_failures = []
-    for item in failures:
-        if item[0] not in seen:
-            seen.add(item[0])
-            unique_failures.append(item)
-
-    return HyperbolicityReport(
-        passed=not unique_failures,
-        c0=c0,
-        c1=c1,
-        min_discriminant=min_disc,
-        boundary_form_max=boundary_max,
-        failures=unique_failures,
-    )
+        g = metric.eval_g(grid.env_at_time(t), shape=grid.shape)
+        cone = _cone(g)
+        c0 = min(c0, float(np.min(g[..., 0, 0])))
+        c1 = min(c1, float(np.min(cone["ell"])))
+        min_disc = min(min_disc, float(np.min(cone["disc"])))
+        boundary_max = max(boundary_max, float(np.max(g[..., 0, metric.n, metric.n])))
+        for failure in _cone_failures(g, cone, t, axes):
+            first.setdefault(failure[0], failure)
+    return HyperbolicityReport(passed=not first, c0=c0, c1=c1, min_discriminant=min_disc,
+                               boundary_form_max=boundary_max, failures=list(first.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -659,26 +645,6 @@ def apply_conjugation_gauge(A, c: GaugeField):
 # ---------------------------------------------------------------------------
 # Pushforward of a metric under a diffeomorphism
 # ---------------------------------------------------------------------------
-
-def _invert_symbolic(matrix, size):
-    """Adjugate inverse of a small matrix of expressions: (inv, det)."""
-    det = _symbolic_det(matrix)
-    if size == 1:
-        return [[Const(1.0) / det]], det
-    if size == 2:
-        (a, b), (c, d) = matrix
-        adj = [[d, -b], [-c, a]]
-    elif size == 3:
-        (a, b, c), (d, e, f), (g, h, i) = matrix
-        adj = [
-            [e * i - f * h, c * h - b * i, b * f - c * e],
-            [f * g - d * i, a * i - c * g, c * d - a * f],
-            [d * h - e * g, b * g - a * h, a * e - b * d],
-        ]
-    else:
-        raise ValueError("inverse implemented for sizes 1..3")
-    return [[adj[r][s] / det for s in range(size)] for r in range(size)], det
-
 
 def pushforward(metric: MetricField, phi: Diffeo, grid: SpacetimeGrid | None = None) -> MetricField:
     """Transform (g, A) under y = phi(x), producing expression-backed fields in y.

@@ -52,7 +52,7 @@ from scipy.spatial import Delaunay  # noqa: F401
 
 from .expr import Call, Const, Expr
 from .geometry import MetricField, SpacetimeGrid, _as_expr, _characteristic_speed
-from .solver import CFLViolation, SampledCoefficients, WaveField, solve_ibvp
+from .solver import SampledCoefficients, WaveField, solve_ibvp
 
 __all__ = [
     "CharacteristicCrossing",
@@ -1158,24 +1158,17 @@ def transformed_time_step(op: TransformedOperator, fraction: float = 0.5) -> flo
 
 
 def solve_transformed_ibvp(op: TransformedOperator, f, grid: SpacetimeGrid,
-                           forcing=None, *, cfl_fraction: float = 0.5,
-                           **kwargs) -> WaveField:
+                           forcing=None, **kwargs) -> WaveField:
     """Forward run of the normalized operator on its chart rectangle.
 
     f is face data in chart coordinates (identical to face data in the
     original coordinates, since the chart restricts to the identity there).
-    Remaining keyword arguments pass through to the forward solver.  The
-    returned cfl_number is dt * op.vmax / min(h).
+    Remaining keyword arguments pass through to the forward solver, which
+    checks every level.  The returned cfl_number is dt * op.vmax / min(h).
     """
     if grid != op.grid:
         raise ValueError("grid must be the operator's chart rectangle")
-    bound = cfl_fraction * min(grid.h) / op.vmax
-    if grid.dt > bound * (1.0 + 1e-9):
-        raise CFLViolation(
-            f"dt = {grid.dt:.3e} exceeds {cfl_fraction} * h / v_max = {bound:.3e}"
-        )
-    wf = solve_ibvp(None, None, f, grid, forcing, provider=op.provider(),
-                    check=False, **kwargs)
+    wf = solve_ibvp(None, None, f, grid, forcing, provider=op.provider(), **kwargs)
     wf.cfl_number = grid.dt * op.vmax / min(grid.h)
     return wf
 

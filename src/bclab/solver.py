@@ -23,6 +23,9 @@ evaluated from the metric's expressions when the run is expression-backed.
 The staggered values are second-order averages of those samples.  Optional
 hooks used by the transformed-operator pipeline: a forcing term, a
 first-order term sum_j b_j d_j u and a zeroth-order term c u.
+
+Every node level, chart runs included, is checked once when a step first
+reads it: the cone conditions in closed form at every node, and the CFL bound.
 """
 
 from __future__ import annotations
@@ -35,9 +38,12 @@ import numpy as np
 from .expr import Const, Expr
 from .geometry import (
     MetricField,
+    NonHyperbolic,
     SpacetimeGrid,
     _as_expr,
-    check_hyperbolicity,
+    _characteristic_speed,
+    _cone,
+    _cone_failures,
     max_characteristic_speed,
 )
 
@@ -519,7 +525,8 @@ class _Stepper:
 # ---------------------------------------------------------------------------
 
 def cfl_time_step(metric: MetricField, grid: SpacetimeGrid, fraction: float = 0.5) -> float:
-    """Stable time step: fraction * h_min / fastest characteristic speed."""
+    """Stable time step: fraction * h_min / the speed sampled at nine levels; solve_ibvp
+    checks every level and refuses it on a metric that is faster between samples."""
     vmax = max_characteristic_speed(metric, grid)
     return fraction * min(grid.h) / vmax
 
@@ -558,6 +565,12 @@ def solve_ibvp(
     only; memory then does not grow with the number of time levels).  Raises
     SweepNotConverged when the fixed-point sweeps of a step with time cross
     terms do not meet sweep_tol within max_sweeps.
+
+    With `check`, each node level is checked before the first step that reads
+    it sweeps, raising NonHyperbolic (condition, node, value) or CFLViolation
+    (the time).  diagnostics["cfl"] holds dt * v / h per node level, with v the
+    closed-form speed bound, or the sampled speed where the bound is over
+    cfl_fraction; cfl_number is its maximum.
     """
     if store not in ("all", "boundary"):
         raise ValueError(f"store must be 'all' or 'boundary', got {store!r}")
@@ -572,17 +585,6 @@ def solve_ibvp(
         if A is not None:
             metric = metric.with_potential(A)
         provider = SampledCoefficients.from_metric(metric, grid, v1=v1, first_order=first_order)
-        if check:
-            report = check_hyperbolicity(metric, grid)
-            report.raise_if_failed()
-    vmax = None
-    if check and metric is not None:
-        vmax = max_characteristic_speed(metric, grid)
-        bound = cfl_fraction * min(grid.h) / vmax
-        if grid.dt > bound * (1.0 + 1e-9):
-            raise CFLViolation(
-                f"dt = {grid.dt:.3e} exceeds {cfl_fraction} * h / v_max = {bound:.3e}"
-            )
     if f is not None:
         f.validate(grid)
 
@@ -628,6 +630,34 @@ def solve_ibvp(
         boundary_fill(1, u_curr)
 
     iterate = provider.has_time_cross()
+    axes = [grid.axis(i) for i in range(1, grid.n + 1)]
+    courant = grid.dt / min(grid.h)
+    cfl = np.empty(nt)
+    limit = cfl_fraction * (1.0 + 1e-9)
+
+    def check_level(level: int):
+        """Cone and CFL check of a node level the step has read; sets cfl[level]."""
+        if provider._static and level:
+            cfl[level] = cfl[0]
+            return
+        t = times[level]
+        g = provider.at(t)["g"]
+        cone = _cone(g)
+        cfl[level] = courant * float(np.max(cone["speed"]))
+        if not check:
+            return
+        failures = _cone_failures(g, cone, t, axes)
+        if failures:
+            raise NonHyperbolic(*failures[0])
+        if cfl[level] > limit:
+            # the closed form bounds the speed from above; decide on the sampled one
+            vmax = _characteristic_speed(g)
+            cfl[level] = courant * vmax
+            if cfl[level] > limit:
+                raise CFLViolation(
+                    f"dt = {grid.dt:.3e} exceeds {cfl_fraction} * h / v_max = "
+                    f"{cfl_fraction * min(grid.h) / vmax:.3e} at t = {t:.4f}"
+                )
 
     def forcing_at(t: float):
         if forcing is None:
@@ -666,12 +696,15 @@ def solve_ibvp(
     last_update = np.zeros(nt - 2)
     # the flux at the half level before the step; later steps reuse w0p
     w0q = stepper.time_flux(times[1] - 0.5 * grid.dt, u_curr, u_prev)
+    check_level(0)
+    check_level(1)
     for m in range(1, nt - 1):
         t = times[m]
         up1 = 2.0 * u_curr - u_prev
         boundary_fill(m + 1, up1)
         fval = forcing_at(t)
         coeffs = stepper.level(t)
+        check_level(m + 1)
         base, wum = stepper.explicit(coeffs, u_prev, u_curr, w0q, forcing_val=fval)
         diag = coeffs["diag"][interior]
         scale = max(float(np.max(np.abs(u_curr))), 1.0)
@@ -705,13 +738,12 @@ def solve_ibvp(
                     f"{data_scale:.3e} at t = {times[m + 1]:.4f}"
                 )
 
-    cfl = grid.dt * (vmax if vmax is not None else 1.0) / min(grid.h)
     return WaveField(
         samples=samples,
         boundary_layers=layers,
         grid=grid,
-        cfl_number=cfl,
-        diagnostics={"sweeps": sweeps, "last_update": last_update},
+        cfl_number=float(np.max(cfl)),
+        diagnostics={"sweeps": sweeps, "last_update": last_update, "cfl": cfl},
     )
 
 

@@ -16,6 +16,8 @@ from bclab.geometry import (
     NotNull,
     SingularJacobian,
     SpacetimeGrid,
+    _characteristic_speed,
+    _cone,
     apply_conjugation_gauge,
     apply_gauge,
     check_hyperbolicity,
@@ -149,6 +151,40 @@ def test_roots_real_distinct_for_random_covectors():
             bq = g[0, 1:] @ direction
             cq = direction @ g[1:, 1:] @ direction
             assert bq * bq - g[0, 0] * cq > 0.0
+
+
+def test_closed_form_cone_matches_dense_covector_scan():
+    # oracle: roots of g00 xi0^2 + 2 (b.xi) xi0 + xi.G.xi over 4096 unit
+    # covectors on the half circle (xi and -xi give the same forms and
+    # opposite roots), at 200 random hyperbolic 2D nodes
+    rng = np.random.default_rng(11)
+    count = 200
+    g = np.zeros((count, 3, 3))
+    g[:, 0, 0] = rng.uniform(0.5, 1.5, count)
+    b = rng.uniform(-0.5, 0.5, (count, 2))
+    g[:, 0, 1:] = g[:, 1:, 0] = b
+    P = rng.uniform(-0.3, 0.3, (count, 2, 2))
+    g[:, 1:, 1:] = -(np.eye(2) + 0.5 * (P + P.transpose(0, 2, 1)))
+    theta = np.pi * np.arange(4096) / 4096
+    xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    quad = np.einsum("dj,njk,dk->nd", xi, g[:, 1:, 1:], xi)
+    lin = b @ xi.T
+    disc = lin * lin - g[:, 0, 0, None] * quad
+    roots = np.abs(np.stack([-lin - np.sqrt(disc), -lin + np.sqrt(disc)])) / g[:, 0, 0, None]
+
+    cone = _cone(g)
+    np.testing.assert_allclose(cone["ell"], np.min(-quad, axis=1), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(cone["disc"], np.min(disc, axis=1), rtol=0, atol=1e-6)
+    assert np.all(cone["speed"] >= np.max(roots, axis=(0, 2)) - 1e-12)
+
+    # n = 1: the bound is the exact speed
+    g1 = np.empty((count, 2, 2))
+    g1[:, 0, 0] = rng.uniform(0.5, 1.5, count)
+    g1[:, 0, 1] = g1[:, 1, 0] = rng.uniform(-0.5, 0.5, count)
+    g1[:, 1, 1] = rng.uniform(-2.0, -0.3, count)
+    speed = _cone(g1)["speed"]
+    for i in range(count):
+        assert speed[i] == pytest.approx(_characteristic_speed(g1[i]), rel=0, abs=1e-14)
 
 
 # ===== gauges ================================================================

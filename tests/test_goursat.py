@@ -10,6 +10,7 @@ causally clean part of the rectangle.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from bclab.expr import parse_expr
-from bclab.geometry import MetricField, SpacetimeGrid
+from bclab.geometry import MetricField, NonHyperbolic, SpacetimeGrid
 from bclab.goursat import (
     CharacteristicCrossing,
     FocalRegion,
@@ -751,6 +752,21 @@ def test_transformed_solve_cfl_guard():
         solve_transformed_ibvp(op, None, op.grid, cfl_fraction=0.01)
     assert op.vmax == pytest.approx(1.0)
     assert transformed_time_step(op) == pytest.approx(0.5 * min(op.grid.h))
+
+
+def test_transformed_run_checks_every_level():
+    # a chart operator that loses g^{00} > 0 at one node of one late level
+    flat = MetricField.minkowski(1)
+    _, ch = chart_pipeline_1d(flat, 1 / 32, depth=0.375, t2=2.0)
+    op = transform_operator(flat, None, ch)
+    late = op.grid.nt - 5
+    G = op.metric_matrix.copy()
+    G[late, 3, 0, 0] = 0.0
+    op = dataclasses.replace(op, metric_matrix=G)
+    with pytest.raises(NonHyperbolic) as err:
+        solve_transformed_ibvp(op, None, op.grid)
+    assert err.value.condition == "time coefficient positivity"
+    assert err.value.point == (op.grid.times()[late], op.grid.axis(1)[3])
 
 
 def test_transformed_run_reports_chart_cfl_number():

@@ -20,9 +20,12 @@ from bclab.expr import parse_expr
 from bclab.geometry import (
     GaugeField,
     MetricField,
+    NonHyperbolic,
     SpacetimeGrid,
     apply_conjugation_gauge,
+    check_hyperbolicity,
     influence_region,
+    max_characteristic_speed,
 )
 from bclab.solver import (
     BoundarySignal,
@@ -96,6 +99,29 @@ def test_instability_detected_past_cfl():
                    check=False)
 
 
+@pytest.mark.parametrize("g11, error", [
+    ("-1 - 8*sin(8*pi*x0)^2", CFLViolation),  # speed 3 between samples
+    ("-1 + 1.5*sin(8*pi*x0)^2", NonHyperbolic),  # g^{11} > 0 between samples
+])
+def test_every_level_checked_between_samples(g11, error):
+    # g^{11} = -1 at the nine levels t = k/8 that check_hyperbolicity and
+    # max_characteristic_speed sample; the run must refuse the first bad
+    # level it reaches, before the guard sees any growth
+    g = SpacetimeGrid(n=1, extent=(1.0,), h=(1 / 32,), dt=1 / 64, t1=0.0, t2=1.0)
+    metric = MetricField(1, [["1", "0"], ["0", g11]])
+    assert check_hyperbolicity(metric, g).passed
+    assert max_characteristic_speed(metric, g) == pytest.approx(1.0)
+    with pytest.raises(error) as err:
+        solve_ibvp(metric, None, BoundarySignal(0.3, 0.2), g)
+    if error is CFLViolation:
+        assert "at t = 0.0156" in str(err.value)
+    else:
+        assert err.value.condition == "spatial ellipticity"
+        t = err.value.point[0]
+        assert 0.0 < t < 0.125
+        assert str(t) in str(err.value)
+
+
 def test_determinism_bitwise():
     g = grid1(1 / 64)
     sig = BoundarySignal(0.3, 0.2)
@@ -157,6 +183,8 @@ def test_diagnostics_count_sweeps_per_step():
         assert wf.diagnostics["sweeps"].dtype.kind == "i"
         assert wf.diagnostics["last_update"].shape == (g.nt - 2,)
         assert np.all(wf.diagnostics["last_update"] > 0.0)
+        cfl = wf.diagnostics["cfl"]
+        assert cfl.shape == (g.nt,) and wf.cfl_number == max(cfl)
     assert np.all(cross.diagnostics["sweeps"] > 1)
     assert np.all(flat.diagnostics["sweeps"] == 1)
     # each cross-term step stopped on the default sweep_tol
