@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr
-from .geometry import MetricField, SpacetimeGrid, _as_expr
+from .geometry import MetricField, SpacetimeGrid, _as_expr, _eval_table
 from .goursat import TransformedOperator
 from .solver import WaveField, _bump
 
@@ -101,10 +100,6 @@ def _face_env(grid: SpacetimeGrid) -> dict:
     return env
 
 
-def _eval_face(e: Expr, env: dict, shape) -> np.ndarray:
-    return np.broadcast_to(np.asarray(e.evaluate(env), dtype=float), shape)
-
-
 def _tangential_derivatives(face: np.ndarray, grid: SpacetimeGrid) -> list:
     steps = [grid.dt] + list(grid.h[:-1])
     return [np.gradient(face, steps[j], axis=j, edge_order=2)
@@ -142,19 +137,18 @@ def dn_trace(u: WaveField, metric, A=None, grid: SpacetimeGrid | None = None) ->
 
     n = grid.n
     pot = metric.A if A is None else [_as_expr(a) for a in A]
-    env = _face_env(grid)
     shape = face.shape
     d_tan = _tangential_derivatives(face, grid)
-    gnn = _eval_face(metric.g[n][n], env, shape)
+    # rows: g^{jn} and A_j on the face
+    coeffs = _eval_table([[metric.g[j][n] for j in range(n + 1)], pot], _face_env(grid), shape)
     values = np.zeros(shape, dtype=complex)
     for j in range(n + 1):
-        gjn = _eval_face(metric.g[j][n], env, shape)
+        gjn = coeffs[..., 0, j]
         if not np.any(gjn):
             continue
-        aj = _eval_face(pot[j], env, shape)
         dj = du_n if j == n else d_tan[j]
-        values = values - gjn * (dj - 1j * aj * face)
-    values = values / np.sqrt(-gnn)
+        values = values - gjn * (dj - 1j * coeffs[..., 1, j] * face)
+    values = values / np.sqrt(-coeffs[..., 0, n])
     return DNTrace(values=values, normal_order=2, grid=grid)
 
 

@@ -8,7 +8,11 @@ Conventions used throughout the laboratory:
 * the inverse metric g^{jk} has signature (+1, -1, ..., -1): g^{00} > 0 and the
   spatial block is negative definite;
 * grid arrays are indexed [x1, ..., xn] (last axis is the depth axis x_n) and
-  time-resolved fields carry time as the leading axis.
+  time-resolved fields carry time as the leading axis;
+* expressions become arrays in one place, `_eval_table`: an Expr or nested
+  lists of them, over an env of arrays, to a float array.  The metric,
+  potential, Jacobian and gauge evaluations here, the solver's coefficient
+  levels, the fan's RK4 stages, the chart slab and the DN face all call it.
 """
 
 from __future__ import annotations
@@ -100,12 +104,28 @@ def _as_expr(value) -> Expr:
     raise TypeError(f"cannot interpret {value!r} as a field expression")
 
 
-def eval_field(expression: Expr, env: dict, shape=None):
-    """Evaluate an expression over an env of arrays, broadcasting constants."""
-    value = expression.evaluate(env)
-    if shape is not None:
-        value = np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
-    return value
+def _eval_table(table, env: dict, shape=None) -> np.ndarray:
+    """Evaluate an Expr, or nested lists of them, to a float array of shape + table dims.
+
+    Every entry is broadcast to shape, which defaults to the broadcast shape of
+    the evaluated entries (() when all are constant).  Const entries are filled
+    without evaluating, a zero of either sign as +0.0, and an Expr object held
+    by several slots is evaluated once.
+    """
+    cells = np.array(table, dtype=object)
+    values = {}
+    for e in cells.flat:
+        if not isinstance(e, Const) and id(e) not in values:
+            values[id(e)] = np.asarray(e.evaluate(env), dtype=float)
+    if shape is None:
+        shape = np.broadcast_shapes(*(v.shape for v in values.values()))
+    out = np.zeros(tuple(shape) + cells.shape)
+    for idx, e in np.ndenumerate(cells):
+        if not isinstance(e, Const):
+            out[(Ellipsis,) + idx] = values[id(e)]
+        elif e.value != 0.0:  # zero slots, most of a grad_g table, stay as allocated
+            out[(Ellipsis,) + idx] = e.value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +275,7 @@ class MetricField:
             for k in range(j + 1, size):
                 if g[j][k].render() != g[k][j].render():
                     raise ValueError(f"g^{{{j}{k}}} and g^{{{k}{j}}} must match")
+                g[k][j] = g[j][k]  # one object per symmetric pair, evaluated once
         self.g = g
         if A is None:
             A = [Const(0.0)] * size
@@ -289,45 +310,22 @@ class MetricField:
         return self._rho
 
     def grad_g(self):
-        """Cached derivative expressions d g^{jk} / d x_p, indexed [j][k][p]."""
+        """Cached derivative expressions d g^{jk} / d x_p, indexed [j][k][p];
+        built for j <= k, and [k][j] is the same list."""
         if self._grad_g is None:
             size = self.n + 1
-            self._grad_g = [
-                [[self.g[j][k].diff(f"x{p}") for p in range(size)] for k in range(size)]
-                for j in range(size)
-            ]
+            grad = [[None] * size for _ in range(size)]
+            for j in range(size):
+                for k in range(j, size):
+                    grad[j][k] = grad[k][j] = [self.g[j][k].diff(f"x{p}") for p in range(size)]
+            self._grad_g = grad
         return self._grad_g
 
     def eval_g(self, env: dict, shape=None) -> np.ndarray:
-        size = self.n + 1
-        base = None
-        values = [[None] * size for _ in range(size)]
-        for j in range(size):
-            for k in range(size):
-                v = np.asarray(self.g[j][k].evaluate(env), dtype=float)
-                values[j][k] = v
-                if v.shape != ():
-                    base = v.shape
-        if shape is None:
-            shape = base if base is not None else ()
-        out = np.empty(shape + (size, size))
-        for j in range(size):
-            for k in range(size):
-                out[..., j, k] = values[j][k]
-        return out
+        return _eval_table(self.g, env, shape)
 
     def eval_A(self, env: dict, shape=None) -> np.ndarray:
-        size = self.n + 1
-        vals = [np.asarray(self.A[j].evaluate(env), dtype=float) for j in range(size)]
-        if shape is None:
-            shape = ()
-            for v in vals:
-                if v.shape != ():
-                    shape = v.shape
-        out = np.empty(shape + (size,))
-        for j in range(size):
-            out[..., j] = vals[j]
-        return out
+        return _eval_table(self.A, env, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +342,7 @@ class GaugeField:
         return GaugeField(-self.phase)
 
     def eval_c(self, env: dict) -> np.ndarray:
-        return np.exp(1j * np.asarray(self.phase.evaluate(env), dtype=float))
+        return np.exp(1j * _eval_table(self.phase, env))
 
     def check_on_patch(self, grid: SpacetimeGrid, tol: float = 1e-12) -> bool:
         """c must be 1 on the accessible patch for the whole time window."""
@@ -388,23 +386,12 @@ class Diffeo:
         comps = [Var(f"x{j}") for j in range(n + 1)]
         return cls(n, comps, comps)
 
-    def eval_forward(self, env: dict) -> list:
-        return [np.asarray(c.evaluate(env), dtype=float) for c in self.forward]
+    def eval_forward(self, env: dict) -> np.ndarray:
+        """y(x) as an (..., n+1) array."""
+        return _eval_table(self.forward, env)
 
     def eval_jacobian(self, env: dict, shape=None) -> np.ndarray:
-        size = self.n + 1
-        vals = [[np.asarray(self.jacobian[j][p].evaluate(env), dtype=float) for p in range(size)] for j in range(size)]
-        if shape is None:
-            shape = ()
-            for row in vals:
-                for v in row:
-                    if v.shape != ():
-                        shape = v.shape
-        out = np.empty(shape + (size, size))
-        for j in range(size):
-            for p in range(size):
-                out[..., j, p] = vals[j][p]
-        return out
+        return _eval_table(self.jacobian, env, shape)
 
     def check_nonsingular(self, grid: SpacetimeGrid, tol: float = 1e-12, time_samples: int = 5):
         """Raise SingularJacobian at the first sampled node where det dy/dx vanishes."""
@@ -427,15 +414,12 @@ class Diffeo:
         The normal covector of {y_0 = const} in the source frame is grad y_0,
         so the criterion is sum g^{pr} (dy0/dx_p)(dy0/dx_r) > 0 at every node.
         """
-        size = self.n + 1
         times = grid.times()
         stride = max(1, (len(times) - 1) // max(1, time_samples - 1))
         for t in times[::stride]:
             env = grid.env_at_time(t)
             g = metric.eval_g(env, shape=grid.shape)
-            grad = np.empty(grid.shape + (size,))
-            for p in range(size):
-                grad[..., p] = eval_field(self.jacobian[0][p], env, shape=grid.shape)
+            grad = _eval_table(self.jacobian[0], env, grid.shape)
             form = np.einsum("...p,...pr,...r->...", grad, g, grad)
             if np.min(form) <= 0.0:
                 return False
@@ -453,7 +437,7 @@ class Diffeo:
         for j in range(self.n + 1):
             name = f"x{j}"
             ref = face_env[name] if name in face_env else 0.0
-            if np.max(np.abs(ys[j] - ref)) > tol:
+            if np.max(np.abs(ys[..., j] - ref)) > tol:
                 return False
         return True
 
@@ -726,16 +710,12 @@ def _ham_rhs(metric: MetricField, state: np.ndarray) -> np.ndarray:
     size = metric.n + 1
     env = {f"x{j}": state[j] for j in range(size)}
     g = metric.eval_g(env)
-    grad = metric.grad_g()
+    grad = _eval_table(metric.grad_g(), env)
     xi = state[size:]
     dx = 2.0 * (g @ xi)
     dxi = np.empty(size)
     for j in range(size):
-        dg = np.empty((size, size))
-        for p in range(size):
-            for r in range(size):
-                dg[p, r] = grad[p][r][j].evaluate(env)
-        dxi[j] = -float(xi @ dg @ xi)
+        dxi[j] = -float(xi @ grad[..., j] @ xi)
     return np.concatenate([dx, dxi])
 
 
@@ -854,15 +834,15 @@ def influence_region(
     seed_mask: np.ndarray,
     direction: str = "forward",
     seed_time: float | None = None,
-    sweeps: int = 64,
 ) -> RegionMask:
     """Domain-of-influence node mask by deterministic front propagation.
 
     seed_mask is a boolean array over spatial nodes (the set F); the front
     expands from it at the local maximal characteristic speed, forward or
     backward in time.  Arrival times come from value iteration over a
-    16-direction neighbor stencil, so the mask is within a cell of the true
-    cone for the gentle metrics the laboratory targets.
+    16-direction neighbor stencil, run until a pass changes nothing, so the
+    mask is within a cell of the true cone for the gentle metrics the
+    laboratory targets.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -899,8 +879,10 @@ def influence_region(
         vmin = np.minimum.reduce(speeds)
         travel_tables.append(dist / vmin)
 
-    # Deterministic value iteration (Bellman-Ford over the lattice).
-    for _ in range(sweeps):
+    # Deterministic value iteration (Bellman-Ford over the lattice): with
+    # positive travel times it settles within one pass per node, plus one.
+    changed = True
+    while changed:
         changed = False
         for off, travel in zip(offsets, travel_tables):
             shifted = _shift_with_inf(arrival, off)
@@ -910,8 +892,6 @@ def influence_region(
             if np.any(better):
                 arrival[better] = candidate[better]
                 changed = True
-        if not changed:
-            break
 
     times = grid.times()
     elapsed = (times - t_seed) * sign if direction == "forward" else (t_seed - times)

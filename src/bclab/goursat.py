@@ -51,7 +51,7 @@ from scipy.interpolate import (  # noqa: F401
 from scipy.spatial import Delaunay  # noqa: F401
 
 from .expr import Call, Const, Expr
-from .geometry import MetricField, SpacetimeGrid, _as_expr, _characteristic_speed
+from .geometry import MetricField, SpacetimeGrid, _as_expr, _characteristic_speed, _eval_table
 from .solver import SampledCoefficients, WaveField, solve_ibvp
 
 __all__ = [
@@ -109,23 +109,6 @@ def _fan_env(n: int, pos: np.ndarray, z: float) -> dict:
     return env
 
 
-def _eval_grad_g(metric: MetricField, env: dict, shape) -> np.ndarray:
-    size = metric.n + 1
-    table = metric.grad_g()
-    out = np.zeros(shape + (size, size, size))
-    for j in range(size):
-        for k in range(j, size):
-            for p in range(size):
-                e = table[j][k][p]
-                if isinstance(e, Const) and e.value == 0.0:
-                    continue
-                v = np.broadcast_to(np.asarray(e.evaluate(env), dtype=float), shape)
-                out[..., j, k, p] = v
-                if k != j:
-                    out[..., k, j, p] = v
-    return out
-
-
 @dataclass
 class _Fan:
     """One characteristic family, integrated in depth from a padded face lattice."""
@@ -163,7 +146,7 @@ def _fan_rhs(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
     pfull = np.concatenate([ptan, pn[..., None]], axis=-1)
     v = 2.0 * np.einsum("...jk,...k->...j", g, pfull)
     vn = v[..., n]
-    dg = _eval_grad_g(metric, env, lattice)
+    dg = _eval_table(metric.grad_g(), env, lattice)
     dH = np.einsum("...jkp,...j,...k->...p", dg, pfull, pfull)
     dpos = v[..., :n] / vn[..., None]
     dptan = -dH[..., :n] / vn[..., None]
@@ -344,13 +327,10 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
     return launch, slots
 
 
-def _slab_env(grid: SpacetimeGrid, time_axis, lat_axes, depth_nodes) -> dict:
-    axes = [time_axis] + list(lat_axes) + [depth_nodes]
+def _slab_env(*axes) -> dict:
+    """Meshgrid env {'x0': ..., 'xn': ...} over the axes (time, lateral..., depth)."""
     mesh = np.meshgrid(*axes, indexing="ij")
-    env = {"x0": mesh[0]}
-    for i in range(1, grid.n + 1):
-        env[f"x{i}"] = mesh[i]
-    return env
+    return {f"x{i}": m for i, m in enumerate(mesh)}
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +361,7 @@ class EikonalField:
 
     def residual(self) -> np.ndarray:
         """Null-constraint defect of the cached gradient at every slab node."""
-        env = _slab_env(self.grid, self.grid.times(),
-                        [self.grid.axis(i) for i in range(1, self.grid.n)],
-                        self.depth_nodes)
-        g = self.metric.eval_g(env, self.psi.shape)
+        g = self.metric.eval_g(self._env(), self.psi.shape)
         return np.einsum("...jk,...j,...k->...", g, self.grad, self.grad)
 
     def residual_fd(self) -> np.ndarray:
@@ -392,11 +369,12 @@ class EikonalField:
         spacings = [self.grid.dt] + list(self.grid.h[:-1]) + [self.grid.h[-1]]
         parts = np.gradient(self.psi, *spacings, edge_order=2)
         grad = np.stack(parts, axis=-1)
-        env = _slab_env(self.grid, self.grid.times(),
-                        [self.grid.axis(i) for i in range(1, self.grid.n)],
-                        self.depth_nodes)
-        g = self.metric.eval_g(env, self.psi.shape)
+        g = self.metric.eval_g(self._env(), self.psi.shape)
         return np.einsum("...jk,...j,...k->...", g, grad, grad)
+
+    def _env(self) -> dict:
+        return _slab_env(self.grid.times(), *[self.grid.axis(i) for i in range(1, self.grid.n)],
+                         self.depth_nodes)
 
     def boundary_slope(self) -> np.ndarray:
         """Depth derivative of the phase on the face x_n = 0."""
@@ -698,7 +676,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     spacings = [grid.dt] + list(grid.h[:-1]) + [hz]
     dphi = [np.stack(np.gradient(p, *spacings, edge_order=2), axis=-1) for p in phi_ext]
 
-    env = _slab_env(grid, ext_axes[0], ext_axes[1:], depth_nodes)
+    env = _slab_env(*ext_axes, depth_nodes)
     slab_shape = psi_p.shape
     g = metric.eval_g(env, slab_shape)
 
@@ -722,21 +700,15 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     focal = (np.abs(jac_det) > j_max) | (np.abs(jac_det) < 1.0 / j_max) | (ghpm <= 0.0)
 
     # hatted potentials from the one-form transformation rule
-    pot_zero = all(isinstance(a, Const) and a.value == 0.0 for a in metric.A)
-    if pot_zero:
-        Ap_x = np.zeros(slab_shape)
-        Am_x = np.zeros(slab_shape)
-        Aj_x = [np.zeros(slab_shape) for _ in range(n - 1)]
-    else:
-        rhs = metric.eval_A(env, slab_shape)
-        M = np.empty(slab_shape + (n + 1, n + 1))
-        M[..., :, 0] = -grad_p
-        M[..., :, 1] = -grad_m
-        for j in range(n - 1):
-            M[..., :, 2 + j] = dphi[j]
-        hat = np.linalg.solve(M, rhs[..., None])[..., 0]
-        Ap_x, Am_x = hat[..., 0], hat[..., 1]
-        Aj_x = [hat[..., 2 + j] for j in range(n - 1)]
+    rhs = metric.eval_A(env, slab_shape)
+    M = np.empty(slab_shape + (n + 1, n + 1))
+    M[..., :, 0] = -grad_p
+    M[..., :, 1] = -grad_m
+    for j in range(n - 1):
+        M[..., :, 2 + j] = dphi[j]
+    hat = np.linalg.solve(M, rhs[..., None])[..., 0]
+    Ap_x, Am_x = hat[..., 0], hat[..., 1]
+    Aj_x = [hat[..., 2 + j] for j in range(n - 1)]
 
     window = _window_slices(grid, ext_axes)
     y_of_x = np.stack([c[window] for c in y_comps], axis=-1)
@@ -744,14 +716,12 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     # ---- pull the coefficient fields onto a chart-space rectangle ----------
     pull_fan = _trim_fan(psi_minus._fan, ext_axes)
     slab_fields = {"s": psi_p, "ghpm": ghpm, "g1": g1_x,
-                   "Am": Am_x, "focal": focal.astype(float)}
+                   "Ap": Ap_x, "Am": Am_x, "focal": focal.astype(float)}
     for j in range(n - 1):
         slab_fields[f"ghp{j}"] = ghpj[j]
         slab_fields[f"Aj{j}"] = Aj_x[j]
         for k in range(n - 1):
             slab_fields[f"gh{j}{k}"] = ghjk[j][k]
-    if not pot_zero:
-        slab_fields["Ap"] = Ap_x
 
     fan_samples = _fields_at_fan(pull_fan, ext_axes, slab_fields)
     for d in range(n):
@@ -759,12 +729,8 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
 
     # gauge phase: d/ds d = -(outgoing hatted potential), zero on the face,
     # integrated along each ray where (tau, y') are frozen
-    if pot_zero:
-        fan_samples["d"] = np.zeros_like(fan_samples["s"])
-    else:
-        fan_samples["d"] = cumulative_trapezoid(
-            -fan_samples["Ap"], x=fan_samples["s"], axis=0, initial=0.0)
-        del fan_samples["Ap"]
+    fan_samples["d"] = cumulative_trapezoid(
+        -fan_samples.pop("Ap"), x=fan_samples["s"], axis=0, initial=0.0)
 
     y_grid, pulled, row_index = _pull_to_chart(
         pull_fan, fan_samples, grid, T1, T2, y_depth, y_time_step)
@@ -1089,25 +1055,20 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart,
     g0_plus_j = [pulled[f"ghp{j}"] / ghpm for j in range(n - 1)]
     g0_jk = [[pulled[f"gh{j}{k}"] / ghpm for k in range(n - 1)] for j in range(n - 1)]
 
-    pot_zero = all(isinstance(a, Const) and a.value == 0.0 for a in chart.metric.A)
     shape = (y_grid.nt,) + y_grid.shape
-    if pot_zero:
-        A_minus = np.zeros(shape)
-        A_j = [np.zeros(shape) for _ in range(n - 1)]
-    else:
-        steps = _grad_axes(y_grid)
-        d = chart.d_gauge
-        d_y0 = np.gradient(d, steps[0], axis=0, edge_order=2)
-        d_yn = np.gradient(d, steps[n], axis=n, edge_order=2)
-        d_tau = -0.5 * (d_y0 + d_yn)
-        A_minus = pulled["Am"] + d_tau
-        A_j = [pulled[f"Aj{j}"] - np.gradient(d, steps[j + 1], axis=j + 1, edge_order=2)
-               for j in range(n - 1)]
+    steps = _grad_axes(y_grid)
+    d = chart.d_gauge
+    d_y0 = np.gradient(d, steps[0], axis=0, edge_order=2)
+    d_yn = np.gradient(d, steps[n], axis=n, edge_order=2)
+    d_tau = -0.5 * (d_y0 + d_yn)
+    A_minus = pulled["Am"] + d_tau
+    A_j = [pulled[f"Aj{j}"] - np.gradient(d, steps[j + 1], axis=j + 1, edge_order=2)
+           for j in range(n - 1)]
 
     if g1_expression is not None:
         v1_expr = potential_symbolic(g1_expression, n=n)
-        env = _chart_env(y_grid)
-        V1 = np.broadcast_to(np.asarray(v1_expr.evaluate(env), dtype=float), shape).copy()
+        env = _slab_env(y_grid.times(), *[y_grid.axis(i) for i in range(1, n + 1)])
+        V1 = _eval_table(v1_expr, env, shape)
     else:
         V1 = potential_term(chart.g1, g0_plus_j, g0_jk, y_grid)
 
@@ -1145,12 +1106,6 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart,
         vmax=vmax,
         chart=chart,
     )
-
-
-def _chart_env(y_grid: SpacetimeGrid) -> dict:
-    axes = [y_grid.times()] + [y_grid.axis(i) for i in range(1, y_grid.n + 1)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return {f"x{i}": mesh[i] for i in range(y_grid.n + 1)}
 
 
 def transformed_time_step(op: TransformedOperator, fraction: float = 0.5) -> float:

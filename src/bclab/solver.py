@@ -44,6 +44,7 @@ from .geometry import (
     _characteristic_speed,
     _cone,
     _cone_failures,
+    _eval_table,
     max_characteristic_speed,
 )
 
@@ -314,10 +315,6 @@ def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 
 
-def _bcast(value, shape):
-    return np.broadcast_to(np.asarray(value, dtype=float), shape)
-
-
 def _complex_eval(field, env, shape):
     """Evaluate an Expr, an (re, im) pair of Exprs, or a callable to complex.
 
@@ -327,15 +324,13 @@ def _complex_eval(field, env, shape):
         return np.zeros(shape, dtype=complex)
     if callable(field) and not isinstance(field, Expr):
         return np.asarray(field(env), dtype=complex)
-    if isinstance(field, tuple):
-        re, im = field
-        out = np.zeros(shape, dtype=complex)
-        if re is not None:
-            out += _bcast(re.evaluate(env), shape)
-        if im is not None:
-            out += 1j * _bcast(im.evaluate(env), shape)
-        return out
-    return np.asarray(_bcast(field.evaluate(env), shape), dtype=complex)
+    if not isinstance(field, tuple):
+        return _eval_table(field, env, shape).astype(complex)
+    parts = _eval_table([Const(0.0) if part is None else part for part in field], env, shape)
+    out = np.zeros(shape, dtype=complex)
+    out += parts[..., 0]
+    out += 1j * parts[..., 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -592,31 +587,22 @@ def solve_ibvp(
     nt = len(times)
     shape = grid.shape
     stepper = _Stepper(provider, grid)
+    # index of the lo and the hi face of every axis, in that order
+    faces = [tuple(end if i == axis else slice(None) for i in range(grid.n))
+             for axis in range(grid.n) for end in (0, -1)]
 
     def boundary_fill(level: int, u: np.ndarray):
         """Impose Dirichlet values on every face of the box at time index level."""
         t = times[level]
         if dirichlet is not None:
             full = np.asarray(dirichlet(t), dtype=complex)
-            for axis in range(grid.n):
-                lo = [slice(None)] * grid.n
-                hi = [slice(None)] * grid.n
-                lo[axis] = 0
-                hi[axis] = -1
-                u[tuple(lo)] = full[tuple(lo)]
-                u[tuple(hi)] = full[tuple(hi)]
+            for face in faces:
+                u[face] = full[face]
             return
-        for axis in range(grid.n):
-            lo = [slice(None)] * grid.n
-            hi = [slice(None)] * grid.n
-            lo[axis] = 0
-            hi[axis] = -1
-            u[tuple(lo)] = 0.0
-            u[tuple(hi)] = 0.0
+        for face in faces:
+            u[face] = 0.0
         if f is not None:
-            face = [slice(None)] * grid.n
-            face[-1] = 0
-            u[tuple(face)] = f.face_profile(grid, t)
+            u[faces[-2]] = f.face_profile(grid, t)  # x_n = 0
 
     interior = tuple(slice(1, s - 1) for s in shape)
 
@@ -676,17 +662,6 @@ def solve_ibvp(
     keep(0, u_prev)
     keep(1, u_curr)
 
-    def face_max(u: np.ndarray) -> float:
-        worst = 0.0
-        for axis in range(grid.n):
-            lo = [slice(None)] * grid.n
-            hi = [slice(None)] * grid.n
-            lo[axis] = 0
-            hi[axis] = -1
-            worst = max(worst, float(np.max(np.abs(u[tuple(lo)]))),
-                        float(np.max(np.abs(u[tuple(hi)]))))
-        return worst
-
     # well-posedness scale: data imposed so far; blow-up past guard_factor x
     # this cannot come from the continuous problem
     span = grid.t2 - grid.t1
@@ -728,11 +703,12 @@ def solve_ibvp(
         keep(m + 1, u_curr)
 
         if guard_factor is not None:
-            data_scale = max(data_scale, face_max(u_curr))
+            data_scale = max([data_scale] + [float(np.max(np.abs(u_curr[face]))) for face in faces])
             if fval is not None:
                 data_scale = max(data_scale, float(np.max(np.abs(fval))) * span * span)
             peak = float(np.max(np.abs(u_curr)))
-            if data_scale > 0.0 and peak > guard_factor * data_scale:
+            # negated so that a NaN peak trips the guard too
+            if data_scale > 0.0 and not peak <= guard_factor * data_scale:
                 raise Instability(
                     f"field peak {peak:.3e} exceeded {guard_factor:.0e} x data scale "
                     f"{data_scale:.3e} at t = {times[m + 1]:.4f}"

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bclab.expr import parse_expr
+from bclab.expr import Call, Const, parse_expr
 from bclab.geometry import (
     Diffeo,
     GaugeField,
@@ -18,6 +18,7 @@ from bclab.geometry import (
     SpacetimeGrid,
     _characteristic_speed,
     _cone,
+    _eval_table,
     apply_conjugation_gauge,
     apply_gauge,
     check_hyperbolicity,
@@ -185,6 +186,81 @@ def test_closed_form_cone_matches_dense_covector_scan():
     speed = _cone(g1)["speed"]
     for i in range(count):
         assert speed[i] == pytest.approx(_characteristic_speed(g1[i]), rel=0, abs=1e-14)
+
+
+# ===== expression tables =====================================================
+
+def _entrywise(table, env, shape):
+    """Reference for _eval_table: evaluate and broadcast every entry on its own;
+    a zero Const, which derivatives often leave as -0.0, is +0.0."""
+    if isinstance(table, list):
+        return np.stack([_entrywise(t, env, shape) for t in table], axis=len(shape))
+    if isinstance(table, Const) and table.value == 0.0:
+        return np.zeros(shape)
+    return np.broadcast_to(np.asarray(table.evaluate(env), dtype=float), shape)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _var_metric_2d():
+    g = [["1 + 0.1*sin(x1)*cos(x2)*cos(x0)", "0.05*sin(x2)", "0.1*cos(x1)*sin(x0)"],
+         ["0.05*sin(x2)", "-1 - 0.1*cos(x1)", "0.05*sin(x1)*sin(x2)"],
+         ["0.1*cos(x1)*sin(x0)", "0.05*sin(x1)*sin(x2)", "-1 - 0.1*sin(x2)"]]
+    return MetricField(2, g, ["0.1*x2", "0", "0.1*cos(x2)*x0"])
+
+
+def test_eval_table_scalar_env():
+    metric = _var_metric_2d()
+    env = {"x0": 0.3, "x1": 0.7, "x2": 0.2}
+    for table in (metric.g, metric.A, metric.grad_g(), metric.g[0][1]):
+        _assert_same_bits(_eval_table(table, env, ()), _entrywise(table, env, ()))
+        _assert_same_bits(_eval_table(table, env), _entrywise(table, env, ()))
+
+
+def test_eval_table_broadcastable_env():
+    grid = _grid2()
+    metric = _var_metric_2d()
+    # (time, x1) face env with a scalar depth, as dn_trace builds it
+    env = {"x0": grid.times()[:, None], "x1": grid.axis(1)[None, :], "x2": 0.0}
+    shape = (grid.nt, grid.shape[0])
+    for table in (metric.g, metric.A):
+        _assert_same_bits(_eval_table(table, env, shape), _entrywise(table, env, shape))
+    # without a shape, the entries' broadcast shape: g's entries span both axes
+    _assert_same_bits(_eval_table(metric.g, env), _entrywise(metric.g, env, shape))
+    assert _eval_table(metric.A, env).shape == (grid.nt, 1, 3)
+
+
+def test_eval_table_full_grid_and_grad_table():
+    grid = _grid2()
+    metric = _var_metric_2d()
+    env = grid.env_at_time(0.3)
+    for table in (metric.g, metric.A, metric.grad_g()):
+        _assert_same_bits(_eval_table(table, env, grid.shape), _entrywise(table, env, grid.shape))
+    assert _eval_table(metric.grad_g(), env, grid.shape).shape == grid.shape + (3, 3, 3)
+    # the symmetric pairs of g and of its gradient are one object each
+    assert metric.g[2][0] is metric.g[0][2]
+    assert metric.grad_g()[2][1] is metric.grad_g()[1][2]
+
+
+def test_eval_table_consts_and_shared_entries(monkeypatch):
+    e = parse_expr("sin(x1)*x0")
+    table = [[Const(0.0), e, Const(2.5)], [e, parse_expr("cos(x1)"), Const(-1.0)]]
+    env = {"x0": np.linspace(0.0, 1.0, 4)[:, None], "x1": np.linspace(0.0, 1.0, 5)[None, :]}
+    want = _entrywise(table, env, (4, 5))
+    calls = []
+    call_evaluate = Call.evaluate
+    monkeypatch.setattr(Call, "evaluate",
+                        lambda node, en: calls.append(node) or call_evaluate(node, en))
+    monkeypatch.setattr(Const, "evaluate", lambda node, en: pytest.fail("Const entry evaluated"))
+    got = _eval_table(table, env, (4, 5))
+    monkeypatch.undo()
+    _assert_same_bits(got, want)
+    # e's sin(x1) once although e fills two slots, and cos(x1) once
+    assert len(calls) == 2
+    _assert_same_bits(_eval_table([Const(-0.0), Const(3.0)], env), np.array([0.0, 3.0]))
 
 
 # ===== gauges ================================================================
@@ -417,6 +493,17 @@ def test_minkowski_influence_from_face_is_unit_cone():
     for m, t in enumerate(grid.times()):
         expected = x <= (t - grid.t1) + 1e-12
         np.testing.assert_array_equal(region.mask[m], expected)
+
+
+def test_influence_runs_to_convergence_1d():
+    # the front from x = 0 crosses 128 cells, one relaxation pass each; a
+    # capped pass count leaves the far half unreached
+    grid = SpacetimeGrid(n=1, extent=(1.0,), h=(1 / 128,), dt=1 / 256, t1=0.0, t2=1.0)
+    seed = np.zeros(grid.shape, dtype=bool)
+    seed[0] = True
+    region = influence_region(grid, MetricField.minkowski(1), seed, "forward")
+    np.testing.assert_allclose(region.arrival, grid.axis(1), rtol=0.0, atol=1e-12)
+    assert region.mask[-1].all()
 
 
 def test_influence_monotone_in_seed():

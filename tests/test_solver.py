@@ -122,6 +122,16 @@ def test_every_level_checked_between_samples(g11, error):
         assert str(t) in str(err.value)
 
 
+def test_nan_field_raises_instability():
+    # checks off, g^{11} > 0 between the sampled levels: the field turns NaN,
+    # which no `peak > bound` comparison catches; the guard must name the time
+    g = SpacetimeGrid(n=1, extent=(1.0,), h=(1 / 32,), dt=1 / 64, t1=0.0, t2=1.0)
+    metric = MetricField(1, [["1", "0"], ["0", "-1 + 1.5*sin(8*pi*x0)^2"]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(Instability, match=r"peak nan .* at t = \d\.\d{4}"):
+            solve_ibvp(metric, None, BoundarySignal(0.3, 0.2), g, check=False)
+
+
 def test_determinism_bitwise():
     g = grid1(1 / 64)
     sig = BoundarySignal(0.3, 0.2)
