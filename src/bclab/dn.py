@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MetricField, SpacetimeGrid, _as_expr, _eval_table
+from .geometry import SpacetimeGrid, _as_expr, _eval_table
 from .goursat import TransformedOperator
 from .solver import WaveField, _bump
 
@@ -106,49 +106,41 @@ def _tangential_derivatives(face: np.ndarray, grid: SpacetimeGrid) -> list:
             for j in range(grid.n)]
 
 
-def dn_trace(u: WaveField, metric, A=None, grid: SpacetimeGrid | None = None) -> DNTrace:
-    """Neumann trace of a forward run on the accessible face.
+def dn_trace(u: WaveField, metric, A=None) -> DNTrace:
+    """Neumann trace of a forward run on the accessible face, on u.grid.
 
-    For an expression-backed metric the trace is the conormal derivative
-    with the involved potential, normalized by (-g^{nn})^(-1/2) at the face.
-    Passing a TransformedOperator instead evaluates the normal-form trace:
-    plain depth derivative plus the lateral couplings, no normalization.
-    The depth derivative is one-sided second order either way.
+    The trace is the conormal derivative -sum_j g^{jn} (d_j - i A_j) u,
+    normalized by (-g^{nn})^(-1/2) at the face, with the depth derivative
+    one-sided second order.  g and A are the metric's expressions with the
+    potential A when given, or the face rows of a TransformedOperator's
+    arrays, for which the normalization is one.
     """
-    if grid is None:
-        grid = u.grid
-    elif grid != u.grid:
-        raise ValueError("trace grid must match the run's grid")
+    grid = u.grid
+    n = grid.n
     layers = u.boundary_layers
-    hz = grid.h[-1]
     face = layers[..., 0]
-    du_n = (-3.0 * layers[..., 0] + 4.0 * layers[..., 1] - layers[..., 2]) / (2.0 * hz)
+    du_n = (-3.0 * layers[..., 0] + 4.0 * layers[..., 1] - layers[..., 2]) / (2.0 * grid.h[-1])
+    d_tan = _tangential_derivatives(face, grid)
 
     if isinstance(metric, TransformedOperator):
         if grid != metric.grid:
             raise ValueError("trace grid must be the operator's chart rectangle")
-        tr = metric.boundary_traces()
-        d_tan = _tangential_derivatives(face, grid)
-        values = du_n - 1j * tr["A_minus"] * face
-        for j in range(1, grid.n):
-            values = values + tr["g0_plus_j"][j - 1] * (
-                d_tan[j] - 1j * tr["A_j"][j - 1] * face)
-        return DNTrace(values=values, normal_order=2, grid=grid)
-
-    n = grid.n
-    pot = metric.A if A is None else [_as_expr(a) for a in A]
-    shape = face.shape
-    d_tan = _tangential_derivatives(face, grid)
-    # rows: g^{jn} and A_j on the face
-    coeffs = _eval_table([[metric.g[j][n] for j in range(n + 1)], pot], _face_env(grid), shape)
-    values = np.zeros(shape, dtype=complex)
+        g_n = metric.metric_matrix[..., 0, :, n]
+        pot = metric.potential_vector[..., 0, :]
+    else:
+        pot = metric.A if A is None else [_as_expr(a) for a in A]
+        # rows: g^{jn} and A_j on the face
+        coeffs = _eval_table([[metric.g[j][n] for j in range(n + 1)], pot],
+                             _face_env(grid), face.shape)
+        g_n, pot = coeffs[..., 0, :], coeffs[..., 1, :]
+    values = np.zeros(face.shape, dtype=complex)
     for j in range(n + 1):
-        gjn = coeffs[..., 0, j]
+        gjn = g_n[..., j]
         if not np.any(gjn):
             continue
         dj = du_n if j == n else d_tan[j]
-        values = values - gjn * (dj - 1j * coeffs[..., 1, j] * face)
-    values = values / np.sqrt(-coeffs[..., 0, n])
+        values = values - gjn * (dj - 1j * pot[..., j] * face)
+    values = values / np.sqrt(-g_n[..., n])
     return DNTrace(values=values, normal_order=2, grid=grid)
 
 
@@ -291,7 +283,7 @@ def probe_symbol(pipeline, boundary_point, covector, k_list, *,
     s_vals = np.asarray(magnitudes) ** 2
     c2, c1, c0 = np.polyfit(x, s_vals, 2)
     worst = max(s["residual"] for s in samples)
-    bad = worst > fit_threshold or c2 >= 0.0
+    bad = bool(worst > fit_threshold or c2 >= 0.0)  # a numpy bool would not serialize
     if bad:
         warnings.warn(PoorFit(
             f"worst relative fit residual {worst:.3g} "

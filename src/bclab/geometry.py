@@ -226,17 +226,23 @@ class SpacetimeGrid:
             mask &= sel.reshape(shape)
         return mask
 
-    def refine(self, factor: int = 2) -> "SpacetimeGrid":
-        """Halve spacings (factor 2 per application); dt scales with h."""
+    def refine(self) -> "SpacetimeGrid":
+        """Halve the spacings and dt."""
         return SpacetimeGrid(
             n=self.n,
             extent=self.extent,
-            h=tuple(v / factor for v in self.h),
-            dt=self.dt / factor,
+            h=tuple(v / 2 for v in self.h),
+            dt=self.dt / 2,
             t1=self.t1,
             t2=self.t2,
             boundary_patch=self.boundary_patch,
         )
+
+
+def _sampled_times(grid: SpacetimeGrid, count: int) -> np.ndarray:
+    """About count time levels of the grid, evenly strided from t1."""
+    times = grid.times()
+    return times[::max(1, (len(times) - 1) // max(1, count - 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +350,15 @@ class GaugeField:
     def eval_c(self, env: dict) -> np.ndarray:
         return np.exp(1j * _eval_table(self.phase, env))
 
-    def check_on_patch(self, grid: SpacetimeGrid, tol: float = 1e-12) -> bool:
-        """c must be 1 on the accessible patch for the whole time window."""
+    def check_on_patch(self, grid: SpacetimeGrid) -> bool:
+        """c must be 1 on the accessible patch, to 1e-12, at nine time levels."""
         mask = grid.patch_mask_face()
-        times = grid.times()
-        for t in times[:: max(1, len(times) // 8)]:
+        for t in _sampled_times(grid, 9):
             env = grid.env_at_time(t)
             face_env = {key: np.asarray(v)[..., 0] for key, v in env.items()}
             c = self.eval_c(face_env)
             offset = np.abs(np.asarray(c) - 1.0)
-            if np.any(offset[np.asarray(mask)] > tol):
+            if np.any(offset[np.asarray(mask)] > 1e-12):
                 return False
         return True
 
@@ -393,30 +398,28 @@ class Diffeo:
     def eval_jacobian(self, env: dict, shape=None) -> np.ndarray:
         return _eval_table(self.jacobian, env, shape)
 
-    def check_nonsingular(self, grid: SpacetimeGrid, tol: float = 1e-12, time_samples: int = 5):
-        """Raise SingularJacobian at the first sampled node where det dy/dx vanishes."""
-        times = grid.times()
-        stride = max(1, (len(times) - 1) // max(1, time_samples - 1))
+    def check_nonsingular(self, grid: SpacetimeGrid):
+        """Raise SingularJacobian at the first node, over five time levels, where
+        |det dy/dx| < 1e-12."""
         axes = [grid.axis(i) for i in range(1, grid.n + 1)]
-        for t in times[::stride]:
+        for t in _sampled_times(grid, 5):
             env = grid.env_at_time(t)
             jac = self.eval_jacobian(env, shape=grid.shape)
             det = np.linalg.det(jac)
-            bad = np.abs(det) < tol
+            bad = np.abs(det) < 1e-12
             if np.any(bad):
                 where = np.unravel_index(int(np.argmax(bad)), grid.shape)
                 node = (float(t),) + tuple(float(axes[i][where[i]]) for i in range(grid.n))
                 raise SingularJacobian(f"Jacobian determinant vanishes at {node}")
 
-    def slices_spacelike(self, metric: MetricField, grid: SpacetimeGrid, time_samples: int = 5) -> bool:
+    def slices_spacelike(self, metric: MetricField, grid: SpacetimeGrid) -> bool:
         """Level sets of the new time coordinate must be space-like for the metric.
 
         The normal covector of {y_0 = const} in the source frame is grad y_0,
-        so the criterion is sum g^{pr} (dy0/dx_p)(dy0/dx_r) > 0 at every node.
+        so the criterion is sum g^{pr} (dy0/dx_p)(dy0/dx_r) > 0 at every node
+        of five time levels.
         """
-        times = grid.times()
-        stride = max(1, (len(times) - 1) // max(1, time_samples - 1))
-        for t in times[::stride]:
+        for t in _sampled_times(grid, 5):
             env = grid.env_at_time(t)
             g = metric.eval_g(env, shape=grid.shape)
             grad = _eval_table(self.jacobian[0], env, grid.shape)
@@ -425,8 +428,8 @@ class Diffeo:
                 return False
         return True
 
-    def fixes_boundary_face(self, grid: SpacetimeGrid, tol: float = 1e-10) -> bool:
-        """y(x) = x on the face x_n = 0 across the time window."""
+    def fixes_boundary_face(self, grid: SpacetimeGrid) -> bool:
+        """y(x) = x, to 1e-10, on the face x_n = 0 at the middle time level."""
         times = grid.times()
         env = grid.env_at_time(times[len(times) // 2])
         face_env = {}
@@ -437,7 +440,7 @@ class Diffeo:
         for j in range(self.n + 1):
             name = f"x{j}"
             ref = face_env[name] if name in face_env else 0.0
-            if np.max(np.abs(ys[..., j] - ref)) > tol:
+            if np.max(np.abs(ys[..., j] - ref)) > 1e-10:
                 return False
         return True
 
@@ -449,12 +452,12 @@ class Diffeo:
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
-def direction_sample(n: int, count: int = 64) -> np.ndarray:
-    """Deterministic spatial unit covector sample: golden-angle set plus axes."""
+def direction_sample(n: int) -> np.ndarray:
+    """Deterministic spatial unit covector sample: 64 golden-angle directions plus axes."""
     if n == 1:
         return np.array([[1.0], [-1.0]])
     dirs = []
-    for i in range(count):
+    for i in range(64):
         theta = (i + 0.5) * _GOLDEN_ANGLE
         dirs.append((math.cos(theta), math.sin(theta)))
     for axis in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
@@ -513,16 +516,14 @@ def _cone(g: np.ndarray) -> dict:
     return {"ell": -_sym_eigs(G)[1], "disc": disc, "speed": speed}
 
 
-def max_characteristic_speed(metric: MetricField, grid: SpacetimeGrid, time_samples: int = 9) -> float:
+def max_characteristic_speed(metric: MetricField, grid: SpacetimeGrid) -> float:
     """Max |xi_0| over unit spatial covectors: the fastest local phase speed.
 
-    Sampled at time_samples levels and over direction_sample; cfl_time_step
+    Sampled at nine time levels and over direction_sample; cfl_time_step
     takes its step from it.
     """
-    times = grid.times()
-    stride = max(1, (len(times) - 1) // max(1, time_samples - 1))
     return max(_characteristic_speed(metric.eval_g(grid.env_at_time(t), shape=grid.shape))
-               for t in times[::stride])
+               for t in _sampled_times(grid, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +572,10 @@ def check_hyperbolicity(metric: MetricField, grid: SpacetimeGrid, time_samples: 
     Each level is exact over covectors (`_cone`); solve_ibvp applies the same
     check to every level it steps through.
     """
-    times = grid.times()
-    stride = max(1, (len(times) - 1) // max(1, time_samples - 1))
-    sampled = list(times[::stride])
-    if times[-1] not in sampled:
-        sampled.append(times[-1])
+    sampled = list(_sampled_times(grid, time_samples))
+    last = grid.times()[-1]
+    if last not in sampled:
+        sampled.append(last)
 
     axes = [grid.axis(i) for i in range(1, metric.n + 1)]
     c0 = c1 = min_disc = math.inf
@@ -725,13 +725,13 @@ def trace_bicharacteristic(
     s_max: float,
     grid: SpacetimeGrid | None = None,
     steps: int = 2048,
-    tol_null: float = 1e-8,
 ) -> Bicharacteristic:
     """Integrate the null Hamiltonian flow of the principal symbol.
 
-    start is (position, covector) with n+1 components each.  Classical
-    fourth-order one-step integration with fixed step s_max/steps, stopping at
-    s_max or on grid exit when a grid is supplied.
+    start is (position, covector) with n+1 components each, the covector null
+    to 1e-8 |eta|^2.  Classical fourth-order one-step integration with fixed
+    step s_max/steps, stopping at s_max or on grid exit when a grid is
+    supplied.
     """
     y, eta = start
     y = np.asarray(y, dtype=float)
@@ -739,10 +739,10 @@ def trace_bicharacteristic(
     state = np.concatenate([y, eta])
     h_init = _hamiltonian(metric, state)
     scale = float(eta @ eta)
-    if abs(h_init) > tol_null * max(scale, 1e-30):
+    if abs(h_init) > 1e-8 * max(scale, 1e-30):
         raise NotNull(
             f"initial covector not null: |L0| = {abs(h_init):.3g} exceeds "
-            f"{tol_null:.1g} * |eta|^2 = {tol_null * scale:.3g}"
+            f"1e-08 * |eta|^2 = {1e-8 * scale:.3g}"
         )
 
     ds = s_max / steps
@@ -782,9 +782,6 @@ class RegionMask:
     mask: np.ndarray  # (nt, *spatial) booleans
     arrival: np.ndarray  # (*spatial,) arrival times (inf where unreached)
     grid: SpacetimeGrid
-
-    def contains(self, other: "RegionMask") -> bool:
-        return bool(np.all(self.mask | ~other.mask))
 
 
 def _neighbor_offsets(n: int) -> list:

@@ -132,25 +132,37 @@ class _Fan:
         )
 
 
-def _fan_rhs(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
-    """Depth-parameterized characteristic flow of the null-phase graph."""
-    n = metric.n
-    lattice = pos.shape[:-1]
-    env = _fan_env(n, pos, z)
-    g = metric.eval_g(env, lattice)
+def _fan_row(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
+    """(env, g, pn) of a fan row at depth z: the metric at the row's points and
+    the null depth covector component.  Raises CharacteristicCrossing where
+    no real root exists."""
+    env = _fan_env(metric.n, pos, z)
+    g = metric.eval_g(env, pos.shape[:-1])
     pn, radicand = _normal_root(g, ptan)
     if np.any(radicand <= 0.0):
         raise CharacteristicCrossing(
             f"face foliation degenerates near depth {z:.4f} (radicand <= 0)"
         )
+    return env, g, pn
+
+
+def _fan_flow(metric: MetricField, row: tuple, ptan: np.ndarray):
+    """Depth-parameterized characteristic flow of the null-phase graph at a
+    row from _fan_row: the depth derivatives of the positions and of ptan."""
+    n = metric.n
+    env, g, pn = row
     pfull = np.concatenate([ptan, pn[..., None]], axis=-1)
     v = 2.0 * np.einsum("...jk,...k->...j", g, pfull)
     vn = v[..., n]
-    dg = _eval_table(metric.grad_g(), env, lattice)
+    dg = _eval_table(metric.grad_g(), env, pn.shape)
     dH = np.einsum("...jkp,...j,...k->...p", dg, pfull, pfull)
     dpos = v[..., :n] / vn[..., None]
     dptan = -dH[..., :n] / vn[..., None]
     return dpos, dptan
+
+
+def _fan_rhs(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
+    return _fan_flow(metric, _fan_row(metric, pos, ptan, z), ptan)
 
 
 def _check_fold(pos_row: np.ndarray, side: str, z: float):
@@ -211,17 +223,12 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
 
     zs = hz * np.arange(nz + 1)
     for m in range(nz + 1):
-        g = metric.eval_g(_fan_env(n, cur_pos, zs[m]), lattice)
-        root, radicand = _normal_root(g, cur_p)
-        if np.any(radicand <= 0.0):
-            raise CharacteristicCrossing(
-                f"face foliation degenerates near depth {zs[m]:.4f} (radicand <= 0)"
-            )
-        pos[m], ptan[m], pn[m] = cur_pos, cur_p, root
+        row = _fan_row(metric, cur_pos, cur_p, zs[m])
+        pos[m], ptan[m], pn[m] = cur_pos, cur_p, row[2]
         _check_fold(pos[m], side, zs[m])
         if m == nz:
             break
-        k1 = _fan_rhs(metric, cur_pos, cur_p, zs[m])
+        k1 = _fan_flow(metric, row, cur_p)
         k2 = _fan_rhs(metric, cur_pos + 0.5 * hz * k1[0], cur_p + 0.5 * hz * k1[1], zs[m] + 0.5 * hz)
         k3 = _fan_rhs(metric, cur_pos + 0.5 * hz * k2[0], cur_p + 0.5 * hz * k2[1], zs[m] + 0.5 * hz)
         k4 = _fan_rhs(metric, cur_pos + hz * k3[0], cur_p + hz * k3[1], zs[m] + hz)
@@ -612,7 +619,7 @@ def _lateral_g1(ghjk: list) -> np.ndarray:
 
 def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
                 T1: float, T2: float, *, y_depth: float | None = None,
-                y_time_step: float | None = None, j_max: float = 1e3) -> GoursatChart:
+                j_max: float = 1e3) -> GoursatChart:
     """Assemble the boundary-normal chart from the phase pair.
 
     The chart coordinates are y0 (time), the transported lateral fields, and
@@ -733,7 +740,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
         -fan_samples.pop("Ap"), x=fan_samples["s"], axis=0, initial=0.0)
 
     y_grid, pulled, row_index = _pull_to_chart(
-        pull_fan, fan_samples, grid, T1, T2, y_depth, y_time_step)
+        pull_fan, fan_samples, grid, T1, T2, y_depth)
     x_at_y = np.stack(
         [pulled[f"x{d}"] for d in range(n)] + [row_index * hz], axis=-1)
 
@@ -788,27 +795,25 @@ def _fields_at_fan(fan: _Fan, ext_axes: tuple, slab_fields: dict) -> dict:
 
 
 def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
-                   T1: float, T2: float, y_depth, y_time_step):
+                   T1: float, T2: float, y_depth):
     """Re-grid per-ray samples onto the chart rectangle.
 
-    Stage one samples every row across rays at virtual launches on the
-    chart's own time lattice and the grid's lateral nodes, one _lagrange call
-    per row and field.  Stage two inverts the advancing phase along each
-    virtual ray (two Newton steps on the 4-point row interpolant from a
-    linear bracket) to land on the requested chart depth nodes, and raises
-    ValueError when a node still misses its phase value by more than
-    1e-9 * dty.  Returns (y_grid, pulled fields, fractional row index).
+    The chart's time step divides the window into the fewest steps that keep
+    it within a third of the finest lateral spacing (the depth spacing for
+    n = 1), and its depth step is three times that.  Stage one samples every
+    row across rays at virtual launches on the chart's own time lattice and
+    the grid's lateral nodes, one _lagrange call per row and field.  Stage
+    two inverts the advancing phase along each virtual ray (two Newton steps
+    on the 4-point row interpolant from a linear bracket) to land on the
+    requested chart depth nodes, and raises ValueError when a node still
+    misses its phase value by more than 1e-9 * dty.  Returns (y_grid, pulled
+    fields, fractional row index).
     """
     n = grid.n
     window = T2 - T1
 
-    if y_time_step is None:
-        href = min(grid.h[:-1]) if n > 1 else grid.h[-1]
-        steps = int(math.ceil(window / (href / 3.0)))
-    else:
-        steps = int(round(window / y_time_step))
-        if abs(steps * y_time_step - window) > 1e-9:
-            raise ValueError("y_time_step must divide the time window")
+    href = min(grid.h[:-1]) if n > 1 else grid.h[-1]
+    steps = int(math.ceil(window / (href / 3.0)))
     dty = window / steps
     dz = 3.0 * dty
     nt_y = steps + 1
@@ -1024,14 +1029,13 @@ def potential_symbolic(g1: Expr, g0_plus_j=None, g0_jk=None, n: int = 2) -> Expr
     return V
 
 
-def transform_operator(metric: MetricField, A, chart: GoursatChart,
-                       *, g1_expression: Expr | None = None) -> TransformedOperator:
+def transform_operator(metric: MetricField, A, chart: GoursatChart) -> TransformedOperator:
     """Coefficients of the wave operator in the chart, unit-speed normal form.
 
     Raises FocalRegion when the chart rectangle overlaps flagged nodes.  The
     potential argument must be the one the chart was built with (pass None to
-    take it from the metric).  g1_expression switches the zeroth-order term
-    to exact differentiation when the volume factor is known in closed form.
+    take it from the metric).  The zeroth-order term V1 is potential_term of
+    the chart's sampled volume factor.
     """
     if A is None:
         A = metric.A
@@ -1065,12 +1069,7 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart,
     A_j = [pulled[f"Aj{j}"] - np.gradient(d, steps[j + 1], axis=j + 1, edge_order=2)
            for j in range(n - 1)]
 
-    if g1_expression is not None:
-        v1_expr = potential_symbolic(g1_expression, n=n)
-        env = _slab_env(y_grid.times(), *[y_grid.axis(i) for i in range(1, n + 1)])
-        V1 = _eval_table(v1_expr, env, shape)
-    else:
-        V1 = potential_term(chart.g1, g0_plus_j, g0_jk, y_grid)
+    V1 = potential_term(chart.g1, g0_plus_j, g0_jk, y_grid)
 
     G = np.zeros(shape + (n + 1, n + 1))
     G[..., 0, 0] = 1.0
@@ -1108,8 +1107,9 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart,
     )
 
 
-def transformed_time_step(op: TransformedOperator, fraction: float = 0.5) -> float:
-    return fraction * min(op.grid.h) / op.vmax
+def transformed_time_step(op: TransformedOperator) -> float:
+    """Half the CFL-limited step of the operator's chart rectangle."""
+    return 0.5 * min(op.grid.h) / op.vmax
 
 
 def solve_transformed_ibvp(op: TransformedOperator, f, grid: SpacetimeGrid,

@@ -71,11 +71,18 @@ class CFLViolation(ValueError):
 
 
 class Instability(RuntimeError):
-    """Field peak grew beyond the configured factor of the imposed data scale."""
+    """Field peak grew beyond _GUARD_FACTOR times the imposed data scale."""
 
 
 class SweepNotConverged(RuntimeError):
-    """Fixed-point sweeps of an implicit step used up max_sweeps above sweep_tol."""
+    """Fixed-point sweeps of an implicit step used up max_sweeps above _SWEEP_TOL."""
+
+
+# a field peak past this multiple of the data imposed so far cannot come from
+# the continuous problem
+_GUARD_FACTOR = 1e3
+# a sweep stops once its largest update is below this times max(|u^m|, 1)
+_SWEEP_TOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +168,6 @@ class WaveField:
     boundary_layers: np.ndarray  # (nt, *face_shape, 3): first three depth layers
     grid: SpacetimeGrid
     cfl_number: float
-    scheme_order: int = 2
     # per step: "sweeps" (int) and "last_update", the final max |delta|
     diagnostics: dict = field(default_factory=dict)
 
@@ -172,11 +178,6 @@ class WaveField:
 
     def face_trace(self) -> np.ndarray:
         return self.boundary_layers[..., 0]
-
-    def support_mask(self, threshold: float) -> np.ndarray:
-        if self.samples is None:
-            raise ValueError("full samples were not stored for this run")
-        return np.abs(self.samples) > threshold
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +193,10 @@ class SampledCoefficients:
     takes them as arrays, each either with a leading time axis of length nt
     or time-independent; `from_metric` evaluates them from expressions, one
     node level at a time.  rho is ((-1)^n det g)^(-1/2) of the node samples
-    unless given.  Half levels are the average of the two bracketing node
-    levels and half nodes the average of neighbours along the axis, so both
-    are second order.  Values are cached by half-level index, and the cache
-    keeps only the half levels within half a step of the latest request,
-    which are the levels one step reads.
+    unless given.  Only node levels are cached, those within one level of the
+    newest, which are the levels one step reads.  `at` averages g, A and rho
+    when asked for a half level (the two bracketing node levels) or for half
+    nodes (neighbours along the axis), so both are second order.
     """
 
     def __init__(self, grid: SpacetimeGrid, g, A, rho=None, v1=None, first_order=None):
@@ -261,45 +261,36 @@ class SampledCoefficients:
             return 0
         return int(round(2.0 * (t - self.grid.t1) / self.grid.dt))
 
-    def _level(self, k: int, half_axis: int | None = None) -> dict:
-        key = (k, half_axis)
-        if key not in self._cache:
-            if half_axis is not None:
-                node = self._level(k)
-                value = {name: _davg(node[name], half_axis - 1) for name in ("g", "A", "rho")}
-            elif k % 2:
-                lo, hi = self._level(k - 1), self._level(k + 1)
-                value = {name: _mean(lo[name], hi[name]) for name in lo}
-            else:
-                value = self._sample(k // 2)
-                if value["rho"] is None:
-                    sign = (-1.0) ** self.n
-                    value["rho"] = (sign * np.linalg.det(value["g"])) ** -0.5
-            # a step reads half levels 2m .. 2m+2
-            for stale in [cached for cached in self._cache if abs(cached[0] - k) > 2]:
+    def _node(self, m: int) -> dict:
+        if m not in self._cache:
+            value = self._sample(m)
+            if value["rho"] is None:
+                sign = (-1.0) ** self.n
+                value["rho"] = (sign * np.linalg.det(value["g"])) ** -0.5
+            # a step reads node levels m and m + 1
+            for stale in [cached for cached in self._cache if abs(cached - m) > 1]:
                 del self._cache[stale]
-            self._cache[key] = value
-        return self._cache[key]
+            self._cache[m] = value
+        return self._cache[m]
 
     def at(self, t: float, half_axis: int | None = None) -> dict:
         """g, A and rho at time t (node or half level), on half nodes along
         half_axis (1..n) when given."""
-        return self._level(self._index(t), half_axis)
+        k = self._index(t)
+        if k % 2:
+            lo, hi = self._node(k // 2), self._node(k // 2 + 1)
+            value = {name: 0.5 * (lo[name] + hi[name]) for name in ("g", "A", "rho")}
+        else:
+            value = self._node(k // 2)
+        if half_axis is not None:
+            value = {name: _davg(value[name], half_axis - 1) for name in ("g", "A", "rho")}
+        return value
 
     def zeroth_at(self, t: float):
-        return self._level(self._index(t))["v1"]
+        return self._node(self._index(t) // 2)["v1"]
 
     def first_order_at(self, t: float):
-        return self._level(self._index(t))["first"]
-
-
-def _mean(a, b):
-    """Average of two node samples: arrays, lists of arrays, or None."""
-    if a is None:
-        return None
-    if isinstance(a, list):
-        return [_mean(x, y) for x, y in zip(a, b)]
-    return 0.5 * (a + b)
+        return self._node(self._index(t) // 2)["first"]
 
 
 def _time_free(field) -> bool:
@@ -540,8 +531,6 @@ def solve_ibvp(
     first_order=None,
     check: bool = True,
     cfl_fraction: float = 0.5,
-    guard_factor: float | None = 1e3,
-    sweep_tol: float = 1e-13,
     max_sweeps: int = 40,
     store: str = "all",
 ) -> WaveField:
@@ -559,7 +548,8 @@ def solve_ibvp(
     store is "all" (every time level) or "boundary" (the three face layers
     only; memory then does not grow with the number of time levels).  Raises
     SweepNotConverged when the fixed-point sweeps of a step with time cross
-    terms do not meet sweep_tol within max_sweeps.
+    terms do not meet _SWEEP_TOL within max_sweeps, and Instability when the
+    field peak passes _GUARD_FACTOR times the data scale or is NaN.
 
     With `check`, each node level is checked before the first step that reads
     it sweeps, raising NonHyperbolic (condition, node, value) or CFLViolation
@@ -662,8 +652,7 @@ def solve_ibvp(
     keep(0, u_prev)
     keep(1, u_curr)
 
-    # well-posedness scale: data imposed so far; blow-up past guard_factor x
-    # this cannot come from the continuous problem
+    # well-posedness scale: the data imposed so far
     span = grid.t2 - grid.t1
     data_scale = max(float(np.max(np.abs(u_prev))), float(np.max(np.abs(u_curr))))
 
@@ -688,12 +677,13 @@ def solve_ibvp(
             delta = resid[interior] / diag
             up1[interior] -= delta
             update = float(np.max(np.abs(delta), initial=0.0))
-            if not iterate or update <= sweep_tol * scale:
+            if not iterate or update <= _SWEEP_TOL * scale:
                 break
         else:
             raise SweepNotConverged(
                 f"fixed-point sweeps at t = {t:.4f} did not converge in {max_sweeps} "
-                f"sweeps: last update {update:.3e} > sweep_tol * scale = {sweep_tol * scale:.3e}"
+                f"sweeps: last update {update:.3e} > {_SWEEP_TOL:.0e} * scale = "
+                f"{_SWEEP_TOL * scale:.3e}"
             )
         sweeps[m - 1] = sweep
         last_update[m - 1] = update
@@ -702,17 +692,16 @@ def solve_ibvp(
         u_prev, u_curr = u_curr, up1
         keep(m + 1, u_curr)
 
-        if guard_factor is not None:
-            data_scale = max([data_scale] + [float(np.max(np.abs(u_curr[face]))) for face in faces])
-            if fval is not None:
-                data_scale = max(data_scale, float(np.max(np.abs(fval))) * span * span)
-            peak = float(np.max(np.abs(u_curr)))
-            # negated so that a NaN peak trips the guard too
-            if data_scale > 0.0 and not peak <= guard_factor * data_scale:
-                raise Instability(
-                    f"field peak {peak:.3e} exceeded {guard_factor:.0e} x data scale "
-                    f"{data_scale:.3e} at t = {times[m + 1]:.4f}"
-                )
+        data_scale = max([data_scale] + [float(np.max(np.abs(u_curr[face]))) for face in faces])
+        if fval is not None:
+            data_scale = max(data_scale, float(np.max(np.abs(fval))) * span * span)
+        peak = float(np.max(np.abs(u_curr)))
+        # negated so that a NaN peak trips the guard too
+        if data_scale > 0.0 and not peak <= _GUARD_FACTOR * data_scale:
+            raise Instability(
+                f"field peak {peak:.3e} exceeded {_GUARD_FACTOR:.0e} x data scale "
+                f"{data_scale:.3e} at t = {times[m + 1]:.4f}"
+            )
 
     return WaveField(
         samples=samples,
@@ -735,11 +724,10 @@ def _time_index(grid: SpacetimeGrid, t: float) -> int:
     return m
 
 
-def energy(u: WaveField, t: float, metric: MetricField, A=None, v1=None) -> float:
-    """Slice energy: |D_0 u|^2 - sum g^{jk} D_j u conj(D_k u) + V1 |u|^2.
+def energy(u: WaveField, t: float, metric: MetricField, A=None) -> float:
+    """Slice energy: the integral of |D_0 u|^2 - sum g^{jk} D_j u conj(D_k u).
 
-    Covariant derivatives use the given potential; the V1 term participates
-    only for transformed operators (pass the sampled or expression field).
+    Covariant derivatives use A when given, else the metric's potential.
     """
     grid = u.grid
     m = _time_index(grid, t)
@@ -769,9 +757,6 @@ def energy(u: WaveField, t: float, metric: MetricField, A=None, v1=None) -> floa
     for j in range(1, n + 1):
         for k in range(1, n + 1):
             integrand = integrand - np.real(g[..., j, k] * dsp[j - 1] * np.conj(dsp[k - 1]))
-    if v1 is not None:
-        v1_vals = v1 if isinstance(v1, np.ndarray) else _complex_eval(v1, env, shape)
-        integrand = integrand + np.real(v1_vals) * np.abs(um) ** 2
 
     for axis in reversed(range(n)):
         integrand = _trapz(integrand, dx=grid.h[axis], axis=axis)

@@ -435,13 +435,13 @@ def test_chart_pull_refuses_unconverged_depth_lookup():
     # flat space: the receding ray from launch t0 sits at t = t0 - z, where
     # the advancing phase is t - z - t1
     s = fan.pos[..., 0] - g.t1 - z
-    _pull_to_chart(fan, {"s": s}, g, 0.0, 2.0, None, None)
+    _pull_to_chart(fan, {"s": s}, g, 0.0, 2.0, None)
     # a row-to-row wiggle keeps s monotone in depth, so every chart node has
     # a root, but two Newton steps no longer reach it
     wiggle = 0.03 * z * np.cos(np.pi * np.arange(len(z)))[:, None]
     with pytest.raises(ValueError, match=r"\d+ chart nodes miss the advancing phase .*"
                                          r"worst residual .* at chart node y = \("):
-        _pull_to_chart(fan, {"s": s - wiggle}, g, 0.0, 2.0, None, None)
+        _pull_to_chart(fan, {"s": s - wiggle}, g, 0.0, 2.0, None)
 
 
 def test_transport_orthogonality_2d():
