@@ -290,6 +290,7 @@ class MetricField:
             raise ValueError("potential needs n+1 components")
         self._rho = None
         self._grad_g = None
+        self._ham_terms = None
 
     @classmethod
     def minkowski(cls, n: int) -> "MetricField":
@@ -326,6 +327,29 @@ class MetricField:
                     grad[j][k] = grad[k][j] = [self.g[j][k].diff(f"x{p}") for p in range(size)]
             self._grad_g = grad
         return self._grad_g
+
+    def ham_grad(self, env: dict, p: np.ndarray, shape=None) -> np.ndarray:
+        """Position gradient dH_q = sum_{j,k} d g^{jk}/d x_q p_j p_k of the
+        principal symbol H = g^{jk} p_j p_k, shaped like the covectors p (..., n+1).
+
+        Sums only the derivative entries that are not a zero Const, over j <= k
+        with weight 2 off the diagonal; the term list (j, k, q, derivative) is
+        built once per metric and its entries take one _eval_table call.
+        """
+        if self._ham_terms is None:
+            size = self.n + 1
+            grad = self.grad_g()
+            self._ham_terms = [
+                (j, k, q, grad[j][k][q])
+                for j in range(size) for k in range(j, size) for q in range(size)
+                if not (isinstance(grad[j][k][q], Const) and grad[j][k][q].value == 0.0)
+            ]
+        values = _eval_table([term[3] for term in self._ham_terms], env, shape)
+        dH = np.zeros(p.shape)
+        for i, (j, k, q, _) in enumerate(self._ham_terms):
+            weight = 1.0 if j == k else 2.0
+            dH[..., q] += weight * values[..., i] * p[..., j] * p[..., k]
+        return dH
 
     def eval_g(self, env: dict, shape=None) -> np.ndarray:
         return _eval_table(self.g, env, shape)
@@ -709,14 +733,8 @@ def _hamiltonian(metric: MetricField, state: np.ndarray) -> float:
 def _ham_rhs(metric: MetricField, state: np.ndarray) -> np.ndarray:
     size = metric.n + 1
     env = {f"x{j}": state[j] for j in range(size)}
-    g = metric.eval_g(env)
-    grad = _eval_table(metric.grad_g(), env)
     xi = state[size:]
-    dx = 2.0 * (g @ xi)
-    dxi = np.empty(size)
-    for j in range(size):
-        dxi[j] = -float(xi @ grad[..., j] @ xi)
-    return np.concatenate([dx, dxi])
+    return np.concatenate([2.0 * (metric.eval_g(env) @ xi), -metric.ham_grad(env, xi)])
 
 
 def trace_bicharacteristic(

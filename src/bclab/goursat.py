@@ -51,7 +51,7 @@ from scipy.interpolate import (  # noqa: F401
 from scipy.spatial import Delaunay  # noqa: F401
 
 from .expr import Call, Const, Expr
-from .geometry import MetricField, SpacetimeGrid, _as_expr, _characteristic_speed, _eval_table
+from .geometry import MetricField, SpacetimeGrid, _as_expr, _characteristic_speed
 from .solver import SampledCoefficients, WaveField, solve_ibvp
 
 __all__ = [
@@ -96,8 +96,8 @@ def _normal_root(g: np.ndarray, ptan: np.ndarray):
     """
     n = g.shape[-1] - 1
     a = g[..., n, n]
-    b = np.einsum("...j,...j->...", g[..., n, :n], ptan)
-    c = np.einsum("...jk,...j,...k->...", g[..., :n, :n], ptan, ptan)
+    b = sum(g[..., n, j] * ptan[..., j] for j in range(n))
+    c = sum(g[..., j, k] * ptan[..., j] * ptan[..., k] for j in range(n) for k in range(n))
     radicand = b * b - a * c
     root = (-b + np.sqrt(np.maximum(radicand, 0.0))) / a
     return root, radicand
@@ -148,14 +148,18 @@ def _fan_row(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
 
 def _fan_flow(metric: MetricField, row: tuple, ptan: np.ndarray):
     """Depth-parameterized characteristic flow of the null-phase graph at a
-    row from _fan_row: the depth derivatives of the positions and of ptan."""
+    row from _fan_row: the depth derivatives of the positions and of ptan.
+
+    The velocity is 2 g p and the covector force -dH, the metric's sparse
+    Hamiltonian gradient (MetricField.ham_grad, shared with the ray tracer
+    in geometry), both divided by the depth velocity.
+    """
     n = metric.n
     env, g, pn = row
     pfull = np.concatenate([ptan, pn[..., None]], axis=-1)
-    v = 2.0 * np.einsum("...jk,...k->...j", g, pfull)
+    v = 2.0 * sum(g[..., k] * pfull[..., k, None] for k in range(n + 1))
     vn = v[..., n]
-    dg = _eval_table(metric.grad_g(), env, pn.shape)
-    dH = np.einsum("...jkp,...j,...k->...p", dg, pfull, pfull)
+    dH = metric.ham_grad(env, pfull, pn.shape)
     dpos = v[..., :n] / vn[..., None]
     dptan = -dH[..., :n] / vn[..., None]
     return dpos, dptan
@@ -279,6 +283,16 @@ def _grid_indices(points: np.ndarray, axes) -> np.ndarray:
     return (points - [ax[0] for ax in axes]) / [ax[1] - ax[0] for ax in axes]
 
 
+def _solve_small(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """jac^{-1} res for a batch of 1x1 or 2x2 matrices (..., d, d), in closed form."""
+    if jac.shape[-1] == 1:
+        return res / jac[..., 0]
+    a, b, c, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 0], jac[..., 1, 1]
+    det = a * d - b * c
+    return np.stack([d * res[..., 0] - b * res[..., 1],
+                     a * res[..., 1] - c * res[..., 0]], axis=-1) / det[..., None]
+
+
 def _launch_indices(fan: _Fan, target_axes: tuple) -> np.ndarray:
     """Fractional launch indices of the ray through each target node.
 
@@ -286,8 +300,10 @@ def _launch_indices(fan: _Fan, target_axes: tuple) -> np.ndarray:
     pos[m](indices) = node has one solution in the lattice.  Newton on the
     row's Lagrange interpolant finds it: row 0 is the lattice itself, where
     the affine guess is exact, and each later row starts from the previous
-    row's solution.  Returns (nrows, *target_counts, n).  Raises ValueError
-    naming the row when a node does not converge or lands off the lattice.
+    row's solution.  A step inverts the 1x1 or 2x2 Jacobian in closed form
+    (_solve_small); a launch lattice has at most two axes.  Returns
+    (nrows, *target_counts, n).  Raises ValueError naming the row when a
+    node does not converge or lands off the lattice.
     """
     target = np.stack(np.meshgrid(*target_axes, indexing="ij"), axis=-1)
     tol = 1e-13 * max(1.0, float(np.max(np.abs(target))))
@@ -301,7 +317,7 @@ def _launch_indices(fan: _Fan, target_axes: tuple) -> np.ndarray:
             norm = np.max(np.abs(res), axis=-1)
             if np.all(norm <= tol) or step == _NEWTON_STEPS:
                 break
-            idx = idx - np.linalg.solve(jac, res[..., None])[..., 0]
+            idx = idx - _solve_small(jac, res)
         bad = ~(norm <= tol) | np.any((idx < -1e-9) | (idx > top + 1e-9), axis=-1)
         if np.any(bad):
             raise ValueError(

@@ -266,7 +266,9 @@ class SampledCoefficients:
             value = self._sample(m)
             if value["rho"] is None:
                 sign = (-1.0) ** self.n
-                value["rho"] = (sign * np.linalg.det(value["g"])) ** -0.5
+                # NaN off the cone; the level check and the NaN guard report it
+                with np.errstate(invalid="ignore"):
+                    value["rho"] = (sign * np.linalg.det(value["g"])) ** -0.5
             # a step reads node levels m and m + 1
             for stale in [cached for cached in self._cache if abs(cached - m) > 1]:
                 del self._cache[stale]

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from bclab.expr import parse_expr
-from bclab.geometry import MetricField, NonHyperbolic, SpacetimeGrid
+from bclab.geometry import (
+    MetricField, NonHyperbolic, SpacetimeGrid, _eval_table, trace_bicharacteristic)
 from bclab.goursat import (
     CharacteristicCrossing,
     FocalRegion,
@@ -29,6 +30,7 @@ from bclab.goursat import (
     _launch_indices,
     _normal_root,
     _pull_to_chart,
+    _solve_small,
     _trim_fan,
     build_chart,
     export_chart_csv,
@@ -75,6 +77,16 @@ WAVEGUIDE = MetricField(
      ["0", "0",
       "-1.08 - 0.8*cos(6.283185307179586*x1) - 0.08*cos(12.566370614359172*x1)"]],
     None,
+)
+
+
+# the cross-term metric of the solver's time-dependent runs: every entry of
+# the first row and column depends on x0
+TIME_CROSS_2D = MetricField(
+    2,
+    [["1 + 0.1*sin(x0)*cos(x2)", "0.05*cos(x0)*sin(x2)", "0.1*cos(x1 + x0)"],
+     ["0.05*cos(x0)*sin(x2)", "-1 - 0.1*cos(x1)", "0.05*sin(x1)*sin(x2)"],
+     ["0.1*cos(x1 + x0)", "0.05*sin(x1)*sin(x2)", "-1 - 0.1*sin(x0 + x2)"]],
 )
 
 
@@ -138,6 +150,54 @@ def ray_oracle(metric, side, launch, depth):
 # ---------------------------------------------------------------------------
 # Root and chart algebra
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("metric, terms", [
+    (VAR_METRIC_2D, 8),
+    (WAVEGUIDE, 1),
+    (TIME_CROSS_2D, 11),
+    (VAR_METRIC_1D, 4),
+    (MetricField.minkowski(2), 0),
+])
+def test_ham_grad_matches_dense_contraction(metric, terms):
+    # the sparse term sum must reproduce the dense d_q g^{jk} p_j p_k
+    # contraction, on a lattice env and at one point (the ray tracer's case)
+    size = metric.n + 1
+    rng = np.random.default_rng(size)
+    shape = (9, 7)
+    env = {f"x{i}": rng.uniform(0.0, 1.0, shape) for i in range(size)}
+    p = rng.standard_normal(shape + (size,))
+    point = {k: v[2, 3] for k, v in env.items()}
+    for at, cov, dims in ((env, p, shape), (point, p[2, 3], ())):
+        dense = np.einsum("...jkq,...j,...k->...q",
+                          _eval_table(metric.grad_g(), at, dims), cov, cov)
+        got = metric.ham_grad(at, cov, dims)
+        assert got.shape == dims + (size,)
+        assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+    assert len(metric._ham_terms) == terms
+
+
+def test_ray_tracer_conserves_null_condition_2d():
+    # trace_bicharacteristic shares ham_grad with the fans
+    y = np.array([0.3, 0.5, 0.4])
+    g = VAR_METRIC_2D.eval_g({f"x{i}": y[i] for i in range(3)})
+    ptan = np.array([1.0, 0.3])
+    root, _ = _normal_root(g[None], ptan[None])
+    ray = trace_bicharacteristic(VAR_METRIC_2D, (y, np.append(ptan, root[0])), s_max=0.3)
+    assert np.abs(ray.positions[-1] - y).max() > 0.1
+    assert ray.max_drift() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_newton_step_matches_solve(d):
+    rng = np.random.default_rng(d)
+    # a perturbation of norm <= 0.6 keeps every singular value in [1.4, 2.6]
+    jac = 2.0 * np.eye(d) + 0.3 * rng.uniform(-1.0, 1.0, (40, 30, d, d))
+    assert np.linalg.cond(jac).max() < 2.0
+    res = rng.standard_normal((40, 30, d))
+    want = np.linalg.solve(jac, res[..., None])[..., 0]
+    got = _solve_small(jac, res)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -373,6 +433,16 @@ def test_launch_inversion_oracle_2d():
     # the whole launch box inverts at the face, but the drifting rows leave it
     with pytest.raises(ValueError, match=r"fan row 1 .*target nodes.*worst residual"):
         _launch_indices(fan, fan.axes)
+
+
+def test_eikonal_bitwise_deterministic_2d():
+    h = 1 / 16
+    g = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=0.35 * h,
+                      t1=0.0, t2=1.4)
+    a = solve_eikonal(VAR_METRIC_2D, "-", g, 0.25)
+    b = solve_eikonal(VAR_METRIC_2D, "-", g, 0.25)
+    assert a.psi.tobytes() == b.psi.tobytes()
+    assert a.grad.tobytes() == b.grad.tobytes()
 
 
 def test_launch_inversion_oracle_1d():

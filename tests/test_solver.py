@@ -8,6 +8,7 @@ the continuum problem satisfies exactly.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,17 @@ def test_nan_field_raises_instability():
             solve_ibvp(metric, None, BoundarySignal(0.3, 0.2), g, check=False)
 
 
+def test_off_cone_level_refused_without_warning():
+    # rho is NaN on a level off the cone; only the level check may report it
+    g = SpacetimeGrid(n=1, extent=(1.0,), h=(1 / 32,), dt=1 / 64, t1=0.0, t2=1.0)
+    metric = MetricField(1, [["1", "0"], ["0", "-1 + 1.5*sin(8*pi*x0)^2"]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonHyperbolic):
+            solve_ibvp(metric, None, BoundarySignal(0.3, 0.2), g)
+    assert [str(w.message) for w in caught] == []
+
+
 def test_determinism_bitwise():
     g = grid1(1 / 64)
     sig = BoundarySignal(0.3, 0.2)
@@ -197,7 +209,7 @@ def test_diagnostics_count_sweeps_per_step():
         assert cfl.shape == (g.nt,) and wf.cfl_number == max(cfl)
     assert np.all(cross.diagnostics["sweeps"] > 1)
     assert np.all(flat.diagnostics["sweeps"] == 1)
-    # each cross-term step stopped on the default sweep_tol
+    # each cross-term step stopped on _SWEEP_TOL
     scale = max(float(np.max(np.abs(cross.samples))), 1.0)
     assert np.all(cross.diagnostics["last_update"] <= 1e-13 * scale)
 
