@@ -188,17 +188,10 @@ def transform_dn(dn: DNTrace, boundary_coeffs: dict, f=None) -> DNTrace:
 
 def _elliptic_q(covector, coeffs) -> float:
     """Depth discriminant of the face symbol; negative inside the cone."""
-    eta0 = covector[0]
     etap = np.asarray(covector[1:], dtype=float)
-    if coeffs is None:
-        b = 0.0
-        lat = -float(etap @ etap)
-    else:
-        bvec = np.asarray(coeffs["g0_plus_j"], dtype=float)
-        b = float(bvec @ etap)
-        gl = np.asarray(coeffs["g0_jk"], dtype=float)
-        lat = float(etap @ gl @ etap)
-    return (eta0 + b) ** 2 + lat
+    b = float(np.asarray(coeffs["g0_plus_j"], dtype=float) @ etap)
+    lat = float(etap @ np.asarray(coeffs["g0_jk"], dtype=float) @ etap)
+    return (covector[0] + b) ** 2 + lat
 
 
 def probe_symbol(pipeline, boundary_point, covector, k_list, *,
@@ -239,12 +232,13 @@ def probe_symbol(pipeline, boundary_point, covector, k_list, *,
         raise NotElliptic("tangential part of the covector vanishes")
     base = tuple(c / scale for c in covector)
     probes = [(base[0] + m * delta,) + base[1:] for m in (-1, 0, 1)]
-    for p in probes:
-        q_val = _elliptic_q(p, boundary_coeffs)
-        if boundary_coeffs is not None and q_val > -ellipticity_margin:
-            raise NotElliptic(
-                f"covector {tuple(round(c, 6) for c in p)} has depth "
-                f"discriminant {q_val:.4f}; need < -{ellipticity_margin}")
+    if boundary_coeffs is not None:
+        for p in probes:
+            q_val = _elliptic_q(p, boundary_coeffs)
+            if q_val > -ellipticity_margin:
+                raise NotElliptic(
+                    f"covector {tuple(round(c, 6) for c in p)} has depth "
+                    f"discriminant {q_val:.4f}; need < -{ellipticity_margin}")
 
     if grid is None:
         raise ValueError("the probe needs the run grid to shape its data")
@@ -315,7 +309,7 @@ def _run_probe(pipeline, point, covector, k, t_width, lat_width, grid):
     t_star = point[0]
     eta0 = covector[0]
     lat_field = None
-    if grid is not None and grid.n > 1:
+    if grid.n > 1:
         lat_field = np.ones(grid.shape[:-1], dtype=complex)
         for j in range(1, grid.n):
             coords = grid.axis(j)
@@ -337,10 +331,8 @@ def _run_probe(pipeline, point, covector, k, t_width, lat_width, grid):
 def _demodulate(trace: DNTrace, point, covector, k, t_width, lat_width):
     grid = trace.grid
     times = grid.times()
-    chi = _bump((times - point[0]) / t_width)
-    phase = np.exp(1j * k * covector[0] * times)
-    w = chi
-    z = phase
+    w = _bump((times - point[0]) / t_width)
+    z = np.exp(1j * k * covector[0] * times)
     shape = trace.values.shape
     w_full = np.broadcast_to(w.reshape((len(times),) + (1,) * (len(shape) - 1)), shape).copy()
     z_full = np.broadcast_to(z.reshape((len(times),) + (1,) * (len(shape) - 1)), shape).astype(complex).copy()
@@ -361,16 +353,9 @@ def export_dn_csv(trace: DNTrace, path: str) -> None:
     n = grid.n
     axes = [grid.times()] + [grid.axis(j) for j in range(1, n)]
     header = ",".join([f"y{j}" for j in range(n)] + ["re", "im"])
-    mesh = np.meshgrid(*axes, indexing="ij")
-    vals = trace.values
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        flat = [m.ravel() for m in mesh]
-        re = vals.real.ravel()
-        im = vals.imag.ravel()
-        for i in range(re.size):
-            cells = [f"{c[i]:.17g}" for c in flat] + [f"{re[i]:.17g}", f"{im[i]:.17g}"]
-            fh.write(",".join(cells) + "\n")
+    cols = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+    data = np.column_stack(cols + [trace.values.real.ravel(), trace.values.imag.ravel()])
+    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
 def symbol_report(est: SymbolEstimate) -> str:

@@ -12,7 +12,10 @@ Conventions used throughout the laboratory:
 * expressions become arrays in one place, `_eval_table`: an Expr or nested
   lists of them, over an env of arrays, to a float array.  The metric,
   potential, Jacobian and gauge evaluations here, the solver's coefficient
-  levels, the fan's RK4 stages, the chart slab and the DN face all call it.
+  levels, the fan's RK4 stages, the chart slab and the DN face all call it;
+* per-node matrices are at most 3x3 and are factored in closed form here:
+  `_det` (cofactor expansion) and `_solve_small` (Cramer's rule on it) for
+  determinants and solves, `_sym_eigs` for the cone's 1x1/2x2 eigenvalues.
 """
 
 from __future__ import annotations
@@ -249,18 +252,48 @@ def _sampled_times(grid: SpacetimeGrid, count: int) -> np.ndarray:
 # MetricField
 # ---------------------------------------------------------------------------
 
-def _symbolic_det(entries) -> Expr:
-    size = len(entries)
+def _rows(matrix):
+    """matrix as nested rows; an ndarray (..., d, d) gives rows of per-node arrays."""
+    if not isinstance(matrix, np.ndarray):
+        return matrix
+    return [[matrix[..., i, j] for j in range(matrix.shape[-1])]
+            for i in range(matrix.shape[-2])]
+
+
+def _det(matrix):
+    """Determinant of a d x d matrix, d <= 3, by cofactor expansion.
+
+    matrix[i][j] is entry (i, j): an Expr, a number or a per-node array.  The
+    expansion only multiplies and subtracts, so the result is of the same
+    kind.  An ndarray (..., d, d) stands for its per-node matrices.
+    """
+    matrix = _rows(matrix)
+    size = len(matrix)
     if size == 1:
-        return entries[0][0]
+        return matrix[0][0]
     if size == 2:
-        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
+        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     if size == 3:
-        a, b, c = entries[0]
-        d, e, f = entries[1]
-        g, h, i = entries[2]
+        a, b, c = matrix[0]
+        d, e, f = matrix[1]
+        g, h, i = matrix[2]
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     raise ValueError("determinant implemented for sizes 1..3")
+
+
+def _solve_small(matrix, rhs):
+    """matrix^{-1} rhs per node by Cramer's rule on _det, for d <= 3.
+
+    matrix holds nested rows as for _det and rhs d per-node arrays; the d
+    solution components come back as a list.  For an ndarray matrix
+    (..., d, d) and rhs (..., d) they come back as an (..., d) array.  An
+    exactly singular node divides by zero.
+    """
+    if isinstance(matrix, np.ndarray):
+        return np.stack(_solve_small(_rows(matrix), list(np.moveaxis(rhs, -1, 0))), axis=-1)
+    det = _det(matrix)
+    return [_det([[*row[:c], r, *row[c + 1:]] for row, r in zip(matrix, rhs)]) / det
+            for c in range(len(matrix))]
 
 
 class MetricField:
@@ -305,7 +338,7 @@ class MetricField:
         return MetricField(self.n, self.g, A)
 
     def det_upper(self) -> Expr:
-        return _symbolic_det(self.g)
+        return _det(self.g)
 
     def rho(self) -> Expr:
         """Volume weight sqrt((-1)^n det[g_{jk}]) = ((-1)^n det[g^{jk}])^(-1/2)."""
@@ -428,8 +461,7 @@ class Diffeo:
         axes = [grid.axis(i) for i in range(1, grid.n + 1)]
         for t in _sampled_times(grid, 5):
             env = grid.env_at_time(t)
-            jac = self.eval_jacobian(env, shape=grid.shape)
-            det = np.linalg.det(jac)
+            det = _det(self.eval_jacobian(env, shape=grid.shape))
             bad = np.abs(det) < 1e-12
             if np.any(bad):
                 where = np.unravel_index(int(np.argmax(bad)), grid.shape)

@@ -51,7 +51,8 @@ from scipy.interpolate import (  # noqa: F401
 from scipy.spatial import Delaunay  # noqa: F401
 
 from .expr import Call, Const, Expr
-from .geometry import MetricField, SpacetimeGrid, _as_expr, _characteristic_speed
+from .geometry import (
+    MetricField, SpacetimeGrid, _as_expr, _characteristic_speed, _det, _solve_small)
 from .solver import SampledCoefficients, WaveField, solve_ibvp
 
 __all__ = [
@@ -281,16 +282,6 @@ _NEWTON_STEPS = 20
 def _grid_indices(points: np.ndarray, axes) -> np.ndarray:
     """Fractional indices of points[..., d] on the regular axes[d]."""
     return (points - [ax[0] for ax in axes]) / [ax[1] - ax[0] for ax in axes]
-
-
-def _solve_small(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """jac^{-1} res for a batch of 1x1 or 2x2 matrices (..., d, d), in closed form."""
-    if jac.shape[-1] == 1:
-        return res / jac[..., 0]
-    a, b, c, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 0], jac[..., 1, 1]
-    det = a * d - b * c
-    return np.stack([d * res[..., 0] - b * res[..., 1],
-                     a * res[..., 1] - c * res[..., 0]], axis=-1) / det[..., None]
 
 
 def _launch_indices(fan: _Fan, target_axes: tuple) -> np.ndarray:
@@ -616,21 +607,7 @@ class GoursatChart:
     @staticmethod
     def pair_jacobian() -> float:
         """|d(yn, y0)/d(s, tau)| of the linear half; 1/2 by construction."""
-        m = np.array([[-0.5, -0.5], [0.5, -0.5]])
-        return abs(float(np.linalg.det(m)))
-
-
-def _lateral_g1(ghjk: list) -> np.ndarray:
-    """Inverse absolute determinant of the lateral coefficient block."""
-    if not ghjk:
-        return None
-    m = len(ghjk)
-    shape = ghjk[0][0].shape
-    mat = np.empty(shape + (m, m))
-    for j in range(m):
-        for k in range(m):
-            mat[..., j, k] = ghjk[j][k]
-    return 1.0 / np.abs(np.linalg.det(mat))
+        return abs(_det([[-0.5, -0.5], [0.5, -0.5]]))
 
 
 def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
@@ -707,31 +684,27 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     ghpj = [0.5 * np.einsum("...jk,...j,...k->...", g, grad_p, dphi[j]) for j in range(n - 1)]
     ghjk = [[np.einsum("...jk,...j,...k->...", g, dphi[a], dphi[b]) for b in range(n - 1)]
             for a in range(n - 1)]
-    g1_x = _lateral_g1(ghjk)
-    if g1_x is None:
-        g1_x = np.ones(slab_shape)
+    g1_x = 1.0 / np.abs(_det(ghjk)) if ghjk else np.ones(slab_shape)
 
     # chart map and its Jacobian on the slab
     y0 = 0.5 * (psi_p - psi_m) + 0.5 * (T2 + T1)
     yn = 0.5 * (T2 - T1 - psi_p - psi_m)
     y_comps = [y0] + phi_ext + [yn]
     jac_rows = [0.5 * (grad_p - grad_m)] + dphi + [-0.5 * (grad_p + grad_m)]
-    jac = np.empty(slab_shape + (n + 1, n + 1))
-    for r, row in enumerate(jac_rows):
-        jac[..., r, :] = row
-    jac_det = np.linalg.det(jac)
+    jac_det = _det([[row[..., k] for k in range(n + 1)] for row in jac_rows])
     focal = (np.abs(jac_det) > j_max) | (np.abs(jac_det) < 1.0 / j_max) | (ghpm <= 0.0)
 
-    # hatted potentials from the one-form transformation rule
-    rhs = metric.eval_A(env, slab_shape)
-    M = np.empty(slab_shape + (n + 1, n + 1))
-    M[..., :, 0] = -grad_p
-    M[..., :, 1] = -grad_m
-    for j in range(n - 1):
-        M[..., :, 2 + j] = dphi[j]
-    hat = np.linalg.solve(M, rhs[..., None])[..., 0]
-    Ap_x, Am_x = hat[..., 0], hat[..., 1]
-    Aj_x = [hat[..., 2 + j] for j in range(n - 1)]
+    # hatted potentials from the one-form transformation rule: M hat = A for
+    # the columns -grad psi+, -grad psi-, grad phi_j; det M = +-2 jac_det
+    cols = [-grad_p, -grad_m] + dphi
+    M = [[col[..., i] for col in cols] for i in range(n + 1)]
+    A_x = metric.eval_A(env, slab_shape)
+    det_m = _det(M)
+    if not np.all(det_m):
+        where = np.unravel_index(int(np.argmin(np.abs(det_m))), slab_shape)
+        node = tuple(float(ax[k]) for ax, k in zip(ext_axes + (depth_nodes,), where))
+        raise FocalRegion(f"one-form system singular at slab node {node}: det {det_m[where]:.3g}")
+    Ap_x, Am_x, *Aj_x = _solve_small(M, [A_x[..., i] for i in range(n + 1)])
 
     window = _window_slices(grid, ext_axes)
     y_of_x = np.stack([c[window] for c in y_comps], axis=-1)

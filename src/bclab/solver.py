@@ -44,6 +44,7 @@ from .geometry import (
     _characteristic_speed,
     _cone,
     _cone_failures,
+    _det,
     _eval_table,
     max_characteristic_speed,
 )
@@ -268,7 +269,7 @@ class SampledCoefficients:
                 sign = (-1.0) ** self.n
                 # NaN off the cone; the level check and the NaN guard report it
                 with np.errstate(invalid="ignore"):
-                    value["rho"] = (sign * np.linalg.det(value["g"])) ** -0.5
+                    value["rho"] = (sign * _det(value["g"])) ** -0.5
             # a step reads node levels m and m + 1
             for stale in [cached for cached in self._cache if abs(cached - m) > 1]:
                 del self._cache[stale]

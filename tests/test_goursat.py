@@ -21,7 +21,7 @@ from scipy.integrate import solve_ivp
 
 from bclab.expr import parse_expr
 from bclab.geometry import (
-    MetricField, NonHyperbolic, SpacetimeGrid, _eval_table, trace_bicharacteristic)
+    MetricField, NonHyperbolic, SpacetimeGrid, _det, _eval_table, trace_bicharacteristic)
 from bclab.goursat import (
     CharacteristicCrossing,
     FocalRegion,
@@ -187,16 +187,21 @@ def test_ray_tracer_conserves_null_condition_2d():
     assert ray.max_drift() <= 1e-12
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_closed_form_newton_step_matches_solve(d):
     rng = np.random.default_rng(d)
-    # a perturbation of norm <= 0.6 keeps every singular value in [1.4, 2.6]
+    # a perturbation of norm <= 0.3 d keeps every singular value in [2 - 0.3 d, 2 + 0.3 d]
     jac = 2.0 * np.eye(d) + 0.3 * rng.uniform(-1.0, 1.0, (40, 30, d, d))
-    assert np.linalg.cond(jac).max() < 2.0
+    assert np.linalg.cond(jac).max() < (2.0 + 0.3 * d) / (2.0 - 0.3 * d)
     res = rng.standard_normal((40, 30, d))
     want = np.linalg.solve(jac, res[..., None])[..., 0]
     got = _solve_small(jac, res)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the cofactor determinant on the same batch, as nested rows and as an array
+    want = np.linalg.det(jac)
+    rows = [[jac[..., i, j] for j in range(d)] for i in range(d)]
+    for got in (_det(jac), _det(rows)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @settings(max_examples=80, deadline=None)
@@ -606,6 +611,20 @@ def test_chart_input_validation():
         build_chart(ep, em, [], 0.0, 1.5)  # window disagrees with the grid
     with pytest.raises(ValueError, match="lateral"):
         build_chart(ep, em, [np.zeros_like(ep.psi)], 0.0, 2.0)  # no laterals in 1d
+
+
+def test_chart_refuses_singular_one_form_node():
+    # psi- taking psi+'s gradient at one node makes the one-form system for the
+    # hatted potentials exactly singular there; flat phases have constant gradients
+    flat = MetricField.minkowski(1)
+    g = grid1(1 / 32)
+    ep = solve_eikonal(flat, "+", g, 0.375)
+    em = solve_eikonal(flat, "-", g, 0.375)
+    grad = em._ext_grad.copy()
+    grad[200, 3] = ep._ext_grad[200, 3]
+    em = dataclasses.replace(em, _ext_grad=grad)
+    with pytest.raises(FocalRegion, match=r"singular at slab node \(.*, 0\.09375\): det 0"):
+        build_chart(ep, em, [], 0.0, 2.0)
 
 
 def test_pad_too_small_raises():

@@ -19,6 +19,7 @@ from scipy.ndimage import binary_dilation
 from bclab.dn import dn_trace
 from bclab.expr import parse_expr
 from bclab.geometry import (
+    Diffeo,
     GaugeField,
     MetricField,
     NonHyperbolic,
@@ -27,6 +28,7 @@ from bclab.geometry import (
     check_hyperbolicity,
     influence_region,
     max_characteristic_speed,
+    pushforward,
 )
 from bclab.solver import (
     BoundarySignal,
@@ -666,6 +668,27 @@ def test_dn_trace_gauge_invariant():
         gauged = dn_trace(solve_ibvp(VAR_METRIC_1D, A, sig, g), VAR_METRIC_1D, A)
         gaps.append(float(np.max(np.abs(base.values - gauged.values))))
     assert gaps[-1] <= 1e-4
+    assert math.log2(gaps[0] / gaps[1]) >= 1.8
+    assert math.log2(gaps[1] / gaps[2]) >= 1.8
+
+
+def test_dn_trace_diffeomorphism_invariant():
+    # y1 = (e^{a x1} - 1)/(e^a - 1) fixes the face pointwise with phi'(0) ~ 0.77,
+    # so the normalized traces of the run and of its pushforward agree up to O(h^2)
+    a = 0.5
+    e = math.exp(a) - 1.0
+    phi = Diffeo(1, ["x0", f"(exp({a}*x1) - 1)/{e!r}"], ["x0", f"log(1 + {e!r}*x1)/{a}"])
+    sig = BoundarySignal(0.4, 0.3)
+    gaps = []
+    for h in (1 / 32, 1 / 64, 1 / 128):
+        probe = SpacetimeGrid(n=1, extent=(1.0,), h=(h,), dt=h / 4, t1=0.0, t2=0.9)
+        assert phi.fixes_boundary_face(probe)
+        pushed = pushforward(VAR_METRIC_1D, phi, probe)
+        dt = 0.9 * min(cfl_time_step(VAR_METRIC_1D, probe), cfl_time_step(pushed, probe))
+        g = SpacetimeGrid(n=1, extent=(1.0,), h=(h,), dt=dt, t1=0.0, t2=0.9)
+        base = dn_trace(solve_ibvp(VAR_METRIC_1D, None, sig, g), VAR_METRIC_1D)
+        moved = dn_trace(solve_ibvp(pushed, None, sig, g), pushed)
+        gaps.append(float(np.max(np.abs(base.values - moved.values))))
     assert math.log2(gaps[0] / gaps[1]) >= 1.8
     assert math.log2(gaps[1] / gaps[2]) >= 1.8
 
