@@ -86,20 +86,6 @@ class SymbolEstimate:
     samples: list
 
 
-def _face_env(grid: SpacetimeGrid) -> dict:
-    n = grid.n
-    shape = (grid.nt,) + grid.shape[:-1]
-    idx = [None] * len(shape)
-    idx[0] = slice(None)
-    env = {"x0": grid.times()[tuple(idx)]}
-    for j in range(1, n):
-        idx = [None] * len(shape)
-        idx[j] = slice(None)
-        env[f"x{j}"] = grid.axis(j)[tuple(idx)]
-    env[f"x{n}"] = 0.0
-    return env
-
-
 def _tangential_derivatives(face: np.ndarray, grid: SpacetimeGrid) -> list:
     steps = [grid.dt] + list(grid.h[:-1])
     return [np.gradient(face, steps[j], axis=j, edge_order=2)
@@ -131,7 +117,7 @@ def dn_trace(u: WaveField, metric, A=None) -> DNTrace:
         pot = metric.A if A is None else [_as_expr(a) for a in A]
         # rows: g^{jn} and A_j on the face
         coeffs = _eval_table([[metric.g[j][n] for j in range(n + 1)], pot],
-                             _face_env(grid), face.shape)
+                             grid.face_env(), face.shape)
         g_n, pot = coeffs[..., 0, :], coeffs[..., 1, :]
     values = np.zeros(face.shape, dtype=complex)
     for j in range(n + 1):

@@ -215,6 +215,15 @@ class SpacetimeGrid:
         env["x0"] = np.full(self.shape, float(t))
         return env
 
+    def face_env(self) -> dict:
+        """Env over every time level of the face x_n = 0: arrays that broadcast
+        to (nt, *face shape), with x_n the scalar 0."""
+        axes = [self.times()] + [self.axis(j) for j in range(1, self.n)]
+        env = {f"x{j}": a.reshape([-1 if i == j else 1 for i in range(self.n)])
+               for j, a in enumerate(axes)}
+        env[f"x{self.n}"] = 0.0
+        return env
+
     def patch_mask_face(self) -> np.ndarray:
         """Boolean mask over the x_n = 0 face selecting the accessible patch."""
         face_shape = self.shape[:-1] if self.n > 1 else ()
@@ -240,12 +249,6 @@ class SpacetimeGrid:
             t2=self.t2,
             boundary_patch=self.boundary_patch,
         )
-
-
-def _sampled_times(grid: SpacetimeGrid, count: int) -> np.ndarray:
-    """About count time levels of the grid, evenly strided from t1."""
-    times = grid.times()
-    return times[::max(1, (len(times) - 1) // max(1, count - 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +411,9 @@ class GaugeField:
         return np.exp(1j * _eval_table(self.phase, env))
 
     def check_on_patch(self, grid: SpacetimeGrid) -> bool:
-        """c must be 1 on the accessible patch, to 1e-12, at nine time levels."""
-        mask = grid.patch_mask_face()
-        for t in _sampled_times(grid, 9):
-            env = grid.env_at_time(t)
-            face_env = {key: np.asarray(v)[..., 0] for key, v in env.items()}
-            c = self.eval_c(face_env)
-            offset = np.abs(np.asarray(c) - 1.0)
-            if np.any(offset[np.asarray(mask)] > 1e-12):
-                return False
-        return True
+        """c must be 1 on the accessible patch, to 1e-12, at every time level."""
+        offset = np.abs(self.eval_c(grid.face_env()) - 1.0)
+        return not np.any(~(offset <= 1e-12) & grid.patch_mask_face())  # NaN counts as bad
 
 
 class Diffeo:
@@ -456,26 +452,31 @@ class Diffeo:
         return _eval_table(self.jacobian, env, shape)
 
     def check_nonsingular(self, grid: SpacetimeGrid):
-        """Raise SingularJacobian at the first node, over five time levels, where
-        |det dy/dx| < 1e-12."""
+        """Raise SingularJacobian at the first node, over every time level, where
+        det dy/dx is below 1e-12 in magnitude or has the other sign than at the
+        first node."""
         axes = [grid.axis(i) for i in range(1, grid.n + 1)]
-        for t in _sampled_times(grid, 5):
-            env = grid.env_at_time(t)
-            det = _det(self.eval_jacobian(env, shape=grid.shape))
-            bad = np.abs(det) < 1e-12
+        first = None
+        for t in grid.times():
+            det = _det(self.eval_jacobian(grid.env_at_time(t), shape=grid.shape))
+            if first is None:
+                first = float(det.flat[0])
+            bad = ~(math.copysign(1.0, first) * det >= 1e-12)  # NaN counts as bad
             if np.any(bad):
                 where = np.unravel_index(int(np.argmax(bad)), grid.shape)
                 node = (float(t),) + tuple(float(axes[i][where[i]]) for i in range(grid.n))
-                raise SingularJacobian(f"Jacobian determinant vanishes at {node}")
+                raise SingularJacobian(
+                    f"Jacobian determinant {float(det[where]):.6g} at {node} vanishes or "
+                    f"has the other sign than {first:.6g} at the first node")
 
     def slices_spacelike(self, metric: MetricField, grid: SpacetimeGrid) -> bool:
         """Level sets of the new time coordinate must be space-like for the metric.
 
         The normal covector of {y_0 = const} in the source frame is grad y_0,
         so the criterion is sum g^{pr} (dy0/dx_p)(dy0/dx_r) > 0 at every node
-        of five time levels.
+        of every time level.
         """
-        for t in _sampled_times(grid, 5):
+        for t in grid.times():
             env = grid.env_at_time(t)
             g = metric.eval_g(env, shape=grid.shape)
             grad = _eval_table(self.jacobian[0], env, grid.shape)
@@ -485,20 +486,10 @@ class Diffeo:
         return True
 
     def fixes_boundary_face(self, grid: SpacetimeGrid) -> bool:
-        """y(x) = x, to 1e-10, on the face x_n = 0 at the middle time level."""
-        times = grid.times()
-        env = grid.env_at_time(times[len(times) // 2])
-        face_env = {}
-        for key, value in env.items():
-            arr = np.asarray(value)
-            face_env[key] = arr[..., 0] if arr.ndim else arr
-        ys = self.eval_forward(face_env)
-        for j in range(self.n + 1):
-            name = f"x{j}"
-            ref = face_env[name] if name in face_env else 0.0
-            if np.max(np.abs(ys[..., j] - ref)) > 1e-10:
-                return False
-        return True
+        """y(x) = x, to 1e-10, on the face x_n = 0 at every time level."""
+        env = grid.face_env()
+        ys = self.eval_forward(env)
+        return all(np.max(np.abs(ys[..., j] - env[f"x{j}"])) <= 1e-10 for j in range(self.n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +566,12 @@ def _cone(g: np.ndarray) -> dict:
 def max_characteristic_speed(metric: MetricField, grid: SpacetimeGrid) -> float:
     """Max |xi_0| over unit spatial covectors: the fastest local phase speed.
 
-    Sampled at nine time levels and over direction_sample; cfl_time_step
-    takes its step from it.
+    Sampled at nine time levels, evenly strided from t1, and over
+    direction_sample; cfl_time_step takes its step from it.
     """
+    times = grid.times()
     return max(_characteristic_speed(metric.eval_g(grid.env_at_time(t), shape=grid.shape))
-               for t in _sampled_times(grid, 9))
+               for t in times[::max(1, (len(times) - 1) // 8)])
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +584,7 @@ class HyperbolicityReport:
     c0: float
     c1: float
     min_discriminant: float
-    boundary_form_max: float  # max over patch of sum g^{jk} nu_j nu_k (must be < 0)
+    boundary_form_max: float  # max over the whole face x_n = 0 of g^{nn} (must be < 0)
     failures: list = field(default_factory=list)
 
     def raise_if_failed(self):
@@ -619,25 +611,21 @@ def _cone_failures(g: np.ndarray, cone: dict, t: float, axes: list) -> list:
             for condition, values, sign in checks if np.min(values) <= 0.0]
 
 
-def check_hyperbolicity(metric: MetricField, grid: SpacetimeGrid, time_samples: int = 9) -> HyperbolicityReport:
-    """Check the cone conditions in closed form at time_samples levels (and t2).
+def check_hyperbolicity(metric: MetricField, grid: SpacetimeGrid) -> HyperbolicityReport:
+    """Check the cone conditions in closed form at every time level.
 
     Checks: g^{00} >= c0 > 0; spatial block negative definite (c1 > 0); the
     two roots of the characteristic polynomial real and distinct for every
-    spatial covector (positive discriminant); the boundary face time-like.
-    Each level is exact over covectors (`_cone`); solve_ibvp applies the same
+    spatial covector (positive discriminant); the whole face x_n = 0
+    time-like.  Each level is exact over covectors (`_cone`) and is evaluated
+    on its own, so memory stays at one level; solve_ibvp applies the same
     check to every level it steps through.
     """
-    sampled = list(_sampled_times(grid, time_samples))
-    last = grid.times()[-1]
-    if last not in sampled:
-        sampled.append(last)
-
     axes = [grid.axis(i) for i in range(1, metric.n + 1)]
     c0 = c1 = min_disc = math.inf
     boundary_max = -math.inf
     first = {}  # the first failure of each condition
-    for t in sampled:
+    for t in grid.times():
         g = metric.eval_g(grid.env_at_time(t), shape=grid.shape)
         cone = _cone(g)
         c0 = min(c0, float(np.min(g[..., 0, 0])))

@@ -727,6 +727,16 @@ def _time_index(grid: SpacetimeGrid, t: float) -> int:
     return m
 
 
+def _time_derivative(u: WaveField, m: int) -> np.ndarray:
+    """d_t u at level m: centred inside the window, one-sided at its ends."""
+    dt = u.grid.dt
+    if m == 0:
+        return (u.slice(1) - u.slice(0)) / dt
+    if m == u.grid.nt - 1:
+        return (u.slice(m) - u.slice(m - 1)) / dt
+    return (u.slice(m + 1) - u.slice(m - 1)) / (2.0 * dt)
+
+
 def energy(u: WaveField, t: float, metric: MetricField, A=None) -> float:
     """Slice energy: the integral of |D_0 u|^2 - sum g^{jk} D_j u conj(D_k u).
 
@@ -734,9 +744,7 @@ def energy(u: WaveField, t: float, metric: MetricField, A=None) -> float:
     """
     grid = u.grid
     m = _time_index(grid, t)
-    samples = u.samples
-    if samples is None:
-        raise ValueError("energy needs a fully stored field")
+    um = u.slice(m)
     n = grid.n
     env = grid.env_at_time(t)
     shape = grid.shape
@@ -745,14 +753,7 @@ def energy(u: WaveField, t: float, metric: MetricField, A=None) -> float:
     A_vals = metric.eval_A(env, shape=shape)
     g = metric.eval_g(env, shape=shape)
 
-    um = samples[m]
-    if m == 0:
-        du0 = (samples[1] - samples[0]) / grid.dt
-    elif m == grid.nt - 1:
-        du0 = (samples[m] - samples[m - 1]) / grid.dt
-    else:
-        du0 = (samples[m + 1] - samples[m - 1]) / (2.0 * grid.dt)
-    d0 = du0 - 1j * A_vals[..., 0] * um
+    d0 = _time_derivative(u, m) - 1j * A_vals[..., 0] * um
     dsp = [np.gradient(um, grid.h[k - 1], axis=k - 1) - 1j * A_vals[..., k] * um
            for k in range(1, n + 1)]
 
@@ -769,15 +770,8 @@ def energy(u: WaveField, t: float, metric: MetricField, A=None) -> float:
 def graph_norm_sq(u: WaveField, m: int) -> float:
     """Discrete H1 x L2 graph norm ||u(t)||_1^2 + ||u_t(t)||_0^2 at level m."""
     grid = u.grid
-    samples = u.samples
-    um = samples[m]
-    if m == 0:
-        du0 = (samples[1] - samples[0]) / grid.dt
-    elif m == grid.nt - 1:
-        du0 = (samples[m] - samples[m - 1]) / grid.dt
-    else:
-        du0 = (samples[m + 1] - samples[m - 1]) / (2.0 * grid.dt)
-    total = np.abs(um) ** 2 + np.abs(du0) ** 2
+    um = u.slice(m)
+    total = np.abs(um) ** 2 + np.abs(_time_derivative(u, m)) ** 2
     for axis in range(grid.n):
         total = total + np.abs(np.gradient(um, grid.h[axis], axis=axis)) ** 2
     for axis in reversed(range(grid.n)):

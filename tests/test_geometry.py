@@ -126,7 +126,7 @@ def test_discriminant_scan_matches_bruteforce_oracle():
     oracle_min = float(disc.min())
 
     metric = MetricField(1, [["1", "0.2*sin(x0)"], ["0.2*sin(x0)", "-(1 + 0.3*sin(x0)*sin(x1))"]])
-    report = check_hyperbolicity(metric, _grid1(), time_samples=33)
+    report = check_hyperbolicity(metric, _grid1())
     assert report.passed
     assert report.min_discriminant == pytest.approx(oracle_min, abs=1e-6)
     assert oracle_min == pytest.approx(1.0, abs=1e-12)  # attained on the x0 = 0 slice
@@ -434,6 +434,37 @@ def test_diffeo_fixes_face_and_spacelike_slices():
     assert phi.slices_spacelike(MetricField.minkowski(2), grid)
     tilted = Diffeo(2, ["x0 + 2*x1", "x1", "x2"], ["x0 - 2*x1", "x1", "x2"])
     assert not tilted.slices_spacelike(MetricField.minkowski(2), grid)
+
+
+def _refuses_fold():
+    # det dy/dx = cos(4 x0) changes sign at t = pi/8, between the levels 7/32
+    # and 7/16 of a five-level sample; the first level past it is t = 51/128
+    grid = SpacetimeGrid(n=1, extent=(1.0,), h=(1 / 32,), dt=1 / 128, t1=0.0, t2=0.9)
+    phi = Diffeo(1, ["x0", "x1*cos(4*x0)"], ["x0", "x1/cos(4*x0)"])
+    with pytest.raises(SingularJacobian, match=r"at \(0\.3984375, 0\.0\)"):
+        pushforward(MetricField.minkowski(1), phi, grid)
+    return True
+
+
+def _refuses_nan_phase():
+    with np.errstate(invalid="ignore"):
+        return not GaugeField("sqrt(-x0)").check_on_patch(_grid2())
+
+
+@pytest.mark.parametrize("refuses", [
+    lambda: not GaugeField("sin(8*pi*x0)*(1 + x1)").check_on_patch(_grid2(h=1 / 32, t2=1.0)),
+    _refuses_fold,
+    lambda: not Diffeo(1, ["x0 + 2*sin(8*pi*x0)^2*x1", "x1"]).slices_spacelike(
+        MetricField.minkowski(1), _grid1()),
+    lambda: not Diffeo(1, ["x0", "x1 + (x0 - 0.5)^2*(1 - x1)"]).fixes_boundary_face(_grid1()),
+    _refuses_nan_phase,
+], ids=["check_on_patch", "check_nonsingular", "slices_spacelike", "fixes_boundary_face",
+        "check_on_patch_nan"])
+def test_geometric_checks_walk_every_level(refuses):
+    # each of the first four gauges or maps meets its condition at t = k/8,
+    # t = k/4 and the middle level, which a sampling check would look at, and
+    # fails between them; the last phase is NaN past t = 0
+    assert refuses()
 
 
 # ===== bicharacteristics =====================================================

@@ -107,12 +107,13 @@ def test_instability_detected_past_cfl():
     ("-1 + 1.5*sin(8*pi*x0)^2", NonHyperbolic),  # g^{11} > 0 between samples
 ])
 def test_every_level_checked_between_samples(g11, error):
-    # g^{11} = -1 at the nine levels t = k/8 that check_hyperbolicity and
-    # max_characteristic_speed sample; the run must refuse the first bad
-    # level it reaches, before the guard sees any growth
+    # g^{11} = -1 at the nine levels t = k/8 that max_characteristic_speed
+    # samples; check_hyperbolicity walks every level, so it refuses the
+    # non-hyperbolic metric, and the run must refuse the first bad level it
+    # reaches, before the guard sees any growth
     g = SpacetimeGrid(n=1, extent=(1.0,), h=(1 / 32,), dt=1 / 64, t1=0.0, t2=1.0)
     metric = MetricField(1, [["1", "0"], ["0", g11]])
-    assert check_hyperbolicity(metric, g).passed
+    assert check_hyperbolicity(metric, g).passed == (error is CFLViolation)
     assert max_characteristic_speed(metric, g) == pytest.approx(1.0)
     with pytest.raises(error) as err:
         solve_ibvp(metric, None, BoundarySignal(0.3, 0.2), g)
@@ -691,6 +692,16 @@ def test_dn_trace_diffeomorphism_invariant():
         gaps.append(float(np.max(np.abs(base.values - moved.values))))
     assert math.log2(gaps[0] / gaps[1]) >= 1.8
     assert math.log2(gaps[1] / gaps[2]) >= 1.8
+
+
+def test_norms_need_full_samples():
+    g = grid1(1 / 32, t2=0.5)
+    slim = solve_ibvp(MetricField.minkowski(1), None, BoundarySignal(0.2, 0.1), g,
+                      store="boundary")
+    with pytest.raises(ValueError, match="full samples"):
+        graph_norm_sq(slim, 1)
+    with pytest.raises(ValueError, match="full samples"):
+        energy(slim, g.times()[1], MetricField.minkowski(1))
 
 
 def test_graph_norm_bound_refinement_stable():
