@@ -336,10 +336,8 @@ def _demodulate(trace: DNTrace, point, covector, k, t_width, lat_width):
 def export_dn_csv(trace: DNTrace, path: str) -> None:
     """Write the trace as one row per face node: coordinates, Re, Im."""
     grid = trace.grid
-    n = grid.n
-    axes = [grid.times()] + [grid.axis(j) for j in range(1, n)]
-    header = ",".join([f"y{j}" for j in range(n)] + ["re", "im"])
-    cols = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+    header = ",".join([f"y{j}" for j in range(grid.n)] + ["re", "im"])
+    cols = [m.ravel() for m in np.meshgrid(*grid.face_axes(), indexing="ij")]
     data = np.column_stack(cols + [trace.values.real.ravel(), trace.values.imag.ravel()])
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 

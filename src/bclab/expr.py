@@ -38,8 +38,6 @@ __all__ = [
     "Call",
     "ExprError",
     "parse_expr",
-    "const",
-    "var",
 ]
 
 _FUNCTIONS = {
@@ -425,14 +423,6 @@ def _wrap_tight(e: Expr) -> str:
     if isinstance(e, (Add, Sub, Mul, Div, Neg, Pow)):
         return f"({e.render()})"
     return e.render()
-
-
-def const(v: float) -> Const:
-    return Const(float(v))
-
-
-def var(name: str) -> Var:
-    return Var(name)
 
 
 # ---------------------------------------------------------------------------

@@ -215,12 +215,15 @@ class SpacetimeGrid:
         env["x0"] = np.full(self.shape, float(t))
         return env
 
+    def face_axes(self) -> list:
+        """Coordinates of the face x_n = 0 over the window: the times, then x1..x_{n-1}."""
+        return [self.times()] + [self.axis(j) for j in range(1, self.n)]
+
     def face_env(self) -> dict:
         """Env over every time level of the face x_n = 0: arrays that broadcast
         to (nt, *face shape), with x_n the scalar 0."""
-        axes = [self.times()] + [self.axis(j) for j in range(1, self.n)]
         env = {f"x{j}": a.reshape([-1 if i == j else 1 for i in range(self.n)])
-               for j, a in enumerate(axes)}
+               for j, a in enumerate(self.face_axes())}
         env[f"x{self.n}"] = 0.0
         return env
 
@@ -847,8 +850,8 @@ def _cone_speed(metric: MetricField, points_env: dict, direction: np.ndarray, t:
     env["x0"] = t
     shape = np.broadcast_shapes(*[np.shape(v) for v in env.values()])
     g_up = metric.eval_g(env, shape=shape)
-    g_lo = np.linalg.inv(g_up)
     n = metric.n
+    g_lo = np.stack([_solve_small(g_up, e) for e in np.eye(n + 1)], axis=-1)
     w = direction * sign
     a = np.zeros(shape)
     b = np.zeros(shape)

@@ -32,7 +32,9 @@ ray through every slab node come from Newton on the row's interpolant,
 warm-started from the row above.  The phase and the lateral coordinates are
 affine in those indices; the covector slots take one stencil evaluation.
 The chart pull samples the slab fields at the ray points and the ray
-samples at the chart's launch lattice the same way.
+samples at the chart's launch lattice the same way.  Along each ray the
+pull's depth lookup and row values use the 1-axis form of the same stencil,
+_row_lagrange, one fractional row per column.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ from scipy.interpolate import (  # noqa: F401
 from scipy.spatial import Delaunay  # noqa: F401
 
 from .expr import Call, Const, Expr
-from .geometry import (
-    MetricField, SpacetimeGrid, _as_expr, _characteristic_speed, _det, _solve_small)
+from .geometry import MetricField, SpacetimeGrid, _as_expr, _cone, _det, _solve_small
 from .solver import SampledCoefficients, WaveField, solve_ibvp
 
 __all__ = [
@@ -114,23 +115,10 @@ def _fan_env(n: int, pos: np.ndarray, z: float) -> dict:
 class _Fan:
     """One characteristic family, integrated in depth from a padded face lattice."""
 
-    side: str
     axes: tuple            # launch coordinate arrays (time, lateral...)
     depth_nodes: np.ndarray
     pos: np.ndarray        # (nz+1, *lattice, n) tangential positions
-    ptan: np.ndarray       # (nz+1, *lattice, n) tangential covector
-    pn: np.ndarray         # (nz+1, *lattice) depth covector component
-
-    def trimmed(self, slices: tuple) -> "_Fan":
-        take = (slice(None),) + slices
-        return _Fan(
-            side=self.side,
-            axes=tuple(ax[s] for ax, s in zip(self.axes, slices)),
-            depth_nodes=self.depth_nodes,
-            pos=self.pos[take],
-            ptan=self.ptan[take],
-            pn=self.pn[take],
-        )
+    p: np.ndarray          # (nz+1, *lattice, n+1) covector, depth component last
 
 
 def _fan_row(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
@@ -189,10 +177,7 @@ def _check_fold(pos_row: np.ndarray, side: str, z: float):
 
 def _slope_bound(metric: MetricField, grid: SpacetimeGrid) -> float:
     """Largest tangential drift per unit depth of either family at the face."""
-    n = grid.n
-    axes = [grid.times()] + [grid.axis(i) for i in range(1, n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pos = np.stack(mesh, axis=-1)
+    pos = np.stack(np.meshgrid(*grid.face_axes(), indexing="ij"), axis=-1)
     worst = 0.0
     for sign in (1.0, -1.0):
         ptan = np.zeros(pos.shape)
@@ -220,8 +205,7 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
     lattice = mesh[0].shape
 
     pos = np.empty((nz + 1,) + lattice + (n,))
-    ptan = np.empty_like(pos)
-    pn = np.empty((nz + 1,) + lattice)
+    p = np.empty((nz + 1,) + lattice + (n + 1,))
     cur_pos = np.stack(mesh, axis=-1)
     cur_p = np.zeros(lattice + (n,))
     cur_p[..., 0] = 1.0 if side == "+" else -1.0
@@ -229,7 +213,7 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
     zs = hz * np.arange(nz + 1)
     for m in range(nz + 1):
         row = _fan_row(metric, cur_pos, cur_p, zs[m])
-        pos[m], ptan[m], pn[m] = cur_pos, cur_p, row[2]
+        pos[m], p[m, ..., :n], p[m, ..., n] = cur_pos, cur_p, row[2]
         _check_fold(pos[m], side, zs[m])
         if m == nz:
             break
@@ -240,7 +224,7 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
         cur_pos = cur_pos + (hz / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         cur_p = cur_p + (hz / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
 
-    return _Fan(side, tuple(axes), zs, pos, ptan, pn)
+    return _Fan(tuple(axes), zs, pos, p)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +318,7 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
     launch = np.empty(tdim + (nrows, n))
     slots = np.empty(tdim + (nrows, n + 1))
     for m in range(nrows):
-        row = np.concatenate([fan.ptan[m], fan.pn[m][..., None]], axis=-1)
-        slots[..., m, :] = _lagrange(row, idx[m])
+        slots[..., m, :] = _lagrange(fan.p[m], idx[m])
     for d, ax in enumerate(fan.axes):
         launch[..., d] = ax[0] + (ax[1] - ax[0]) * np.moveaxis(idx[..., d], 0, -1)
     return launch, slots
@@ -387,8 +370,7 @@ class EikonalField:
         return np.einsum("...jk,...j,...k->...", g, grad, grad)
 
     def _env(self) -> dict:
-        return _slab_env(self.grid.times(), *[self.grid.axis(i) for i in range(1, self.grid.n)],
-                         self.depth_nodes)
+        return _slab_env(*self.grid.face_axes(), self.depth_nodes)
 
     def boundary_slope(self) -> np.ndarray:
         """Depth derivative of the phase on the face x_n = 0."""
@@ -424,7 +406,7 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
     ext_psi = launch[..., 0] - grid.t1 if side == "+" else grid.t2 - launch[..., 0]
     ext_phi = [launch[..., j] for j in range(1, grid.n)] if side == "-" else []
 
-    window = _window_slices(grid, ext_axes)
+    window = _window_slices(ext_axes, grid.face_axes())
     return EikonalField(
         psi=ext_psi[window],
         side=side,
@@ -447,16 +429,14 @@ def _default_pads(grid: SpacetimeGrid, depth: float, slope: float) -> tuple:
     return drift + 0.5 * (grid.t2 - grid.t1) + 4.0 * grid.dt, drift + 4.0 * max(grid.h)
 
 
-def _window_slices(grid: SpacetimeGrid, ext_axes: tuple) -> tuple:
+def _window_slices(axes, window_axes) -> tuple:
+    """Slices of the regular axes that select window_axes, a window on the same lattice."""
     sl = []
-    starts = [grid.t1] + [0.0] * (grid.n - 1)
-    counts = [grid.nt] + [grid.shape[i] for i in range(grid.n - 1)]
-    steps = [grid.dt] + list(grid.h[:-1])
-    for ax, start, count, step in zip(ext_axes, starts, counts, steps):
-        i0 = int(round((start - ax[0]) / step))
-        if not np.isclose(ax[i0], start, atol=1e-9):
-            raise AssertionError("extended axes misaligned with the grid window")
-        sl.append(slice(i0, i0 + count))
+    for ax, win in zip(axes, window_axes):
+        i0 = int(round((win[0] - ax[0]) / (ax[1] - ax[0])))
+        if not np.isclose(ax[i0], win[0], atol=1e-9):
+            raise AssertionError("extended axes misaligned with the window")
+        sl.append(slice(i0, i0 + len(win)))
     return tuple(sl)
 
 
@@ -472,7 +452,7 @@ def solve_transport_phi(metric: MetricField, psi_minus: EikonalField,
     """
     if psi_minus.side != "-":
         raise ValueError("transport runs along the receding ('-') family")
-    window = _window_slices(grid, psi_minus._ext_axes)
+    window = _window_slices(psi_minus._ext_axes, grid.face_axes())
     return [p[window] for p in psi_minus._ext_phi]
 
 
@@ -496,26 +476,15 @@ def _lagrange_dweights(t: np.ndarray):
     return dm1, d0, dp1, dp2
 
 
-def _row_base(size: int, r: np.ndarray):
-    i0 = np.clip(np.floor(r).astype(int), 1, size - 3)
-    return i0, r - i0
-
-
-def _row_gather(F: np.ndarray, i0: np.ndarray, weights) -> np.ndarray:
+def _row_lagrange(F: np.ndarray, r: np.ndarray, weights) -> np.ndarray:
+    """4-point Lagrange evaluation along axis 0 of F (nrows, *cols) at one
+    fractional row r[cols] per column; weights is _lagrange_weights for values
+    or _lagrange_dweights for slopes.  Near an edge the stencil clamps."""
+    i0 = np.clip(np.floor(r).astype(int), 1, F.shape[0] - 3)
     out = np.zeros(i0.shape, dtype=F.dtype)
-    for off, w in zip((-1, 0, 1, 2), weights):
+    for off, w in zip((-1, 0, 1, 2), weights(r - i0)):
         out += w * np.take_along_axis(F, (i0 + off)[None, ...], axis=0)[0]
     return out
-
-
-def _row_value(F, r):
-    i0, t = _row_base(F.shape[0], r)
-    return _row_gather(F, i0, _lagrange_weights(t))
-
-
-def _row_slope(F, r):
-    i0, t = _row_base(F.shape[0], r)
-    return _row_gather(F, i0, _lagrange_dweights(t))
 
 
 def _contract(cells: list, weights) -> list:
@@ -537,9 +506,9 @@ def _lagrange(F: np.ndarray, fracs: np.ndarray, slopes: bool = False):
     strides = [int(np.prod(shape[d + 1:])) for d in range(ndim)]
     base, ts = 0, []
     for d in range(ndim):
-        i0, t = _row_base(shape[d], fracs[..., d])
+        i0 = np.clip(np.floor(fracs[..., d]).astype(int), 1, shape[d] - 3)
         base = base + strides[d] * i0
-        ts.append(t)
+        ts.append(fracs[..., d] - i0)
     # components first, so the weights broadcast over the trailing point axes
     planes = np.moveaxis(F, -1, 0).reshape(F.shape[-1], -1)
     cells = [planes.take(base + int(np.dot(offs, strides)), axis=1)
@@ -659,19 +628,11 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
         ext_axes.append(ax_p[k0:k1 + 1])
     ext_axes = tuple(ext_axes)
 
-    def on_axes(field_ext, source_axes):
-        sl = []
-        for ax_src, ax_dst, s in zip(source_axes, ext_axes, [grid.dt] + list(grid.h[:-1])):
-            i0 = int(round((ax_dst[0] - ax_src[0]) / s))
-            sl.append(slice(i0, i0 + len(ax_dst)))
-        return field_ext[tuple(sl)]
-
-    psi_p = on_axes(psi_plus._ext_psi, psi_plus._ext_axes)
-    grad_p = on_axes(psi_plus._ext_grad, psi_plus._ext_axes)
-    psi_m = on_axes(psi_minus._ext_psi, psi_minus._ext_axes)
-    grad_m = on_axes(psi_minus._ext_grad, psi_minus._ext_axes)
-
-    phi_ext = [on_axes(p, psi_minus._ext_axes) for p in psi_minus._ext_phi]
+    plus = _window_slices(psi_plus._ext_axes, ext_axes)
+    minus = _window_slices(psi_minus._ext_axes, ext_axes)
+    psi_p, grad_p = psi_plus._ext_psi[plus], psi_plus._ext_grad[plus]
+    psi_m, grad_m = psi_minus._ext_psi[minus], psi_minus._ext_grad[minus]
+    phi_ext = [p[minus] for p in psi_minus._ext_phi]
 
     spacings = [grid.dt] + list(grid.h[:-1]) + [hz]
     dphi = [np.stack(np.gradient(p, *spacings, edge_order=2), axis=-1) for p in phi_ext]
@@ -687,8 +648,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     g1_x = 1.0 / np.abs(_det(ghjk)) if ghjk else np.ones(slab_shape)
 
     # chart map and its Jacobian on the slab
-    y0 = 0.5 * (psi_p - psi_m) + 0.5 * (T2 + T1)
-    yn = 0.5 * (T2 - T1 - psi_p - psi_m)
+    y0, yn = GoursatChart.pair_to_normal(psi_p, psi_m, T1, T2)
     y_comps = [y0] + phi_ext + [yn]
     jac_rows = [0.5 * (grad_p - grad_m)] + dphi + [-0.5 * (grad_p + grad_m)]
     jac_det = _det([[row[..., k] for k in range(n + 1)] for row in jac_rows])
@@ -706,7 +666,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
         raise FocalRegion(f"one-form system singular at slab node {node}: det {det_m[where]:.3g}")
     Ap_x, Am_x, *Aj_x = _solve_small(M, [A_x[..., i] for i in range(n + 1)])
 
-    window = _window_slices(grid, ext_axes)
+    window = _window_slices(ext_axes, grid.face_axes())
     y_of_x = np.stack([c[window] for c in y_comps], axis=-1)
 
     # ---- pull the coefficient fields onto a chart-space rectangle ----------
@@ -767,7 +727,9 @@ def _trim_fan(fan: _Fan, ext_axes: tuple) -> _Fan:
         if idx.size < 8:
             raise ValueError("too few rays stay inside the slab; increase pads")
         slices.append(slice(idx[0], idx[-1] + 1))
-    return fan.trimmed(tuple(slices))
+    take = (slice(None),) + tuple(slices)
+    return _Fan(tuple(ax[s] for ax, s in zip(fan.axes, slices)), fan.depth_nodes,
+                fan.pos[take], fan.p[take])
 
 
 def _fields_at_fan(fan: _Fan, ext_axes: tuple, slab_fields: dict) -> dict:
@@ -859,8 +821,8 @@ def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
     theta = np.where(hi > lo, (ss - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
     r = np.clip(k - 1 + theta, 0.0, nrows - 1.0)
     for _ in range(2):
-        fval = _row_value(S_t, r)
-        slope = _row_slope(S_t, r)
+        fval = _row_lagrange(S_t, r, _lagrange_weights)
+        slope = _row_lagrange(S_t, r, _lagrange_dweights)
         slope = np.where(np.abs(slope) < 1e-14, -1e-14, slope)
         r = np.clip(r - (fval - s_star) / slope, 0.0, nrows - 1.0)
 
@@ -872,7 +834,7 @@ def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
     y_grid = SpacetimeGrid(n=n, extent=extent, h=h, dt=dty, t1=T1, t2=T2,
                            boundary_patch=grid.boundary_patch)
 
-    miss = to_y_shape(np.abs(_row_value(S_t, r) - s_star))
+    miss = to_y_shape(np.abs(_row_lagrange(S_t, r, _lagrange_weights) - s_star))
     bad = miss > 1e-9 * dty
     if np.any(bad):
         worst = np.unravel_index(np.argmax(miss), miss.shape)
@@ -883,7 +845,8 @@ def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
             f"y = ({', '.join(f'{c:.4f}' for c in node)})); refine the slab depth step"
         )
 
-    pulled = {name: to_y_shape(_row_value(rows[:, cols], r)) for name, rows in stage1.items()}
+    pulled = {name: to_y_shape(_row_lagrange(rows[:, cols], r, _lagrange_weights))
+              for name, rows in stage1.items()}
     row_index = to_y_shape(r)
     return y_grid, pulled, row_index
 
@@ -915,7 +878,6 @@ class TransformedOperator:
     rho: np.ndarray
     g1: np.ndarray
     d_gauge: np.ndarray
-    vmax: float
     chart: GoursatChart
 
     def provider(self) -> SampledCoefficients:
@@ -1077,7 +1039,6 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart) -> Transform
     for j in range(1, n):
         A_vec[..., j] = A_j[j - 1]
 
-    vmax = _characteristic_speed(G)
     return TransformedOperator(
         g0_plus_j=g0_plus_j,
         g0_jk=g0_jk,
@@ -1091,14 +1052,14 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart) -> Transform
         rho=np.ones(y_grid.shape),
         g1=chart.g1,
         d_gauge=chart.d_gauge,
-        vmax=vmax,
         chart=chart,
     )
 
 
 def transformed_time_step(op: TransformedOperator) -> float:
-    """Half the CFL-limited step of the operator's chart rectangle."""
-    return 0.5 * min(op.grid.h) / op.vmax
+    """Half the CFL-limited step of the operator's chart rectangle, at the
+    closed-form cone speed bound that solve_ibvp checks every level against."""
+    return 0.5 * min(op.grid.h) / float(np.max(_cone(op.metric_matrix)["speed"]))
 
 
 def solve_transformed_ibvp(op: TransformedOperator, f, grid: SpacetimeGrid,
@@ -1108,13 +1069,11 @@ def solve_transformed_ibvp(op: TransformedOperator, f, grid: SpacetimeGrid,
     f is face data in chart coordinates (identical to face data in the
     original coordinates, since the chart restricts to the identity there).
     Remaining keyword arguments pass through to the forward solver, which
-    checks every level.  The returned cfl_number is dt * op.vmax / min(h).
+    checks every level and reports the realised CFL.
     """
     if grid != op.grid:
         raise ValueError("grid must be the operator's chart rectangle")
-    wf = solve_ibvp(None, None, f, grid, forcing, provider=op.provider(), **kwargs)
-    wf.cfl_number = grid.dt * op.vmax / min(grid.h)
-    return wf
+    return solve_ibvp(None, None, f, grid, forcing, provider=op.provider(), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -1175,8 +1134,7 @@ def export_chart_csv(chart: GoursatChart, path: str) -> None:
     """Write the slab nodes with their chart images and Jacobian to CSV."""
     grid = chart.grid
     n = grid.n
-    axes = [grid.times()] + [grid.axis(i) for i in range(1, n)] + [chart.depth_nodes]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*grid.face_axes(), chart.depth_nodes, indexing="ij")
     cols = [m.ravel() for m in mesh]
     for c in range(n + 1):
         cols.append(chart.y_of_x[..., c].ravel())

@@ -21,8 +21,9 @@ One provider, SampledCoefficients, feeds the stepper.  It holds the
 coefficients as node samples, one time level at a time: read from arrays, or
 evaluated from the metric's expressions when the run is expression-backed.
 The staggered values are second-order averages of those samples.  Optional
-hooks used by the transformed-operator pipeline: a forcing term, a
-first-order term sum_j b_j d_j u and a zeroth-order term c u.
+hooks: a forcing term, a first-order term sum_j b_j d_j u and a zeroth-order
+term c u.  The transformed-operator pipeline uses the forcing and the
+zeroth-order term (its V1).
 
 Every node level, chart runs included, is checked once when a step first
 reads it: the cone conditions in closed form at every node, and the CFL bound.
