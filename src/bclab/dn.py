@@ -86,12 +86,6 @@ class SymbolEstimate:
     samples: list
 
 
-def _tangential_derivatives(face: np.ndarray, grid: SpacetimeGrid) -> list:
-    steps = [grid.dt] + list(grid.h[:-1])
-    return [np.gradient(face, steps[j], axis=j, edge_order=2)
-            for j in range(grid.n)]
-
-
 def dn_trace(u: WaveField, metric, A=None) -> DNTrace:
     """Neumann trace of a forward run on the accessible face, on u.grid.
 
@@ -106,7 +100,7 @@ def dn_trace(u: WaveField, metric, A=None) -> DNTrace:
     layers = u.boundary_layers
     face = layers[..., 0]
     du_n = (-3.0 * layers[..., 0] + 4.0 * layers[..., 1] - layers[..., 2]) / (2.0 * grid.h[-1])
-    d_tan = _tangential_derivatives(face, grid)
+    steps = grid.steps()
 
     if isinstance(metric, TransformedOperator):
         if grid != metric.grid:
@@ -124,7 +118,7 @@ def dn_trace(u: WaveField, metric, A=None) -> DNTrace:
         gjn = g_n[..., j]
         if not np.any(gjn):
             continue
-        dj = du_n if j == n else d_tan[j]
+        dj = du_n if j == n else np.gradient(face, steps[j], axis=j, edge_order=2)
         values = values - gjn * (dj - 1j * pot[..., j] * face)
     values = values / np.sqrt(-g_n[..., n])
     return DNTrace(values=values, normal_order=2, grid=grid)
@@ -139,7 +133,9 @@ def transform_dn(dn: DNTrace, boundary_coeffs: dict, f=None) -> DNTrace:
     problem whose Dirichlet datum is g1^(1/4) f.  Algebraic in the trace and
     the datum; the only derivatives taken are of the face coefficients.
     f holds the datum samples on the face at the trace's nodes; omitting it
-    asserts a vanishing datum, which kills the drift term.
+    asserts a vanishing datum, which kills the drift term.  With q = g1^(1/4)
+    and b_j = g0_plus_j, the result is q gh_pm^(-1/2) trace + (d_n q +
+    sum_j b_j d_j q) f / q, with d_j q over the lateral axes of the face.
     """
     required = ("g1", "dg1_dyn", "gh_pm", "g0_plus_j")
     missing = [key for key in required if key not in boundary_coeffs]
@@ -158,7 +154,7 @@ def transform_dn(dn: DNTrace, boundary_coeffs: dict, f=None) -> DNTrace:
             raise ValueError("datum samples must match the trace shape")
         dq_n = 0.25 * g1 ** (-0.75) * dg1
         drift = np.zeros_like(dn.values, dtype=float) + dq_n
-        steps = [dn.grid.dt] + list(dn.grid.h[:-1])
+        steps = dn.grid.steps()
         for j in range(1, dn.grid.n):
             bj = np.asarray(boundary_coeffs["g0_plus_j"][j - 1], dtype=float)
             dq_j = np.gradient(np.broadcast_to(q, dn.values.shape),
@@ -230,22 +226,20 @@ def probe_symbol(pipeline, boundary_point, covector, k_list, *,
         raise ValueError("the probe needs the run grid to shape its data")
     k_list = tuple(float(k) for k in k_list)
     kmax = max(k_list)
-    steps = [grid.dt] + list(grid.h[:-1])
-    worst = max(abs(c) * kmax * s for c, s in zip(base, steps))
+    worst = max(abs(c) * kmax * s for c, s in zip(base, grid.steps()[:-1]))
     if worst > 0 and 2.0 * math.pi / worst < ppw_min:
         raise ValueError(
             f"largest frequency resolves {2.0 * math.pi / worst:.1f} "
             f"points per wavelength; need at least {ppw_min}")
 
+    widths = (t_width,) + (lat_width,) * (n - 1)
     samples = []
     magnitudes = []
     for p in probes:
         responses = {}
         for k in k_list:
-            trace = _run_probe(pipeline, boundary_point, p, k,
-                               t_width, lat_width, grid)
-            responses[k] = _demodulate(trace, boundary_point, p, k,
-                                       t_width, lat_width)
+            trace = _run_probe(pipeline, boundary_point, p, k, widths, grid)
+            responses[k] = _demodulate(trace, boundary_point, p, k, widths)
         ks = np.asarray(k_list)
         rs = np.asarray([responses[k] for k in k_list])
         slope = complex(np.sum(ks * rs) / np.sum(ks * ks))
@@ -291,46 +285,36 @@ def probe_symbol(pipeline, boundary_point, covector, k_list, *,
     )
 
 
-def _run_probe(pipeline, point, covector, k, t_width, lat_width, grid):
-    t_star = point[0]
-    eta0 = covector[0]
-    lat_field = None
-    if grid.n > 1:
-        lat_field = np.ones(grid.shape[:-1], dtype=complex)
-        for j in range(1, grid.n):
-            coords = grid.axis(j)
-            factor = (_bump((coords - point[j]) / lat_width)
-                      * np.exp(1j * k * covector[j] * coords))
-            reshape = [1] * (grid.n - 1)
-            reshape[j - 1] = len(coords)
-            lat_field = lat_field * factor.reshape(reshape)
+def _probe_wave(coords, point, covector, k: float, widths) -> np.ndarray:
+    """Bump-windowed plane wave prod_j chi((x_j - point_j) / widths_j)
+    exp(i k covector_j x_j), with coords, point, covector and widths running
+    over the same face axes; over a subset of the axes it gives their factor.
+
+    The window is real and the phase has modulus one, so demodulating a trace
+    against the wave f, sum conj(f) trace / sum |f|^2, is the window-weighted
+    projection onto the phase, sum w conj(z) trace / sum w^2.
+    """
+    wave = 1.0
+    for x, p, c, w in zip(coords, point, covector, widths):
+        wave = wave * (_bump((x - p) / w) * np.exp(1j * k * c * x))
+    return wave
+
+
+def _run_probe(pipeline, point, covector, k, widths, grid):
+    face = grid.face_env()
+    lateral = _probe_wave([face[f"x{j}"][0] for j in range(1, grid.n)],
+                          point[1:], covector[1:], k, widths[1:])
 
     def face_data(t):
-        amp = _bump((t - t_star) / t_width) * np.exp(1j * k * eta0 * t)
-        if lat_field is None:
-            return np.asarray(amp, dtype=complex)
-        return amp * lat_field
+        return _probe_wave([t], point[:1], covector[:1], k, widths[:1]) * lateral
 
     return pipeline(face_data)
 
 
-def _demodulate(trace: DNTrace, point, covector, k, t_width, lat_width):
-    grid = trace.grid
-    times = grid.times()
-    w = _bump((times - point[0]) / t_width)
-    z = np.exp(1j * k * covector[0] * times)
-    shape = trace.values.shape
-    w_full = np.broadcast_to(w.reshape((len(times),) + (1,) * (len(shape) - 1)), shape).copy()
-    z_full = np.broadcast_to(z.reshape((len(times),) + (1,) * (len(shape) - 1)), shape).astype(complex).copy()
-    for j in range(1, grid.n):
-        coords = grid.axis(j)
-        chi_j = _bump((coords - point[j]) / lat_width)
-        ph_j = np.exp(1j * k * covector[j] * coords)
-        reshape = (1,) * j + (len(coords),) + (1,) * (len(shape) - 1 - j)
-        w_full = w_full * chi_j.reshape(reshape)
-        z_full = z_full * ph_j.reshape(reshape)
-    weight = float(np.sum(w_full * w_full))
-    return complex(np.sum(w_full * np.conj(z_full) * trace.values) / weight)
+def _demodulate(trace: DNTrace, point, covector, k, widths):
+    face = trace.grid.face_env()
+    f = _probe_wave([face[f"x{j}"] for j in range(trace.grid.n)], point, covector, k, widths)
+    return complex(np.sum(np.conj(f) * trace.values) / np.sum(np.abs(f) ** 2))
 
 
 def export_dn_csv(trace: DNTrace, path: str) -> None:

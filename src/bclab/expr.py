@@ -190,7 +190,7 @@ class Add(Expr):
         return self.left.variables() | self.right.variables()
 
     def render(self):
-        return f"{self.left.render()} + {_wrap_addend(self.right)}"
+        return f"{self.left.render()} + {_wrap_sum(self.right)}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +208,7 @@ class Sub(Expr):
         return self.left.variables() | self.right.variables()
 
     def render(self):
-        return f"{self.left.render()} - {_wrap_addend(self.right)}"
+        return f"{self.left.render()} - {_wrap_sum(self.right)}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +229,7 @@ class Mul(Expr):
         return self.left.variables() | self.right.variables()
 
     def render(self):
-        return f"{_wrap_factor(self.left)}*{_wrap_factor(self.right)}"
+        return f"{_wrap_sum(self.left)}*{_wrap_sum(self.right)}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +250,7 @@ class Div(Expr):
         return self.left.variables() | self.right.variables()
 
     def render(self):
-        return f"{_wrap_factor(self.left)}/{_wrap_tight(self.right)}"
+        return f"{_wrap_sum(self.left)}/{_wrap_tight(self.right)}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,13 +407,7 @@ def _simp_neg(a: Expr) -> Expr:
 
 
 # rendering helpers: wrap sub-expressions whose top-level operator binds looser
-def _wrap_addend(e: Expr) -> str:
-    if isinstance(e, (Add, Sub, Neg)):
-        return f"({e.render()})"
-    return e.render()
-
-
-def _wrap_factor(e: Expr) -> str:
+def _wrap_sum(e: Expr) -> str:
     if isinstance(e, (Add, Sub, Neg)):
         return f"({e.render()})"
     return e.render()

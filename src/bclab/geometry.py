@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Const, Expr, Var, parse_expr
+from .expr import Add, Call, Const, Div, Expr, Mul, Neg, Pow, Sub, Var, parse_expr
 
 __all__ = [
     "SpacetimeGrid",
@@ -74,26 +74,24 @@ class SingularJacobian(ValueError):
 
 def substitute(expression: Expr, bindings: dict) -> Expr:
     """Replace variables by expressions (used to compose maps symbolically)."""
-    from . import expr as _e
-
-    if isinstance(expression, _e.Var):
+    if isinstance(expression, Var):
         return bindings.get(expression.name, expression)
-    if isinstance(expression, _e.Const):
+    if isinstance(expression, Const):
         return expression
-    if isinstance(expression, _e.Add):
+    if isinstance(expression, Add):
         return substitute(expression.left, bindings) + substitute(expression.right, bindings)
-    if isinstance(expression, _e.Sub):
+    if isinstance(expression, Sub):
         return substitute(expression.left, bindings) - substitute(expression.right, bindings)
-    if isinstance(expression, _e.Mul):
+    if isinstance(expression, Mul):
         return substitute(expression.left, bindings) * substitute(expression.right, bindings)
-    if isinstance(expression, _e.Div):
+    if isinstance(expression, Div):
         return substitute(expression.left, bindings) / substitute(expression.right, bindings)
-    if isinstance(expression, _e.Pow):
-        return _e.Pow(substitute(expression.base, bindings), expression.exponent)
-    if isinstance(expression, _e.Neg):
+    if isinstance(expression, Pow):
+        return Pow(substitute(expression.base, bindings), expression.exponent)
+    if isinstance(expression, Neg):
         return -substitute(expression.operand, bindings)
-    if isinstance(expression, _e.Call):
-        return _e.Call(expression.func, substitute(expression.arg, bindings))
+    if isinstance(expression, Call):
+        return Call(expression.func, substitute(expression.arg, bindings))
     raise TypeError(f"cannot substitute into {expression!r}")
 
 
@@ -204,10 +202,17 @@ class SpacetimeGrid:
         count = self.shape[i - 1]
         return self.h[i - 1] * np.arange(count)
 
+    def axes(self) -> list:
+        """Coordinates of every grid axis: the times, then x1..x_n."""
+        return [self.times()] + [self.axis(i) for i in range(1, self.n + 1)]
+
+    def steps(self) -> list:
+        """Spacing of every grid axis, in the order of axes(): dt, then h1..h_n."""
+        return [self.dt] + list(self.h)
+
     def spatial_env(self) -> dict:
         """Meshgrid env {'x1': X1, ...} over the spatial nodes (ij indexing)."""
-        axes = [self.axis(i) for i in range(1, self.n + 1)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*self.axes()[1:], indexing="ij")
         return {f"x{i + 1}": mesh[i] for i in range(self.n)}
 
     def env_at_time(self, t: float) -> dict:
@@ -217,7 +222,7 @@ class SpacetimeGrid:
 
     def face_axes(self) -> list:
         """Coordinates of the face x_n = 0 over the window: the times, then x1..x_{n-1}."""
-        return [self.times()] + [self.axis(j) for j in range(1, self.n)]
+        return self.axes()[:-1]
 
     def face_env(self) -> dict:
         """Env over every time level of the face x_n = 0: arrays that broadcast
@@ -229,16 +234,11 @@ class SpacetimeGrid:
 
     def patch_mask_face(self) -> np.ndarray:
         """Boolean mask over the x_n = 0 face selecting the accessible patch."""
-        face_shape = self.shape[:-1] if self.n > 1 else ()
-        if self.n == 1:
-            return np.ones((), dtype=bool)
-        mask = np.ones(face_shape, dtype=bool)
-        for i, (lo, hi) in enumerate(self.boundary_patch):
-            coords = self.axis(i + 1)
-            sel = (coords >= lo - 1e-12) & (coords <= hi + 1e-12)
-            shape = [1] * len(face_shape)
-            shape[i] = face_shape[i]
-            mask &= sel.reshape(shape)
+        face = self.face_env()
+        mask = np.ones((), dtype=bool)
+        for j, (lo, hi) in enumerate(self.boundary_patch, start=1):
+            x = face[f"x{j}"][0]
+            mask = mask & (x >= lo - 1e-12) & (x <= hi + 1e-12)
         return mask
 
     def refine(self) -> "SpacetimeGrid":
@@ -350,8 +350,6 @@ class MetricField:
         """Volume weight sqrt((-1)^n det[g_{jk}]) = ((-1)^n det[g^{jk}])^(-1/2)."""
         if self._rho is None:
             signed = self.det_upper() * ((-1.0) ** self.n)
-            from .expr import Call, Pow
-
             self._rho = Pow(Call("sqrt", signed), Const(-1.0))
         return self._rho
 
@@ -458,7 +456,7 @@ class Diffeo:
         """Raise SingularJacobian at the first node, over every time level, where
         det dy/dx is below 1e-12 in magnitude or has the other sign than at the
         first node."""
-        axes = [grid.axis(i) for i in range(1, grid.n + 1)]
+        axes = grid.axes()[1:]
         first = None
         for t in grid.times():
             det = _det(self.eval_jacobian(grid.env_at_time(t), shape=grid.shape))
@@ -624,7 +622,7 @@ def check_hyperbolicity(metric: MetricField, grid: SpacetimeGrid) -> Hyperbolici
     on its own, so memory stays at one level; solve_ibvp applies the same
     check to every level it steps through.
     """
-    axes = [grid.axis(i) for i in range(1, metric.n + 1)]
+    axes = grid.axes()[1:]
     c0 = c1 = min_disc = math.inf
     boundary_max = -math.inf
     first = {}  # the first failure of each condition

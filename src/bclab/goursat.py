@@ -240,8 +240,8 @@ def _coverage_axes(fan: _Fan, grid: SpacetimeGrid):
     fold-free rows.  The box must contain the grid's own window.
     """
     n = grid.n
-    spacings = [grid.dt] + [grid.h[i - 1] for i in range(1, n)]
-    origins = [grid.t1] + [0.0] * (n - 1)
+    spacings = grid.steps()[:-1]
+    origins = [ax[0] for ax in grid.face_axes()]
     spans = [(grid.t1, grid.t2)] + [(0.0, grid.extent[i - 1]) for i in range(1, n)]
     inset = 1 if n > 1 else 0
     axes = []
@@ -363,8 +363,7 @@ class EikonalField:
 
     def residual_fd(self) -> np.ndarray:
         """Null-constraint defect with the gradient re-taken by differences."""
-        spacings = [self.grid.dt] + list(self.grid.h[:-1]) + [self.grid.h[-1]]
-        parts = np.gradient(self.psi, *spacings, edge_order=2)
+        parts = np.gradient(self.psi, *self.grid.steps(), edge_order=2)
         grad = np.stack(parts, axis=-1)
         g = self.metric.eval_g(self._env(), self.psi.shape)
         return np.einsum("...jk,...j,...k->...", g, grad, grad)
@@ -619,8 +618,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
 
     # shared extended axes: overlap of the two coverage windows (same lattice)
     ext_axes = []
-    for ax_p, ax_m, step in zip(psi_plus._ext_axes, psi_minus._ext_axes,
-                                [grid.dt] + list(grid.h[:-1])):
+    for ax_p, ax_m, step in zip(psi_plus._ext_axes, psi_minus._ext_axes, grid.steps()[:-1]):
         lo = max(ax_p[0], ax_m[0])
         hi = min(ax_p[-1], ax_m[-1])
         k0 = int(round((lo - ax_p[0]) / step))
@@ -634,8 +632,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     psi_m, grad_m = psi_minus._ext_psi[minus], psi_minus._ext_grad[minus]
     phi_ext = [p[minus] for p in psi_minus._ext_phi]
 
-    spacings = [grid.dt] + list(grid.h[:-1]) + [hz]
-    dphi = [np.stack(np.gradient(p, *spacings, edge_order=2), axis=-1) for p in phi_ext]
+    dphi = [np.stack(np.gradient(p, *grid.steps(), edge_order=2), axis=-1) for p in phi_ext]
 
     env = _slab_env(*ext_axes, depth_nodes)
     slab_shape = psi_p.shape
@@ -786,8 +783,7 @@ def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
     xi_star = T1 + dty * np.arange(n_star)
 
     nrows = fan.pos.shape[0]
-    nodes = np.stack(np.meshgrid(xi_star, *[grid.axis(i) for i in range(1, n)],
-                                 indexing="ij"), axis=-1)
+    nodes = np.stack(np.meshgrid(xi_star, *grid.face_axes()[1:], indexing="ij"), axis=-1)
     fracs = _grid_indices(nodes, fan.axes)
     stage1 = {name: np.stack([_lagrange(rows[m][..., None], fracs)[..., 0] for m in range(nrows)])
               for name, rows in fan_samples.items()}
@@ -838,7 +834,7 @@ def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
     bad = miss > 1e-9 * dty
     if np.any(bad):
         worst = np.unravel_index(np.argmax(miss), miss.shape)
-        node = [y_grid.times()[worst[0]]] + [y_grid.axis(d)[worst[d]] for d in range(1, n + 1)]
+        node = [ax[i] for ax, i in zip(y_grid.axes(), worst)]
         raise ValueError(
             f"chart pull: {int(np.sum(bad))} chart nodes miss the advancing phase after "
             f"two Newton steps (worst residual {float(miss[worst]):.2e} at chart node "
@@ -903,10 +899,6 @@ class TransformedOperator:
         }
 
 
-def _grad_axes(grid: SpacetimeGrid):
-    return [grid.dt] + list(grid.h)
-
-
 def potential_term(g1: np.ndarray, g0_plus_j: list, g0_jk: list,
                    grid: SpacetimeGrid) -> np.ndarray:
     """Zeroth-order remainder of the lateral volume normalization, sampled.
@@ -918,7 +910,7 @@ def potential_term(g1: np.ndarray, g0_plus_j: list, g0_jk: list,
     shape = (grid.nt,) + grid.shape
     if n == 1:
         return np.zeros(shape)
-    steps = _grad_axes(grid)
+    steps = grid.steps()
     A = 0.25 * np.log(g1)
     dA = list(np.gradient(A, *steps, edge_order=2))
     A_s = 0.5 * (dA[0] - dA[n])
@@ -1011,7 +1003,7 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart) -> Transform
     g0_jk = [[pulled[f"gh{j}{k}"] / ghpm for k in range(n - 1)] for j in range(n - 1)]
 
     shape = (y_grid.nt,) + y_grid.shape
-    steps = _grad_axes(y_grid)
+    steps = y_grid.steps()
     d = chart.d_gauge
     d_y0 = np.gradient(d, steps[0], axis=0, edge_order=2)
     d_yn = np.gradient(d, steps[n], axis=n, edge_order=2)
@@ -1126,7 +1118,7 @@ def sample_field(samples: np.ndarray, grid: SpacetimeGrid, points: np.ndarray) -
     points[..., :] = (t, x1, ..., xn).  Clamps the stencil at edges; callers
     keep points inside the domain.
     """
-    fracs = (points - ([grid.t1] + [0.0] * grid.n)) / ([grid.dt] + list(grid.h))
+    fracs = (points - [ax[0] for ax in grid.axes()]) / grid.steps()
     return _lagrange(samples[..., None], fracs)[..., 0]
 
 

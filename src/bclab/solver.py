@@ -131,13 +131,10 @@ class BoundarySignal:
     def face_profile(self, grid: SpacetimeGrid, t: float) -> np.ndarray:
         """Complex samples over the x_n = 0 face at time t."""
         value = self.amplitude * _bump((t - self.t_center) / self.t_width)
-        if grid.n == 1:
-            return np.asarray(value, dtype=complex)
-        out = np.full(grid.shape[:-1], value, dtype=complex)
-        for i in range(grid.n - 1):
-            coords = grid.axis(i + 1)
-            out = out * _bump((coords - self.centers[i]) / self.widths[i])
-        return out
+        face = grid.face_env()
+        for j, (c, w) in enumerate(zip(self.centers, self.widths), start=1):
+            value = value * _bump((face[f"x{j}"][0] - c) / w)
+        return np.asarray(value, dtype=complex)
 
     def samples(self, grid: SpacetimeGrid) -> np.ndarray:
         return np.stack([self.face_profile(grid, t) for t in grid.times()])
@@ -149,14 +146,13 @@ class BoundarySignal:
     def h1_norm_sq(self, grid: SpacetimeGrid) -> float:
         """Discrete squared H^1 norm of f over the face x time window."""
         values = self.samples(grid)
-        dt_deriv = np.gradient(values, grid.dt, axis=0)
-        total = np.abs(values) ** 2 + np.abs(dt_deriv) ** 2
-        for i in range(grid.n - 1):
-            total = total + np.abs(np.gradient(values, grid.h[i], axis=1 + i)) ** 2
+        steps = grid.steps()[:-1]
+        total = np.abs(values) ** 2
+        for axis, step in enumerate(steps):
+            total = total + np.abs(np.gradient(values, step, axis=axis)) ** 2
         # trapezoid over time and the face axes
         for axis in reversed(range(total.ndim)):
-            step = grid.dt if axis == 0 else grid.h[axis - 1]
-            total = _trapz(total, dx=step, axis=axis)
+            total = _trapz(total, dx=steps[axis], axis=axis)
         return float(total)
 
 
@@ -610,7 +606,7 @@ def solve_ibvp(
         boundary_fill(1, u_curr)
 
     iterate = provider.has_time_cross()
-    axes = [grid.axis(i) for i in range(1, grid.n + 1)]
+    axes = grid.axes()[1:]
     courant = grid.dt / min(grid.h)
     cfl = np.empty(nt)
     limit = cfl_fraction * (1.0 + 1e-9)

@@ -51,6 +51,25 @@ def test_grid_shapes_and_axes():
     np.testing.assert_allclose(grid.axis(1)[[0, -1]], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("grid", [
+    SpacetimeGrid(n=1, extent=(1.0,), h=(1 / 8,), dt=1 / 16, t1=0.25, t2=1.0),
+    SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 4, 1 / 8), dt=0.1, t1=0.0, t2=0.8),
+    # dt = 0.3 does not divide the window [0.1, 1.2]: the last level is t = 1.0
+    SpacetimeGrid(n=2, extent=(0.5, 1.0), h=(1 / 8, 1 / 4), dt=0.3, t1=0.1, t2=1.2),
+], ids=["n1", "n2", "n2-dt-not-dividing"])
+def test_grid_axes_and_steps(grid):
+    axes, steps = grid.axes(), grid.steps()
+    assert steps == [grid.dt, *grid.h]
+    face = grid.face_axes()
+    assert len(face) == len(axes) - 1
+    assert all(np.array_equal(f, a) for f, a in zip(face, axes))
+    assert len(axes[0]) == grid.nt
+    assert tuple(map(len, axes[1:])) == grid.shape
+    for ax, start, step in zip(axes, [grid.t1] + [0.0] * grid.n, steps):
+        assert ax[0] == start
+        np.testing.assert_allclose(np.diff(ax), step, rtol=0.0, atol=1e-12)
+
+
 def test_grid_rejects_bad_inputs():
     with pytest.raises(ValueError):
         SpacetimeGrid(n=1, extent=(1.0,), h=(-0.1,), dt=0.01, t1=0.0, t2=1.0)
