@@ -224,6 +224,10 @@ def probe_symbol(pipeline, boundary_point, covector, k_list, *,
 
     if grid is None:
         raise ValueError("the probe needs the run grid to shape its data")
+    if len(covector) != grid.n or len(boundary_point) != grid.n:
+        raise ValueError(
+            f"covector has {len(covector)} and boundary point {len(boundary_point)} "
+            f"components; the grid needs {grid.n}")
     k_list = tuple(float(k) for k in k_list)
     kmax = max(k_list)
     worst = max(abs(c) * kmax * s for c, s in zip(base, grid.steps()[:-1]))
@@ -266,19 +270,11 @@ def probe_symbol(pipeline, boundary_point, covector, k_list, *,
         gh_pm = -float(c2)
         b = float(c1 / (2.0 * c2))
         lat = float(c0 / c2 - b * b)
-    estimates = {"gh_pm": gh_pm}
-    if n == 2:
-        e1 = base[1]
-        estimates["g0_plus_j"] = [b / e1]
-        estimates["g0_jk"] = [[lat / (e1 * e1)]]
-    else:
-        # one probed direction determines only the contractions along it
-        estimates["b_along"] = b
-        estimates["lat_along"] = lat
+    e1 = base[1]
     return SymbolEstimate(
         covector=base,
         frequencies=k_list,
-        estimates=estimates,
+        estimates={"gh_pm": gh_pm, "g0_plus_j": [b / e1], "g0_jk": [[lat / (e1 * e1)]]},
         residual=worst,
         poor_fit=bad,
         samples=samples,

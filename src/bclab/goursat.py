@@ -44,13 +44,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-
-# bench/tracing.py wraps these four scipy names here when it traces a run, so
-# they stay bound; this module no longer calls them
-from scipy.interpolate import (  # noqa: F401
-    CloughTocher2DInterpolator, CubicSpline, RectBivariateSpline)
-from scipy.spatial import Delaunay  # noqa: F401
 
 from .expr import Call, Const, Expr
 from .geometry import MetricField, SpacetimeGrid, _as_expr, _cone, _det, _solve_small
@@ -75,6 +68,16 @@ __all__ = [
     "export_chart_csv",
     "export_operator_npz",
 ]
+
+
+def __getattr__(name: str):
+    # bench/tracing.py still wraps these scipy names here when it traces a run;
+    # this goes with the bench change that empties its _INTERP_NAMES
+    if name in ("Delaunay", "CloughTocher2DInterpolator", "RectBivariateSpline", "CubicSpline"):
+        import scipy.interpolate
+        import scipy.spatial
+        return getattr(scipy.spatial if name == "Delaunay" else scipy.interpolate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CharacteristicCrossing(RuntimeError):
@@ -682,8 +685,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
 
     # gauge phase: d/ds d = -(outgoing hatted potential), zero on the face,
     # integrated along each ray where (tau, y') are frozen
-    fan_samples["d"] = cumulative_trapezoid(
-        -fan_samples.pop("Ap"), x=fan_samples["s"], axis=0, initial=0.0)
+    fan_samples["d"] = _cumulative_trapezoid(-fan_samples.pop("Ap"), fan_samples["s"])
 
     y_grid, pulled, row_index = _pull_to_chart(
         pull_fan, fan_samples, grid, T1, T2, y_depth)
@@ -740,6 +742,13 @@ def _fields_at_fan(fan: _Fan, ext_axes: tuple, slab_fields: dict) -> dict:
     return {name: np.stack([_lagrange(field[..., m, None], fracs[m])[..., 0]
                             for m in range(len(fracs))])
             for name, field in slab_fields.items()}
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of y over x along axis 0, from row 0 (zero) on."""
+    out = np.zeros_like(y)
+    np.cumsum(np.diff(x, axis=0) * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
+    return out
 
 
 def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,

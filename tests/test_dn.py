@@ -152,6 +152,14 @@ def test_probe_refuses_vanishing_tangential_part():
         probe_symbol(never_called, (0.5, 0.5), (1.0, 0.0), (10.0,))
 
 
+def test_probe_refuses_covector_or_point_of_wrong_length():
+    with pytest.raises(ValueError, match="covector has 3 and boundary point 3 components; "
+                                         "the grid needs 2"):
+        probe_symbol(never_called, (0.4, 0.5, 0.3), (0.25, 1.0, 0.5), (10.0,), grid=GRID_2D)
+    with pytest.raises(ValueError, match="boundary point 1 components"):
+        probe_symbol(never_called, (0.4,), (0.25, 1.0), (10.0,), grid=GRID_2D)
+
+
 def test_probe_refuses_covector_outside_the_cone():
     # flat face: depth discriminant (eta0)^2 - |eta'|^2 is positive for eta0 = 2
     coeffs = {"g0_plus_j": [0.0], "g0_jk": [[-1.0]]}

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from bclab.dn import DNTrace, dn_trace, transform_dn
 from bclab.expr import parse_expr
@@ -27,6 +27,7 @@ from bclab.goursat import (
     CharacteristicCrossing,
     FocalRegion,
     GoursatChart,
+    _cumulative_trapezoid,
     _lagrange,
     _lagrange_dweights,
     _lagrange_weights,
@@ -326,6 +327,15 @@ def test_constant_potential_gauge_closed_form():
     assert np.abs(op.A_minus - a0).max() <= 1e-10
     assert np.abs(op.potential_vector[..., 0] - a0).max() <= 1e-10
     assert np.abs(op.potential_vector[..., 1] - a0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(30, 7, 5), (12, 40), (5,)])
+def test_gauge_phase_rule_matches_scipy(shape):
+    rng = np.random.default_rng(len(shape))
+    y = rng.standard_normal(shape)
+    x = np.cumsum(rng.random(shape) + 0.1, axis=0)  # non-uniform, per column
+    want = cumulative_trapezoid(y, x=x, axis=0, initial=0.0)
+    assert np.array_equal(_cumulative_trapezoid(y, x), want)
 
 
 def test_flat_chart_identity_2d():
