@@ -331,8 +331,6 @@ def symbol_report(est: SymbolEstimate) -> str:
                      "component",
         "g0_jk": "parabola value at its vertex divided by the squared "
                  "tangential component",
-        "b_along": "parabola vertex offset along the probed direction",
-        "lat_along": "parabola vertex value along the probed direction",
     }
     body = {
         "covector": list(est.covector),

@@ -11,11 +11,15 @@ fluxes live on staggered points (time half-levels for the j=0 flux, spatial
 half-nodes for j>=1) and the outer covariant derivative is centered.  Mixed
 time-space coefficients g^{0j} couple the new level to its neighbors, which a
 short fixed-point iteration resolves; the coupling is O(CFL * |g^{0j}|), far
-below 1, so a handful of sweeps reaches round-off.  Every term without the
-new level is evaluated once per step; a sweep recomputes only the time flux
-ahead of the step (one centered difference of the new level per axis), the
-g^{j0} cross fluxes of its average onto half nodes, and the b_0 term.  The
-converged flux ahead of a step is the next step's flux behind it.
+below 1, so a handful of sweeps reaches round-off.  The sweeps start from
+the cubic extrapolation of the last four levels.  Every term without the new
+level is evaluated once per step.  The new level enters the residual on the
+interior nodes through a (2n+1)-point stencil, the node and its neighbours
++1 and -1 along each axis, built once per step: the time flux ahead of the
+step contributes its centered differences, the g^{j0} cross fluxes of its
+average onto half nodes both sides, and the b_0 term the centre.  A sweep
+applies that stencil.  The converged flux ahead of a step is the next step's
+flux behind it.
 
 One provider, SampledCoefficients, feeds the stepper.  It holds the
 coefficients as node samples, one time level at a time: read from arrays, or
@@ -381,13 +385,15 @@ def _half_avg(w: np.ndarray, axis: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Stepper:
-    """The residual of one leapfrog step, affine in the new level u^{m+1}.
+    """One leapfrog step as an affine map of the new level u^{m+1}.
 
     `level` holds the coefficient arrays of a step: the weights of u^{m+1}
-    in w0p and in the cross fluxes, and the map's diagonal; a static
-    provider builds them once per run.  `explicit` evaluates, once per step,
-    every term without u^{m+1}; `residual` adds the terms in u^{m+1}, which
-    is all a sweep recomputes.
+    in w0p, and the (2n+1)-point stencil of u^{m+1} in the residual on the
+    interior nodes, i.e. its centre and, with time cross terms, its arms to
+    the neighbours +1 and -1 along each axis, divided by the centre; a
+    static provider builds them once per run.  `explicit` evaluates, once
+    per step, every term without u^{m+1}, divided by the centre; `delta`
+    adds the stencil, which is all a sweep computes.
     """
 
     def __init__(self, provider, grid: SpacetimeGrid):
@@ -396,6 +402,11 @@ class _Stepper:
         self.dt = grid.dt
         self.h = grid.h
         self._fixed = None
+        inner = self.interior = tuple(slice(1, s - 1) for s in grid.shape)
+        # the interior nodes' neighbours +1 and -1 along each axis
+        self._neighbours = [(inner[:a] + (slice(2, None),) + inner[a + 1:],
+                             inner[:a] + (slice(0, -2),) + inner[a + 1:])
+                            for a in range(grid.n)]
 
     def _flux_weights(self, coeffs):
         """Weights of the time flux at a half level: w_0 = new u_new + old u_old
@@ -421,38 +432,54 @@ class _Stepper:
         """Coefficient arrays of the step at node level t."""
         if self._fixed is not None:
             return self._fixed
-        dt, h = self.dt, self.h
+        dt, h, inner = self.dt, self.h, self.interior
         P = self.provider
         cm = P.at(t)
         A = cm["A"]
         new, old, cen = self._flux_weights(P.at(t + 0.5 * dt))
         halves = [P.at(t, half_axis=j) for j in range(1, self.n + 1)]
-        cross = [ch["rho"] * ch["g"][..., j, 0] / (2.0 * dt) for j, ch in enumerate(halves, 1)]
         lead = 1.0 / dt - 0.5j * A[..., 0]  # weight of w0p in the time difference
-        # davg weighs a node by 1/2 on each side, dcen not at all
-        diag = lead * new
-        for axis, cw in enumerate(cross):
-            diag = diag + _half_diff(0.5 * cw, axis, h[axis]) \
-                - 1j * A[..., axis + 1] * _half_avg(0.5 * cw, axis)
-        diag = -diag / cm["rho"]
+        lead_in = lead[inner]
+        centre = lead_in * new[inner]
+        arms = []
+        if P.has_time_cross():
+            # u^{m+1} enters w0p through dcen, and the cross flux
+            # rho_h g^{j0} / (2 dt) through davg, which weighs each side by 1/2
+            for axis, ch in enumerate(halves):
+                j = axis + 1
+                hi, lo = _shifted(0.25 * ch["rho"] * ch["g"][..., j, 0] / dt, axis)
+                across = inner[:axis] + (slice(None),) + inner[axis + 1:]
+                Aj = A[..., j][inner]
+                up = hi[across] * (1.0 / h[axis] - 0.5j * Aj)
+                down = lo[across] * (1.0 / h[axis] + 0.5j * Aj)
+                slope = lead_in * cen[axis][inner] / (2.0 * h[axis])
+                centre = centre + up - down
+                arms.append((slope + up, -(slope + down)))
+        rho_in = cm["rho"][inner]
+        centre = -centre / rho_in
         first = P.first_order_at(t)
         if first is not None:
-            diag = diag + first[0] / (2.0 * dt)
+            centre = centre + first[0][inner] / (2.0 * dt)
+        if arms:
+            per_centre = -1.0 / (rho_in * centre)
+            arms = [(plus * per_centre, minus * per_centre) for plus, minus in arms]
         out = {"A": A, "rho": cm["rho"], "halves": halves, "first": first,
                "zeroth": P.zeroth_at(t), "lead": lead, "new": new, "old": old,
-               "cen": cen, "cross": cross, "diag": diag}
+               "cen": cen, "centre": centre, "arms": arms}
         if P._static:
             self._fixed = out
         return out
 
     def explicit(self, c, um1, um, w0q, forcing_val=None):
-        """The terms of the residual without u^{m+1}, and the u^m part of w0p."""
+        """r0, the terms of the residual without u^{m+1} over the stencil's
+        centre on the interior nodes, and wum, the u^m part of w0p."""
         n, dt, h = self.n, self.dt, self.h
         A = c["A"]
-        total = (c["lead"] - 2.0 / dt) * w0q
+        wum = self._side(c["old"], c["cen"], um)
+        total = (c["lead"] - 2.0 / dt) * w0q + c["lead"] * wum
 
         # node-centered covariant derivatives at level m; d0m lacks its
-        # u^{m+1} part, which `residual` adds through the cross weights
+        # u^{m+1} part, which the stencil's arms carry
         d0m = -um1 / (2.0 * dt) - 1j * A[..., 0] * um
         dmk = [None] + [_dcen(um, k - 1, h[k - 1]) - 1j * A[..., k] * um
                         for k in range(1, n + 1)]
@@ -479,31 +506,30 @@ class _Stepper:
             out = out + c["zeroth"] * um
         if forcing_val is not None:
             out = out - forcing_val
-        return out, self._side(c["old"], c["cen"], um)
+        return out[self.interior] / c["centre"], wum
+
+    def delta(self, c, r0, up1):
+        """The residual at up1 over the stencil's centre, on the interior nodes:
+        r0 + up1 + sum over axes of the arms times the neighbours."""
+        out = r0 + up1[self.interior]
+        for (plus, minus), (ahead, behind) in zip(c["arms"], self._neighbours):
+            out += plus * up1[ahead]
+            out += minus * up1[behind]
+        return out
 
     def w0p(self, c, wum, up1):
         """Flux w_0 at the half level after the step, from u^{m+1} and the u^m part."""
         return self._side(c["new"], c["cen"], up1) + wum
 
-    def residual(self, c, base, wum, up1):
-        """base (from `explicit`) plus the terms in u^{m+1}."""
-        A = c["A"]
-        total = c["lead"] * self.w0p(c, wum, up1)
-        for axis, cw in enumerate(c["cross"]):
-            w = cw * _davg(up1, axis)
-            total = total + _half_diff(w, axis, self.h[axis]) \
-                - 1j * A[..., axis + 1] * _half_avg(w, axis)
-        out = base - total / c["rho"]
-        if c["first"] is not None:
-            out = out + c["first"][0] * up1 / (2.0 * self.dt)
-        return out
-
     def apply(self, um1, um, up1, t, forcing_val=None):
-        """Residual form: value of L_h u (+ first order + zeroth) - F at level m."""
+        """Residual form: value of L_h u (+ first order + zeroth) - F at level m
+        on the interior nodes; zero on the boundary."""
         w0q = self.time_flux(t - 0.5 * self.dt, um, um1)
         c = self.level(t)
-        base, wum = self.explicit(c, um1, um, w0q, forcing_val)
-        return self.residual(c, base, wum, up1)
+        r0, _ = self.explicit(c, um1, um, w0q, forcing_val)
+        out = np.zeros(up1.shape, dtype=complex)
+        out[self.interior] = c["centre"] * self.delta(c, r0, up1)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +572,12 @@ def solve_ibvp(
     (a SampledCoefficients) carries all of them, so passing A, v1 or
     first_order with it raises ValueError.
     store is "all" (every time level) or "boundary" (the three face layers
-    only; memory then does not grow with the number of time levels).  Raises
-    SweepNotConverged when the fixed-point sweeps of a step with time cross
-    terms do not meet _SWEEP_TOL within max_sweeps, and Instability when the
-    field peak passes _GUARD_FACTOR times the data scale or is NaN.
+    only; memory then does not grow with the number of time levels).  With
+    time cross terms each step sweeps from the cubic extrapolation of the
+    last four levels (quadratic, then linear, while fewer exist) and raises
+    SweepNotConverged when the sweeps do not meet _SWEEP_TOL within
+    max_sweeps; without them one sweep solves the step.  Raises Instability
+    when the field peak passes _GUARD_FACTOR times the data scale or is NaN.
 
     With `check`, each node level is checked before the first step that reads
     it sweeps, raising NonHyperbolic (condition, node, value) or CFLViolation
@@ -594,7 +622,7 @@ def solve_ibvp(
         if f is not None:
             u[faces[-2]] = f.face_profile(grid, t)  # x_n = 0
 
-    interior = tuple(slice(1, s - 1) for s in shape)
+    interior = stepper.interior
 
     u_prev = np.zeros(shape, dtype=complex)
     u_curr = np.zeros(shape, dtype=complex)
@@ -662,19 +690,28 @@ def solve_ibvp(
     w0q = stepper.time_flux(times[1] - 0.5 * grid.dt, u_curr, u_prev)
     check_level(0)
     check_level(1)
+    # u^{m-2} and u^{m-3}, newest first, for the sweeps' start; held only
+    # when the steps sweep more than once
+    older = []
+    peak = float(np.max(np.abs(u_curr)))
     for m in range(1, nt - 1):
         t = times[m]
-        up1 = 2.0 * u_curr - u_prev
+        # extrapolate through every level held: cubic once four exist
+        if len(older) == 2:
+            up1 = 4.0 * (u_curr + older[0]) - 6.0 * u_prev - older[1]
+        elif older:
+            up1 = 3.0 * (u_curr - u_prev) + older[0]
+        else:
+            up1 = 2.0 * u_curr - u_prev
         boundary_fill(m + 1, up1)
         fval = forcing_at(t)
-        coeffs = stepper.level(t)
+        # before `level`, whose arms would divide by a NaN rho off the cone
         check_level(m + 1)
-        base, wum = stepper.explicit(coeffs, u_prev, u_curr, w0q, forcing_val=fval)
-        diag = coeffs["diag"][interior]
-        scale = max(float(np.max(np.abs(u_curr))), 1.0)
+        coeffs = stepper.level(t)
+        r0, wum = stepper.explicit(coeffs, u_prev, u_curr, w0q, forcing_val=fval)
+        scale = max(peak, 1.0)
         for sweep in range(1, max_sweeps + 1):
-            resid = stepper.residual(coeffs, base, wum, up1)
-            delta = resid[interior] / diag
+            delta = stepper.delta(coeffs, r0, up1)
             up1[interior] -= delta
             update = float(np.max(np.abs(delta), initial=0.0))
             if not iterate or update <= _SWEEP_TOL * scale:
@@ -688,14 +725,18 @@ def solve_ibvp(
         sweeps[m - 1] = sweep
         last_update[m - 1] = update
         w0q = stepper.w0p(coeffs, wum, up1)
+        # freed before the next step's `level` builds its arrays
+        coeffs = r0 = wum = delta = None
 
+        if iterate:
+            older = [u_prev] + older[:1]
         u_prev, u_curr = u_curr, up1
         keep(m + 1, u_curr)
 
         data_scale = max([data_scale] + [float(np.max(np.abs(u_curr[face]))) for face in faces])
         if fval is not None:
             data_scale = max(data_scale, float(np.max(np.abs(fval))) * span * span)
-        peak = float(np.max(np.abs(u_curr)))
+        peak = float(np.max(np.abs(u_curr)))  # the next step's scale, too
         # negated so that a NaN peak trips the guard too
         if data_scale > 0.0 and not peak <= _GUARD_FACTOR * data_scale:
             raise Instability(

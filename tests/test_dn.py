@@ -191,7 +191,7 @@ def test_export_dn_csv_round_trips(tmp_path):
 
 @pytest.mark.parametrize("estimates", [
     {"gh_pm": 1.0, "g0_plus_j": [0.1], "g0_jk": [[-1.0]]},
-    {"gh_pm": 1.0, "b_along": 0.1, "lat_along": -1.0},
+    {"gh_pm": 1.0, "g0_plus_j": [0.0], "g0_jk": [[-1.0]]},  # the flat symbol
 ])
 def test_symbol_report_is_json_with_provenance(estimates):
     probes = [(0.2 + m * 0.3, 1.0) for m in (-1, 0, 1)]

@@ -37,6 +37,9 @@ from bclab.solver import (
     SampledCoefficients,
     SweepNotConverged,
     WaveField,
+    _davg,
+    _half_avg,
+    _half_diff,
     _Stepper,
     apply_operator_symbolic,
     cfl_time_step,
@@ -201,20 +204,25 @@ def test_diagnostics_count_sweeps_per_step():
                       t1=0.0, t2=0.25)
     x1, x2 = np.meshgrid(g.axis(1), g.axis(2), indexing="ij")
     u0 = (np.sin(math.pi * x1) * np.sin(math.pi * x2)).astype(complex)
-    cross = solve_ibvp(VAR_METRIC_2D, None, None, g, initial=(u0, u0))
+    crossed = [solve_ibvp(metric, None, None, g, initial=(u0, u0))
+               for metric in (VAR_METRIC_2D, TIME_CROSS_2D)]
     flat = solve_ibvp(MetricField.minkowski(2), None, None, g, initial=(u0, u0))
-    for wf in (cross, flat):
+    for wf in crossed + [flat]:
         assert wf.diagnostics["sweeps"].shape == (g.nt - 2,)
         assert wf.diagnostics["sweeps"].dtype.kind == "i"
         assert wf.diagnostics["last_update"].shape == (g.nt - 2,)
         assert np.all(wf.diagnostics["last_update"] > 0.0)
         cfl = wf.diagnostics["cfl"]
         assert cfl.shape == (g.nt,) and wf.cfl_number == max(cfl)
-    assert np.all(cross.diagnostics["sweeps"] > 1)
+    for cross in crossed:
+        sweeps = cross.diagnostics["sweeps"]
+        assert np.all(sweeps > 1)
+        # the cubic start: 91 sweeps over the 15 steps, 105 from a linear one
+        assert np.all(sweeps <= 7) and sweeps.sum() <= 91
+        # each cross-term step stopped on _SWEEP_TOL
+        scale = max(float(np.max(np.abs(cross.samples))), 1.0)
+        assert np.all(cross.diagnostics["last_update"] <= 1e-13 * scale)
     assert np.all(flat.diagnostics["sweeps"] == 1)
-    # each cross-term step stopped on _SWEEP_TOL
-    scale = max(float(np.max(np.abs(cross.samples))), 1.0)
-    assert np.all(cross.diagnostics["last_update"] <= 1e-13 * scale)
 
 
 TIME_CROSS_2D = MetricField(
@@ -224,29 +232,6 @@ TIME_CROSS_2D = MetricField(
      ["0.1*cos(x1 + x0)", "0.05*sin(x1)*sin(x2)", "-1 - 0.1*sin(x0 + x2)"]],
     ["0.1*x2*cos(x0)", "0.2*sin(x1 + x0)", "0.1*cos(x2)*sin(x0)"],
 )
-
-
-def test_stepper_diagonal_is_exact():
-    # the residual is affine in u^{m+1}: its finite difference at a node is
-    # the diagonal the sweep divides by, with every term of the operator on
-    g = SpacetimeGrid(n=2, extent=(1.0, 1.0), h=(1 / 16, 1 / 16), dt=1 / 64,
-                      t1=0.0, t2=0.25)
-    v1 = (parse_expr("0.5*cos(x1)*sin(x0)"), parse_expr("0.2*x2"))
-    first = [parse_expr("0.4 + 0.1*x0*x1"), parse_expr("0.3*sin(x2)"),
-             (None, parse_expr("0.2*cos(x0)"))]
-    stepper = _Stepper(SampledCoefficients.from_metric(TIME_CROSS_2D, g, v1, first), g)
-    rng = np.random.default_rng(5)
-    um1, um, up1 = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-                    for _ in range(3))
-    t = g.times()[3]
-    base = stepper.apply(um1, um, up1, t)
-    diag = stepper.level(t)["diag"]
-    eps = 1e-3
-    for node in [(1, 1), (1, 8), (8, 15), (7, 9)]:
-        bumped = up1.copy()
-        bumped[node] += eps
-        slope = (stepper.apply(um1, um, bumped, t)[node] - base[node]) / eps
-        assert abs(slope - diag[node]) <= 1e-9 * abs(diag[node])
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +358,71 @@ TIME_METRIC_1D = MetricField(
      ["0", "-1 - 0.1*cos(x0)*sin(x1)"]],
     None,
 )
+
+
+def operator_residual(stepper, c, up1):
+    """The terms of one step's residual in u^{m+1}, in operator form: the time
+    flux ahead of the step and the g^{j0} cross fluxes of its average onto half
+    nodes, differenced back onto the nodes, and the b_0 term."""
+    dt, h = stepper.dt, stepper.h
+    A = c["A"]
+    total = c["lead"] * stepper.w0p(c, 0.0, up1)
+    for axis, ch in enumerate(c["halves"]):
+        cw = ch["rho"] * ch["g"][..., axis + 1, 0] / (2.0 * dt)
+        w = cw * _davg(up1, axis)
+        total = total + _half_diff(w, axis, h[axis]) \
+            - 1j * A[..., axis + 1] * _half_avg(w, axis)
+    out = -total / c["rho"]
+    if c["first"] is not None:
+        out = out + c["first"][0] * up1 / (2.0 * dt)
+    return out
+
+
+@pytest.mark.parametrize("metric, nodes", [
+    (VAR_METRIC_1D, [(1,), (8,), (15,)]),
+    (TIME_CROSS_2D, [(1, 1), (1, 8), (8, 15), (7, 9), (15, 15)]),
+    (TIME_METRIC_1D, [(1,), (8,), (15,)]),  # no g^{0j}: no arms
+], ids=["VAR_METRIC_1D", "TIME_CROSS_2D", "TIME_METRIC_1D"])
+def test_stepper_stencil_is_exact(metric, nodes):
+    # the residual is affine in u^{m+1}: its finite-difference slope at a node
+    # against that node and each neighbour is the stencil's centre and arm
+    # times the centre, with every term of the operator on
+    n = metric.n
+    g = SpacetimeGrid(n=n, extent=(1.0,) * n, h=(1 / 16,) * n, dt=1 / 64,
+                      t1=0.0, t2=0.25)
+    x = [f"x{k}" for k in range(n + 1)]
+    v1 = (parse_expr(f"0.5*cos({x[1]})*sin(x0)"), parse_expr(f"0.2*{x[-1]}"))
+    first = [parse_expr("0.4 + 0.1*x0*x1"), parse_expr(f"0.3*sin({x[-1]})")] \
+        + [(None, parse_expr("0.2*cos(x0)"))] * (n - 1)
+    stepper = _Stepper(SampledCoefficients.from_metric(metric, g, v1, first), g)
+    rng = np.random.default_rng(5)
+    um1, um, up1, bump = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+                          for _ in range(4))
+    t = g.times()[3]
+    c = stepper.level(t)
+    crossed = metric is not TIME_METRIC_1D
+    assert len(c["arms"]) == (n if crossed else 0)
+    base = operator_residual(stepper, c, up1)
+    eps = 1e-3
+    for node in nodes:
+        inner = tuple(i - 1 for i in node)
+        centre = c["centre"][inner]
+        stencil = [(node, centre)]
+        for axis in range(n):
+            for gap, side in ((1, 0), (-1, 1)):
+                nbr = tuple(i + gap * (k == axis) for k, i in enumerate(node))
+                arm = c["arms"][axis][side][inner] if crossed else 0.0
+                stencil.append((nbr, arm * centre))
+        for nbr, coefficient in stencil:
+            bumped = up1.copy()
+            bumped[nbr] += eps
+            slope = (operator_residual(stepper, c, bumped)[node] - base[node]) / eps
+            assert abs(slope - coefficient) <= 1e-9 * abs(centre)
+    # the sweep's stencil applies those coefficients to the right neighbours
+    interior = stepper.interior
+    moved = stepper.apply(um1, um, up1 + bump, t) - stepper.apply(um1, um, up1, t)
+    exact = operator_residual(stepper, c, up1 + bump) - base
+    assert np.max(np.abs(moved[interior] - exact[interior])) <= 1e-9 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("metric, A, v1, first_order", [
