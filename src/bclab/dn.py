@@ -135,7 +135,9 @@ def transform_dn(dn: DNTrace, boundary_coeffs: dict, f=None) -> DNTrace:
     f holds the datum samples on the face at the trace's nodes; omitting it
     asserts a vanishing datum, which kills the drift term.  With q = g1^(1/4)
     and b_j = g0_plus_j, the result is q gh_pm^(-1/2) trace + (d_n q +
-    sum_j b_j d_j q) f / q, with d_j q over the lateral axes of the face.
+    sum_j b_j d_j q) f, with d_j q over the lateral axes of the face: the
+    normal-form field is q w, so d_n (q w) = q d_n w + (d_n q) w, and w = f
+    on the face.
     """
     required = ("g1", "dg1_dyn", "gh_pm", "g0_plus_j")
     missing = [key for key in required if key not in boundary_coeffs]
@@ -160,7 +162,7 @@ def transform_dn(dn: DNTrace, boundary_coeffs: dict, f=None) -> DNTrace:
             dq_j = np.gradient(np.broadcast_to(q, dn.values.shape),
                                steps[j], axis=j, edge_order=2)
             drift = drift + bj * dq_j
-        values = values + drift * f / q
+        values = values + drift * f
     return DNTrace(values=values, normal_order=dn.normal_order, grid=dn.grid)
 
 

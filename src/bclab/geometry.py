@@ -9,10 +9,13 @@ Conventions used throughout the laboratory:
   spatial block is negative definite;
 * grid arrays are indexed [x1, ..., xn] (last axis is the depth axis x_n) and
   time-resolved fields carry time as the leading axis;
-* expressions become arrays in one place, `_eval_table`: an Expr or nested
-  lists of them, over an env of arrays, to a float array.  The metric,
-  potential, Jacobian and gauge evaluations here, the solver's coefficient
-  levels, the fan's RK4 stages, the chart slab and the DN face all call it;
+* expressions become arrays in one place, a `_Plan`: an Expr or nested
+  lists of them, lowered once into let-bindings so that a subtree shared
+  between entries is evaluated once, then run over an env of arrays to a
+  float array.  The field that owns a table keeps its plan (MetricField for
+  g, A and the Hamiltonian-gradient terms, Diffeo for its map and Jacobian,
+  GaugeField for its phase, the solver for its coefficient expressions);
+  `_eval_table` compiles and runs a one-off table such as the DN face rows;
 * per-node matrices are at most 3x3 and are factored in closed form here:
   `_det` (cofactor expansion) and `_solve_small` (Cramer's rule on it) for
   determinants and solves, `_sym_eigs` for the cone's 1x1/2x2 eigenvalues.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,28 +109,118 @@ def _as_expr(value) -> Expr:
     raise TypeError(f"cannot interpret {value!r} as a field expression")
 
 
-def _eval_table(table, env: dict, shape=None) -> np.ndarray:
-    """Evaluate an Expr, or nested lists of them, to a float array of shape + table dims.
+def _parts(e: Expr) -> tuple:
+    """(label, children) of a node: with its type, what makes a subtree itself."""
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return None, (e.left, e.right)
+    if isinstance(e, Pow):
+        return repr(e.exponent.value), (e.base,)
+    if isinstance(e, Neg):
+        return None, (e.operand,)
+    if isinstance(e, Call):
+        return e.func, (e.arg,)
+    if isinstance(e, Var):
+        return e.name, ()
+    return repr(e.value), ()
 
-    Every entry is broadcast to shape, which defaults to the broadcast shape of
-    the evaluated entries (() when all are constant).  Const entries are filled
-    without evaluating, a zero of either sign as +0.0, and an Expr object held
-    by several slots is evaluated once.
+
+def _rebuild(e: Expr, kids: list) -> Expr:
+    """e with its children replaced by kids; e itself when none changed."""
+    if all(new is old for new, old in zip(kids, _parts(e)[1])):
+        return e
+    if isinstance(e, Pow):
+        return Pow(kids[0], e.exponent)
+    if isinstance(e, Call):
+        return Call(e.func, kids[0])
+    return type(e)(*kids)
+
+
+class _Plan:
+    """An Expr, or nested lists of them, lowered once into let-bindings.
+
+    Subtrees are shared by structure: two are one when they have the same node
+    types, function names, variable names and constants, the constants told
+    apart by repr (so -0.0 is not 0.0); a*b*c and a*(b*c) stay two.  Every
+    compound subtree that occurs more than once in the table, and every
+    non-Const entry, becomes one step: an ordinary Expr whose shared children
+    are Vars naming earlier steps ("%0", "%1", ..., names no parsed
+    expression can use).  A call runs each step once with Expr.evaluate, so
+    every value comes from the same numpy operations, in the same order, as
+    walking each entry's tree, and is bitwise equal to it.
     """
-    cells = np.array(table, dtype=object)
-    values = {}
-    for e in cells.flat:
-        if not isinstance(e, Const) and id(e) not in values:
-            values[id(e)] = np.asarray(e.evaluate(env), dtype=float)
-    if shape is None:
-        shape = np.broadcast_shapes(*(v.shape for v in values.values()))
-    out = np.zeros(tuple(shape) + cells.shape)
-    for idx, e in np.ndenumerate(cells):
-        if not isinstance(e, Const):
-            out[(Ellipsis,) + idx] = values[id(e)]
-        elif e.value != 0.0:  # zero slots, most of a grad_g table, stay as allocated
-            out[(Ellipsis,) + idx] = e.value
-    return out
+
+    def __init__(self, table):
+        cells = np.array(table, dtype=object)
+        keys, nodes, refs, seen = {}, [], [], {}
+
+        def intern(e):  # hash-consing: one id per distinct subtree
+            if id(e) not in seen:
+                label, children = _parts(e)
+                kids = [intern(c) for c in children]
+                key = (type(e), label, *kids)
+                if key not in keys:
+                    keys[key] = len(nodes)
+                    nodes.append((e, kids))
+                    refs.append(0)
+                    for kid in kids:
+                        refs[kid] += 1
+                seen[id(e)] = keys[key]
+            return seen[id(e)]
+
+        entries = {idx: intern(e) for idx, e in np.ndenumerate(cells) if not isinstance(e, Const)}
+        roots = {uid: i for i, uid in enumerate(dict.fromkeys(entries.values()))}
+        for uid in roots:
+            refs[uid] += 1
+        bound = set(roots) | {uid for uid, (_, kids) in enumerate(nodes) if kids and refs[uid] > 1}
+        self.steps, names = [], {}
+
+        def emit(uid):
+            if uid in names:
+                return Var(names[uid])
+            e, kids = nodes[uid]
+            e = _rebuild(e, [emit(kid) for kid in kids])
+            if uid not in bound:
+                return e
+            names[uid] = f"%{len(self.steps)}"
+            self.steps.append((names[uid], e))
+            return Var(names[uid])
+
+        for uid in roots:
+            emit(uid)
+        self.roots = [names[uid] for uid in roots]
+        self.dims = cells.shape
+        self.slots = [((Ellipsis,) + idx, roots[uid]) for idx, uid in entries.items()]
+        # zero slots, most of a grad_g table, stay as allocated: a zero of either sign is +0.0
+        self.fills = [((Ellipsis,) + idx, e.value) for idx, e in np.ndenumerate(cells)
+                      if isinstance(e, Const) and e.value != 0.0]
+
+    def __call__(self, env: dict, shape=None) -> np.ndarray:
+        """The table's float array of shape + table dims over env.
+
+        Every entry is broadcast to shape, which defaults to the broadcast
+        shape of the evaluated entries (() when all are constant)."""
+        local = dict(env)
+        for name, step in self.steps:
+            local[name] = step.evaluate(local)
+        values = [np.asarray(local[name], dtype=float) for name in self.roots]
+        if shape is None:
+            shape = np.broadcast_shapes(*(v.shape for v in values))
+        out = np.zeros(tuple(shape) + self.dims)
+        for where, i in self.slots:
+            out[where] = values[i]
+        for where, value in self.fills:
+            out[where] = value
+        return out
+
+
+def _eval_table(table, env: dict, shape=None) -> np.ndarray:
+    """Compile table into a _Plan and run it once, for tables evaluated once.
+
+    A table evaluated again and again belongs to an owner that keeps its plan:
+    MetricField (g, A, the Hamiltonian-gradient terms), Diffeo (forward map,
+    Jacobian), GaugeField (phase) and the solver's coefficient evaluators.
+    """
+    return _Plan(table)(env, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +423,7 @@ class MetricField:
             raise ValueError("potential needs n+1 components")
         self._rho = None
         self._grad_g = None
-        self._ham_terms = None
+        self._ham_plans = {}
 
     @classmethod
     def minkowski(cls, n: int) -> "MetricField":
@@ -365,34 +459,51 @@ class MetricField:
             self._grad_g = grad
         return self._grad_g
 
-    def ham_grad(self, env: dict, p: np.ndarray, shape=None) -> np.ndarray:
+    @cached_property
+    def _ham_terms(self) -> list:
+        """(j, k, q, d g^{jk}/d x_q) over j <= k, for every derivative that is
+        not a zero Const."""
+        size = self.n + 1
+        grad = self.grad_g()
+        return [(j, k, q, grad[j][k][q])
+                for j in range(size) for k in range(j, size) for q in range(size)
+                if not (isinstance(grad[j][k][q], Const) and grad[j][k][q].value == 0.0)]
+
+    def ham_grad(self, env: dict, p: np.ndarray, shape=None, tangential=False) -> np.ndarray:
         """Position gradient dH_q = sum_{j,k} d g^{jk}/d x_q p_j p_k of the
         principal symbol H = g^{jk} p_j p_k, shaped like the covectors p (..., n+1).
 
         Sums only the derivative entries that are not a zero Const, over j <= k
-        with weight 2 off the diagonal; the term list (j, k, q, derivative) is
-        built once per metric and its entries take one _eval_table call.
+        with weight 2 off the diagonal.  With tangential, only the components
+        q < n along the face x_n = const come back, as (..., n): the fan flow
+        reads no depth derivative.  Each term list and its plan are built once
+        per metric.
         """
-        if self._ham_terms is None:
-            size = self.n + 1
-            grad = self.grad_g()
-            self._ham_terms = [
-                (j, k, q, grad[j][k][q])
-                for j in range(size) for k in range(j, size) for q in range(size)
-                if not (isinstance(grad[j][k][q], Const) and grad[j][k][q].value == 0.0)
-            ]
-        values = _eval_table([term[3] for term in self._ham_terms], env, shape)
-        dH = np.zeros(p.shape)
-        for i, (j, k, q, _) in enumerate(self._ham_terms):
+        count = self.n if tangential else self.n + 1
+        if count not in self._ham_plans:
+            terms = [term for term in self._ham_terms if term[2] < count]
+            self._ham_plans[count] = terms, _Plan([term[3] for term in terms])
+        terms, plan = self._ham_plans[count]
+        values = plan(env, shape)
+        dH = np.zeros(p.shape[:-1] + (count,))
+        for i, (j, k, q, _) in enumerate(terms):
             weight = 1.0 if j == k else 2.0
             dH[..., q] += weight * values[..., i] * p[..., j] * p[..., k]
         return dH
 
+    @cached_property
+    def _g_plan(self) -> _Plan:
+        return _Plan(self.g)
+
+    @cached_property
+    def _A_plan(self) -> _Plan:
+        return _Plan(self.A)
+
     def eval_g(self, env: dict, shape=None) -> np.ndarray:
-        return _eval_table(self.g, env, shape)
+        return self._g_plan(env, shape)
 
     def eval_A(self, env: dict, shape=None) -> np.ndarray:
-        return _eval_table(self.A, env, shape)
+        return self._A_plan(env, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +519,12 @@ class GaugeField:
     def conj(self) -> "GaugeField":
         return GaugeField(-self.phase)
 
+    @cached_property
+    def _phase_plan(self) -> _Plan:
+        return _Plan(self.phase)
+
     def eval_c(self, env: dict) -> np.ndarray:
-        return np.exp(1j * _eval_table(self.phase, env))
+        return np.exp(1j * self._phase_plan(env))
 
     def check_on_patch(self, grid: SpacetimeGrid) -> bool:
         """c must be 1 on the accessible patch, to 1e-12, at every time level."""
@@ -445,12 +560,20 @@ class Diffeo:
         comps = [Var(f"x{j}") for j in range(n + 1)]
         return cls(n, comps, comps)
 
+    @cached_property
+    def _forward_plan(self) -> _Plan:
+        return _Plan(self.forward)
+
+    @cached_property
+    def _jacobian_plan(self) -> _Plan:
+        return _Plan(self.jacobian)
+
     def eval_forward(self, env: dict) -> np.ndarray:
         """y(x) as an (..., n+1) array."""
-        return _eval_table(self.forward, env)
+        return self._forward_plan(env)
 
     def eval_jacobian(self, env: dict, shape=None) -> np.ndarray:
-        return _eval_table(self.jacobian, env, shape)
+        return self._jacobian_plan(env, shape)
 
     def check_nonsingular(self, grid: SpacetimeGrid):
         """Raise SingularJacobian at the first node, over every time level, where
@@ -477,10 +600,11 @@ class Diffeo:
         so the criterion is sum g^{pr} (dy0/dx_p)(dy0/dx_r) > 0 at every node
         of every time level.
         """
+        time_gradient = _Plan(self.jacobian[0])
         for t in grid.times():
             env = grid.env_at_time(t)
             g = metric.eval_g(env, shape=grid.shape)
-            grad = _eval_table(self.jacobian[0], env, grid.shape)
+            grad = time_gradient(env, grid.shape)
             form = np.einsum("...p,...pr,...r->...", grad, g, grad)
             if np.min(form) <= 0.0:
                 return False

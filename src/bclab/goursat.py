@@ -144,16 +144,16 @@ def _fan_flow(metric: MetricField, row: tuple, ptan: np.ndarray):
 
     The velocity is 2 g p and the covector force -dH, the metric's sparse
     Hamiltonian gradient (MetricField.ham_grad, shared with the ray tracer
-    in geometry), both divided by the depth velocity.
+    in geometry) along the face only, both divided by the depth velocity.
     """
     n = metric.n
     env, g, pn = row
     pfull = np.concatenate([ptan, pn[..., None]], axis=-1)
     v = 2.0 * sum(g[..., k] * pfull[..., k, None] for k in range(n + 1))
     vn = v[..., n]
-    dH = metric.ham_grad(env, pfull, pn.shape)
+    dH = metric.ham_grad(env, pfull, pn.shape, tangential=True)
     dpos = v[..., :n] / vn[..., None]
-    dptan = -dH[..., :n] / vn[..., None]
+    dptan = -dH / vn[..., None]
     return dpos, dptan
 
 

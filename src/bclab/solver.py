@@ -50,7 +50,7 @@ from .geometry import (
     _cone,
     _cone_failures,
     _det,
-    _eval_table,
+    _Plan,
     max_characteristic_speed,
 )
 
@@ -231,14 +231,15 @@ class SampledCoefficients:
         """
         shape = grid.shape
         spatial = grid.spatial_env()
+        v1_at = None if v1 is None else _complex_evaluator(v1)
+        first_at = None if first_order is None else [_complex_evaluator(b) for b in first_order]
 
         def sample(m):
             env = dict(spatial, x0=np.full(shape, grid.t1 + m * grid.dt))
             return {"g": metric.eval_g(env, shape=shape), "A": metric.eval_A(env, shape=shape),
                     "rho": None,
-                    "v1": None if v1 is None else _complex_eval(v1, env, shape),
-                    "first": None if first_order is None
-                    else [_complex_eval(b, env, shape) for b in first_order]}
+                    "v1": None if v1_at is None else v1_at(env, shape),
+                    "first": None if first_at is None else [b(env, shape) for b in first_at]}
 
         fields = [e for row in metric.g for e in row] + metric.A + [v1] + list(first_order or [])
         time_cross = any(not _is_zero(metric.g[0][k]) for k in range(1, metric.n + 1))
@@ -310,22 +311,29 @@ def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 
 
-def _complex_eval(field, env, shape):
-    """Evaluate an Expr, an (re, im) pair of Exprs, or a callable to complex.
+def _complex_evaluator(field):
+    """(env, shape) -> complex array of an Expr, an (re, im) pair of Exprs, or
+    a callable(env); an expression field compiles its plan once, here.
 
     None (a missing coefficient, or a missing half of a pair) counts as zero.
     """
     if field is None:
-        return np.zeros(shape, dtype=complex)
+        return lambda env, shape: np.zeros(shape, dtype=complex)
     if callable(field) and not isinstance(field, Expr):
-        return np.asarray(field(env), dtype=complex)
+        return lambda env, shape: np.asarray(field(env), dtype=complex)
     if not isinstance(field, tuple):
-        return _eval_table(field, env, shape).astype(complex)
-    parts = _eval_table([Const(0.0) if part is None else part for part in field], env, shape)
-    out = np.zeros(shape, dtype=complex)
-    out += parts[..., 0]
-    out += 1j * parts[..., 1]
-    return out
+        plan = _Plan(field)
+        return lambda env, shape: plan(env, shape).astype(complex)
+    plan = _Plan([Const(0.0) if part is None else part for part in field])
+
+    def evaluate(env, shape):
+        parts = plan(env, shape)
+        out = np.zeros(shape, dtype=complex)
+        out += parts[..., 0]
+        out += 1j * parts[..., 1]
+        return out
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +671,18 @@ def solve_ibvp(
                     f"{cfl_fraction * min(grid.h) / vmax:.3e} at t = {t:.4f}"
                 )
 
+    force = spatial = None
+    if forcing is not None:
+        # one spatial mesh for every level's forcing env, read-only so that a
+        # forcing callable cannot change what later levels see
+        force, spatial = _complex_evaluator(forcing), grid.spatial_env()
+        for mesh in spatial.values():
+            mesh.flags.writeable = False
+
     def forcing_at(t: float):
-        if forcing is None:
+        if force is None:
             return None
-        return _complex_eval(forcing, grid.env_at_time(t), shape)
+        return force(dict(spatial, x0=np.full(shape, float(t))), shape)
 
     # the first three depth layers of every level; all levels only on request
     layers = np.empty((nt,) + shape[:-1] + (3,), dtype=complex)

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from bclab.expr import Call, Const, parse_expr
+from bclab import geometry
+from bclab.expr import Call, Const, Mul, Var, parse_expr
 from bclab.geometry import (
     Diffeo,
     GaugeField,
@@ -19,6 +20,7 @@ from bclab.geometry import (
     _characteristic_speed,
     _cone,
     _eval_table,
+    _Plan,
     apply_conjugation_gauge,
     apply_gauge,
     check_hyperbolicity,
@@ -266,7 +268,8 @@ def test_eval_table_full_grid_and_grad_table():
 
 def test_eval_table_consts_and_shared_entries(monkeypatch):
     e = parse_expr("sin(x1)*x0")
-    table = [[Const(0.0), e, Const(2.5)], [e, parse_expr("cos(x1)"), Const(-1.0)]]
+    table = [[Const(0.0), e, Const(2.5)], [e, parse_expr("cos(x1)"), Const(-1.0)],
+             [parse_expr("x0 - sin(x1)"), Var("x1"), parse_expr("sin(x1)*x0")]]
     env = {"x0": np.linspace(0.0, 1.0, 4)[:, None], "x1": np.linspace(0.0, 1.0, 5)[None, :]}
     want = _entrywise(table, env, (4, 5))
     calls = []
@@ -277,9 +280,76 @@ def test_eval_table_consts_and_shared_entries(monkeypatch):
     got = _eval_table(table, env, (4, 5))
     monkeypatch.undo()
     _assert_same_bits(got, want)
-    # e's sin(x1) once although e fills two slots, and cos(x1) once
+    # sin(x1) once although e fills two slots and two other entries hold
+    # their own sin(x1), and cos(x1) once
     assert len(calls) == 2
     _assert_same_bits(_eval_table([Const(-0.0), Const(3.0)], env), np.array([0.0, 3.0]))
+
+
+def _plan_fixtures():
+    """(metric, diffeo) pairs: every metric fixture of this module, and the
+    pushforward, whose entries repeat the Jacobian's subtrees many times."""
+    pushed = pushforward(_curved_metric_2d(), _bent_diffeo_2d())
+    tilted = Diffeo(1, ["x0", "x1*cos(4*x0)"], ["x0", "x1/cos(4*x0)"])
+    return [(_var_metric_2d(), _bent_diffeo_2d()), (_curved_metric_2d(), _bent_diffeo_2d(0.3)),
+            (pushed, _bent_diffeo_2d()), (_variable_metric_1d(), tilted),
+            (MetricField.minkowski(2), Diffeo.identity(2))]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_plan_matches_tree_walk(index):
+    # bitwise, on a full grid level and at one point: the owners' cached
+    # plans, and one-off plans of the gradient and Hamiltonian-term tables
+    metric, phi = _plan_fixtures()[index]
+    grid = _grid2() if metric.n == 2 else _grid1()
+    ham = [term[3] for term in metric._ham_terms]
+    for env, shape in ((grid.env_at_time(0.3), grid.shape),
+                       ({f"x{j}": 0.1 + 0.2 * j for j in range(metric.n + 1)}, ())):
+        _assert_same_bits(metric.eval_g(env, shape), _entrywise(metric.g, env, shape))
+        _assert_same_bits(metric.eval_A(env, shape), _entrywise(metric.A, env, shape))
+        _assert_same_bits(phi.eval_jacobian(env, shape), _entrywise(phi.jacobian, env, shape))
+        for table in (metric.grad_g(), ham) if ham else (metric.grad_g(),):
+            _assert_same_bits(_eval_table(table, env, shape), _entrywise(table, env, shape))
+    assert ham or _eval_table(ham, env, shape).shape == (0,)
+
+
+def test_plan_shares_subtrees_by_structure_not_by_render():
+    x0, x1, x2 = Var("x0"), Var("x1"), Var("x2")
+    # each pair renders alike but differs in bits: the association of a
+    # product, and a -0.0 beside a 0.0 inside a product
+    table = [Mul(Mul(x0, x1), x2), Mul(x0, Mul(x1, x2)),
+             Mul(x1, Const(-0.0)), Mul(x1, Const(0.0))]
+    assert table[0].render() == table[1].render() and table[2].render() == table[3].render()
+    rng = np.random.default_rng(4)
+    env = {name: rng.uniform(0.1, 1.0, 64) for name in ("x0", "x1", "x2")}
+    want = _entrywise(table, env, (64,))
+    assert not np.array_equal(want[:, 0], want[:, 1])
+    assert np.signbit(want[:, 2]).all() and not np.signbit(want[:, 3]).any()
+    _assert_same_bits(_eval_table(table, env), want)
+    # a product held twice is one step, evaluated once
+    plan = _Plan([table[0], Mul(Mul(x0, x1), x2) + x0])
+    assert len(plan.steps) == 2
+
+
+def test_owners_compile_each_plan_once(monkeypatch):
+    compiled = []
+    init = _Plan.__init__
+    monkeypatch.setattr(_Plan, "__init__",
+                        lambda plan, table: compiled.append(table) or init(plan, table))
+    metric, phi = _var_metric_2d(), _bent_diffeo_2d()
+    gauge = geometry.GaugeField("x0*x2")
+    env = _grid2().env_at_time(0.3)
+    p = np.ones(_grid2().shape + (3,))
+    for _ in range(3):
+        metric.eval_g(env)
+        metric.eval_A(env)
+        metric.ham_grad(env, p)
+        metric.ham_grad(env, p, tangential=True)
+        phi.eval_forward(env)
+        phi.eval_jacobian(env)
+        gauge.eval_c(env)
+    # g, A, both Hamiltonian term lists, forward map, Jacobian, phase
+    assert len(compiled) == 7
 
 
 # ===== gauges ================================================================

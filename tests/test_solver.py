@@ -24,6 +24,7 @@ from bclab.geometry import (
     MetricField,
     NonHyperbolic,
     SpacetimeGrid,
+    _Plan,
     apply_conjugation_gauge,
     check_hyperbolicity,
     influence_region,
@@ -223,6 +224,32 @@ def test_diagnostics_count_sweeps_per_step():
         scale = max(float(np.max(np.abs(cross.samples))), 1.0)
         assert np.all(cross.diagnostics["last_update"] <= 1e-13 * scale)
     assert np.all(flat.diagnostics["sweeps"] == 1)
+
+
+def test_expression_coefficients_compile_once_per_solve(monkeypatch):
+    compiled = []
+    init = _Plan.__init__
+    monkeypatch.setattr(_Plan, "__init__",
+                        lambda plan, table: compiled.append(table) or init(plan, table))
+    # time-dependent, so every one of the 29 levels is sampled
+    metric = MetricField(1, [["1", "0"], ["0", "-1 + 0.1*sin(x0)"]])
+    solve_ibvp(metric, None, None, grid1(1 / 16), forcing=parse_expr("sin(x0)*x1"),
+               v1=parse_expr("0.1*x0*x1"), store="boundary")
+    # g, A, v1 and the forcing, once each
+    assert len(compiled) == 4
+
+
+def test_forcing_envs_share_one_read_only_mesh():
+    meshes = []
+
+    def forcing(env):
+        meshes.append(env["x1"])
+        with pytest.raises(ValueError, match="read-only"):
+            env["x1"][0] = 1.0
+        return np.zeros(env["x1"].shape)
+
+    solve_ibvp(MetricField.minkowski(1), None, None, grid1(1 / 16), forcing=forcing)
+    assert len(meshes) > 2 and all(mesh is meshes[0] for mesh in meshes)
 
 
 TIME_CROSS_2D = MetricField(
