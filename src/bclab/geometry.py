@@ -48,7 +48,6 @@ __all__ = [
     "pushforward",
     "trace_bicharacteristic",
     "influence_region",
-    "direction_sample",
     "max_characteristic_speed",
     "substitute",
 ]
@@ -618,43 +617,8 @@ class Diffeo:
 
 
 # ---------------------------------------------------------------------------
-# Direction sampling and characteristic speeds
+# Characteristic cone
 # ---------------------------------------------------------------------------
-
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-
-def direction_sample(n: int) -> np.ndarray:
-    """Deterministic spatial unit covector sample: 64 golden-angle directions plus axes."""
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    dirs = []
-    for i in range(64):
-        theta = (i + 0.5) * _GOLDEN_ANGLE
-        dirs.append((math.cos(theta), math.sin(theta)))
-    for axis in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
-        dirs.append(axis)
-    return np.array(dirs)
-
-
-def _characteristic_speed(g: np.ndarray) -> float:
-    """Max |xi_0| over direction_sample for a sampled (..., n+1, n+1) metric: the
-    roots of g^{00} xi_0^2 + 2 b xi_0 + c, b = g^{0j} xi_j and c = g^{jk} xi_j xi_k."""
-    n = g.shape[-1] - 1
-    a = g[..., 0, 0]
-    vmax = 0.0
-    for d in direction_sample(n):
-        b = c = 0.0
-        for j in range(1, n + 1):
-            b = b + g[..., 0, j] * d[j - 1]
-            for k in range(1, n + 1):
-                c = c + g[..., j, k] * d[j - 1] * d[k - 1]
-        sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vmax = max(vmax, float(np.max(np.abs((-b - sq) / a))),
-                       float(np.max(np.abs((-b + sq) / a))))
-    return vmax
-
 
 def _sym_eigs(entries: list):
     """Least and largest eigenvalue per node of [[a]] or [[a, b], [b, d]], given as
@@ -674,8 +638,10 @@ def _cone(g: np.ndarray) -> dict:
     M = b b^T - g^{00} G.  Over unit spatial covectors: `ell` = lambda_min(-G),
     the spatial ellipticity; `disc` = lambda_min(M), the least discriminant;
     `speed` = (|b| + sqrt(lambda_max(M))) / g^{00}, an upper bound on the
-    largest root |xi_0| that is exact for n = 1.  Exact over covectors for the
-    n <= 2 a SpacetimeGrid allows; solve_ibvp runs it on every node level.
+    largest root |xi_0| that is exact for n = 1: the lab's one characteristic
+    speed, from which cfl_time_step, transformed_time_step and solve_ibvp's CFL
+    check all read.  `ell` and `disc` are exact over covectors for the n <= 2
+    a SpacetimeGrid allows; solve_ibvp runs it on every node level.
     """
     pairs = [(1, 1)] if g.shape[-1] == 2 else [(1, 1), (1, 2), (2, 2)]
     g00 = g[..., 0, 0]
@@ -689,14 +655,15 @@ def _cone(g: np.ndarray) -> dict:
 
 
 def max_characteristic_speed(metric: MetricField, grid: SpacetimeGrid) -> float:
-    """Max |xi_0| over unit spatial covectors: the fastest local phase speed.
-
-    Sampled at nine time levels, evenly strided from t1, and over
-    direction_sample; cfl_time_step takes its step from it.
+    """Max over nine time levels, evenly strided from t1, of _cone's speed: an
+    upper bound on the fastest local phase speed |xi_0| over unit spatial
+    covectors, exact for n = 1.  cfl_time_step takes its step from it, and
+    solve_ibvp refuses a level in between whose bound is faster.
     """
     times = grid.times()
-    return max(_characteristic_speed(metric.eval_g(grid.env_at_time(t), shape=grid.shape))
-               for t in times[::max(1, (len(times) - 1) // 8)])
+    speeds = (_cone(metric.eval_g(grid.env_at_time(t), shape=grid.shape))["speed"]
+              for t in times[::max(1, (len(times) - 1) // 8)])
+    return max(float(np.max(speed)) for speed in speeds)
 
 
 # ---------------------------------------------------------------------------
@@ -961,22 +928,18 @@ def _neighbor_offsets(n: int) -> list:
     return offsets
 
 
-def _cone_speed(metric: MetricField, points_env: dict, direction: np.ndarray, t: np.ndarray, sign: int) -> np.ndarray:
+def _cone_speed(g_lo: np.ndarray, direction: np.ndarray, sign: int) -> np.ndarray:
     """Forward (sign=+1) or backward (sign=-1) boundary speed of the velocity cone.
 
     Null velocity vectors (1, w) satisfy g_{00} + 2 g_{0j} w_j + g_{jk} w_j w_k = 0
-    in the covariant metric; along a fixed unit direction this is a quadratic in
-    the speed whose positive root is the causal propagation rate.
+    in the sampled covariant metric g_lo (..., n+1, n+1); along a fixed unit
+    direction this is a quadratic in the speed whose positive root is the
+    causal propagation rate.
     """
-    env = dict(points_env)
-    env["x0"] = t
-    shape = np.broadcast_shapes(*[np.shape(v) for v in env.values()])
-    g_up = metric.eval_g(env, shape=shape)
-    n = metric.n
-    g_lo = np.stack([_solve_small(g_up, e) for e in np.eye(n + 1)], axis=-1)
+    n = g_lo.shape[-1] - 1
     w = direction * sign
-    a = np.zeros(shape)
-    b = np.zeros(shape)
+    a = np.zeros(g_lo.shape[:-2])
+    b = np.zeros(g_lo.shape[:-2])
     for j in range(1, n + 1):
         b += g_lo[..., 0, j] * w[j - 1]
         for k in range(1, n + 1):
@@ -1000,9 +963,10 @@ def influence_region(
     seed_mask is a boolean array over spatial nodes (the set F); the front
     expands from it at the local maximal characteristic speed, forward or
     backward in time.  Arrival times come from value iteration over a
-    16-direction neighbor stencil, run until a pass changes nothing, so the
-    mask is within a cell of the true cone for the gentle metrics the
-    laboratory targets.
+    16-direction neighbor stencil, run until a pass changes nothing.  Each
+    step's speed is the slowest of those read at five elapsed times evenly
+    spread over the window, so on a metric that is faster between those times
+    the mask under-reports the reach.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -1018,25 +982,21 @@ def influence_region(
     arrival[seed_mask] = 0.0  # elapsed time since seeding
 
     offsets = _neighbor_offsets(grid.n)
-    env0 = grid.spatial_env()
     window = grid.t2 - grid.t1
 
-    # Precompute, per offset, the per-node travel time across that offset.
-    # Speeds are sampled at a handful of elapsed-time values and the travel
-    # time uses the slowest sampled speed along the step (conservative but
-    # within-cell accurate for mildly time-dependent metrics).
+    # The covariant metric at five elapsed times, evaluated once; each
+    # offset's travel time uses the slowest speed read at them, which misses
+    # a metric that is faster in between.
+    covariant = []
+    for elapsed in np.linspace(0.0, window, 5):
+        g = metric.eval_g(grid.env_at_time(t_seed + sign * elapsed), shape=grid.shape)
+        covariant.append(np.stack([_solve_small(g, e) for e in np.eye(grid.n + 1)], axis=-1))
     hvec = np.array(grid.h)
     travel_tables = []
-    t_samples = np.linspace(0.0, window, 5)
     for off in offsets:
         step = hvec * np.array(off)
         dist = float(np.linalg.norm(step))
-        unit = step / dist
-        speeds = []
-        for dt_elapsed in t_samples:
-            t_eval = t_seed + sign * dt_elapsed
-            speeds.append(_cone_speed(metric, env0, unit, np.full(grid.shape, t_eval), sign))
-        vmin = np.minimum.reduce(speeds)
+        vmin = np.minimum.reduce([_cone_speed(g_lo, step / dist, sign) for g_lo in covariant])
         travel_tables.append(dist / vmin)
 
     # Deterministic value iteration (Bellman-Ford over the lattice): with

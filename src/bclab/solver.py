@@ -30,7 +30,8 @@ term c u.  The transformed-operator pipeline uses the forcing and the
 zeroth-order term (its V1).
 
 Every node level, chart runs included, is checked once when a step first
-reads it: the cone conditions in closed form at every node, and the CFL bound.
+reads it: the cone conditions in closed form at every node, and the CFL
+number from the same closed-form speed bound that cfl_time_step divides by.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .geometry import (
     NonHyperbolic,
     SpacetimeGrid,
     _as_expr,
-    _characteristic_speed,
     _cone,
     _cone_failures,
     _det,
@@ -73,7 +73,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 class CFLViolation(ValueError):
-    """Time step exceeds the stability bound for this metric and grid."""
+    """dt times _cone's speed bound over h exceeds the CFL fraction at a level."""
 
 
 class Instability(RuntimeError):
@@ -545,8 +545,9 @@ class _Stepper:
 # ---------------------------------------------------------------------------
 
 def cfl_time_step(metric: MetricField, grid: SpacetimeGrid, fraction: float = 0.5) -> float:
-    """Stable time step: fraction * h_min / the speed sampled at nine levels; solve_ibvp
-    checks every level and refuses it on a metric that is faster between samples."""
+    """Stable time step: fraction * h_min / max_characteristic_speed, the cone bound
+    at nine levels; solve_ibvp checks the same bound at every level and refuses the
+    step on a metric that is faster between those nine."""
     vmax = max_characteristic_speed(metric, grid)
     return fraction * min(grid.h) / vmax
 
@@ -589,9 +590,9 @@ def solve_ibvp(
 
     With `check`, each node level is checked before the first step that reads
     it sweeps, raising NonHyperbolic (condition, node, value) or CFLViolation
-    (the time).  diagnostics["cfl"] holds dt * v / h per node level, with v the
-    closed-form speed bound, or the sampled speed where the bound is over
-    cfl_fraction; cfl_number is its maximum.
+    (the time).  diagnostics["cfl"] holds dt * v / h per node level, with v
+    _cone's closed-form speed bound, the speed cfl_time_step reads;
+    cfl_number is its maximum.
     """
     if store not in ("all", "boundary"):
         raise ValueError(f"store must be 'all' or 'boundary', got {store!r}")
@@ -655,21 +656,18 @@ def solve_ibvp(
         t = times[level]
         g = provider.at(t)["g"]
         cone = _cone(g)
-        cfl[level] = courant * float(np.max(cone["speed"]))
+        vmax = float(np.max(cone["speed"]))
+        cfl[level] = courant * vmax
         if not check:
             return
         failures = _cone_failures(g, cone, t, axes)
         if failures:
             raise NonHyperbolic(*failures[0])
         if cfl[level] > limit:
-            # the closed form bounds the speed from above; decide on the sampled one
-            vmax = _characteristic_speed(g)
-            cfl[level] = courant * vmax
-            if cfl[level] > limit:
-                raise CFLViolation(
-                    f"dt = {grid.dt:.3e} exceeds {cfl_fraction} * h / v_max = "
-                    f"{cfl_fraction * min(grid.h) / vmax:.3e} at t = {t:.4f}"
-                )
+            raise CFLViolation(
+                f"dt = {grid.dt:.3e} exceeds {cfl_fraction} * h / v_max = "
+                f"{cfl_fraction * min(grid.h) / vmax:.3e} at t = {t:.4f}"
+            )
 
     force = spatial = None
     if forcing is not None:

@@ -17,7 +17,6 @@ from bclab.geometry import (
     NotNull,
     SingularJacobian,
     SpacetimeGrid,
-    _characteristic_speed,
     _cone,
     _eval_table,
     _Plan,
@@ -199,14 +198,16 @@ def test_closed_form_cone_matches_dense_covector_scan():
     np.testing.assert_allclose(cone["disc"], np.min(disc, axis=1), rtol=0, atol=1e-6)
     assert np.all(cone["speed"] >= np.max(roots, axis=(0, 2)) - 1e-12)
 
-    # n = 1: the bound is the exact speed
+    # n = 1: the bound is the exact speed, the largest |root| of
+    # g00 xi0^2 + 2 g01 xi1 xi0 + g11 xi1^2 over xi1 = +-1
     g1 = np.empty((count, 2, 2))
     g1[:, 0, 0] = rng.uniform(0.5, 1.5, count)
     g1[:, 0, 1] = g1[:, 1, 0] = rng.uniform(-0.5, 0.5, count)
     g1[:, 1, 1] = rng.uniform(-2.0, -0.3, count)
-    speed = _cone(g1)["speed"]
-    for i in range(count):
-        assert speed[i] == pytest.approx(_characteristic_speed(g1[i]), rel=0, abs=1e-14)
+    a, lin, quad = g1[:, 0, 0], g1[:, 0, 1, None] * [1.0, -1.0], g1[:, 1, 1, None]
+    sq = np.sqrt(lin * lin - a[:, None] * quad)
+    exact = np.max(np.abs([(-lin - sq) / a[:, None], (-lin + sq) / a[:, None]]), axis=(0, 2))
+    np.testing.assert_allclose(_cone(g1)["speed"], exact, rtol=0, atol=1e-14)
 
 
 # ===== expression tables =====================================================

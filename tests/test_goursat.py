@@ -908,6 +908,24 @@ def test_chart_route_dn_pins_the_datum_drift():
     assert math.log(e1 / e2) / math.log(20 / 16) >= 1.5
 
 
+# g^{01} != 0 and g^{11} varies along x1, so on the face the chart's lateral
+# coupling b_1 = g0_plus_j and the lateral slope of q are both order one
+LATERAL_WEIGHT_2D = MetricField(
+    2, [["1", "0.3", "0"], ["0.3", "-0.25*(1 + 0.5*sin(2*x1))^2", "0"], ["0", "0", "-1"]])
+
+
+def test_chart_route_dn_pins_the_lateral_drift():
+    """The two routes on a metric where transform_dn's b_j d_j q term is
+    order one on the face: without that term the error is about 0.375 at
+    both spacings."""
+    e1 = chart_route_dn_error(LATERAL_WEIGHT_2D, 1 / 16)
+    e2 = chart_route_dn_error(LATERAL_WEIGHT_2D, 1 / 20)
+    # measured 9.48e-3 and 6.43e-3 (order 1.74); bounds about 15% above
+    assert e1 <= 1.09e-2
+    assert e2 <= 7.4e-3
+    assert math.log(e1 / e2) / math.log(20 / 16) >= 1.5
+
+
 def test_two_route_agreement_1d():
     """Same data propagated in lab coordinates and in the chart.
 

@@ -130,6 +130,37 @@ def test_every_level_checked_between_samples(g11, error):
         assert str(t) in str(err.value)
 
 
+def test_cfl_step_and_check_read_one_speed():
+    # cfl_time_step and the run's CFL check both read _cone's bound, which in
+    # 2D lies above the true speed (1.15903 against about 1.1566 here): the
+    # step it gives runs at CFL 0.5, and a step 0.1% longer is refused even
+    # though the true speed would still allow it
+    sig = BoundarySignal(0.1, 0.08, centers=(0.5,), widths=(0.3,))
+
+    def grid(dt):
+        return SpacetimeGrid(n=2, extent=(1.0, 1.0), h=(1 / 16, 1 / 16), dt=dt,
+                             t1=0.0, t2=0.25)
+
+    dt = cfl_time_step(VAR_METRIC_2D, grid(1 / 64))
+    bound = max_characteristic_speed(VAR_METRIC_2D, grid(dt))
+    wf = solve_ibvp(VAR_METRIC_2D, None, sig, grid(dt))
+    assert wf.cfl_number <= 0.5
+    assert wf.cfl_number == pytest.approx(dt * bound * 16, rel=1e-12)
+
+    # the static metric's true speed: largest |root| over 4096 unit covectors
+    g = VAR_METRIC_2D.eval_g(grid(dt).env_at_time(0.0), shape=grid(dt).shape)
+    theta = np.pi * np.arange(4096) / 4096
+    xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    lin = np.einsum("...j,dj->...d", g[..., 0, 1:], xi)
+    quad = np.einsum("dj,...jk,dk->...d", xi, g[..., 1:, 1:], xi)
+    sq = np.sqrt(lin * lin - g[..., 0, 0, None] * quad)
+    true = float(np.max(np.abs([-lin - sq, -lin + sq]) / g[..., 0, 0, None]))
+    longer = 1.001 * dt
+    assert longer * true * 16 < 0.5 < longer * bound * 16
+    with pytest.raises(CFLViolation, match=r"at t = 0\.0000"):
+        solve_ibvp(VAR_METRIC_2D, None, sig, grid(longer))
+
+
 def test_nan_field_raises_instability():
     # checks off, g^{11} > 0 between the sampled levels: the field turns NaN,
     # which no `peak > bound` comparison catches; the guard must name the time
