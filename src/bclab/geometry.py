@@ -145,12 +145,14 @@ class _Plan:
     are Vars naming earlier steps ("%0", "%1", ..., names no parsed
     expression can use).  A call runs each step once with Expr.evaluate, so
     every value comes from the same numpy operations, in the same order, as
-    walking each entry's tree, and is bitwise equal to it.
+    walking each entry's tree, and is bitwise equal to it.  Each entry of the
+    output, out[..., j, k], is contiguous.  With `varying` names, each largest
+    compound subtree without them is a step too, which `fix` runs once.
     """
 
-    def __init__(self, table):
+    def __init__(self, table, varying=()):
         cells = np.array(table, dtype=object)
-        keys, nodes, refs, seen = {}, [], [], {}
+        keys, nodes, refs, seen, free = {}, [], [], {}, []
 
         def intern(e):  # hash-consing: one id per distinct subtree
             if id(e) not in seen:
@@ -161,6 +163,7 @@ class _Plan:
                     keys[key] = len(nodes)
                     nodes.append((e, kids))
                     refs.append(0)
+                    free.append(e.variables().isdisjoint(varying))
                     for kid in kids:
                         refs[kid] += 1
                 seen[id(e)] = keys[key]
@@ -171,6 +174,8 @@ class _Plan:
         for uid in roots:
             refs[uid] += 1
         bound = set(roots) | {uid for uid, (_, kids) in enumerate(nodes) if kids and refs[uid] > 1}
+        bound |= {kid for uid, (_, kids) in enumerate(nodes) if not free[uid]
+                  for kid in kids if free[kid] and nodes[kid][1]}
         self.steps, names = [], {}
 
         def emit(uid):
@@ -187,10 +192,11 @@ class _Plan:
         for uid in roots:
             emit(uid)
         self.roots = [names[uid] for uid in roots]
+        self.fixed = {names[uid] for uid in bound if free[uid]}
         self.dims = cells.shape
-        self.slots = [((Ellipsis,) + idx, roots[uid]) for idx, uid in entries.items()]
+        self.slots = [(idx, roots[uid]) for idx, uid in entries.items()]
         # zero slots, most of a grad_g table, stay as allocated: a zero of either sign is +0.0
-        self.fills = [((Ellipsis,) + idx, e.value) for idx, e in np.ndenumerate(cells)
+        self.fills = [(idx, e.value) for idx, e in np.ndenumerate(cells)
                       if isinstance(e, Const) and e.value != 0.0]
 
     def __call__(self, env: dict, shape=None) -> np.ndarray:
@@ -198,18 +204,30 @@ class _Plan:
 
         Every entry is broadcast to shape, which defaults to the broadcast
         shape of the evaluated entries (() when all are constant)."""
+        return self._run(self.steps, dict(env), shape)
+
+    def fix(self, env: dict):
+        """Run the steps without `varying` names over env once, here; returns
+        (env of the varying names, shape=None) -> the table, which runs the rest."""
         local = dict(env)
         for name, step in self.steps:
+            if name in self.fixed:
+                local[name] = step.evaluate(local)
+        rest = [step for step in self.steps if step[0] not in self.fixed]
+        return lambda varying, shape=None: self._run(rest, dict(local, **varying), shape)
+
+    def _run(self, steps, local: dict, shape) -> np.ndarray:
+        for name, step in steps:
             local[name] = step.evaluate(local)
         values = [np.asarray(local[name], dtype=float) for name in self.roots]
         if shape is None:
             shape = np.broadcast_shapes(*(v.shape for v in values))
-        out = np.zeros(tuple(shape) + self.dims)
-        for where, i in self.slots:
-            out[where] = values[i]
-        for where, value in self.fills:
-            out[where] = value
-        return out
+        out = np.zeros(self.dims + tuple(shape))
+        for idx, i in self.slots:
+            out[idx] = values[i]
+        for idx, value in self.fills:
+            out[idx] = value
+        return np.moveaxis(out, tuple(range(len(self.dims))), tuple(range(-len(self.dims), 0)))
 
 
 def _eval_table(table, env: dict, shape=None) -> np.ndarray:
@@ -405,10 +423,7 @@ class MetricField:
     def __init__(self, n: int, g_upper, A=None):
         self.n = n
         size = n + 1
-        g = [[None] * size for _ in range(size)]
-        for j in range(size):
-            for k in range(size):
-                g[j][k] = _as_expr(g_upper[j][k])
+        g = [[_as_expr(g_upper[j][k]) for k in range(size)] for j in range(size)]
         for j in range(size):
             for k in range(j + 1, size):
                 if g[j][k].render() != g[k][j].render():
@@ -468,38 +483,33 @@ class MetricField:
                 for j in range(size) for k in range(j, size) for q in range(size)
                 if not (isinstance(grad[j][k][q], Const) and grad[j][k][q].value == 0.0)]
 
-    def ham_grad(self, env: dict, p: np.ndarray, shape=None, tangential=False) -> np.ndarray:
-        """Position gradient dH_q = sum_{j,k} d g^{jk}/d x_q p_j p_k of the
-        principal symbol H = g^{jk} p_j p_k, shaped like the covectors p (..., n+1).
-
-        Sums only the derivative entries that are not a zero Const, over j <= k
-        with weight 2 off the diagonal.  With tangential, only the components
-        q < n along the face x_n = const come back, as (..., n): the fan flow
-        reads no depth derivative.  Each term list and its plan are built once
-        per metric.
-        """
-        count = self.n if tangential else self.n + 1
+    def eval_ham(self, env: dict, shape=None, count=None) -> tuple:
+        """(g, dH) over env from one plan, built once per count: g, and dH(p)
+        the gradient dH_q = sum_{j,k} d g^{jk}/d x_q p_j p_k of H = g^{jk} p_j
+        p_k for q < count (default n + 1), over the derivatives that are not
+        a zero Const, as (..., count) for covectors p (..., n+1)."""
+        count, size = self.n + 1 if count is None else count, self.n + 1
         if count not in self._ham_plans:
             terms = [term for term in self._ham_terms if term[2] < count]
-            self._ham_plans[count] = terms, _Plan([term[3] for term in terms])
+            table = [e for row in self.g for e in row] + [term[3] for term in terms]
+            self._ham_plans[count] = terms, _Plan(table)
         terms, plan = self._ham_plans[count]
         values = plan(env, shape)
-        dH = np.zeros(p.shape[:-1] + (count,))
-        for i, (j, k, q, _) in enumerate(terms):
-            weight = 1.0 if j == k else 2.0
-            dH[..., q] += weight * values[..., i] * p[..., j] * p[..., k]
-        return dH
 
-    @cached_property
-    def _g_plan(self) -> _Plan:
-        return _Plan(self.g)
+        def dH(p):
+            out = np.zeros(p.shape[:-1] + (count,))
+            for i, (j, k, q, _) in enumerate(terms, size * size):
+                out[..., q] += (1.0 if j == k else 2.0) * values[..., i] * p[..., j] * p[..., k]
+            return out
+
+        return values[..., :size * size].reshape(values.shape[:-1] + (size, size)), dH
 
     @cached_property
     def _A_plan(self) -> _Plan:
         return _Plan(self.A)
 
     def eval_g(self, env: dict, shape=None) -> np.ndarray:
-        return self._g_plan(env, shape)
+        return self.eval_ham(env, shape, count=0)[0]  # no gradient terms
 
     def eval_A(self, env: dict, shape=None) -> np.ndarray:
         return self._A_plan(env, shape)
@@ -658,12 +668,12 @@ def max_characteristic_speed(metric: MetricField, grid: SpacetimeGrid) -> float:
     """Max over nine time levels, evenly strided from t1, of _cone's speed: an
     upper bound on the fastest local phase speed |xi_0| over unit spatial
     covectors, exact for n = 1.  cfl_time_step takes its step from it, and
-    solve_ibvp refuses a level in between whose bound is faster.
+    solve_ibvp refuses a level in between whose bound is faster.  Raises
+    NonHyperbolic at a level of the nine that fails a cone condition.
     """
-    times = grid.times()
-    speeds = (_cone(metric.eval_g(grid.env_at_time(t), shape=grid.shape))["speed"]
-              for t in times[::max(1, (len(times) - 1) // 8)])
-    return max(float(np.max(speed)) for speed in speeds)
+    times, axes = grid.times(), grid.axes()[1:]
+    return max(_level_speed(metric.eval_g(grid.env_at_time(t), shape=grid.shape), t, axes)
+               for t in times[::max(1, (len(times) - 1) // 8)])
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +711,15 @@ def _cone_failures(g: np.ndarray, cone: dict, t: float, axes: list) -> list:
               ("time-like boundary face", -g[..., 0, n, n], -1.0))
     return [(condition, worst(values), sign * float(np.min(values)))
             for condition, values, sign in checks if np.min(values) <= 0.0]
+
+
+def _level_speed(g: np.ndarray, t: float, axes: list, check: bool = True) -> float:
+    """Max of _cone's speed on level t of g; with check, NonHyperbolic if it fails."""
+    cone = _cone(g)
+    failures = _cone_failures(g, cone, t, axes) if check else []
+    if failures:
+        raise NonHyperbolic(*failures[0])
+    return float(np.max(cone["speed"]))
 
 
 def check_hyperbolicity(metric: MetricField, grid: SpacetimeGrid) -> HyperbolicityReport:
@@ -846,7 +865,8 @@ def _ham_rhs(metric: MetricField, state: np.ndarray) -> np.ndarray:
     size = metric.n + 1
     env = {f"x{j}": state[j] for j in range(size)}
     xi = state[size:]
-    return np.concatenate([2.0 * (metric.eval_g(env) @ xi), -metric.ham_grad(env, xi)])
+    g, dH = metric.eval_ham(env)
+    return np.concatenate([2.0 * (g @ xi), -dH(xi)])
 
 
 def trace_bicharacteristic(

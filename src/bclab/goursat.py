@@ -125,17 +125,17 @@ class _Fan:
 
 
 def _fan_row(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
-    """(env, g, pn) of a fan row at depth z: the metric at the row's points and
-    the null depth covector component.  Raises CharacteristicCrossing where
-    no real root exists."""
-    env = _fan_env(metric.n, pos, z)
-    g = metric.eval_g(env, pos.shape[:-1])
+    """(dH, g, pn) of a fan row at depth z: the Hamiltonian gradient along
+    the face and the metric at the row's points, from one plan
+    (MetricField.eval_ham), and the null depth covector component.  Raises
+    CharacteristicCrossing where no real root exists."""
+    g, dH = metric.eval_ham(_fan_env(metric.n, pos, z), pos.shape[:-1], count=metric.n)
     pn, radicand = _normal_root(g, ptan)
     if np.any(radicand <= 0.0):
         raise CharacteristicCrossing(
             f"face foliation degenerates near depth {z:.4f} (radicand <= 0)"
         )
-    return env, g, pn
+    return dH, g, pn
 
 
 def _fan_flow(metric: MetricField, row: tuple, ptan: np.ndarray):
@@ -143,15 +143,15 @@ def _fan_flow(metric: MetricField, row: tuple, ptan: np.ndarray):
     row from _fan_row: the depth derivatives of the positions and of ptan.
 
     The velocity is 2 g p and the covector force -dH, the metric's sparse
-    Hamiltonian gradient (MetricField.ham_grad, shared with the ray tracer
-    in geometry) along the face only, both divided by the depth velocity.
+    Hamiltonian gradient along the face only (MetricField.eval_ham, shared
+    with the ray tracer in geometry), both divided by the depth velocity.
     """
     n = metric.n
-    env, g, pn = row
+    ham_grad, g, pn = row
     pfull = np.concatenate([ptan, pn[..., None]], axis=-1)
     v = 2.0 * sum(g[..., k] * pfull[..., k, None] for k in range(n + 1))
     vn = v[..., n]
-    dH = metric.ham_grad(env, pfull, pn.shape, tangential=True)
+    dH = ham_grad(pfull)
     dpos = v[..., :n] / vn[..., None]
     dptan = -dH / vn[..., None]
     return dpos, dptan

@@ -44,12 +44,10 @@ import numpy as np
 from .expr import Const, Expr
 from .geometry import (
     MetricField,
-    NonHyperbolic,
     SpacetimeGrid,
     _as_expr,
-    _cone,
-    _cone_failures,
     _det,
+    _level_speed,
     _Plan,
     max_characteristic_speed,
 )
@@ -194,11 +192,11 @@ class SampledCoefficients:
     coefficients b_j, all on the spatial nodes at t1 + m*dt.  The constructor
     takes them as arrays, each either with a leading time axis of length nt
     or time-independent; `from_metric` evaluates them from expressions, one
-    node level at a time.  rho is ((-1)^n det g)^(-1/2) of the node samples
-    unless given.  Only node levels are cached, those within one level of the
-    newest, which are the levels one step reads.  `at` averages g, A and rho
-    when asked for a half level (the two bracketing node levels) or for half
-    nodes (neighbours along the axis), so both are second order.
+    node level at a time, each entry of g and A contiguous.  rho is
+    ((-1)^n det g)^(-1/2) of the node samples unless given.  Only node levels
+    are cached, those within one level of the newest, which are the levels
+    one step reads.  `at` averages, second order, only what a step reads at a
+    staggered point.
     """
 
     def __init__(self, grid: SpacetimeGrid, g, A, rho=None, v1=None, first_order=None):
@@ -224,20 +222,19 @@ class SampledCoefficients:
     @classmethod
     def from_metric(cls, metric: MetricField, grid: SpacetimeGrid,
                     v1=None, first_order=None) -> "SampledCoefficients":
-        """Provider whose node levels come from metric.eval_g and eval_A.
-
-        v1 and each b_j are an Expr, an (re, im) pair of Exprs, a
-        callable(env), or None (zero).
-        """
+        """Provider whose node levels hold metric.eval_g and eval_A, bitwise, from
+        one plan whose subtrees without x0 run once, here.  v1 and each b_j are
+        an Expr, an (re, im) pair of Exprs, a callable(env), or None (zero)."""
         shape = grid.shape
         spatial = grid.spatial_env()
+        g_and_A = _Plan([*metric.g, metric.A], varying=("x0",)).fix(spatial)  # A as a row
         v1_at = None if v1 is None else _complex_evaluator(v1)
         first_at = None if first_order is None else [_complex_evaluator(b) for b in first_order]
 
         def sample(m):
             env = dict(spatial, x0=np.full(shape, grid.t1 + m * grid.dt))
-            return {"g": metric.eval_g(env, shape=shape), "A": metric.eval_A(env, shape=shape),
-                    "rho": None,
+            table = g_and_A({"x0": env["x0"]}, shape)
+            return {"g": table[..., :-1, :], "A": table[..., -1, :], "rho": None,
                     "v1": None if v1_at is None else v1_at(env, shape),
                     "first": None if first_at is None else [b(env, shape) for b in first_at]}
 
@@ -259,12 +256,11 @@ class SampledCoefficients:
         return self._time_cross
 
     def _index(self, t: float) -> int:
-        """Half-level index 2*(t - t1)/dt; 0 for every t when nothing depends on time."""
-        if self._static:
-            return 0
+        """Half-level index 2*(t - t1)/dt."""
         return int(round(2.0 * (t - self.grid.t1) / self.grid.dt))
 
     def _node(self, m: int) -> dict:
+        m = 0 if self._static else m  # every level is level 0
         if m not in self._cache:
             value = self._sample(m)
             if value["rho"] is None:
@@ -279,17 +275,20 @@ class SampledCoefficients:
         return self._cache[m]
 
     def at(self, t: float, half_axis: int | None = None) -> dict:
-        """g, A and rho at time t (node or half level), on half nodes along
-        half_axis (1..n) when given."""
+        """The node sample at node level t.  At a half level, g's row 0 as g
+        (..., n+1), A and rho, averaged over the two bracketing node levels;
+        on the half nodes along half_axis = j of node level t, g's row j, A_j
+        and rho, averaged over the neighbours along axis j."""
         k = self._index(t)
-        if k % 2:
+        if half_axis is None and k % 2 == 0:
+            return self._node(k // 2)
+        if half_axis is None:
             lo, hi = self._node(k // 2), self._node(k // 2 + 1)
-            value = {name: 0.5 * (lo[name] + hi[name]) for name in ("g", "A", "rho")}
-        else:
-            value = self._node(k // 2)
-        if half_axis is not None:
-            value = {name: _davg(value[name], half_axis - 1) for name in ("g", "A", "rho")}
-        return value
+            return {"g": 0.5 * (lo["g"][..., 0, :] + hi["g"][..., 0, :]),
+                    "A": 0.5 * (lo["A"] + hi["A"]), "rho": 0.5 * (lo["rho"] + hi["rho"])}
+        node, axis = self._node(k // 2), half_axis - 1
+        return {"g": _davg(node["g"][..., half_axis, :], axis),
+                "A": _davg(node["A"][..., half_axis], axis), "rho": _davg(node["rho"], axis)}
 
     def zeroth_at(self, t: float):
         return self._node(self._index(t) // 2)["v1"]
@@ -419,10 +418,10 @@ class _Stepper:
     def _flux_weights(self, coeffs):
         """Weights of the time flux at a half level: w_0 = new u_new + old u_old
         + sum_k cen[k] (dcen_k u_new + dcen_k u_old)."""
-        g, A, rho = coeffs["g"], coeffs["A"], coeffs["rho"]
-        a = rho * g[..., 0, 0] / self.dt
-        b = -0.5j * rho * sum(g[..., 0, k] * A[..., k] for k in range(self.n + 1))
-        return a + b, b - a, [0.5 * rho * g[..., 0, k] for k in range(1, self.n + 1)]
+        g0, A, rho = coeffs["g"], coeffs["A"], coeffs["rho"]  # g's row 0
+        a = rho * g0[..., 0] / self.dt
+        b = -0.5j * rho * sum(g0[..., k] * A[..., k] for k in range(self.n + 1))
+        return a + b, b - a, [0.5 * rho * g0[..., k] for k in range(1, self.n + 1)]
 
     def _side(self, weight, cen, u):
         """One bracketing level's part of a time flux."""
@@ -455,7 +454,7 @@ class _Stepper:
             # rho_h g^{j0} / (2 dt) through davg, which weighs each side by 1/2
             for axis, ch in enumerate(halves):
                 j = axis + 1
-                hi, lo = _shifted(0.25 * ch["rho"] * ch["g"][..., j, 0] / dt, axis)
+                hi, lo = _shifted(0.25 * ch["rho"] * ch["g"][..., 0] / dt, axis)
                 across = inner[:axis] + (slice(None),) + inner[axis + 1:]
                 Aj = A[..., j][inner]
                 up = hi[across] * (1.0 / h[axis] - 0.5j * Aj)
@@ -492,15 +491,15 @@ class _Stepper:
         dmk = [None] + [_dcen(um, k - 1, h[k - 1]) - 1j * A[..., k] * um
                         for k in range(1, n + 1)]
         for j, ch in enumerate(c["halves"], 1):
-            gh, Ah, rhoh = ch["g"], ch["A"], ch["rho"]
+            gh, Ah, rhoh = ch["g"], ch["A"], ch["rho"]  # g's row j, A_j
             axis = j - 1
-            dj = _ddiff(um, axis, h[axis]) - 1j * Ah[..., j] * _davg(um, axis)
-            w = gh[..., j, j] * dj
-            w = w + gh[..., j, 0] * _davg(d0m, axis)
+            dj = _ddiff(um, axis, h[axis]) - 1j * Ah * _davg(um, axis)
+            w = gh[..., j] * dj
+            w = w + gh[..., 0] * _davg(d0m, axis)
             for k in range(1, n + 1):
                 if k == j:
                     continue
-                w = w + gh[..., j, k] * _davg(dmk[k], axis)
+                w = w + gh[..., k] * _davg(dmk[k], axis)
             w = rhoh * w
             total = total + _half_diff(w, axis, h[axis]) - 1j * A[..., j] * _half_avg(w, axis)
         out = -total / c["rho"]
@@ -547,7 +546,8 @@ class _Stepper:
 def cfl_time_step(metric: MetricField, grid: SpacetimeGrid, fraction: float = 0.5) -> float:
     """Stable time step: fraction * h_min / max_characteristic_speed, the cone bound
     at nine levels; solve_ibvp checks the same bound at every level and refuses the
-    step on a metric that is faster between those nine."""
+    step on a metric that is faster between those nine.  Raises NonHyperbolic at a
+    level of the nine that fails a cone condition, where no bound exists."""
     vmax = max_characteristic_speed(metric, grid)
     return fraction * min(grid.h) / vmax
 
@@ -654,16 +654,9 @@ def solve_ibvp(
             cfl[level] = cfl[0]
             return
         t = times[level]
-        g = provider.at(t)["g"]
-        cone = _cone(g)
-        vmax = float(np.max(cone["speed"]))
+        vmax = _level_speed(provider.at(t)["g"], t, axes, check)
         cfl[level] = courant * vmax
-        if not check:
-            return
-        failures = _cone_failures(g, cone, t, axes)
-        if failures:
-            raise NonHyperbolic(*failures[0])
-        if cfl[level] > limit:
+        if check and cfl[level] > limit:
             raise CFLViolation(
                 f"dt = {grid.dt:.3e} exceeds {cfl_fraction} * h / v_max = "
                 f"{cfl_fraction * min(grid.h) / vmax:.3e} at t = {t:.4f}"

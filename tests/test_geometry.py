@@ -344,12 +344,12 @@ def test_owners_compile_each_plan_once(monkeypatch):
     for _ in range(3):
         metric.eval_g(env)
         metric.eval_A(env)
-        metric.ham_grad(env, p)
-        metric.ham_grad(env, p, tangential=True)
+        metric.eval_ham(env)[1](p)
+        metric.eval_ham(env, count=2)[1](p)
         phi.eval_forward(env)
         phi.eval_jacobian(env)
         gauge.eval_c(env)
-    # g, A, both Hamiltonian term lists, forward map, Jacobian, phase
+    # g, A, g with each of both Hamiltonian term lists, forward map, Jacobian, phase
     assert len(compiled) == 7
 
 

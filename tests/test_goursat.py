@@ -22,7 +22,7 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 from bclab.dn import DNTrace, dn_trace, transform_dn
 from bclab.expr import parse_expr
 from bclab.geometry import (
-    MetricField, NonHyperbolic, SpacetimeGrid, _det, _eval_table, trace_bicharacteristic)
+    MetricField, NonHyperbolic, SpacetimeGrid, _det, _eval_table, _Plan, trace_bicharacteristic)
 from bclab.goursat import (
     CharacteristicCrossing,
     FocalRegion,
@@ -176,30 +176,38 @@ def test_ham_grad_matches_dense_contraction(metric, terms):
     for at, cov, dims in ((env, p, shape), (point, p[2, 3], ())):
         dense = np.einsum("...jkq,...j,...k->...q",
                           _eval_table(metric.grad_g(), at, dims), cov, cov)
-        got = metric.ham_grad(at, cov, dims)
+        g, dH = metric.eval_ham(at, dims)
+        got = dH(cov)
         assert got.shape == dims + (size,)
         assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+        assert g.tobytes() == metric.eval_g(at, dims).tobytes()
         # the fan's face components alone, from the terms with q < n
-        face = metric.ham_grad(at, cov, dims, tangential=True)
-        assert face.tobytes() == np.ascontiguousarray(got[..., :-1]).tobytes()
+        g, face = metric.eval_ham(at, dims, count=size - 1)
+        assert face(cov).tobytes() == np.ascontiguousarray(got[..., :-1]).tobytes()
+        assert g.tobytes() == metric.eval_g(at, dims).tobytes()
     assert len(metric._ham_terms) == terms
 
 
-def test_fan_flow_evaluates_no_depth_derivative():
+def test_fan_flow_evaluates_no_depth_derivative(monkeypatch):
     # the fan reads dH along the face only, so VAR_METRIC_2D's four
-    # d/dx2 entries of its eight are never evaluated on a fan row
+    # d/dx2 entries of its eight are never evaluated on a fan row; g and
+    # those four terms are one plan, so their shared sin/cos run once
+    compiled = []
+    init = _Plan.__init__
+    monkeypatch.setattr(_Plan, "__init__", lambda plan, table, **kw:
+                        compiled.append(table) or init(plan, table, **kw))
     metric = MetricField(2, VAR_METRIC_2D.g, VAR_METRIC_2D.A)
     pos = np.stack(np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4),
                                indexing="ij"), axis=-1)
     ptan = np.zeros(pos.shape)
     ptan[..., 0] = 1.0
     _fan_rhs(metric, pos, ptan, 0.1)
-    assert list(metric._ham_plans) == [2]
+    assert list(metric._ham_plans) == [2] and [len(table) for table in compiled] == [9 + 4]
     assert [term[2] for term in metric._ham_plans[2][0]] == [1, 1, 1, 1]
 
 
 def test_ray_tracer_conserves_null_condition_2d():
-    # trace_bicharacteristic shares ham_grad with the fans
+    # trace_bicharacteristic shares eval_ham with the fans
     y = np.array([0.3, 0.5, 0.4])
     g = VAR_METRIC_2D.eval_g({f"x{i}": y[i] for i in range(3)})
     ptan = np.array([1.0, 0.3])

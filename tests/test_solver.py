@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import binary_dilation
 
 from bclab.dn import dn_trace
-from bclab.expr import parse_expr
+from bclab.expr import Call, parse_expr
 from bclab.geometry import (
     Diffeo,
     GaugeField,
@@ -89,6 +89,17 @@ def test_zero_data_stays_zero_2d():
 def test_cfl_time_step_flat():
     g = grid1(1 / 64)
     assert cfl_time_step(MetricField.minkowski(1), g) == pytest.approx(0.5 / 64, rel=1e-12)
+
+
+@pytest.mark.parametrize("g00, value", [("x1 - 0.5", -0.5), ("-1", -1.0)])
+def test_cfl_time_step_refuses_a_metric_that_is_not_hyperbolic(g00, value):
+    # no speed bound exists where g^{00} <= 0: the step would be nan or
+    # divide by zero, so it names the condition, the node and the value
+    metric = MetricField(1, [[g00, "0"], ["0", "-1"]])
+    with pytest.raises(NonHyperbolic) as err:
+        cfl_time_step(metric, grid1(1 / 32))
+    assert err.value.condition == "time coefficient positivity"
+    assert err.value.point == (0.0, 0.0) and err.value.value == value
 
 
 def test_cfl_violation_raises():
@@ -260,14 +271,77 @@ def test_diagnostics_count_sweeps_per_step():
 def test_expression_coefficients_compile_once_per_solve(monkeypatch):
     compiled = []
     init = _Plan.__init__
-    monkeypatch.setattr(_Plan, "__init__",
-                        lambda plan, table: compiled.append(table) or init(plan, table))
+    monkeypatch.setattr(_Plan, "__init__", lambda plan, table, **kw:
+                        compiled.append(table) or init(plan, table, **kw))
     # time-dependent, so every one of the 29 levels is sampled
     metric = MetricField(1, [["1", "0"], ["0", "-1 + 0.1*sin(x0)"]])
     solve_ibvp(metric, None, None, grid1(1 / 16), forcing=parse_expr("sin(x0)*x1"),
                v1=parse_expr("0.1*x0*x1"), store="boundary")
-    # g, A, v1 and the forcing, once each
-    assert len(compiled) == 4
+    # g and A as one plan, v1 and the forcing, once each
+    assert len(compiled) == 3
+
+
+def _cross_grid(h=1 / 16):
+    return SpacetimeGrid(n=2, extent=(1.0, 1.0), h=(h, h), dt=h / 4, t1=0.0, t2=0.25)
+
+
+def test_level_coefficients_evaluate_what_reads_no_x0_once(monkeypatch):
+    # TIME_CROSS_2D's g and A hold 4 distinct calls without x0 (sin and cos of
+    # x1 and x2) and 5 with it; one plan of g and A evaluates the first once
+    # per solve, on an env without x0, and the second once per node level
+    calls = {False: 0, True: 0}
+    evaluate = Call.evaluate
+
+    def counted(e, env):
+        calls["x0" in env] += 1
+        return evaluate(e, env)
+
+    monkeypatch.setattr(Call, "evaluate", counted)
+    g = _cross_grid()
+    solve_ibvp(TIME_CROSS_2D, None, None, g, store="boundary")
+    assert calls == {False: 4, True: 5 * g.nt}
+    monkeypatch.setattr(Call, "evaluate", evaluate)
+    # and each node level holds eval_g and eval_A on its env, bitwise
+    provider = SampledCoefficients.from_metric(TIME_CROSS_2D, g)
+    for t in g.times():
+        node, env = provider.at(t), g.env_at_time(t)
+        assert node["g"].tobytes() == TIME_CROSS_2D.eval_g(env, g.shape).tobytes()
+        assert node["A"].tobytes() == TIME_CROSS_2D.eval_A(env, g.shape).tobytes()
+
+
+def test_hoisted_coefficients_stay_with_their_solve():
+    # the metric keeps no values between solves: a run on grid a, one on
+    # grid b, then a again on a gives the first run's samples, bitwise
+    def run(g):
+        env = g.env_at_time(0.0)
+        u0 = (np.sin(math.pi * env["x1"]) * np.sin(math.pi * env["x2"])).astype(complex)
+        return solve_ibvp(TIME_CROSS_2D, None, None, g, initial=(u0, u0)).samples
+
+    first = run(_cross_grid())
+    assert run(_cross_grid(1 / 12)).shape[1:] == (13, 13)
+    assert run(_cross_grid()).tobytes() == first.tobytes()
+
+
+def test_staggered_coefficients_hold_only_the_rows_a_step_reads():
+    g = _cross_grid()
+    provider = SampledCoefficients.from_metric(TIME_CROSS_2D, g)
+    t = g.times()[3]
+    node, ahead = provider.at(t), provider.at(t + g.dt)
+    assert all(node["g"][..., j, k].flags.c_contiguous and node["A"][..., j].flags.c_contiguous
+               for j in range(3) for k in range(3))
+    # a half level: g's row 0, all of A and rho, over the two node levels
+    mid = provider.at(t + 0.5 * g.dt)
+    assert mid["g"].shape == g.shape + (3,) and mid["A"].shape == g.shape + (3,)
+    for name, row in (("g", node["g"][..., 0, :]), ("A", node["A"]), ("rho", node["rho"])):
+        ahead_row = ahead[name][..., 0, :] if name == "g" else ahead[name]
+        assert mid[name].tobytes() == (0.5 * (row + ahead_row)).tobytes()
+    # axis j's half nodes: g's row j, A_j and rho, over the neighbours
+    for j in (1, 2):
+        half = provider.at(t, half_axis=j)
+        assert half["g"].shape[-1] == 3 and half["A"].shape == half["rho"].shape
+        assert half["g"].tobytes() == _davg(node["g"][..., j, :], j - 1).tobytes()
+        assert half["A"].tobytes() == _davg(node["A"][..., j], j - 1).tobytes()
+        assert half["rho"].tobytes() == _davg(node["rho"], j - 1).tobytes()
 
 
 def test_forcing_envs_share_one_read_only_mesh():
@@ -426,7 +500,7 @@ def operator_residual(stepper, c, up1):
     A = c["A"]
     total = c["lead"] * stepper.w0p(c, 0.0, up1)
     for axis, ch in enumerate(c["halves"]):
-        cw = ch["rho"] * ch["g"][..., axis + 1, 0] / (2.0 * dt)
+        cw = ch["rho"] * ch["g"][..., 0] / (2.0 * dt)  # g's row axis + 1
         w = cw * _davg(up1, axis)
         total = total + _half_diff(w, axis, h[axis]) \
             - 1j * A[..., axis + 1] * _half_avg(w, axis)
