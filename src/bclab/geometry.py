@@ -12,10 +12,10 @@ Conventions used throughout the laboratory:
 * expressions become arrays in one place, a `_Plan`: an Expr or nested
   lists of them, lowered once into let-bindings so that a subtree shared
   between entries is evaluated once, then run over an env of arrays to a
-  float array.  The field that owns a table keeps its plan (MetricField for
-  g, A and the Hamiltonian-gradient terms, Diffeo for its map and Jacobian,
-  GaugeField for its phase, the solver for its coefficient expressions);
-  `_eval_table` compiles and runs a one-off table such as the DN face rows;
+  float array.  MetricField, Diffeo and GaugeField keep the plans of the
+  tables they own; `_eval_table` runs a one-off table such as the DN face
+  rows, and `_time_levels` a table walked level by level (the checks, the
+  solver's g and A), with its part without x0 run once;
 * per-node matrices are at most 3x3 and are factored in closed form here:
   `_det` (cofactor expansion) and `_solve_small` (Cramer's rule on it) for
   determinants and solves, `_sym_eigs` for the cone's 1x1/2x2 eigenvalues.
@@ -238,6 +238,13 @@ def _eval_table(table, env: dict, shape=None) -> np.ndarray:
     Jacobian), GaugeField (phase) and the solver's coefficient evaluators.
     """
     return _Plan(table)(env, shape)
+
+
+def _time_levels(table, grid: SpacetimeGrid):
+    """t -> the table on grid's spatial mesh at x0 = t, bitwise as evaluated on
+    grid.env_at_time(t); its subtrees without x0 run once, here."""
+    at, shape = _Plan(table, varying=("x0",)).fix(grid.spatial_env()), grid.shape
+    return lambda t: at({"x0": np.full(shape, float(t))}, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +596,9 @@ class Diffeo:
         det dy/dx is below 1e-12 in magnitude or has the other sign than at the
         first node."""
         axes = grid.axes()[1:]
-        first = None
+        first, jacobian = None, _time_levels(self.jacobian, grid)
         for t in grid.times():
-            det = _det(self.eval_jacobian(grid.env_at_time(t), shape=grid.shape))
+            det = _det(jacobian(t))
             if first is None:
                 first = float(det.flat[0])
             bad = ~(math.copysign(1.0, first) * det >= 1e-12)  # NaN counts as bad
@@ -609,12 +616,10 @@ class Diffeo:
         so the criterion is sum g^{pr} (dy0/dx_p)(dy0/dx_r) > 0 at every node
         of every time level.
         """
-        time_gradient = _Plan(self.jacobian[0])
+        g_at, time_gradient = _time_levels(metric.g, grid), _time_levels(self.jacobian[0], grid)
         for t in grid.times():
-            env = grid.env_at_time(t)
-            g = metric.eval_g(env, shape=grid.shape)
-            grad = time_gradient(env, grid.shape)
-            form = np.einsum("...p,...pr,...r->...", grad, g, grad)
+            grad = time_gradient(t)
+            form = np.einsum("...p,...pr,...r->...", grad, g_at(t), grad)
             if np.min(form) <= 0.0:
                 return False
         return True
@@ -671,9 +676,8 @@ def max_characteristic_speed(metric: MetricField, grid: SpacetimeGrid) -> float:
     solve_ibvp refuses a level in between whose bound is faster.  Raises
     NonHyperbolic at a level of the nine that fails a cone condition.
     """
-    times, axes = grid.times(), grid.axes()[1:]
-    return max(_level_speed(metric.eval_g(grid.env_at_time(t), shape=grid.shape), t, axes)
-               for t in times[::max(1, (len(times) - 1) // 8)])
+    times, axes, g_at = grid.times(), grid.axes()[1:], _time_levels(metric.g, grid)
+    return max(_level_speed(g_at(t), t, axes) for t in times[::max(1, (len(times) - 1) // 8)])
 
 
 # ---------------------------------------------------------------------------
@@ -732,12 +736,12 @@ def check_hyperbolicity(metric: MetricField, grid: SpacetimeGrid) -> Hyperbolici
     on its own, so memory stays at one level; solve_ibvp applies the same
     check to every level it steps through.
     """
-    axes = grid.axes()[1:]
+    axes, g_at = grid.axes()[1:], _time_levels(metric.g, grid)
     c0 = c1 = min_disc = math.inf
     boundary_max = -math.inf
     first = {}  # the first failure of each condition
     for t in grid.times():
-        g = metric.eval_g(grid.env_at_time(t), shape=grid.shape)
+        g = g_at(t)
         cone = _cone(g)
         c0 = min(c0, float(np.min(g[..., 0, 0])))
         c1 = min(c1, float(np.min(cone["ell"])))
@@ -1007,9 +1011,9 @@ def influence_region(
     # The covariant metric at five elapsed times, evaluated once; each
     # offset's travel time uses the slowest speed read at them, which misses
     # a metric that is faster in between.
-    covariant = []
+    covariant, g_at = [], _time_levels(metric.g, grid)
     for elapsed in np.linspace(0.0, window, 5):
-        g = metric.eval_g(grid.env_at_time(t_seed + sign * elapsed), shape=grid.shape)
+        g = g_at(t_seed + sign * elapsed)
         covariant.append(np.stack([_solve_small(g, e) for e in np.eye(grid.n + 1)], axis=-1))
     hvec = np.array(grid.h)
     travel_tables = []
@@ -1026,7 +1030,7 @@ def influence_region(
         changed = False
         for off, travel in zip(offsets, travel_tables):
             shifted = _shift_with_inf(arrival, off)
-            trav_src = _shift_with_inf(travel, off, fill=np.inf)
+            trav_src = _shift_with_inf(travel, off)
             candidate = shifted + trav_src
             better = candidate < arrival - 1e-13
             if np.any(better):
@@ -1034,14 +1038,14 @@ def influence_region(
                 changed = True
 
     times = grid.times()
-    elapsed = (times - t_seed) * sign if direction == "forward" else (t_seed - times)
+    elapsed = sign * (times - t_seed)
     mask = arrival[None, ...] <= elapsed.reshape((-1,) + (1,) * grid.n) + 1e-12
     return RegionMask(mask=mask, arrival=arrival, grid=grid)
 
 
-def _shift_with_inf(array: np.ndarray, offset, fill=np.inf) -> np.ndarray:
-    """Shift array by offset, padding with fill: result[i] = array[i - offset]."""
-    out = np.full_like(array, fill)
+def _shift_with_inf(array: np.ndarray, offset) -> np.ndarray:
+    """Shift array by offset, padding with inf: result[i] = array[i - offset]."""
+    out = np.full_like(array, np.inf)
     src = [slice(None)] * array.ndim
     dst = [slice(None)] * array.ndim
     for axis, shift in enumerate(offset):

@@ -31,9 +31,10 @@ fold-free image of the regular launch lattice, so the launch indices of the
 ray through every slab node come from Newton on the row's interpolant,
 warm-started from the row above.  The phase and the lateral coordinates are
 affine in those indices; the covector slots take one stencil evaluation.
-The chart pull samples the slab fields at the ray points and the ray
-samples at the chart's launch lattice the same way.  Along each ray the
-pull's depth lookup and row values use the 1-axis form of the same stencil,
+The chart pull places virtual receding rays, launched on the chart's own
+lattice, by the same stencil on each fan row, and samples every slab field
+there once, one stencil call per field and row.  Along each ray the pull's
+depth lookup and row values use the 1-axis form of the same stencil,
 _row_lagrange, one fractional row per column.
 """
 
@@ -592,9 +593,10 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     sliced onto the overlap of the two fields' extended axes; phi must be
     what solve_transport_phi returned for psi_minus and is only checked for
     shape and kept on the chart.  Coefficient fields of the transformed
-    operator are sampled along the receding family's rays and re-gridded onto
-    a rectangle in chart coordinates whose depth step is three times its time
-    step (the forward run then sits safely inside the stability bound).
+    operator are computed on the slab, sampled once along receding rays
+    launched from the chart's time lattice (_pull_to_chart), and re-gridded
+    onto a rectangle in chart coordinates whose depth step is three times its
+    time step (the forward run then sits safely inside the stability bound).
 
     y_depth caps the chart depth; the default takes what the fan coverage
     supports.  Nodes where the Jacobian leaves [1/j_max, j_max], or where the
@@ -679,16 +681,8 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
         for k in range(n - 1):
             slab_fields[f"gh{j}{k}"] = ghjk[j][k]
 
-    fan_samples = _fields_at_fan(pull_fan, ext_axes, slab_fields)
-    for d in range(n):
-        fan_samples[f"x{d}"] = pull_fan.pos[..., d]
-
-    # gauge phase: d/ds d = -(outgoing hatted potential), zero on the face,
-    # integrated along each ray where (tau, y') are frozen
-    fan_samples["d"] = _cumulative_trapezoid(-fan_samples.pop("Ap"), fan_samples["s"])
-
     y_grid, pulled, row_index = _pull_to_chart(
-        pull_fan, fan_samples, grid, T1, T2, y_depth)
+        pull_fan, ext_axes, slab_fields, grid, T1, T2, y_depth)
     x_at_y = np.stack(
         [pulled[f"x{d}"] for d in range(n)] + [row_index * hz], axis=-1)
 
@@ -731,19 +725,6 @@ def _trim_fan(fan: _Fan, ext_axes: tuple) -> _Fan:
                 fan.pos[take], fan.p[take])
 
 
-def _fields_at_fan(fan: _Fan, ext_axes: tuple, slab_fields: dict) -> dict:
-    """Sample extended-slab fields at the fan's ray points, row by row.
-
-    Fan rows sit exactly on the slab depth nodes, so only the (time, lateral)
-    directions interpolate: one _lagrange call per row and field, at the ray
-    points' fractional indices on ext_axes.
-    """
-    fracs = _grid_indices(fan.pos, ext_axes)
-    return {name: np.stack([_lagrange(field[..., m, None], fracs[m])[..., 0]
-                            for m in range(len(fracs))])
-            for name, field in slab_fields.items()}
-
-
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Trapezoid integrals of y over x along axis 0, from row 0 (zero) on."""
     out = np.zeros_like(y)
@@ -751,17 +732,23 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
+def _pull_to_chart(fan: _Fan, ext_axes: tuple, slab_fields: dict, grid: SpacetimeGrid,
                    T1: float, T2: float, y_depth):
-    """Re-grid per-ray samples onto the chart rectangle.
+    """Re-grid slab fields onto the chart rectangle along the fan's rays.
 
     The chart's time step divides the window into the fewest steps that keep
     it within a third of the finest lateral spacing (the depth spacing for
-    n = 1), and its depth step is three times that.  Stage one samples every
-    row across rays at virtual launches on the chart's own time lattice and
-    the grid's lateral nodes, one _lagrange call per row and field.  Stage
-    two inverts the advancing phase along each virtual ray (two Newton steps
-    on the 4-point row interpolant from a linear bracket) to land on the
+    n = 1), and its depth step is three times that.
+
+    Stage one follows virtual rays launched on the chart's own time lattice
+    and the grid's lateral nodes.  On each fan row, one _lagrange call places
+    them (the x{d} rows), and one call per field samples that field's depth
+    row of the extended slab (ext_axes, depth nodes) there.  slab_fields must
+    hold the advancing phase "s" and the outgoing hatted potential "Ap"; "Ap"
+    leaves as the gauge phase "d" = -int Ap ds, zero on the face and
+    integrated along each virtual ray, where (tau, y') are frozen.  Stage two
+    inverts the advancing phase along each virtual ray (two Newton steps on
+    the 4-point row interpolant from a linear bracket) to land on the
     requested chart depth nodes, and raises ValueError when a node still
     misses its phase value by more than 1e-9 * dty.  Returns (y_grid, pulled
     fields, fractional row index).
@@ -793,9 +780,14 @@ def _pull_to_chart(fan: _Fan, fan_samples: dict, grid: SpacetimeGrid,
 
     nrows = fan.pos.shape[0]
     nodes = np.stack(np.meshgrid(xi_star, *grid.face_axes()[1:], indexing="ij"), axis=-1)
-    fracs = _grid_indices(nodes, fan.axes)
-    stage1 = {name: np.stack([_lagrange(rows[m][..., None], fracs)[..., 0] for m in range(nrows)])
-              for name, rows in fan_samples.items()}
+    launches = _grid_indices(nodes, fan.axes)
+    pos = np.stack([_lagrange(row, launches) for row in fan.pos])
+    fracs = _grid_indices(pos, ext_axes)
+    stage1 = {name: np.stack([_lagrange(field[..., m, None], fracs[m])[..., 0]
+                              for m in range(nrows)])
+              for name, field in slab_fields.items()}
+    stage1.update({f"x{d}": pos[..., d] for d in range(n)})
+    stage1["d"] = _cumulative_trapezoid(-stage1.pop("Ap"), stage1["s"])
     lat_shape = nodes.shape[1:-1]
 
     # feasible chart depth: every virtual ray must reach its deepest target

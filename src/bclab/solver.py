@@ -49,6 +49,7 @@ from .geometry import (
     _det,
     _level_speed,
     _Plan,
+    _time_levels,
     max_characteristic_speed,
 )
 
@@ -226,14 +227,14 @@ class SampledCoefficients:
         one plan whose subtrees without x0 run once, here.  v1 and each b_j are
         an Expr, an (re, im) pair of Exprs, a callable(env), or None (zero)."""
         shape = grid.shape
-        spatial = grid.spatial_env()
-        g_and_A = _Plan([*metric.g, metric.A], varying=("x0",)).fix(spatial)  # A as a row
+        g_and_A = _time_levels([*metric.g, metric.A], grid)  # A as a row
         v1_at = None if v1 is None else _complex_evaluator(v1)
         first_at = None if first_order is None else [_complex_evaluator(b) for b in first_order]
 
         def sample(m):
-            env = dict(spatial, x0=np.full(shape, grid.t1 + m * grid.dt))
-            table = g_and_A({"x0": env["x0"]}, shape)
+            t = grid.t1 + m * grid.dt
+            table = g_and_A(t)
+            env = grid.env_at_time(t) if v1_at or first_at else None
             return {"g": table[..., :-1, :], "A": table[..., -1, :], "rho": None,
                     "v1": None if v1_at is None else v1_at(env, shape),
                     "first": None if first_at is None else [b(env, shape) for b in first_at]}

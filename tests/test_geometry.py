@@ -557,6 +557,35 @@ def test_geometric_checks_walk_every_level(refuses):
     assert refuses()
 
 
+def test_level_walks_evaluate_what_reads_no_x0_once(monkeypatch):
+    # g holds 4 distinct calls without x0 (sin and cos of x1 and x2) and 4
+    # with it; a walk over the time levels evaluates the first once per walk,
+    # on an env without x0, and the second once per level it visits
+    metric = MetricField(2, [
+        ["1 + 0.1*sin(x0)*cos(x2)", "0.05*cos(x0)*sin(x2)", "0.1*cos(x1 + x0)"],
+        ["0.05*cos(x0)*sin(x2)", "-1 - 0.1*cos(x1)", "0.05*sin(x1)*sin(x2)"],
+        ["0.1*cos(x1 + x0)", "0.05*sin(x1)*sin(x2)", "-1 - 0.1*sin(x0 + x2)"]])
+    grid = _grid2()
+    calls = {False: 0, True: 0}
+    evaluate = Call.evaluate
+
+    def counted(e, env):
+        calls["x0" in env] += 1
+        return evaluate(e, env)
+
+    def count(walk):
+        calls.update({False: 0, True: 0})
+        walk()
+        return dict(calls)
+
+    monkeypatch.setattr(Call, "evaluate", counted)
+    assert count(lambda: check_hyperbolicity(metric, grid)) == {False: 4, True: 4 * grid.nt}
+    assert count(lambda: max_characteristic_speed(metric, grid)) == {False: 4, True: 4 * 9}
+    # the time gradient (1, 0.1*cos(x1)*x2, 0.1*sin(x1)) reads no x0 either
+    phi = Diffeo(2, ["x0 + 0.1*sin(x1)*x2", "x1", "x2"])
+    assert count(lambda: phi.slices_spacelike(metric, grid)) == {False: 6, True: 4 * grid.nt}
+
+
 # ===== bicharacteristics =====================================================
 
 def test_minkowski_ray_is_straight():
