@@ -7,132 +7,14 @@ the invariance identities that make boundary data a well-defined measurement.
 """
 
 from .expr import Expr, ExprError, parse_expr
-from .dn import (
-    DNTrace,
-    MissingBoundaryData,
-    NotElliptic,
-    PoorFit,
-    SymbolEstimate,
-    dn_trace,
-    export_dn_csv,
-    probe_symbol,
-    symbol_report,
-    transform_dn,
-)
-from .geometry import (
-    Bicharacteristic,
-    Diffeo,
-    GaugeField,
-    HyperbolicityReport,
-    MetricField,
-    NonHyperbolic,
-    NotNull,
-    RegionMask,
-    SingularJacobian,
-    SpacetimeGrid,
-    apply_conjugation_gauge,
-    apply_gauge,
-    check_hyperbolicity,
-    influence_region,
-    max_characteristic_speed,
-    pushforward,
-    substitute,
-    trace_bicharacteristic,
-)
-from .goursat import (
-    CharacteristicCrossing,
-    EikonalField,
-    FocalRegion,
-    GoursatChart,
-    TransformedOperator,
-    build_chart,
-    export_chart_csv,
-    export_operator_npz,
-    find_chart_depth,
-    potential_symbolic,
-    potential_term,
-    sample_field,
-    solve_eikonal,
-    solve_transformed_ibvp,
-    solve_transport_phi,
-    transform_operator,
-    transformed_time_step,
-)
-from .solver import (
-    BoundarySignal,
-    CFLViolation,
-    Instability,
-    SampledCoefficients,
-    SweepNotConverged,
-    WaveField,
-    apply_operator_symbolic,
-    cfl_time_step,
-    energy,
-    graph_norm_sq,
-    solve_ibvp,
-)
+from . import dn, geometry, goursat, solver
+# each module's __all__ lists its exports once
+from .dn import *
+from .geometry import *
+from .goursat import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Expr",
-    "ExprError",
-    "parse_expr",
-    "Bicharacteristic",
-    "Diffeo",
-    "GaugeField",
-    "HyperbolicityReport",
-    "MetricField",
-    "NonHyperbolic",
-    "NotNull",
-    "RegionMask",
-    "SingularJacobian",
-    "SpacetimeGrid",
-    "apply_conjugation_gauge",
-    "apply_gauge",
-    "check_hyperbolicity",
-    "influence_region",
-    "max_characteristic_speed",
-    "pushforward",
-    "substitute",
-    "trace_bicharacteristic",
-    "DNTrace",
-    "MissingBoundaryData",
-    "NotElliptic",
-    "PoorFit",
-    "SymbolEstimate",
-    "dn_trace",
-    "export_dn_csv",
-    "probe_symbol",
-    "symbol_report",
-    "transform_dn",
-    "CharacteristicCrossing",
-    "EikonalField",
-    "FocalRegion",
-    "GoursatChart",
-    "TransformedOperator",
-    "build_chart",
-    "export_chart_csv",
-    "export_operator_npz",
-    "find_chart_depth",
-    "potential_symbolic",
-    "potential_term",
-    "sample_field",
-    "solve_eikonal",
-    "solve_transformed_ibvp",
-    "solve_transport_phi",
-    "transform_operator",
-    "transformed_time_step",
-    "BoundarySignal",
-    "CFLViolation",
-    "Instability",
-    "SampledCoefficients",
-    "SweepNotConverged",
-    "WaveField",
-    "apply_operator_symbolic",
-    "cfl_time_step",
-    "energy",
-    "graph_norm_sq",
-    "solve_ibvp",
-    "__version__",
-]
+__all__ = ["Expr", "ExprError", "parse_expr", *geometry.__all__, *dn.__all__,
+           *goursat.__all__, *solver.__all__, "__version__"]

@@ -580,16 +580,9 @@ class Diffeo:
     def _forward_plan(self) -> _Plan:
         return _Plan(self.forward)
 
-    @cached_property
-    def _jacobian_plan(self) -> _Plan:
-        return _Plan(self.jacobian)
-
     def eval_forward(self, env: dict) -> np.ndarray:
         """y(x) as an (..., n+1) array."""
         return self._forward_plan(env)
-
-    def eval_jacobian(self, env: dict, shape=None) -> np.ndarray:
-        return self._jacobian_plan(env, shape)
 
     def check_nonsingular(self, grid: SpacetimeGrid):
         """Raise SingularJacobian at the first node, over every time level, where
@@ -986,11 +979,12 @@ def influence_region(
 
     seed_mask is a boolean array over spatial nodes (the set F); the front
     expands from it at the local maximal characteristic speed, forward or
-    backward in time.  Arrival times come from value iteration over a
-    16-direction neighbor stencil, run until a pass changes nothing.  Each
-    step's speed is the slowest of those read at five elapsed times evenly
-    spread over the window, so on a metric that is faster between those times
-    the mask under-reports the reach.
+    backward in time from seed_time, which defaults to t1 forward and to t2
+    backward, so that the reach runs into the window.  Arrival times come from
+    value iteration over a 16-direction neighbor stencil, run until a pass
+    changes nothing.  Each step's speed is the slowest of those read at five
+    elapsed times evenly spread over the window, so on a metric that is faster
+    between those times the mask under-reports the reach.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -1000,7 +994,9 @@ def influence_region(
         raise ValueError("seed mask must cover the spatial grid")
     if not seed_mask.any():
         raise ValueError("seed set must be nonempty")
-    t_seed = grid.t1 if seed_time is None else float(seed_time)
+    if seed_time is None:
+        seed_time = grid.t1 if sign > 0 else grid.t2
+    t_seed = float(seed_time)
 
     arrival = np.full(grid.shape, np.inf)
     arrival[seed_mask] = 0.0  # elapsed time since seeding

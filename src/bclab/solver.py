@@ -24,7 +24,8 @@ flux behind it.
 One provider, SampledCoefficients, feeds the stepper.  It holds the
 coefficients as node samples, one time level at a time: read from arrays, or
 evaluated from the metric's expressions when the run is expression-backed.
-The staggered values are second-order averages of those samples.  Optional
+The stepper forms every staggered value it reads as a second-order average
+of the two node levels of its step.  Optional
 hooks: a forcing term, a first-order term sum_j b_j d_j u and a zeroth-order
 term c u.  The transformed-operator pipeline uses the forcing and the
 zeroth-order term (its V1).
@@ -169,7 +170,8 @@ class WaveField:
     boundary_layers: np.ndarray  # (nt, *face_shape, 3): first three depth layers
     grid: SpacetimeGrid
     cfl_number: float
-    # per step: "sweeps" (int) and "last_update", the final max |delta|
+    # per step: "sweeps" (int) and "last_update", the final max |delta|;
+    # per node level: "cfl", dt * v / h with v _cone's speed bound
     diagnostics: dict = field(default_factory=dict)
 
     def slice(self, m: int) -> np.ndarray:
@@ -186,7 +188,7 @@ class WaveField:
 # ---------------------------------------------------------------------------
 
 class SampledCoefficients:
-    """The stepper's coefficient provider: node samples, averaged where staggered.
+    """The stepper's coefficient provider: a store of node levels.
 
     Node level m holds g^{jk} (*shape, n+1, n+1), A_j (*shape, n+1), rho, an
     optional complex zeroth-order field v1 and optional first-order
@@ -194,10 +196,11 @@ class SampledCoefficients:
     takes them as arrays, each either with a leading time axis of length nt
     or time-independent; `from_metric` evaluates them from expressions, one
     node level at a time, each entry of g and A contiguous.  rho is
-    ((-1)^n det g)^(-1/2) of the node samples unless given.  Only node levels
-    are cached, those within one level of the newest, which are the levels
-    one step reads.  `at` averages, second order, only what a step reads at a
-    staggered point.
+    ((-1)^n det g)^(-1/2) of the node samples unless given.  `at` serves node
+    levels only, caching those within one of the newest (the two a step
+    reads); the stepper averages them onto its staggered points.  `static`
+    (no level depends on time) and `time_cross` (some g^{0j} is nonzero) are
+    fixed when the provider is built.
     """
 
     def __init__(self, grid: SpacetimeGrid, g, A, rho=None, v1=None, first_order=None):
@@ -248,20 +251,13 @@ class SampledCoefficients:
     def _start(self, grid, n, sample, static, time_cross):
         self.grid = grid
         self.n = n
+        self.static = static
+        self.time_cross = time_cross
         self._sample = sample
-        self._static = static
-        self._time_cross = time_cross
         self._cache = {}
 
-    def has_time_cross(self) -> bool:
-        return self._time_cross
-
-    def _index(self, t: float) -> int:
-        """Half-level index 2*(t - t1)/dt."""
-        return int(round(2.0 * (t - self.grid.t1) / self.grid.dt))
-
     def _node(self, m: int) -> dict:
-        m = 0 if self._static else m  # every level is level 0
+        m = 0 if self.static else m  # every level is level 0
         if m not in self._cache:
             value = self._sample(m)
             if value["rho"] is None:
@@ -275,27 +271,12 @@ class SampledCoefficients:
             self._cache[m] = value
         return self._cache[m]
 
-    def at(self, t: float, half_axis: int | None = None) -> dict:
-        """The node sample at node level t.  At a half level, g's row 0 as g
-        (..., n+1), A and rho, averaged over the two bracketing node levels;
-        on the half nodes along half_axis = j of node level t, g's row j, A_j
-        and rho, averaged over the neighbours along axis j."""
-        k = self._index(t)
-        if half_axis is None and k % 2 == 0:
-            return self._node(k // 2)
-        if half_axis is None:
-            lo, hi = self._node(k // 2), self._node(k // 2 + 1)
-            return {"g": 0.5 * (lo["g"][..., 0, :] + hi["g"][..., 0, :]),
-                    "A": 0.5 * (lo["A"] + hi["A"]), "rho": 0.5 * (lo["rho"] + hi["rho"])}
-        node, axis = self._node(k // 2), half_axis - 1
-        return {"g": _davg(node["g"][..., half_axis, :], axis),
-                "A": _davg(node["A"][..., half_axis], axis), "rho": _davg(node["rho"], axis)}
+    def at(self, t: float) -> dict:
+        """Node level t; ValueError when t is not one."""
+        return self._node(_time_index(self.grid, t))
 
     def zeroth_at(self, t: float):
-        return self._node(self._index(t) // 2)["v1"]
-
-    def first_order_at(self, t: float):
-        return self._node(self._index(t) // 2)["first"]
+        return self._node(_time_index(self.grid, t))["v1"]
 
 
 def _time_free(field) -> bool:
@@ -399,9 +380,11 @@ class _Stepper:
     in w0p, and the (2n+1)-point stencil of u^{m+1} in the residual on the
     interior nodes, i.e. its centre and, with time cross terms, its arms to
     the neighbours +1 and -1 along each axis, divided by the centre; a
-    static provider builds them once per run.  `explicit` evaluates, once
-    per step, every term without u^{m+1}, divided by the centre; `delta`
-    adds the stencil, which is all a sweep computes.
+    static provider builds them once per run.  From node levels m and m+1 it
+    averages g's row 0, A and rho onto the half level, and g's row j, A_j and
+    rho onto axis j's half nodes (`halves`): all a step reads there.
+    `explicit` evaluates, once per step, every term without u^{m+1}, divided
+    by the centre; `delta` adds the stencil, which is all a sweep computes.
     """
 
     def __init__(self, provider, grid: SpacetimeGrid):
@@ -416,10 +399,11 @@ class _Stepper:
                              inner[:a] + (slice(0, -2),) + inner[a + 1:])
                             for a in range(grid.n)]
 
-    def _flux_weights(self, coeffs):
-        """Weights of the time flux at a half level: w_0 = new u_new + old u_old
-        + sum_k cen[k] (dcen_k u_new + dcen_k u_old)."""
-        g0, A, rho = coeffs["g"], coeffs["A"], coeffs["rho"]  # g's row 0
+    def _flux_weights(self, lo, hi):
+        """Weights of the time flux at the half level between node samples lo and
+        hi: w_0 = new u_new + old u_old + sum_k cen[k] (dcen_k u_new + dcen_k u_old)."""
+        g0 = 0.5 * (lo["g"][..., 0, :] + hi["g"][..., 0, :])  # g's row 0
+        A, rho = 0.5 * (lo["A"] + hi["A"]), 0.5 * (lo["rho"] + hi["rho"])
         a = rho * g0[..., 0] / self.dt
         b = -0.5j * rho * sum(g0[..., k] * A[..., k] for k in range(self.n + 1))
         return a + b, b - a, [0.5 * rho * g0[..., k] for k in range(1, self.n + 1)]
@@ -433,7 +417,8 @@ class _Stepper:
 
     def time_flux(self, t, u_new, u_old):
         """Flux w_0 at half level t from the bracketing levels."""
-        new, old, cen = self._flux_weights(self.provider.at(t))
+        half, P = 0.5 * self.dt, self.provider
+        new, old, cen = self._flux_weights(P.at(t - half), P.at(t + half))
         return self._side(new, cen, u_new) + self._side(old, cen, u_old)
 
     def level(self, t) -> dict:
@@ -443,19 +428,20 @@ class _Stepper:
         dt, h, inner = self.dt, self.h, self.interior
         P = self.provider
         cm = P.at(t)
-        A = cm["A"]
-        new, old, cen = self._flux_weights(P.at(t + 0.5 * dt))
-        halves = [P.at(t, half_axis=j) for j in range(1, self.n + 1)]
+        A, rho = cm["A"], cm["rho"]
+        new, old, cen = self._flux_weights(cm, P.at(t + dt))
+        halves = [(_davg(cm["g"][..., j, :], j - 1), _davg(A[..., j], j - 1), _davg(rho, j - 1))
+                  for j in range(1, self.n + 1)]
         lead = 1.0 / dt - 0.5j * A[..., 0]  # weight of w0p in the time difference
         lead_in = lead[inner]
         centre = lead_in * new[inner]
         arms = []
-        if P.has_time_cross():
+        if P.time_cross:
             # u^{m+1} enters w0p through dcen, and the cross flux
             # rho_h g^{j0} / (2 dt) through davg, which weighs each side by 1/2
-            for axis, ch in enumerate(halves):
+            for axis, (gh, _, rhoh) in enumerate(halves):
                 j = axis + 1
-                hi, lo = _shifted(0.25 * ch["rho"] * ch["g"][..., 0] / dt, axis)
+                hi, lo = _shifted(0.25 * rhoh * gh[..., 0] / dt, axis)
                 across = inner[:axis] + (slice(None),) + inner[axis + 1:]
                 Aj = A[..., j][inner]
                 up = hi[across] * (1.0 / h[axis] - 0.5j * Aj)
@@ -463,18 +449,18 @@ class _Stepper:
                 slope = lead_in * cen[axis][inner] / (2.0 * h[axis])
                 centre = centre + up - down
                 arms.append((slope + up, -(slope + down)))
-        rho_in = cm["rho"][inner]
+        rho_in = rho[inner]
         centre = -centre / rho_in
-        first = P.first_order_at(t)
+        first = cm["first"]
         if first is not None:
             centre = centre + first[0][inner] / (2.0 * dt)
         if arms:
             per_centre = -1.0 / (rho_in * centre)
             arms = [(plus * per_centre, minus * per_centre) for plus, minus in arms]
-        out = {"A": A, "rho": cm["rho"], "halves": halves, "first": first,
+        out = {"A": A, "rho": rho, "halves": halves, "first": first,
                "zeroth": P.zeroth_at(t), "lead": lead, "new": new, "old": old,
                "cen": cen, "centre": centre, "arms": arms}
-        if P._static:
+        if P.static:
             self._fixed = out
         return out
 
@@ -491,8 +477,7 @@ class _Stepper:
         d0m = -um1 / (2.0 * dt) - 1j * A[..., 0] * um
         dmk = [None] + [_dcen(um, k - 1, h[k - 1]) - 1j * A[..., k] * um
                         for k in range(1, n + 1)]
-        for j, ch in enumerate(c["halves"], 1):
-            gh, Ah, rhoh = ch["g"], ch["A"], ch["rho"]  # g's row j, A_j
+        for j, (gh, Ah, rhoh) in enumerate(c["halves"], 1):  # g's row j, A_j
             axis = j - 1
             dj = _ddiff(um, axis, h[axis]) - 1j * Ah * _davg(um, axis)
             w = gh[..., j] * dj
@@ -643,7 +628,7 @@ def solve_ibvp(
         boundary_fill(0, u_prev)
         boundary_fill(1, u_curr)
 
-    iterate = provider.has_time_cross()
+    iterate = provider.time_cross
     axes = grid.axes()[1:]
     courant = grid.dt / min(grid.h)
     cfl = np.empty(nt)
@@ -651,7 +636,7 @@ def solve_ibvp(
 
     def check_level(level: int):
         """Cone and CFL check of a node level the step has read; sets cfl[level]."""
-        if provider._static and level:
+        if provider.static and level:
             cfl[level] = cfl[0]
             return
         t = times[level]

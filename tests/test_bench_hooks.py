@@ -41,6 +41,8 @@ def test_tracer_installs_and_restores_its_hooks(monkeypatch):
     solve_ibvp = bclab.solve_ibvp
     speed = bclab.geometry.max_characteristic_speed
     eval_g = bclab.MetricField.eval_g
+    coeffs = bclab.SampledCoefficients
+    at, zeroth_at = coeffs.at, coeffs.zeroth_at
     before = snapshot()
 
     tracer = Tracer()
@@ -50,6 +52,7 @@ def test_tracer_installs_and_restores_its_hooks(monkeypatch):
         assert bclab.solver.solve_ibvp.__wrapped__ is solve_ibvp
         assert bclab.geometry.max_characteristic_speed.__wrapped__ is speed
         assert bclab.MetricField.eval_g is not eval_g
+        assert coeffs.at is not at and coeffs.zeroth_at is not zeroth_at
     finally:
         tracer.uninstall()
 
@@ -57,6 +60,7 @@ def test_tracer_installs_and_restores_its_hooks(monkeypatch):
     assert bclab.solver.solve_ibvp is solve_ibvp
     assert bclab.geometry.max_characteristic_speed is speed
     assert bclab.MetricField.eval_g is eval_g
+    assert coeffs.at is at and coeffs.zeroth_at is zeroth_at
     after = snapshot()
     assert set(after) == set(before)
     assert [key for key in before if after[key] is not before[key]] == []

@@ -300,7 +300,8 @@ def _plan_fixtures():
 @pytest.mark.parametrize("index", range(5))
 def test_plan_matches_tree_walk(index):
     # bitwise, on a full grid level and at one point: the owners' cached
-    # plans, and one-off plans of the gradient and Hamiltonian-term tables
+    # plans, and one-off plans of the Jacobian, gradient and Hamiltonian-term
+    # tables
     metric, phi = _plan_fixtures()[index]
     grid = _grid2() if metric.n == 2 else _grid1()
     ham = [term[3] for term in metric._ham_terms]
@@ -308,8 +309,7 @@ def test_plan_matches_tree_walk(index):
                        ({f"x{j}": 0.1 + 0.2 * j for j in range(metric.n + 1)}, ())):
         _assert_same_bits(metric.eval_g(env, shape), _entrywise(metric.g, env, shape))
         _assert_same_bits(metric.eval_A(env, shape), _entrywise(metric.A, env, shape))
-        _assert_same_bits(phi.eval_jacobian(env, shape), _entrywise(phi.jacobian, env, shape))
-        for table in (metric.grad_g(), ham) if ham else (metric.grad_g(),):
+        for table in (phi.jacobian, metric.grad_g()) + ((ham,) if ham else ()):
             _assert_same_bits(_eval_table(table, env, shape), _entrywise(table, env, shape))
     assert ham or _eval_table(ham, env, shape).shape == (0,)
 
@@ -347,10 +347,9 @@ def test_owners_compile_each_plan_once(monkeypatch):
         metric.eval_ham(env)[1](p)
         metric.eval_ham(env, count=2)[1](p)
         phi.eval_forward(env)
-        phi.eval_jacobian(env)
         gauge.eval_c(env)
-    # g, A, g with each of both Hamiltonian term lists, forward map, Jacobian, phase
-    assert len(compiled) == 7
+    # g, A, g with each of both Hamiltonian term lists, forward map, phase
+    assert len(compiled) == 6
 
 
 # ===== gauges ================================================================
@@ -469,7 +468,7 @@ def test_line_element_invariance():
         env_x = {"x0": t, "x1": a, "x2": b}
         y = [c.evaluate(env_x) for c in phi.forward]
         env_y = {f"x{j}": y[j] for j in range(3)}
-        J = phi.eval_jacobian(env_x)
+        J = _eval_table(phi.jacobian, env_x)
         dx = rng.normal(size=3)
         dy = J @ dx
         g_lo = np.linalg.inv(metric.eval_g(env_x))
@@ -491,7 +490,7 @@ def test_pushforward_one_form_identity():
         env_x = {"x0": t, "x1": a, "x2": b}
         y = [c.evaluate(env_x) for c in phi.forward]
         env_y = {f"x{j}": y[j] for j in range(3)}
-        J = phi.eval_jacobian(env_x)
+        J = _eval_table(phi.jacobian, env_x)
         dx = rng.normal(size=3)
         lhs = pushed.eval_A(env_y) @ (J @ dx)
         rhs = metric.eval_A(env_x) @ dx
@@ -743,6 +742,20 @@ def test_influence_backward_is_time_reflection():
     fwd = influence_region(grid, metric, seed, "forward", seed_time=grid.t1)
     bwd = influence_region(grid, metric, seed, "backward", seed_time=grid.t2)
     np.testing.assert_array_equal(fwd.mask, bwd.mask[::-1])
+
+
+def test_influence_backward_seeds_at_t2_by_default():
+    # the front runs back into the window from its end, so by t1 the mask
+    # shows every finite arrival
+    grid = _grid1(h=1 / 32)
+    metric = MetricField(1, [["1", "0"], ["0", "-(1 + 0.2*sin(3*x1) + 0.1*x0)^2"]])
+    seed = np.zeros(grid.shape, dtype=bool)
+    seed[10] = True
+    region = influence_region(grid, metric, seed, "backward")
+    given = influence_region(grid, metric, seed, "backward", seed_time=grid.t2)
+    np.testing.assert_array_equal(region.mask, given.mask)
+    np.testing.assert_array_equal(region.arrival, given.arrival)
+    np.testing.assert_array_equal(region.mask[0], np.isfinite(region.arrival))
 
 
 def test_characteristic_speed_flat():

@@ -1,4 +1,5 @@
-"""The package runs on numpy alone, and its export lists hold.
+"""The package runs on numpy alone, its export lists hold, and it factors
+every per-node matrix through geometry._det and geometry._solve_small.
 
 A fresh interpreter imports bclab from src/; every top-level module the
 import adds must be bclab itself, numpy or part of the standard library.
@@ -9,6 +10,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +50,13 @@ def test_every_exported_name_resolves_to_its_module_object():
         if name == "__version__":
             continue
         assert any(getattr(bclab, name) is obj for obj in exported.get(name, [])), name
+
+
+def test_no_numpy_matrix_routine_factors_a_node_matrix():
+    # determinants and solves go through geometry._det and _solve_small only
+    routine = re.compile(r"linalg\.(det|solve|inv)\b")
+    found = [f"{path.name}:{number}: {line.strip()}"
+             for path in sorted((SRC / "bclab").glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if routine.search(line)]
+    assert found == []

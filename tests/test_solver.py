@@ -323,25 +323,31 @@ def test_hoisted_coefficients_stay_with_their_solve():
 
 
 def test_staggered_coefficients_hold_only_the_rows_a_step_reads():
+    # the provider serves node levels; the stepper averages only what it reads
     g = _cross_grid()
     provider = SampledCoefficients.from_metric(TIME_CROSS_2D, g)
     t = g.times()[3]
+    c = _Stepper(provider, g).level(t)
     node, ahead = provider.at(t), provider.at(t + g.dt)
     assert all(node["g"][..., j, k].flags.c_contiguous and node["A"][..., j].flags.c_contiguous
                for j in range(3) for k in range(3))
-    # a half level: g's row 0, all of A and rho, over the two node levels
-    mid = provider.at(t + 0.5 * g.dt)
-    assert mid["g"].shape == g.shape + (3,) and mid["A"].shape == g.shape + (3,)
-    for name, row in (("g", node["g"][..., 0, :]), ("A", node["A"]), ("rho", node["rho"])):
-        ahead_row = ahead[name][..., 0, :] if name == "g" else ahead[name]
-        assert mid[name].tobytes() == (0.5 * (row + ahead_row)).tobytes()
-    # axis j's half nodes: g's row j, A_j and rho, over the neighbours
-    for j in (1, 2):
-        half = provider.at(t, half_axis=j)
-        assert half["g"].shape[-1] == 3 and half["A"].shape == half["rho"].shape
-        assert half["g"].tobytes() == _davg(node["g"][..., j, :], j - 1).tobytes()
-        assert half["A"].tobytes() == _davg(node["A"][..., j], j - 1).tobytes()
-        assert half["rho"].tobytes() == _davg(node["rho"], j - 1).tobytes()
+    with pytest.raises(ValueError, match="is not a grid level"):
+        provider.at(t + 0.5 * g.dt)
+    # the half level: the time flux's weights from g's row 0, all of A and
+    # rho, averaged over the two node levels
+    g0 = 0.5 * (node["g"][..., 0, :] + ahead["g"][..., 0, :])
+    A, rho = 0.5 * (node["A"] + ahead["A"]), 0.5 * (node["rho"] + ahead["rho"])
+    a = rho * g0[..., 0] / g.dt
+    b = -0.5j * rho * sum(g0[..., k] * A[..., k] for k in range(3))
+    assert c["new"].tobytes() == (a + b).tobytes() and c["old"].tobytes() == (b - a).tobytes()
+    assert [w.tobytes() for w in c["cen"]] == [(0.5 * rho * g0[..., k]).tobytes() for k in (1, 2)]
+    # axis j's half nodes: g's row j, A_j and rho of node level m, over the neighbours
+    assert len(c["halves"]) == 2
+    for j, (gh, Ah, rhoh) in enumerate(c["halves"], 1):
+        assert gh.shape[-1] == 3 and Ah.shape == rhoh.shape
+        assert gh.tobytes() == _davg(node["g"][..., j, :], j - 1).tobytes()
+        assert Ah.tobytes() == _davg(node["A"][..., j], j - 1).tobytes()
+        assert rhoh.tobytes() == _davg(node["rho"], j - 1).tobytes()
 
 
 def test_forcing_envs_share_one_read_only_mesh():
@@ -499,8 +505,8 @@ def operator_residual(stepper, c, up1):
     dt, h = stepper.dt, stepper.h
     A = c["A"]
     total = c["lead"] * stepper.w0p(c, 0.0, up1)
-    for axis, ch in enumerate(c["halves"]):
-        cw = ch["rho"] * ch["g"][..., 0] / (2.0 * dt)  # g's row axis + 1
+    for axis, (gh, _, rhoh) in enumerate(c["halves"]):
+        cw = rhoh * gh[..., 0] / (2.0 * dt)  # g's row axis + 1
         w = cw * _davg(up1, axis)
         total = total + _half_diff(w, axis, h[axis]) \
             - 1j * A[..., axis + 1] * _half_avg(w, axis)
