@@ -979,11 +979,11 @@ def influence_region(
 
     seed_mask is a boolean array over spatial nodes (the set F); the front
     expands from it at the local maximal characteristic speed, forward or
-    backward in time from seed_time, which defaults to t1 forward and to t2
-    backward, so that the reach runs into the window.  Arrival times come from
-    value iteration over a 16-direction neighbor stencil, run until a pass
-    changes nothing.  Each step's speed is the slowest of those read at five
-    elapsed times evenly spread over the window, so on a metric that is faster
+    backward in time from seed_time in [t1, t2], by default t1 forward and t2
+    backward.  Arrival times come from value iteration over a 16-direction
+    neighbor stencil, run until a pass changes nothing.  Each step's speed is
+    the slowest of those read at five times evenly spread over the reach,
+    [seed_time, t2] or [t1, seed_time], so on a metric that is faster
     between those times the mask under-reports the reach.
     """
     if direction not in ("forward", "backward"):
@@ -997,18 +997,21 @@ def influence_region(
     if seed_time is None:
         seed_time = grid.t1 if sign > 0 else grid.t2
     t_seed = float(seed_time)
+    if not grid.t1 - 1e-12 <= t_seed <= grid.t2 + 1e-12:
+        raise ValueError(f"seed_time {t_seed} lies outside the window "
+                         f"[{grid.t1}, {grid.t2}] of the {direction} reach")
 
     arrival = np.full(grid.shape, np.inf)
     arrival[seed_mask] = 0.0  # elapsed time since seeding
 
     offsets = _neighbor_offsets(grid.n)
-    window = grid.t2 - grid.t1
+    reach = max(grid.t2 - t_seed if sign > 0 else t_seed - grid.t1, 0.0)
 
     # The covariant metric at five elapsed times, evaluated once; each
     # offset's travel time uses the slowest speed read at them, which misses
     # a metric that is faster in between.
     covariant, g_at = [], _time_levels(metric.g, grid)
-    for elapsed in np.linspace(0.0, window, 5):
+    for elapsed in np.linspace(0.0, reach, 5):
         g = g_at(t_seed + sign * elapsed)
         covariant.append(np.stack([_solve_small(g, e) for e in np.eye(grid.n + 1)], axis=-1))
     hvec = np.array(grid.h)

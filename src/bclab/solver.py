@@ -13,22 +13,21 @@ time-space coefficients g^{0j} couple the new level to its neighbors, which a
 short fixed-point iteration resolves; the coupling is O(CFL * |g^{0j}|), far
 below 1, so a handful of sweeps reaches round-off.  The sweeps start from
 the cubic extrapolation of the last four levels.  Every term without the new
-level is evaluated once per step.  The new level enters the residual on the
-interior nodes through a (2n+1)-point stencil, the node and its neighbours
-+1 and -1 along each axis, built once per step: the time flux ahead of the
-step contributes its centered differences, the g^{j0} cross fluxes of its
-average onto half nodes both sides, and the b_0 term the centre.  A sweep
-applies that stencil.  The converged flux ahead of a step is the next step's
-flux behind it.
+level is evaluated once per step; the new level enters the residual through
+a (2n+1)-point stencil, the node and its neighbours +1 and -1 along each
+axis, built once per step, which is all a sweep applies.  The converged flux
+ahead of a step is the next step's flux behind it.  Every per-step array is
+one contiguous band of flat (C-order) nodes, from the first interior node to
+the last, and each step folds every per-level factor into its coefficients
+once, so steps and sweeps only multiply and add.
 
 One provider, SampledCoefficients, feeds the stepper.  It holds the
 coefficients as node samples, one time level at a time: read from arrays, or
 evaluated from the metric's expressions when the run is expression-backed.
 The stepper forms every staggered value it reads as a second-order average
-of the two node levels of its step.  Optional
-hooks: a forcing term, a first-order term sum_j b_j d_j u and a zeroth-order
-term c u.  The transformed-operator pipeline uses the forcing and the
-zeroth-order term (its V1).
+of the two node levels of its step.  Optional hooks: a forcing term, a
+first-order term sum_j b_j d_j u and a zeroth-order term c u.  The
+transformed-operator pipeline uses the forcing and the zeroth-order term (its V1).
 
 Every node level, chart runs included, is checked once when a step first
 reads it: the cone conditions in closed form at every node, and the CFL
@@ -121,16 +120,19 @@ class BoundarySignal:
     amplitude: complex = 1.0
 
     def validate(self, grid: SpacetimeGrid):
-        if self.t_center - self.t_width < grid.t1 - 1e-12:
-            raise ValueError("signal must vanish at the initial time (support starts after t1)")
-        if self.t_center + self.t_width > grid.t2 + 1e-12:
-            raise ValueError("signal support must end inside the time window")
+        start, end = self.t_center - self.t_width, self.t_center + self.t_width
+        if start < grid.t1 - 1e-12:
+            raise ValueError(f"signal support starts at t = {start:g}, before t1 = {grid.t1:g}")
+        if end > grid.t2 + 1e-12:
+            raise ValueError(f"signal support ends at t = {end:g}, after t2 = {grid.t2:g}")
         if len(self.centers) != grid.n - 1 or len(self.widths) != grid.n - 1:
-            raise ValueError("need one lateral center/width per tangential axis")
+            raise ValueError(f"need one lateral center/width per tangential axis ({grid.n - 1}), "
+                             f"got {len(self.centers)} and {len(self.widths)}")
         for i, (c, w) in enumerate(zip(self.centers, self.widths)):
             lo, hi = grid.boundary_patch[i]
             if c - w < lo - 1e-12 or c + w > hi + 1e-12:
-                raise ValueError("lateral support must stay inside the accessible patch")
+                raise ValueError(f"lateral support {c:g} +- {w:g} = [{c - w:g}, {c + w:g}] on "
+                                 f"axis x{i + 1} leaves the accessible patch [{lo:g}, {hi:g}]")
 
     def face_profile(self, grid: SpacetimeGrid, t: float) -> np.ndarray:
         """Complex samples over the x_n = 0 face at time t."""
@@ -301,7 +303,7 @@ def _complex_evaluator(field):
     if field is None:
         return lambda env, shape: np.zeros(shape, dtype=complex)
     if callable(field) and not isinstance(field, Expr):
-        return lambda env, shape: np.asarray(field(env), dtype=complex)
+        return lambda env, shape: np.broadcast_to(np.asarray(field(env), dtype=complex), shape)
     if not isinstance(field, tuple):
         plan = _Plan(field)
         return lambda env, shape: plan(env, shape).astype(complex)
@@ -318,73 +320,42 @@ def _complex_evaluator(field):
 
 
 # ---------------------------------------------------------------------------
-# Spatial difference helpers
-# ---------------------------------------------------------------------------
-
-def _shifted(u: np.ndarray, axis: int, gap: int = 1):
-    """The views u[gap:] and u[:-gap] along axis."""
-    hi = [slice(None)] * u.ndim
-    lo = [slice(None)] * u.ndim
-    hi[axis] = slice(gap, u.shape[axis])
-    lo[axis] = slice(0, u.shape[axis] - gap)
-    return u[tuple(hi)], u[tuple(lo)]
-
-
-def _interior(values: np.ndarray, axis: int) -> np.ndarray:
-    """Place values on the interior nodes along axis; boundary entries are zero."""
-    shape = list(values.shape)
-    shape[axis] += 2
-    out = np.zeros(tuple(shape), dtype=values.dtype)
-    mid = [slice(None)] * values.ndim
-    mid[axis] = slice(1, shape[axis] - 1)
-    out[tuple(mid)] = values
-    return out
-
-
-def _dcen(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered difference along axis; boundary entries are zero (unused)."""
-    hi, lo = _shifted(u, axis, 2)
-    return _interior((hi - lo) / (2.0 * h), axis)
-
-
-def _ddiff(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Forward difference onto half nodes: (u[i+1] - u[i]) / h."""
-    hi, lo = _shifted(u, axis)
-    return (hi - lo) / h
-
-
-def _davg(u: np.ndarray, axis: int) -> np.ndarray:
-    """Average onto half nodes: (u[i+1] + u[i]) / 2."""
-    hi, lo = _shifted(u, axis)
-    return 0.5 * (hi + lo)
-
-
-def _half_diff(w: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Difference of half-node fluxes back onto interior nodes along axis."""
-    return _interior(_ddiff(w, axis, h), axis)
-
-
-def _half_avg(w: np.ndarray, axis: int) -> np.ndarray:
-    """Average of half-node fluxes back onto interior nodes along axis."""
-    return _interior(_davg(w, axis), axis)
-
-
-# ---------------------------------------------------------------------------
 # The discrete operator
 # ---------------------------------------------------------------------------
 
-class _Stepper:
-    """One leapfrog step as an affine map of the new level u^{m+1}.
+def _pair(x: np.ndarray, gap: int):
+    """The views x[gap:] and x[:-gap] of a flat array: each entry and the one gap behind it."""
+    return x[gap:], x[:x.size - gap]
 
-    `level` holds the coefficient arrays of a step: the weights of u^{m+1}
-    in w0p, and the (2n+1)-point stencil of u^{m+1} in the residual on the
-    interior nodes, i.e. its centre and, with time cross terms, its arms to
-    the neighbours +1 and -1 along each axis, divided by the centre; a
-    static provider builds them once per run.  From node levels m and m+1 it
-    averages g's row 0, A and rho onto the half level, and g's row j, A_j and
-    rho onto axis j's half nodes (`halves`): all a step reads there.
-    `explicit` evaluates, once per step, every term without u^{m+1}, divided
-    by the centre; `delta` adds the stencil, which is all a sweep computes.
+
+def _side(cen, steps):
+    """The centred-difference part of a time flux, sum_k cen_k (u(+s) - u(-s))."""
+    w = cen[0] * steps[0]
+    for p, step in zip(cen[1:], steps[1:]):
+        w += p * step
+    return w
+
+
+class _Stepper:
+    """One leapfrog step as an affine map of the new level u^{m+1}, on the band.
+
+    A neighbour along axis a is the band shifted by the axis's flat stride,
+    and a half node pairs a node with the one a stride ahead: `_pair` is the
+    one slice rule.  In 2D the band's two edge columns pair nodes across a
+    row end; they are never read, since `delta` zeroes them.
+
+    `level` builds a step's coefficients (a static provider's once per run)
+    from node levels m and m+1, averaging only the rows a step reads, and
+    folds every per-level factor so that `explicit`, `delta` and `w0p` only
+    multiply and add: the time flux's weights `new` (-conj(new) for the level
+    behind) and `cen` over u(+s) - u(-s); `lead`, the weight of w0p in the
+    time difference (-conj(lead) that of w0q); per axis, rho_h times g's row
+    j on its half nodes with the spacings folded in (`flux`, `cross`,
+    `time`) and `ahead`, 1/h - i A_j / 2, weighing the flux ahead of a node
+    (its conjugate the flux behind); `per_centre`, -1/(rho centre); and the
+    arms of u^{m+1}'s (2n+1)-point stencil over its centre.  `explicit`
+    evaluates, once per step, every term without u^{m+1} over the centre;
+    `delta` adds the stencil, which is all a sweep computes.
     """
 
     def __init__(self, provider, grid: SpacetimeGrid):
@@ -393,136 +364,164 @@ class _Stepper:
         self.dt = grid.dt
         self.h = grid.h
         self._fixed = None
-        inner = self.interior = tuple(slice(1, s - 1) for s in grid.shape)
-        # the interior nodes' neighbours +1 and -1 along each axis
-        self._neighbours = [(inner[:a] + (slice(2, None),) + inner[a + 1:],
-                             inner[:a] + (slice(0, -2),) + inner[a + 1:])
-                            for a in range(grid.n)]
+        size, width = math.prod(grid.shape), grid.shape[-1]
+        self.strides = [math.prod(grid.shape[a + 1:]) for a in range(grid.n)]  # to a neighbour
+        self.start = sum(self.strides)  # the first interior node
+        self.band = slice(self.start, size - self.start)
+        column = np.arange(self.start, size - self.start) % width
+        self._edges = np.flatnonzero((column == 0) | (column == width - 1))
+
+    def _span(self, x, margin=0):
+        """Flat x, a whole level, over the band widened by margin nodes at each end."""
+        x = x.ravel()
+        return x[self.start - margin:x.size - self.start + margin]
+
+    def _steps(self, u):
+        """u(+s) - u(-s) along each axis, on the band."""
+        return [np.subtract(*_pair(self._span(u, s), 2 * s)) for s in self.strides]
 
     def _flux_weights(self, lo, hi):
         """Weights of the time flux at the half level between node samples lo and
-        hi: w_0 = new u_new + old u_old + sum_k cen[k] (dcen_k u_new + dcen_k u_old)."""
-        g0 = 0.5 * (lo["g"][..., 0, :] + hi["g"][..., 0, :])  # g's row 0
-        A, rho = 0.5 * (lo["A"] + hi["A"]), 0.5 * (lo["rho"] + hi["rho"])
-        a = rho * g0[..., 0] / self.dt
-        b = -0.5j * rho * sum(g0[..., k] * A[..., k] for k in range(self.n + 1))
-        return a + b, b - a, [0.5 * rho * g0[..., k] for k in range(1, self.n + 1)]
-
-    def _side(self, weight, cen, u):
-        """One bracketing level's part of a time flux."""
-        w = weight * u
-        for k, p in enumerate(cen):
-            w = w + p * _dcen(u, k, self.h[k])
-        return w
+        hi, on the band: w_0 = new u_new - conj(new) u_old + _side(cen, u_new + u_old)."""
+        span = self._span
+        g0 = [0.5 * (span(lo["g"][..., 0, k]) + span(hi["g"][..., 0, k]))
+              for k in range(self.n + 1)]  # g's row 0
+        A = [0.5 * (span(lo["A"][..., k]) + span(hi["A"][..., k])) for k in range(self.n + 1)]
+        rho = 0.5 * (span(lo["rho"]) + span(hi["rho"]))
+        a = rho * g0[0] / self.dt
+        b = -0.5j * rho * sum(g * Ak for g, Ak in zip(g0, A))
+        return a + b, [0.25 * rho * g0[k] / self.h[k - 1] for k in range(1, self.n + 1)]
 
     def time_flux(self, t, u_new, u_old):
-        """Flux w_0 at half level t from the bracketing levels."""
-        half, P = 0.5 * self.dt, self.provider
-        new, old, cen = self._flux_weights(P.at(t - half), P.at(t + half))
-        return self._side(new, cen, u_new) + self._side(old, cen, u_old)
+        """Flux w_0 at half level t from the bracketing levels, on the band."""
+        half, P, span = 0.5 * self.dt, self.provider, self._span
+        new, cen = self._flux_weights(P.at(t - half), P.at(t + half))
+        w = _side(cen, self._steps(u_new + u_old))
+        w += new * span(u_new) - new.conj() * span(u_old)
+        return w
 
     def level(self, t) -> dict:
         """Coefficient arrays of the step at node level t."""
         if self._fixed is not None:
             return self._fixed
-        dt, h, inner = self.dt, self.h, self.interior
+        dt, h, span = self.dt, self.h, self._span
         P = self.provider
         cm = P.at(t)
-        A, rho = cm["A"], cm["rho"]
-        new, old, cen = self._flux_weights(cm, P.at(t + dt))
-        halves = [(_davg(cm["g"][..., j, :], j - 1), _davg(A[..., j], j - 1), _davg(rho, j - 1))
-                  for j in range(1, self.n + 1)]
-        lead = 1.0 / dt - 0.5j * A[..., 0]  # weight of w0p in the time difference
-        lead_in = lead[inner]
-        centre = lead_in * new[inner]
-        arms = []
-        if P.time_cross:
-            # u^{m+1} enters w0p through dcen, and the cross flux
-            # rho_h g^{j0} / (2 dt) through davg, which weighs each side by 1/2
-            for axis, (gh, _, rhoh) in enumerate(halves):
-                j = axis + 1
-                hi, lo = _shifted(0.25 * rhoh * gh[..., 0] / dt, axis)
-                across = inner[:axis] + (slice(None),) + inner[axis + 1:]
-                Aj = A[..., j][inner]
-                up = hi[across] * (1.0 / h[axis] - 0.5j * Aj)
-                down = lo[across] * (1.0 / h[axis] + 0.5j * Aj)
-                slope = lead_in * cen[axis][inner] / (2.0 * h[axis])
-                centre = centre + up - down
-                arms.append((slope + up, -(slope + down)))
-        rho_in = rho[inner]
-        centre = -centre / rho_in
-        first = cm["first"]
+        g, A = cm["g"], cm["A"]
+        new, cen = self._flux_weights(cm, P.at(t + dt))
+        rho = span(cm["rho"])
+        lead = 1.0 / dt - 0.5j * span(A[..., 0])  # weight of w0p in the time difference
+        weight = lead * new  # of u^{m+1} at the node: -rho times the centre
+        axes, arms = [], []
+
+        def half(x, s):  # average onto the half nodes of the axis of stride s
+            ahead, behind = _pair(span(x, s), s)
+            return 0.5 * (ahead + behind)
+
+        for axis, s in enumerate(self.strides):
+            j = axis + 1
+            rhoh = half(cm["rho"], s)
+            row = [rhoh * half(g[..., j, k], s) for k in range(self.n + 1)]  # rho_h g's row j
+            weights = {"flux": row[j] * (1.0 / h[axis] - 0.5j * half(A[..., j], s)),
+                       "ahead": 1.0 / h[axis] - 0.5j * span(A[..., j]),
+                       "cross": [(k, row[k] / (4.0 * h[k - 1]))
+                                 for k in range(1, self.n + 1) if k != j]}
+            if P.time_cross:
+                # u^{m+1} enters w0p through the centred differences, and the
+                # cross flux rho_h g^{j0} / (2 dt) through its half-node average
+                weights["time"] = row[0] / (4.0 * dt)
+                ahead, behind = _pair(weights["time"], s)
+                up = ahead * weights["ahead"]
+                down = behind * weights["ahead"].conj()
+                slope = lead * cen[axis]
+                weight = weight + up - down
+                arms.append((slope + up, slope + down))
+            axes.append(weights)
+        first, zeroth = cm["first"], P.zeroth_at(t)
         if first is not None:
-            centre = centre + first[0][inner] / (2.0 * dt)
-        if arms:
-            per_centre = -1.0 / (rho_in * centre)
-            arms = [(plus * per_centre, minus * per_centre) for plus, minus in arms]
-        out = {"A": A, "rho": rho, "halves": halves, "first": first,
-               "zeroth": P.zeroth_at(t), "lead": lead, "new": new, "old": old,
-               "cen": cen, "centre": centre, "arms": arms}
+            first = [rho * span(b) / (2.0 * step) for b, step in zip(first, (dt,) + h)]
+            weight = weight - first[0]
+        if zeroth is not None:
+            zeroth = rho * span(zeroth)
+        per_centre = 1.0 / weight
+        arms = [(plus * per_centre, minus * (per_centre * -1.0)) for plus, minus in arms]
+        out = {"A": [A[..., k].ravel() for k in range(self.n + 1)], "rho": rho,
+               "new": new, "cen": cen, "lead": lead, "axes": axes, "first": first,
+               "zeroth": zeroth, "per_centre": per_centre, "arms": arms}
         if P.static:
             self._fixed = out
         return out
 
     def explicit(self, c, um1, um, w0q, forcing_val=None):
         """r0, the terms of the residual without u^{m+1} over the stencil's
-        centre on the interior nodes, and wum, the u^m part of w0p."""
-        n, dt, h = self.n, self.dt, self.h
-        A = c["A"]
-        wum = self._side(c["old"], c["cen"], um)
-        total = (c["lead"] - 2.0 / dt) * w0q + c["lead"] * wum
+        centre on the band, and wum, the u^m part of w0p."""
+        span, dt, h = self._span, self.dt, self.h
+        A, ub, steps = c["A"], span(um), self._steps(um)
+        wum = _side(c["cen"], steps)
+        wum -= c["new"].conj() * ub
+        total = c["lead"] * wum
+        total -= c["lead"].conj() * w0q
 
-        # node-centered covariant derivatives at level m; d0m lacks its
-        # u^{m+1} part, which the stencil's arms carry
-        d0m = -um1 / (2.0 * dt) - 1j * A[..., 0] * um
-        dmk = [None] + [_dcen(um, k - 1, h[k - 1]) - 1j * A[..., k] * um
-                        for k in range(1, n + 1)]
-        for j, (gh, Ah, rhoh) in enumerate(c["halves"], 1):  # g's row j, A_j
-            axis = j - 1
-            dj = _ddiff(um, axis, h[axis]) - 1j * Ah * _davg(um, axis)
-            w = gh[..., j] * dj
-            w = w + gh[..., 0] * _davg(d0m, axis)
-            for k in range(1, n + 1):
-                if k == j:
-                    continue
-                w = w + gh[..., k] * _davg(dmk[k], axis)
-            w = rhoh * w
-            total = total + _half_diff(w, axis, h[axis]) - 1j * A[..., j] * _half_avg(w, axis)
-        out = -total / c["rho"]
+        # node-centred covariant derivatives at level m, times -2 dt and -2 h_k;
+        # d0 lacks its u^{m+1} part, which the stencil's arms carry
+        if self.provider.time_cross:
+            d0 = A[0] * um.ravel()
+            d0 *= 2j * dt
+            d0 += um1.ravel()
+        for s, weights in zip(self.strides, c["axes"]):
+            u = span(um, s)
+            ahead, behind = _pair(u, s)
+            w = weights["flux"] * ahead
+            w -= weights["flux"].conj() * behind
+            if "time" in weights:
+                w -= weights["time"] * np.add(*_pair(span(d0, s), s))
+            for k, weight in weights["cross"]:
+                dk = span(A[k], s) * u
+                dk *= 2j * h[k - 1]
+                sk = self.strides[k - 1]
+                dk -= np.subtract(*_pair(span(um, s + sk), 2 * sk))
+                w -= weight * np.add(*_pair(dk, s))
+            up, down = _pair(w, s)
+            total += up * weights["ahead"]
+            total -= down * weights["ahead"].conj()
 
         first = c["first"]
         if first is not None:
-            out = out - first[0] * um1 / (2.0 * dt)
-            for j in range(1, n + 1):
-                out = out + first[j] * _dcen(um, j - 1, h[j - 1])
+            total += first[0] * span(um1)
+            for b, step in zip(first[1:], steps):
+                total -= b * step
         if c["zeroth"] is not None:
-            out = out + c["zeroth"] * um
+            total -= c["zeroth"] * ub
         if forcing_val is not None:
-            out = out - forcing_val
-        return out[self.interior] / c["centre"], wum
+            total += c["rho"] * span(forcing_val)
+        return c["per_centre"] * total, wum
 
     def delta(self, c, r0, up1):
-        """The residual at up1 over the stencil's centre, on the interior nodes:
-        r0 + up1 + sum over axes of the arms times the neighbours."""
-        out = r0 + up1[self.interior]
-        for (plus, minus), (ahead, behind) in zip(c["arms"], self._neighbours):
-            out += plus * up1[ahead]
-            out += minus * up1[behind]
+        """The residual at up1 over the stencil's centre, on the band: r0 + up1
+        + sum over axes of the arms times the neighbours; zero on the edge columns."""
+        out = r0 + self._span(up1)
+        for (plus, minus), s in zip(c["arms"], self.strides):
+            ahead, behind = _pair(self._span(up1, s), 2 * s)
+            out += plus * ahead
+            out += minus * behind
+        out[self._edges] = 0.0
         return out
 
     def w0p(self, c, wum, up1):
         """Flux w_0 at the half level after the step, from u^{m+1} and the u^m part."""
-        return self._side(c["new"], c["cen"], up1) + wum
+        w = _side(c["cen"], self._steps(up1))
+        w += c["new"] * self._span(up1)
+        w += wum
+        return w
 
     def apply(self, um1, um, up1, t, forcing_val=None):
         """Residual form: value of L_h u (+ first order + zeroth) - F at level m
         on the interior nodes; zero on the boundary."""
-        w0q = self.time_flux(t - 0.5 * self.dt, um, um1)
         c = self.level(t)
-        r0, _ = self.explicit(c, um1, um, w0q, forcing_val)
-        out = np.zeros(up1.shape, dtype=complex)
-        out[self.interior] = c["centre"] * self.delta(c, r0, up1)
-        return out
+        r0, _ = self.explicit(c, um1, um, self.time_flux(t - 0.5 * self.dt, um, um1), forcing_val)
+        out = np.zeros(up1.size, dtype=complex)
+        out[self.band] = self.delta(c, r0, up1) / (-c["rho"] * c["per_centre"])  # times the centre
+        return out.reshape(up1.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +616,6 @@ def solve_ibvp(
         if f is not None:
             u[faces[-2]] = f.face_profile(grid, t)  # x_n = 0
 
-    interior = stepper.interior
-
     u_prev = np.zeros(shape, dtype=complex)
     u_curr = np.zeros(shape, dtype=complex)
     if initial is not None:
@@ -705,7 +702,7 @@ def solve_ibvp(
         scale = max(peak, 1.0)
         for sweep in range(1, max_sweeps + 1):
             delta = stepper.delta(coeffs, r0, up1)
-            up1[interior] -= delta
+            up1.ravel()[stepper.band] -= delta
             update = float(np.max(np.abs(delta), initial=0.0))
             if not iterate or update <= _SWEEP_TOL * scale:
                 break

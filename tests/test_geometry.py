@@ -696,6 +696,32 @@ def test_influence_against_quadrature_oracle_1d():
             assert np.max(dist) <= 1
 
 
+def test_influence_reads_speeds_only_where_the_reach_runs():
+    # speed 2 - x0 slows down through the window [0, 1]: seeded forward at 0.5
+    # the slowest speed the reach meets is 1, at t2, so the arrival time is the
+    # distance; reading past t2 (down to speed 0.5 at 1.5) would double it.
+    # Backward from 0.5 it meets speed 1.5 at the seed, reading [t1, 0.5] only
+    grid = _grid1(h=1 / 16)
+    metric = MetricField(1, [["1", "0"], ["0", "-(2 - x0)^2"]])
+    seed = np.zeros(grid.shape, dtype=bool)
+    seed[4] = True
+    distance = np.abs(grid.axis(1) - grid.axis(1)[4])
+    forward = influence_region(grid, metric, seed, "forward", seed_time=0.5)
+    np.testing.assert_allclose(forward.arrival, distance, rtol=1e-12, atol=1e-12)
+    backward = influence_region(grid, metric, seed, "backward", seed_time=0.5)
+    np.testing.assert_allclose(backward.arrival, distance / 1.5, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("direction, seed_time", [("forward", 1.25), ("backward", -0.5)])
+def test_influence_refuses_a_seed_time_outside_the_window(direction, seed_time):
+    grid = _grid1(h=1 / 16)
+    seed = np.zeros(grid.shape, dtype=bool)
+    seed[0] = True
+    with pytest.raises(ValueError, match=rf"seed_time {seed_time} lies outside the window "
+                                         rf"\[0.0, 1.0\].*{direction}"):
+        influence_region(grid, MetricField.minkowski(1), seed, direction, seed_time=seed_time)
+
+
 def test_influence_against_ray_oracle_2d():
     # rays of the principal symbol mark the true front; the mask boundary
     # must pass within one cell of each ray's endpoint
