@@ -25,17 +25,21 @@ one vectorized batch, so results are deterministic regardless of how the
 work is scheduled.
 
 Every move between a characteristic fan and a tensor grid goes through one
-n-axis 4-point Lagrange stencil, _lagrange, at fractional grid indices.
-Fans move onto the tensor slab one depth row at a time: each row is a
-fold-free image of the regular launch lattice, so the launch indices of the
-ray through every slab node come from Newton on the row's interpolant,
-warm-started from the row above.  The phase and the lateral coordinates are
-affine in those indices; the covector slots take one stencil evaluation.
-The chart pull places virtual receding rays, launched on the chart's own
-lattice, by the same stencil on each fan row, and samples every slab field
-there once, one stencil call per field and row.  Along each ray the pull's
-depth lookup and row values use the 1-axis form of the same stencil,
-_row_lagrange, one fractional row per column.
+n-axis 4-point Lagrange stencil, _Stencil, at fractional grid indices; a
+stencil is located once and applied to every array it reads.  Fans move onto
+tensor nodes one depth row at a time: each row is a fold-free image of the
+regular launch lattice, so the launch indices of the ray through every node
+come from Newton on the row's interpolant, warm-started from the row above.
+The phase and the lateral coordinates are affine in those indices; the
+converged row's stencil gives the covector slots.  solve_eikonal inverts the
+fan on the grid's window only.  build_chart first places the pull's virtual
+receding rays, launched on the chart's own lattice, on each row of the
+trimmed receding fan, then inverts both fans again on the read box: the
+nodes of the fans' coverage overlap that those rays' stencils, the slab
+differences and the window read.  It samples every slab field there once,
+one stencil per fan row for all fields.  Along each ray the pull's depth
+lookup and row values use the 1-axis form of the same stencil, _row_lagrange,
+one fractional row per column.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ def _normal_root(g: np.ndarray, ptan: np.ndarray):
 
 def _fan_env(n: int, pos: np.ndarray, z: float) -> dict:
     env = {f"x{i}": pos[..., i] for i in range(n)}
-    env[f"x{n}"] = np.full(pos.shape[:-1], float(z))
+    env[f"x{n}"] = np.array(float(z))  # one depth per row; the plan broadcasts it
     return env
 
 
@@ -236,7 +240,7 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
 # ---------------------------------------------------------------------------
 
 def _coverage_axes(fan: _Fan, grid: SpacetimeGrid):
-    """Grid-aligned extended axes covered by every fan row.
+    """Grid-aligned (time, lateral) axes of the box every fan row covers.
 
     For each direction the bound comes from the boundary slice of the launch
     lattice: the box lies to the right of every image of the first slice and
@@ -256,9 +260,12 @@ def _coverage_axes(fan: _Fan, grid: SpacetimeGrid):
         step, org = spacings[d], origins[d]
         i_lo = int(math.ceil((lo - org) / step - 1e-9)) + inset
         i_hi = int(math.floor((hi - org) / step + 1e-9)) - inset
-        if org + i_lo * step > spans[d][0] + 1e-12 or org + i_hi * step < spans[d][1] - 1e-12:
+        have = (org + i_lo * step, org + i_hi * step)
+        if have[0] > spans[d][0] + 1e-12 or have[1] < spans[d][1] - 1e-12:
             raise ValueError(
-                "characteristic fan does not cover the slab window; increase pad_time/pad_lat"
+                f"characteristic fan covers [{have[0]:.4f}, {have[1]:.4f}] on x{d}, but the "
+                f"slab window needs [{spans[d][0]:.4f}, {spans[d][1]:.4f}]; "
+                "increase pad_time/pad_lat"
             )
         axes.append(org + step * np.arange(i_lo, i_hi + 1))
     return tuple(axes)
@@ -272,60 +279,64 @@ def _grid_indices(points: np.ndarray, axes) -> np.ndarray:
     return (points - [ax[0] for ax in axes]) / [ax[1] - ax[0] for ax in axes]
 
 
-def _launch_indices(fan: _Fan, target_axes: tuple) -> np.ndarray:
-    """Fractional launch indices of the ray through each target node.
+def _resample_rows(fan: _Fan, target_axes: tuple, cover_axes: tuple):
+    """Launch coordinates and covector slots of the ray through each target node.
 
     Every fan row is a fold-free image of the regular launch lattice, so
     pos[m](indices) = node has one solution in the lattice.  Newton on the
     row's Lagrange interpolant finds it: row 0 is the lattice itself, where
     the affine guess is exact, and each later row starts from the previous
-    row's solution.  A step inverts the 1x1 or 2x2 Jacobian in closed form
-    (_solve_small); a launch lattice has at most two axes.  Returns
-    (nrows, *target_counts, n).  Raises ValueError naming the row when a
-    node does not converge or lands off the lattice.
+    row's solution.  Each step locates one _Stencil and takes its slopes only
+    when the residual check fails; a step inverts the 1x1 or 2x2 Jacobian in
+    closed form (_solve_small), since a launch lattice has at most two axes.
+    The converged stencil also gives the row's slots, and the launch
+    coordinates are affine in the indices.  The tolerance scales with the
+    fan's coverage box cover_axes, not with the targets, so a node takes the
+    same steps on any target box that holds it.
+
+    Returns (launch, slots) shaped (*target_counts, nrows, n) and
+    (*target_counts, nrows, n+1), the depth row index before the component.
+    Raises ValueError naming the row when a node does not converge or lands
+    off the lattice.
     """
     target = np.stack(np.meshgrid(*target_axes, indexing="ij"), axis=-1)
-    tol = 1e-13 * max(1.0, float(np.max(np.abs(target))))
-    top = np.array(fan.pos.shape[1:-1]) - 1.0
+    tol = 1e-13 * max(1.0, *(abs(float(ax[i])) for ax in cover_axes for i in (0, -1)))
+    lattice = fan.pos.shape[1:-1]
+    top = np.array(lattice) - 1.0
     idx = _grid_indices(target, fan.axes)
-    out = np.empty((fan.pos.shape[0],) + idx.shape)
+    nrows, n = fan.pos.shape[0], fan.pos.shape[-1]
+    launch = np.empty(idx.shape[:-1] + (nrows, n))
+    slots = np.empty(idx.shape[:-1] + (nrows, n + 1))
     for row, pos in enumerate(fan.pos):
         for step in range(_NEWTON_STEPS + 1):
-            value, jac = _lagrange(pos, idx, slopes=True)
-            res = value - target
+            stencil = _Stencil(idx, lattice)
+            res = stencil(pos) - target
             norm = np.max(np.abs(res), axis=-1)
             if np.all(norm <= tol) or step == _NEWTON_STEPS:
                 break
-            idx = idx - _solve_small(jac, res)
+            idx = idx - _solve_small(stencil.slopes(), res)
         bad = ~(norm <= tol) | np.any((idx < -1e-9) | (idx > top + 1e-9), axis=-1)
         if np.any(bad):
             raise ValueError(
                 f"fan row {row} (depth {fan.depth_nodes[row]:.4f}): {int(np.sum(bad))} target "
                 f"nodes do not invert inside the launch lattice (worst residual "
-                f"{float(np.max(norm[bad])):.2e}); increase pad_time/pad_lat"
+                f"{float(np.max(norm[bad])):.2e}, tolerance {tol:.2e}); increase pad_time/pad_lat"
             )
-        out[row] = idx
-    return out
-
-
-def _resample_rows(fan: _Fan, target_axes: tuple):
-    """Launch coordinates and covector slots of the ray through each target node.
-
-    Returns (launch, slots) shaped (*target_counts, nrows, n) and
-    (*target_counts, nrows, n+1), the depth row index before the component.
-    The launch indices come from _launch_indices; the launch coordinates are
-    affine in them, and the slots of a row take one stacked _lagrange call.
-    """
-    idx = _launch_indices(fan, target_axes)
-    nrows, n = fan.pos.shape[0], fan.pos.shape[-1]
-    tdim = idx.shape[1:-1]
-    launch = np.empty(tdim + (nrows, n))
-    slots = np.empty(tdim + (nrows, n + 1))
-    for m in range(nrows):
-        slots[..., m, :] = _lagrange(fan.p[m], idx[m])
+        launch[..., row, :] = idx
+        slots[..., row, :] = stencil(fan.p[row])
     for d, ax in enumerate(fan.axes):
-        launch[..., d] = ax[0] + (ax[1] - ax[0]) * np.moveaxis(idx[..., d], 0, -1)
+        launch[..., d] = ax[0] + (ax[1] - ax[0]) * launch[..., d]
     return launch, slots
+
+
+def _phase_on(fan: _Fan, side: str, grid: SpacetimeGrid, target_axes: tuple,
+              cover_axes: tuple):
+    """(psi, grad, lateral launch coordinates) of one family on the target
+    nodes times the depth rows: the phase is the launch time shifted to the
+    window, and grad the ray's covector slots (_resample_rows)."""
+    launch, grad = _resample_rows(fan, target_axes, cover_axes)
+    psi = launch[..., 0] - grid.t1 if side == "+" else grid.t2 - launch[..., 0]
+    return psi, grad, [launch[..., j] for j in range(1, grid.n)]
 
 
 def _slab_env(*axes) -> dict:
@@ -345,6 +356,10 @@ class EikonalField:
     psi holds the phase, grad its spacetime gradient with the depth component
     recomputed from the null constraint along each ray.  Both live on the
     grid's (time, lateral) window times the slab depth nodes, depth last.
+    The field keeps its fan and the fan's coverage box (_cover_axes), the
+    grid-aligned (time, lateral) box every fan row covers, so build_chart can
+    invert the fan again on the nodes it reads; a '-' field also keeps the
+    launch lateral coordinates on the window (_phi).
     """
 
     psi: np.ndarray
@@ -355,10 +370,8 @@ class EikonalField:
     depth_nodes: np.ndarray
     metric: MetricField
     _fan: _Fan
-    _ext_axes: tuple
-    _ext_psi: np.ndarray
-    _ext_grad: np.ndarray
-    _ext_phi: list
+    _cover_axes: tuple
+    _phi: list
 
     def residual(self) -> np.ndarray:
         """Null-constraint defect of the cached gradient at every slab node."""
@@ -386,13 +399,13 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
 
     side '+' seeds the phase advancing with time, '-' the receding one.  The
     phase is frozen along each characteristic; rays launch from a padded face
-    lattice and every depth row of the fan is inverted for the launch point
-    of the ray through each slab node (see the module notes).  The phase is
-    the launch time shifted to the window; a '-' field also keeps the launch
-    lateral coordinates, which solve_transport_phi and build_chart read.
+    lattice, and every depth row of the fan is inverted for the launch point
+    of the ray through each node of the grid's window (see the module notes).
+    The phase is the launch time shifted to the window; a '-' field also keeps
+    the launch lateral coordinates, which solve_transport_phi returns.
     Raises CharacteristicCrossing when the family folds over before reaching
-    the depth, and ValueError when a row does not invert inside the padded
-    lattice.
+    the depth, and ValueError when the fan's coverage box misses the window or
+    a row does not invert inside the padded lattice.
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
@@ -404,25 +417,20 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
         pad_lat = default_lat if pad_lat is None else pad_lat
 
     fan = _integrate_fan(metric, side, grid, depth, pad_time, pad_lat)
-    ext_axes = _coverage_axes(fan, grid)
-    launch, ext_grad = _resample_rows(fan, ext_axes)
-    ext_psi = launch[..., 0] - grid.t1 if side == "+" else grid.t2 - launch[..., 0]
-    ext_phi = [launch[..., j] for j in range(1, grid.n)] if side == "-" else []
-
-    window = _window_slices(ext_axes, grid.face_axes())
+    cover = _coverage_axes(fan, grid)
+    window = tuple(ax[s] for ax, s in zip(cover, _window_slices(cover, grid.face_axes())))
+    psi, grad, phi = _phase_on(fan, side, grid, window, cover)
     return EikonalField(
-        psi=ext_psi[window],
+        psi=psi,
         side=side,
-        grad=ext_grad[window],
+        grad=grad,
         grid=grid,
         depth=fan.depth_nodes[-1],
         depth_nodes=fan.depth_nodes,
         metric=metric,
         _fan=fan,
-        _ext_axes=ext_axes,
-        _ext_psi=ext_psi,
-        _ext_grad=ext_grad,
-        _ext_phi=ext_phi,
+        _cover_axes=cover,
+        _phi=phi if side == "-" else [],
     )
 
 
@@ -438,7 +446,7 @@ def _window_slices(axes, window_axes) -> tuple:
     for ax, win in zip(axes, window_axes):
         i0 = int(round((win[0] - ax[0]) / (ax[1] - ax[0])))
         if not np.isclose(ax[i0], win[0], atol=1e-9):
-            raise AssertionError("extended axes misaligned with the window")
+            raise AssertionError("axes misaligned with the window")
         sl.append(slice(i0, i0 + len(win)))
     return tuple(sl)
 
@@ -450,13 +458,12 @@ def solve_transport_phi(metric: MetricField, psi_minus: EikonalField,
     Each field equals its launch value on the face and is constant along the
     rays of psi_minus, which realizes the defining first-order transport
     equation exactly at ray points.  solve_eikonal already inverted the fan
-    for those launch values, so this returns n-1 window views of them; the
-    metric argument is not read.
+    on the grid's window for those launch values, so this returns the n-1
+    window arrays it kept; neither metric nor grid is read.
     """
     if psi_minus.side != "-":
         raise ValueError("transport runs along the receding ('-') family")
-    window = _window_slices(psi_minus._ext_axes, grid.face_axes())
-    return [p[window] for p in psi_minus._ext_phi]
+    return list(psi_minus._phi)
 
 
 # ---------------------------------------------------------------------------
@@ -496,41 +503,50 @@ def _contract(cells: list, weights) -> list:
             for i in range(0, len(cells), 4)]
 
 
-def _lagrange(F: np.ndarray, fracs: np.ndarray, slopes: bool = False):
-    """4-point Lagrange evaluation of F (*grid, k) at fractional indices.
+class _Stencil:
+    """The 4-point Lagrange stencil of fractional indices on a grid, located once.
 
-    fracs[..., d] indexes grid axis d; near an edge the stencil clamps to the
-    four edge nodes.  Returns the (..., k) values, and with slopes also their
-    (..., k, d) derivatives along each axis.  Sum-factorized: one flat gather
-    per stencil node, then one contraction per axis, last axis first.
+    fracs[..., d] indexes axis d of a grid of the given shape; near an edge
+    the stencil clamps to the four edge nodes.  The stencil keeps each
+    point's flat cell base and value weights, and applies them to any array
+    on that grid: calling it on F (*shape, k) returns the (..., k) values.
+    slopes() then returns their (..., k, d) derivatives along each axis from
+    the same gather.  Sum-factorized: one flat gather per stencil node, then
+    one contraction per axis, last axis first.
     """
-    shape = F.shape[:-1]
-    ndim = len(shape)
-    strides = [int(np.prod(shape[d + 1:])) for d in range(ndim)]
-    base, ts = 0, []
-    for d in range(ndim):
-        i0 = np.clip(np.floor(fracs[..., d]).astype(int), 1, shape[d] - 3)
-        base = base + strides[d] * i0
-        ts.append(fracs[..., d] - i0)
-    # components first, so the weights broadcast over the trailing point axes
-    planes = np.moveaxis(F, -1, 0).reshape(F.shape[-1], -1)
-    cells = [planes.take(base + int(np.dot(offs, strides)), axis=1)
-             for offs in product((-1, 0, 1, 2), repeat=ndim)]
-    weights = [_lagrange_weights(t) for t in ts]
-    # partial[j]: the last j axes contracted with value weights
-    partial = [cells]
-    for d in reversed(range(ndim)):
-        partial.append(_contract(partial[-1], weights[d]))
-    value = np.moveaxis(partial[-1][0], 0, -1)
-    if not slopes:
-        return value
-    jac = []
-    for d in range(ndim):
-        part = _contract(partial[ndim - 1 - d], _lagrange_dweights(ts[d]))
-        for e in reversed(range(d)):
-            part = _contract(part, weights[e])
-        jac.append(part[0])
-    return value, np.moveaxis(np.stack(jac, axis=-1), 0, -2)
+
+    def __init__(self, fracs: np.ndarray, shape: tuple):
+        ndim = len(shape)
+        strides = [int(np.prod(shape[d + 1:])) for d in range(ndim)]
+        self.base, self.ts = 0, []
+        for d in range(ndim):
+            i0 = np.clip(np.floor(fracs[..., d]).astype(int), 1, shape[d] - 3)
+            self.base = self.base + strides[d] * i0
+            self.ts.append(fracs[..., d] - i0)
+        self.offsets = [int(np.dot(offs, strides)) for offs in product((-1, 0, 1, 2), repeat=ndim)]
+        self.weights = [_lagrange_weights(t) for t in self.ts]
+        self._partial = None
+
+    def __call__(self, F: np.ndarray) -> np.ndarray:
+        # components first, so the weights broadcast over the trailing point axes
+        planes = np.moveaxis(F, -1, 0).reshape(F.shape[-1], -1)
+        # partial[j]: the last j axes contracted with value weights
+        partial = [[planes.take(self.base + off, axis=1) for off in self.offsets]]
+        for w in reversed(self.weights):
+            partial.append(_contract(partial[-1], w))
+        self._partial = partial
+        return np.moveaxis(partial[-1][0], 0, -1)
+
+    def slopes(self) -> np.ndarray:
+        """Derivatives of the last call's values along each grid axis."""
+        ndim = len(self.ts)
+        jac = []
+        for d in range(ndim):
+            part = _contract(self._partial[ndim - 1 - d], _lagrange_dweights(self.ts[d]))
+            for e in reversed(range(d)):
+                part = _contract(part, self.weights[e])
+            jac.append(part[0])
+        return np.moveaxis(np.stack(jac, axis=-1), 0, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -589,18 +605,25 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
 
     The chart coordinates are y0 (time), the transported lateral fields, and
     the depth yn; y0 and yn are linear in the two phases, and on the face the
-    map restricts to the identity.  The lateral fields come from psi_minus,
-    sliced onto the overlap of the two fields' extended axes; phi must be
-    what solve_transport_phi returned for psi_minus and is only checked for
-    shape and kept on the chart.  Coefficient fields of the transformed
-    operator are computed on the slab, sampled once along receding rays
-    launched from the chart's time lattice (_pull_to_chart), and re-gridded
-    onto a rectangle in chart coordinates whose depth step is three times its
-    time step (the forward run then sits safely inside the stability bound).
+    map restricts to the identity.  phi must be what solve_transport_phi
+    returned for psi_minus and is only checked for shape and kept on the
+    chart.  Coefficient fields of the transformed operator are computed on
+    the slab, sampled once along virtual receding rays launched from the
+    chart's time lattice (_virtual_rays, _pull_to_chart), and re-gridded onto
+    a rectangle in chart coordinates whose depth step is three times its time
+    step (the forward run then sits safely inside the stability bound).
+
+    The slab fields live on the read box (_read_box): the part of the two
+    fans' coverage overlap that the virtual rays' stencils and the window
+    read.  Both fans are inverted again there, so every stencil and
+    difference sees the values it would on the whole overlap.  The refusals
+    below, and the focal mask, cover only those nodes.
 
     y_depth caps the chart depth; the default takes what the fan coverage
     supports.  Nodes where the Jacobian leaves [1/j_max, j_max], or where the
     phase-pair normalization loses positivity, are flagged in focal_mask.
+    Raises FocalRegion where the one-form system for the hatted potentials is
+    singular at a node of the read box.
     """
     if psi_plus.side != "+" or psi_minus.side != "-":
         raise ValueError("build_chart expects ('+', '-') phase fields in that order")
@@ -621,25 +644,27 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     if len(depth_nodes) != len(psi_minus.depth_nodes) or abs(psi_plus.depth - psi_minus.depth) > 1e-12:
         raise ValueError("phase fields sampled to different depths")
 
-    # shared extended axes: overlap of the two coverage windows (same lattice)
-    ext_axes = []
-    for ax_p, ax_m, step in zip(psi_plus._ext_axes, psi_minus._ext_axes, grid.steps()[:-1]):
+    # overlap of the two coverage boxes (same lattice)
+    overlap = []
+    for ax_p, ax_m, step in zip(psi_plus._cover_axes, psi_minus._cover_axes, grid.steps()[:-1]):
         lo = max(ax_p[0], ax_m[0])
         hi = min(ax_p[-1], ax_m[-1])
         k0 = int(round((lo - ax_p[0]) / step))
         k1 = int(round((hi - ax_p[0]) / step))
-        ext_axes.append(ax_p[k0:k1 + 1])
-    ext_axes = tuple(ext_axes)
+        overlap.append(ax_p[k0:k1 + 1])
+    overlap = tuple(overlap)
 
-    plus = _window_slices(psi_plus._ext_axes, ext_axes)
-    minus = _window_slices(psi_minus._ext_axes, ext_axes)
-    psi_p, grad_p = psi_plus._ext_psi[plus], psi_plus._ext_grad[plus]
-    psi_m, grad_m = psi_minus._ext_psi[minus], psi_minus._ext_grad[minus]
-    phi_ext = [p[minus] for p in psi_minus._ext_phi]
+    # the pull's virtual rays, and the box of overlap nodes they and the window read
+    rays = _virtual_rays(_trim_fan(psi_minus._fan, overlap), grid, T1, T2, y_depth)
+    fracs = _grid_indices(rays.pos, overlap)
+    box = _read_box(fracs, overlap, grid.face_axes())
+    box_axes = tuple(ax[s] for ax, s in zip(overlap, box))
+    psi_p, grad_p, _ = _phase_on(psi_plus._fan, "+", grid, box_axes, psi_plus._cover_axes)
+    psi_m, grad_m, phi_box = _phase_on(psi_minus._fan, "-", grid, box_axes, psi_minus._cover_axes)
 
-    dphi = [np.stack(np.gradient(p, *grid.steps(), edge_order=2), axis=-1) for p in phi_ext]
+    dphi = [np.stack(np.gradient(p, *grid.steps(), edge_order=2), axis=-1) for p in phi_box]
 
-    env = _slab_env(*ext_axes, depth_nodes)
+    env = _slab_env(*box_axes, depth_nodes)
     slab_shape = psi_p.shape
     g = metric.eval_g(env, slab_shape)
 
@@ -651,7 +676,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
 
     # chart map and its Jacobian on the slab
     y0, yn = GoursatChart.pair_to_normal(psi_p, psi_m, T1, T2)
-    y_comps = [y0] + phi_ext + [yn]
+    y_comps = [y0] + phi_box + [yn]
     jac_rows = [0.5 * (grad_p - grad_m)] + dphi + [-0.5 * (grad_p + grad_m)]
     jac_det = _det([[row[..., k] for k in range(n + 1)] for row in jac_rows])
     focal = (np.abs(jac_det) > j_max) | (np.abs(jac_det) < 1.0 / j_max) | (ghpm <= 0.0)
@@ -664,15 +689,14 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     det_m = _det(M)
     if not np.all(det_m):
         where = np.unravel_index(int(np.argmin(np.abs(det_m))), slab_shape)
-        node = tuple(float(ax[k]) for ax, k in zip(ext_axes + (depth_nodes,), where))
+        node = tuple(float(ax[k]) for ax, k in zip(box_axes + (depth_nodes,), where))
         raise FocalRegion(f"one-form system singular at slab node {node}: det {det_m[where]:.3g}")
     Ap_x, Am_x, *Aj_x = _solve_small(M, [A_x[..., i] for i in range(n + 1)])
 
-    window = _window_slices(ext_axes, grid.face_axes())
+    window = _window_slices(box_axes, grid.face_axes())
     y_of_x = np.stack([c[window] for c in y_comps], axis=-1)
 
     # ---- pull the coefficient fields onto a chart-space rectangle ----------
-    pull_fan = _trim_fan(psi_minus._fan, ext_axes)
     slab_fields = {"s": psi_p, "ghpm": ghpm, "g1": g1_x,
                    "Ap": Ap_x, "Am": Am_x, "focal": focal.astype(float)}
     for j in range(n - 1):
@@ -681,8 +705,9 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
         for k in range(n - 1):
             slab_fields[f"gh{j}{k}"] = ghjk[j][k]
 
+    # shifting by the box's whole-node offset is exact, so every weight is the overlap's
     y_grid, pulled, row_index = _pull_to_chart(
-        pull_fan, ext_axes, slab_fields, grid, T1, T2, y_depth)
+        rays, fracs - [sl.start for sl in box], slab_fields, grid, T1, T2)
     x_at_y = np.stack(
         [pulled[f"x{d}"] for d in range(n)] + [row_index * hz], axis=-1)
 
@@ -707,22 +732,46 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     )
 
 
-def _trim_fan(fan: _Fan, ext_axes: tuple) -> _Fan:
-    """Drop outer rays whose positions ever leave the extended slab."""
+def _trim_fan(fan: _Fan, axes: tuple) -> _Fan:
+    """Drop outer rays whose positions ever leave the box of the (time,
+    lateral) axes."""
     n_tan = fan.pos.shape[-1]
     slices = []
     for d in range(n_tan):
-        lo, hi = ext_axes[d][0], ext_axes[d][-1]
+        lo, hi = axes[d][0], axes[d][-1]
         red = tuple(a for a in range(fan.pos.ndim - 1) if a != d + 1)
         inside = (fan.pos[..., d].min(axis=red) >= lo - 1e-12) & \
                  (fan.pos[..., d].max(axis=red) <= hi + 1e-12)
         idx = np.nonzero(inside)[0]
         if idx.size < 8:
-            raise ValueError("too few rays stay inside the slab; increase pads")
+            raise ValueError(
+                f"only {idx.size} of {inside.size} rays along launch axis {d} stay inside "
+                f"the slab's [{lo:.4f}, {hi:.4f}], need 8; increase pads")
         slices.append(slice(idx[0], idx[-1] + 1))
     take = (slice(None),) + tuple(slices)
     return _Fan(tuple(ax[s] for ax, s in zip(fan.axes, slices)), fan.depth_nodes,
                 fan.pos[take], fan.p[take])
+
+
+def _read_box(fracs: np.ndarray, axes: tuple, window_axes) -> tuple:
+    """Slices of the regular axes holding every node the chart reads.
+
+    fracs[..., d] are fractional indices on axes[d].  Per axis, the hull of
+    their cells is widened by the stencil's reach (-1 to +2 nodes), then by
+    one node for np.gradient's edge stencil, joined with the window
+    (window_axes) widened by one node, and clipped to the axes.  On the box,
+    every stencil at fracs minus the box's offset clamps, weighs and reads as
+    on the whole axes, and every difference at those nodes and on the window
+    is a centred one wherever it is on the whole axes.
+    """
+    window = _window_slices(axes, window_axes)
+    box = []
+    for d, (ax, win) in enumerate(zip(axes, window)):
+        cells = np.floor(fracs[..., d])
+        lo = min(int(cells.min()) - 2, win.start - 1)   # reach -1, then the edge node
+        hi = max(int(cells.max()) + 3, win.stop)        # reach +2, then the edge node
+        box.append(slice(max(lo, 0), min(hi, len(ax) - 1) + 1))
+    return tuple(box)
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -732,42 +781,45 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pull_to_chart(fan: _Fan, ext_axes: tuple, slab_fields: dict, grid: SpacetimeGrid,
-                   T1: float, T2: float, y_depth):
-    """Re-grid slab fields onto the chart rectangle along the fan's rays.
+@dataclass
+class _Rays:
+    """Virtual receding rays of the chart pull, placed on every fan row."""
+
+    pos: np.ndarray        # (nrows, launches, *lateral, n) tangential positions
+    dty: float             # the chart's time step
+    nt_y: int              # the chart's time levels
+    nq_cap: int            # chart depth steps the launches support
+
+
+def _virtual_rays(fan: _Fan, grid: SpacetimeGrid, T1: float, T2: float, y_depth) -> _Rays:
+    """Stage one of the chart pull: rays launched on the chart's own time
+    lattice and the grid's lateral nodes, placed on each row of the trimmed
+    receding fan by one _Stencil located once for all rows.
 
     The chart's time step divides the window into the fewest steps that keep
     it within a third of the finest lateral spacing (the depth spacing for
-    n = 1), and its depth step is three times that.
-
-    Stage one follows virtual rays launched on the chart's own time lattice
-    and the grid's lateral nodes.  On each fan row, one _lagrange call places
-    them (the x{d} rows), and one call per field samples that field's depth
-    row of the extended slab (ext_axes, depth nodes) there.  slab_fields must
-    hold the advancing phase "s" and the outgoing hatted potential "Ap"; "Ap"
-    leaves as the gauge phase "d" = -int Ap ds, zero on the face and
-    integrated along each virtual ray, where (tau, y') are frozen.  Stage two
-    inverts the advancing phase along each virtual ray (two Newton steps on
-    the 4-point row interpolant from a linear bracket) to land on the
-    requested chart depth nodes, and raises ValueError when a node still
-    misses its phase value by more than 1e-9 * dty.  Returns (y_grid, pulled
-    fields, fractional row index).
+    n = 1), and its depth step is three times that.  The launches run on
+    past T2 as far as the chart depth needs, capped by y_depth and half the
+    window.  Raises ValueError when the fan's launches miss the window or
+    support fewer than four chart depth steps.
     """
     n = grid.n
     window = T2 - T1
-
     href = min(grid.h[:-1]) if n > 1 else grid.h[-1]
     steps = int(math.ceil(window / (href / 3.0)))
     dty = window / steps
     dz = 3.0 * dty
     nt_y = steps + 1
 
-    # stage one: cross-ray interpolation at the dense virtual-launch lattice
     if fan.axes[0][0] > T1 + 1e-12:
-        raise ValueError("trimmed fan misses early launches; increase pad_time")
+        raise ValueError(f"trimmed fan launches from t = {fan.axes[0][0]:.4f}, after the "
+                         f"window start {T1:.4f}; increase pad_time")
     for i in range(1, n):
-        if fan.axes[i][0] > 1e-12 or fan.axes[i][-1] < grid.extent[i - 1] - 1e-12:
-            raise ValueError("trimmed fan misses lateral launches; increase pad_lat")
+        have, need = (fan.axes[i][0], fan.axes[i][-1]), (0.0, grid.extent[i - 1])
+        if have[0] > need[0] + 1e-12 or have[1] < need[1] - 1e-12:
+            raise ValueError(f"trimmed fan launches span [{have[0]:.4f}, {have[1]:.4f}] on "
+                             f"x{i}, the chart needs [{need[0]:.4f}, {need[1]:.4f}]; "
+                             "increase pad_lat")
 
     cap = 0.5 * window if y_depth is None else min(float(y_depth), 0.5 * window)
     nq_cap = int(math.floor(cap / dz + 1e-9))
@@ -775,24 +827,48 @@ def _pull_to_chart(fan: _Fan, ext_axes: tuple, slab_fields: dict, grid: Spacetim
     n_star = int(math.floor((xi_hi - T1) / dty + 1e-9)) + 1
     nq_cap = min(nq_cap, (n_star - nt_y) // 3)
     if nq_cap < 4:
-        raise ValueError("fan launch coverage too narrow for the chart; increase pad_time")
+        raise ValueError(f"fan launch coverage too narrow for the chart: launches end at "
+                         f"t = {fan.axes[0][-1]:.4f}, {nq_cap} chart depth steps of {dz:.4f} "
+                         f"past T2 = {T2:.4f}, need 4; increase pad_time")
     xi_star = T1 + dty * np.arange(n_star)
 
-    nrows = fan.pos.shape[0]
     nodes = np.stack(np.meshgrid(xi_star, *grid.face_axes()[1:], indexing="ij"), axis=-1)
-    launches = _grid_indices(nodes, fan.axes)
-    pos = np.stack([_lagrange(row, launches) for row in fan.pos])
-    fracs = _grid_indices(pos, ext_axes)
-    stage1 = {name: np.stack([_lagrange(field[..., m, None], fracs[m])[..., 0]
-                              for m in range(nrows)])
-              for name, field in slab_fields.items()}
-    stage1.update({f"x{d}": pos[..., d] for d in range(n)})
+    launches = _Stencil(_grid_indices(nodes, fan.axes), fan.pos.shape[1:-1])
+    return _Rays(np.stack([launches(row) for row in fan.pos]), dty, nt_y, nq_cap)
+
+
+def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: SpacetimeGrid,
+                   T1: float, T2: float):
+    """Re-grid slab fields onto the chart rectangle along the virtual rays.
+
+    Stage one samples every slab field (*box, depth rows) at the rays'
+    points, fracs (nrows, launches, *lateral, n) fractional indices on the
+    box: one _Stencil per fan row, located once for all fields.  The rays'
+    positions become the x{d} rows.  slab_fields must hold the advancing
+    phase "s" and the outgoing hatted potential "Ap"; "Ap" leaves as the
+    gauge phase "d" = -int Ap ds, zero on the face and integrated along each
+    virtual ray, where (tau, y') are frozen.  Stage two inverts the advancing
+    phase along each virtual ray (two Newton steps on the 4-point row
+    interpolant from a linear bracket) to land on the requested chart depth
+    nodes, and raises ValueError when a node still misses its phase value by
+    more than 1e-9 * dty.  Returns (y_grid, pulled fields, fractional row
+    index).
+    """
+    n = grid.n
+    dty, nt_y, dz = rays.dty, rays.nt_y, 3.0 * rays.dty
+    nrows = rays.pos.shape[0]
+    stage1 = {name: np.empty(rays.pos.shape[:-1]) for name in slab_fields}
+    for m in range(nrows):
+        stencil = _Stencil(fracs[m], slab_fields["s"].shape[:-1])
+        for name, field in slab_fields.items():
+            stage1[name][m] = stencil(field[..., m, None])[..., 0]
+    stage1.update({f"x{d}": rays.pos[..., d] for d in range(n)})
     stage1["d"] = _cumulative_trapezoid(-stage1.pop("Ap"), stage1["s"])
-    lat_shape = nodes.shape[1:-1]
+    lat_shape = rays.pos.shape[2:-1]
 
     # feasible chart depth: every virtual ray must reach its deepest target
     S = stage1["s"]
-    nq = nq_cap
+    nq = rays.nq_cap
     while nq > 0:
         i_idx = np.arange(nt_y)
         cols = i_idx + 3 * nq
@@ -802,7 +878,8 @@ def _pull_to_chart(fan: _Fan, ext_axes: tuple, slab_fields: dict, grid: Spacetim
             break
         nq -= 1
     if nq < 4:
-        raise ValueError("chart depth coverage too shallow; deepen the slab")
+        raise ValueError(f"chart depth coverage too shallow: the rays reach {nq} chart depth "
+                         f"steps of {dz:.4f}, need 4; deepen the slab")
 
     i_grid, q_grid = np.meshgrid(np.arange(nt_y), np.arange(nq + 1), indexing="ij")
     cols = (i_grid + 3 * q_grid).ravel()
@@ -1120,7 +1197,7 @@ def sample_field(samples: np.ndarray, grid: SpacetimeGrid, points: np.ndarray) -
     keep points inside the domain.
     """
     fracs = (points - [ax[0] for ax in grid.axes()]) / grid.steps()
-    return _lagrange(samples[..., None], fracs)[..., 0]
+    return _Stencil(fracs, samples.shape)(samples[..., None])[..., 0]
 
 
 def export_chart_csv(chart: GoursatChart, path: str) -> None:

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
+from bclab import goursat
 from bclab.dn import DNTrace, dn_trace, transform_dn
 from bclab.expr import parse_expr
 from bclab.geometry import (
@@ -27,17 +28,21 @@ from bclab.goursat import (
     CharacteristicCrossing,
     FocalRegion,
     GoursatChart,
+    _coverage_axes,
     _cumulative_trapezoid,
     _fan_rhs,
-    _lagrange,
+    _grid_indices,
+    _integrate_fan,
     _lagrange_dweights,
     _lagrange_weights,
-    _launch_indices,
     _normal_root,
     _pull_to_chart,
+    _resample_rows,
     _row_lagrange,
     _solve_small,
+    _Stencil,
     _trim_fan,
+    _virtual_rays,
     build_chart,
     export_chart_csv,
     export_operator_npz,
@@ -459,24 +464,30 @@ def test_launch_inversion_oracle_2d():
     g = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=0.35 * h,
                       t1=0.0, t2=1.4)
     em = solve_eikonal(VAR_METRIC_2D, "-", g, 0.25)
-    fan, axes = em._fan, em._ext_axes
-    idx = _launch_indices(fan, axes)
+    fan, cover = em._fan, em._cover_axes
+    launch, slots = _resample_rows(fan, cover, cover)
+    idx = _grid_indices(launch, fan.axes)
     # the rays drift by several lattice cells, so the warm starts do work
-    assert np.abs(idx[-1] - idx[0]).max() > 2.0
+    assert np.abs(idx[..., -1, :] - idx[..., 0, :]).max() > 2.0
     # every row's solved indices map back onto the target nodes
-    target = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    target = np.stack(np.meshgrid(*cover, indexing="ij"), axis=-1)
     for m, pos in enumerate(fan.pos):
-        assert np.abs(_lagrange(pos, idx[m]) - target).max() <= 1e-12
-    # psi and phi are affine in the launch coordinates, so interpolating the
+        assert np.abs(_Stencil(idx[..., m, :], pos.shape[:-1])(pos) - target).max() <= 1e-12
+    # the launch coordinates are affine in the indices, so interpolating the
     # launch lattice at the solved indices reproduces them to round-off
-    launch = np.stack(np.meshgrid(*fan.axes, indexing="ij"), axis=-1)
+    lattice = np.stack(np.meshgrid(*fan.axes, indexing="ij"), axis=-1)
     for m in range(len(fan.pos)):
-        got = _lagrange(launch, idx[m])
-        assert np.abs(em._ext_psi[..., m] - (1.4 - got[..., 0])).max() <= 1e-13
-        assert np.abs(em._ext_phi[0][..., m] - got[..., 1]).max() <= 1e-13
+        got = _Stencil(idx[..., m, :], lattice.shape[:-1])(lattice)
+        assert np.abs(launch[..., m, :] - got).max() <= 1e-13
+    # the window's fields are the coverage box's, bitwise: a node's Newton
+    # steps do not depend on which other targets share its row
+    window = goursat._window_slices(cover, g.face_axes())
+    assert em.psi.tobytes() == (1.4 - launch[window][..., 0]).tobytes()
+    assert em.grad.tobytes() == slots[window].tobytes()
+    assert em._phi[0].tobytes() == np.ascontiguousarray(launch[window][..., 1]).tobytes()
     # the whole launch box inverts at the face, but the drifting rows leave it
     with pytest.raises(ValueError, match=r"fan row 1 .*target nodes.*worst residual"):
-        _launch_indices(fan, fan.axes)
+        _resample_rows(fan, fan.axes, cover)
 
 
 def test_eikonal_bitwise_deterministic_2d():
@@ -492,18 +503,21 @@ def test_eikonal_bitwise_deterministic_2d():
 def test_launch_inversion_oracle_1d():
     g = grid1(1 / 32)
     em = solve_eikonal(VAR_METRIC_1D, "-", g, 0.375)
-    fan, axes = em._fan, em._ext_axes
-    idx = _launch_indices(fan, axes)
-    assert np.abs(idx[-1] - idx[0]).max() > 2.0
-    target = axes[0][:, None]
+    fan, cover = em._fan, em._cover_axes
+    launch, slots = _resample_rows(fan, cover, cover)
+    idx = _grid_indices(launch, fan.axes)
+    assert np.abs(idx[:, -1] - idx[:, 0]).max() > 2.0
+    target = cover[0][:, None]
     for m, pos in enumerate(fan.pos):
-        assert np.abs(_lagrange(pos, idx[m]) - target).max() <= 1e-12
-    launch = fan.axes[0][:, None]
+        assert np.abs(_Stencil(idx[:, m], pos.shape[:-1])(pos) - target).max() <= 1e-12
     for m in range(len(fan.pos)):
-        got = _lagrange(launch, idx[m])
-        assert np.abs(em._ext_psi[..., m] - (2.0 - got[..., 0])).max() <= 1e-13
+        got = _Stencil(idx[:, m], fan.axes[0].shape)(fan.axes[0][:, None])
+        assert np.abs(launch[:, m] - got).max() <= 1e-13
+    window = goursat._window_slices(cover, g.face_axes())
+    assert em.psi.tobytes() == (2.0 - launch[window][..., 0]).tobytes()
+    assert em.grad.tobytes() == slots[window].tobytes()
     with pytest.raises(ValueError, match=r"fan row 1 .*target nodes.*worst residual"):
-        _launch_indices(fan, fan.axes)
+        _resample_rows(fan, fan.axes, cover)
 
 
 @pytest.mark.parametrize("shape", [(9,), (7, 8), (6, 7, 5)])
@@ -533,10 +547,13 @@ def test_lagrange_exact_on_cubics(shape):
                           rng.random((10, ndim)),                  # first cells
                           top - rng.random((10, ndim)),            # last cells
                           np.zeros((1, ndim)), top[None]])
-    value, jac = _lagrange(F, pts, slopes=True)
+    stencil = _Stencil(pts, shape)
+    value = stencil(F)
+    jac = stencil.slopes()
     assert jac.shape == (len(pts), 2, ndim)
     assert np.abs(value - poly(pts)).max() <= 1e-12
-    assert np.abs(_lagrange(F, pts) - value).max() == 0.0
+    # one located stencil serves any array on the grid
+    assert stencil(F[..., ::-1]).tobytes() == np.ascontiguousarray(value[..., ::-1]).tobytes()
     for d in range(ndim):
         assert np.abs(jac[..., d] - poly(pts, along=d)).max() <= 1e-12
 
@@ -558,18 +575,67 @@ def test_lagrange_exact_on_cubics(shape):
 def test_chart_pull_refuses_unconverged_depth_lookup():
     g = grid1(1 / 32)
     em = solve_eikonal(MetricField.minkowski(1), "-", g, 0.375)
-    fan = _trim_fan(em._fan, em._ext_axes)
-    ext_t, z = em._ext_axes[0], fan.depth_nodes
+    cover = em._cover_axes
+    rays = _virtual_rays(_trim_fan(em._fan, cover), g, 0.0, 2.0, None)
+    fracs = _grid_indices(rays.pos, cover)
+    ext_t, z = cover[0], em.depth_nodes
     # flat space: the advancing phase on the slab is t - z - t1, and the
     # outgoing potential is zero
     s = ext_t[:, None] - g.t1 - z
-    _pull_to_chart(fan, em._ext_axes, {"s": s, "Ap": 0 * s}, g, 0.0, 2.0, None)
+    _pull_to_chart(rays, fracs, {"s": s, "Ap": 0 * s}, g, 0.0, 2.0)
     # a row-to-row wiggle keeps s monotone in depth, so every chart node has
     # a root, but two Newton steps no longer reach it
     wiggle = 0.03 * z * np.cos(np.pi * np.arange(len(z)))
     with pytest.raises(ValueError, match=r"\d+ chart nodes miss the advancing phase .*"
                                          r"worst residual .* at chart node y = \("):
-        _pull_to_chart(fan, em._ext_axes, {"s": s - wiggle, "Ap": 0 * s}, g, 0.0, 2.0, None)
+        _pull_to_chart(rays, fracs, {"s": s - wiggle, "Ap": 0 * s}, g, 0.0, 2.0)
+
+
+def test_chart_path_refusals_name_the_quantity_and_its_bound():
+    g = grid1(1 / 32)
+    flat = MetricField.minkowski(1)
+    num = r"-?\d+\.\d+"
+    # coverage: the covered span against the window's, per axis
+    short = _integrate_fan(flat, "-", g, 0.375, 0.01, 0.0)
+    with pytest.raises(ValueError, match=rf"covers \[{num}, {num}\] on x0, but the slab window "
+                                         rf"needs \[0\.0000, 2\.0000\]; increase pad_time/pad_lat"):
+        _coverage_axes(short, g)
+    em = solve_eikonal(flat, "-", g, 0.375)
+    fan, cover = em._fan, em._cover_axes
+    # trimming: the count of rays that stay inside, against the 8 needed
+    with pytest.raises(ValueError, match=rf"only 0 of {fan.pos.shape[1]} rays along launch axis 0 "
+                                         rf"stay inside the slab's \[{num}, {num}\], need 8; "
+                                         r"increase pads"):
+        _trim_fan(fan, (cover[0][:1] + 50.0,))
+    # the pull: the launch range against what the chart needs
+    trimmed = _trim_fan(fan, cover)
+    k = int(np.searchsorted(trimmed.axes[0], 0.1))
+    late = dataclasses.replace(trimmed, axes=(trimmed.axes[0][k:],), pos=trimmed.pos[:, k:],
+                               p=trimmed.p[:, k:])
+    with pytest.raises(ValueError, match=rf"launches from t = {num}, after the window start "
+                                         r"0\.0000; increase pad_time"):
+        _virtual_rays(late, g, 0.0, 2.0, None)
+    k = int(np.searchsorted(trimmed.axes[0], 2.1))
+    early = dataclasses.replace(trimmed, axes=(trimmed.axes[0][:k],), pos=trimmed.pos[:, :k],
+                                p=trimmed.p[:, :k])
+    with pytest.raises(ValueError, match=rf"launches end at t = {num}, -?\d+ chart depth steps "
+                                         rf"of {num} past T2 = 2\.0000, need 4; increase pad_time"):
+        _virtual_rays(early, g, 0.0, 2.0, None)
+    rays = _virtual_rays(trimmed, g, 0.0, 2.0, None)
+    s = cover[0][:, None] - g.t1 - em.depth_nodes
+    with pytest.raises(ValueError, match=r"the rays reach \d+ chart depth steps of "
+                                         rf"{num}, need 4; deepen the slab"):
+        _pull_to_chart(rays, _grid_indices(rays.pos, cover), {"s": s + 10.0, "Ap": 0 * s},
+                       g, 0.0, 2.0)
+    g2 = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 16, 1 / 16), dt=0.35 / 16, t1=0.0, t2=1.4)
+    em2 = solve_eikonal(MetricField.minkowski(2), "-", g2, 0.25)
+    fan2 = _trim_fan(em2._fan, em2._cover_axes)
+    k = int(np.searchsorted(fan2.axes[1], 0.1))
+    narrow = dataclasses.replace(fan2, axes=(fan2.axes[0], fan2.axes[1][k:]),
+                                 pos=fan2.pos[:, :, k:], p=fan2.p[:, :, k:])
+    with pytest.raises(ValueError, match=rf"launches span \[{num}, {num}\] on x1, the chart "
+                                         r"needs \[0\.0000, 1\.0000\]; increase pad_lat"):
+        _virtual_rays(narrow, g2, 0.0, 1.4, None)
 
 
 def test_transport_orthogonality_2d():
@@ -640,6 +706,50 @@ def test_chart_face_identity_2d():
     assert np.abs(ch.d_gauge[..., 0]).max() <= 1e-14
 
 
+# VAR_METRIC_2D with a lateral-depth coupling that turns the receding rays
+# toward larger x1: their deep rows, not the face, bound the chart's read box
+# from above in x1
+LATERAL_DRIFT_2D = MetricField(
+    2,
+    [["1 + 0.1*sin(x1)*cos(x2)", "0.05*sin(x2)", "0.1*cos(x1)"],
+     ["0.05*sin(x2)", "-1 - 0.1*cos(x1)", "-0.2 + 0.05*sin(x1)*sin(x2)"],
+     ["0.1*cos(x1)", "-0.2 + 0.05*sin(x1)*sin(x2)", "-1 - 0.1*sin(x2)"]],
+    ["0.1*x2", "0.2*sin(x1)", "0.1*cos(x2)"],
+)
+
+
+@pytest.mark.parametrize("metric", [VAR_METRIC_2D, LATERAL_DRIFT_2D], ids=["var", "drift"])
+def test_chart_read_box_matches_the_whole_overlap(monkeypatch, metric):
+    # build_chart inverts the fans and builds the slab fields only on the
+    # nodes its stencils, differences and window read; on the whole coverage
+    # overlap every chart output is bitwise the same
+    h = 1 / 16
+    g = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=0.35 * h,
+                      t1=0.0, t2=1.4)
+    ep = solve_eikonal(metric, "+", g, 0.3125)
+    em = solve_eikonal(metric, "-", g, 0.3125)
+    phi = solve_transport_phi(metric, em, g)
+    read_box, boxes = goursat._read_box, []
+
+    def spy(fracs, axes, window_axes):
+        boxes.append((read_box(fracs, axes, window_axes), axes))
+        return boxes[-1][0]
+
+    monkeypatch.setattr(goursat, "_read_box", spy)
+    ch = build_chart(ep, em, phi, 0.0, 1.4)
+    # the box leaves out nodes of the overlap on every side of both axes
+    (box, axes), = boxes
+    assert all(0 < sl.start and sl.stop < len(ax) for sl, ax in zip(box, axes))
+    monkeypatch.setattr(goursat, "_read_box",
+                        lambda fracs, axes, window_axes: tuple(slice(0, len(ax)) for ax in axes))
+    whole = build_chart(ep, em, phi, 0.0, 1.4)
+    for name in ("x_at_y", "g1", "d_gauge", "y_of_x", "jacobian_det", "focal_mask"):
+        assert getattr(ch, name).tobytes() == getattr(whole, name).tobytes(), name
+    assert ch._pull.keys() == whole._pull.keys()
+    for name, value in ch._pull.items():
+        assert value.tobytes() == whole._pull[name].tobytes(), name
+
+
 def test_chart_inverse_map_roundtrip_1d():
     h = 1 / 32
     g, ch = chart_pipeline_1d(VAR_METRIC_1D, h, depth=0.375,
@@ -666,16 +776,27 @@ def test_chart_input_validation():
         build_chart(ep, em, [np.zeros_like(ep.psi)], 0.0, 2.0)  # no laterals in 1d
 
 
-def test_chart_refuses_singular_one_form_node():
-    # psi- taking psi+'s gradient at one node makes the one-form system for the
-    # hatted potentials exactly singular there; flat phases have constant gradients
+def test_chart_refuses_singular_one_form_node(monkeypatch):
+    # psi- taking psi+'s gradient at one window node makes the one-form system
+    # for the hatted potentials exactly singular there; flat phases have
+    # constant gradients.  build_chart inverts both fans again on the nodes it
+    # reads, so the gradient goes in where it inverts them.
     flat = MetricField.minkowski(1)
     g = grid1(1 / 32)
     ep = solve_eikonal(flat, "+", g, 0.375)
     em = solve_eikonal(flat, "-", g, 0.375)
-    grad = em._ext_grad.copy()
-    grad[200, 3] = ep._ext_grad[200, 3]
-    em = dataclasses.replace(em, _ext_grad=grad)
+    resample, plus = goursat._resample_rows, {}
+
+    def inject(fan, target_axes, cover_axes):
+        launch, slots = resample(fan, target_axes, cover_axes)
+        node = (int(np.argmin(np.abs(target_axes[0] - 1.0))), 3)  # t = 1, depth 3/32
+        if fan is ep._fan:
+            plus["slots"] = slots[node].copy()
+        else:
+            slots[node] = plus["slots"]
+        return launch, slots
+
+    monkeypatch.setattr(goursat, "_resample_rows", inject)
     with pytest.raises(FocalRegion, match=r"singular at slab node \(.*, 0\.09375\): det 0"):
         build_chart(ep, em, [], 0.0, 2.0)
 

@@ -1058,6 +1058,35 @@ def test_dn_trace_gauge_invariant_2d_time_cross():
     assert math.log2(gaps[1] / gaps[2]) >= 1.5
 
 
+def test_dn_trace_diffeomorphism_invariant_2d_time_shift():
+    # time-shifting slices y0 = x0 + 0.2*x2^2*(1 + 0.5 sin x1) fix the face
+    # pointwise and stay space-like; the pushforward carries g^{0j} != 0 cross
+    # terms that the lab metric's implicit path must reproduce, so the DN
+    # traces of the run and of its pushforward agree at second order
+    phi = Diffeo(2, ["x0 + 0.2*x2^2*(1 + 0.5*sin(x1))", "x1", "x2"],
+                 ["x0 - 0.2*x2^2*(1 + 0.5*sin(x1))", "x1", "x2"])
+    sig = BoundarySignal(0.4, 0.3, centers=(0.5,), widths=(0.3,))
+    gaps = []
+    for h in (1 / 16, 1 / 32, 1 / 64):
+        def grid(dt):
+            return SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=dt, t1=0.0, t2=0.8,
+                                 boundary_patch=((0.2, 0.8),))
+
+        probe = grid(h / 4)
+        assert phi.fixes_boundary_face(probe) and phi.slices_spacelike(TIME_CROSS_2D, probe)
+        pushed = pushforward(TIME_CROSS_2D, phi, probe)
+        cfl = min(cfl_time_step(TIME_CROSS_2D, probe), cfl_time_step(pushed, probe))
+        g = grid(0.8 / math.ceil(0.8 / cfl))
+        base = dn_trace(solve_ibvp(TIME_CROSS_2D, None, sig, g, store="boundary"), TIME_CROSS_2D)
+        moved = dn_trace(solve_ibvp(pushed, None, sig, g, store="boundary"), pushed)
+        gaps.append(float(np.max(np.abs(base.values - moved.values))
+                          / np.max(np.abs(base.values))))
+    # 1.9e-2, 4.7e-3, 1.2e-3
+    assert gaps[-1] <= 2e-3
+    assert math.log2(gaps[0] / gaps[1]) >= 1.5
+    assert math.log2(gaps[1] / gaps[2]) >= 1.5
+
+
 def test_dn_trace_diffeomorphism_invariant():
     # y1 = (e^{a x1} - 1)/(e^a - 1) fixes the face pointwise with phi'(0) ~ 0.77,
     # so the normalized traces of the run and of its pushforward agree up to O(h^2)
