@@ -5,17 +5,18 @@ laboratory as expression strings over the spacetime variables x0..xn.  Keeping
 them symbolic lets every derivative used by an oracle or a coefficient be exact,
 so discretization error enters only where a PDE is actually discretized.
 
-Grammar (see README for the user-facing description):
+Grammar:
 
-    expr    := term (('+' | '-') term)*
-    term    := factor (('*' | '/') factor)*
-    factor  := unary ('^' factor)?          # right associative
-    unary   := '-' unary | atom
-    atom    := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
+    expr     := term (('+' | '-') term)*
+    term     := factor (('*' | '/') factor)*
+    factor   := ('+' | '-') factor | atom ('^' exponent)?
+    exponent := '-'? (NUMBER | '(' exponent ')')
+    atom     := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
-NAME is a variable x0..x9, a named constant (pi, e), or a function
-(sin, cos, exp, sqrt, log).  Exponents must be numeric literals (possibly
-negated), which keeps differentiation closed over the grammar.
+NAME is a variable x0..x9, a named constant (pi, e), or a function (sin, cos,
+exp, sqrt, log).  '^' binds tighter than unary minus (-2^2 is -4) and does
+not chain (x0^2^3 is an error); its exponent is a numeric literal, which
+keeps differentiation closed over the grammar.
 """
 
 from __future__ import annotations

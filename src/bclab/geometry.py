@@ -271,33 +271,39 @@ class SpacetimeGrid:
 
     def __post_init__(self):
         if self.n not in (1, 2):
-            raise ValueError("spatial dimension must be 1 or 2")
+            raise ValueError(f"spatial dimension must be 1 or 2, got {self.n}")
         extent = tuple(float(v) for v in self.extent)
         h = self.h
         if isinstance(h, (int, float)):
             h = (float(h),) * self.n
         h = tuple(float(v) for v in h)
         if len(extent) != self.n or len(h) != self.n:
-            raise ValueError("extent and h must have one entry per spatial axis")
-        if any(v <= 0 for v in extent) or any(v <= 0 for v in h):
-            raise ValueError("extents and spacings must be strictly positive")
+            raise ValueError(f"extent and h must have one entry per spatial axis ({self.n}), "
+                             f"got {len(extent)} and {len(h)}")
+        for name, values in (("extent", extent), ("spacing", h)):
+            for i, v in enumerate(values):
+                if v <= 0:
+                    raise ValueError(f"{name} on x{i + 1} must be strictly positive, got {v:g}")
         if self.dt <= 0:
-            raise ValueError("dt must be strictly positive")
+            raise ValueError(f"dt must be strictly positive, got {self.dt:g}")
         if not self.t2 > self.t1:
-            raise ValueError("time window must satisfy t2 > t1")
-        for length, spacing in zip(extent, h):
+            raise ValueError(f"time window [t1, t2] = [{self.t1:g}, {self.t2:g}] must have t2 > t1")
+        for i, (length, spacing) in enumerate(zip(extent, h)):
             ratio = length / spacing
             if abs(ratio - round(ratio)) > 1e-9:
-                raise ValueError("each extent must be an integer multiple of h")
+                raise ValueError(f"each extent must be an integer multiple of h: x{i + 1} has "
+                                 f"extent/h = {length:g}/{spacing:g} = {ratio:.6g}")
         patch = tuple((float(lo), float(hi)) for lo, hi in self.boundary_patch)
         if len(patch) != max(self.n - 1, 0):
             if patch == ():
                 patch = tuple((0.0, extent[i]) for i in range(self.n - 1))
             else:
-                raise ValueError("boundary_patch needs one [lo,hi] pair per tangential axis")
+                raise ValueError(f"boundary_patch needs one [lo,hi] pair per tangential axis "
+                                 f"({self.n - 1}), got {len(patch)}")
         for i, (lo, hi) in enumerate(patch):
             if not (0.0 <= lo < hi <= extent[i]):
-                raise ValueError("boundary_patch bounds must be a nonempty interval inside the face")
+                raise ValueError(f"boundary_patch bounds must be a nonempty interval inside the "
+                                 f"face: got [{lo:g}, {hi:g}] on x{i + 1}, face [0, {extent[i]:g}]")
         object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "boundary_patch", patch)

@@ -36,10 +36,11 @@ fan on the grid's window only.  build_chart first places the pull's virtual
 receding rays, launched on the chart's own lattice, on each row of the
 trimmed receding fan, then inverts both fans again on the read box: the
 nodes of the fans' coverage overlap that those rays' stencils, the slab
-differences and the window read.  It samples every slab field there once,
-one stencil per fan row for all fields.  Along each ray the pull's depth
-lookup and row values use the 1-axis form of the same stencil, _row_lagrange,
-one fractional row per column.
+differences and the window read, and samples every slab field there once,
+one stencil per fan row for all fields.  Every such box is a tuple of node
+ranges on the grid's face lattice (_coverage).  Along each ray the pull's
+depth lookup and row values use the 1-axis form of the same stencil,
+_row_lagrange, one fractional row per column.
 """
 
 from __future__ import annotations
@@ -239,8 +240,9 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
 # Fan -> tensor-slab resampling (row by row)
 # ---------------------------------------------------------------------------
 
-def _coverage_axes(fan: _Fan, grid: SpacetimeGrid):
-    """Grid-aligned (time, lateral) axes of the box every fan row covers.
+def _coverage(fan: _Fan, grid: SpacetimeGrid) -> tuple:
+    """The box every fan row covers, as inclusive node ranges ((lo, hi), ...)
+    per (time, lateral) axis of the grid's lattice, node 0 the window's first.
 
     For each direction the bound comes from the boundary slice of the launch
     lattice: the box lies to the right of every image of the first slice and
@@ -252,7 +254,7 @@ def _coverage_axes(fan: _Fan, grid: SpacetimeGrid):
     origins = [ax[0] for ax in grid.face_axes()]
     spans = [(grid.t1, grid.t2)] + [(0.0, grid.extent[i - 1]) for i in range(1, n)]
     inset = 1 if n > 1 else 0
-    axes = []
+    box = []
     for d in range(n):
         comp = fan.pos[..., d]
         lo = float(np.max(np.take(comp, 0, axis=d + 1)))
@@ -267,8 +269,14 @@ def _coverage_axes(fan: _Fan, grid: SpacetimeGrid):
                 f"slab window needs [{spans[d][0]:.4f}, {spans[d][1]:.4f}]; "
                 "increase pad_time/pad_lat"
             )
-        axes.append(org + step * np.arange(i_lo, i_hi + 1))
-    return tuple(axes)
+        box.append((i_lo, i_hi))
+    return tuple(box)
+
+
+def _lattice(grid: SpacetimeGrid, box: tuple) -> tuple:
+    """(time, lateral) axes of a box of node ranges on the grid's face lattice."""
+    return tuple(ax[0] + step * np.arange(lo, hi + 1)
+                 for ax, step, (lo, hi) in zip(grid.face_axes(), grid.steps(), box))
 
 
 _NEWTON_STEPS = 20
@@ -279,7 +287,7 @@ def _grid_indices(points: np.ndarray, axes) -> np.ndarray:
     return (points - [ax[0] for ax in axes]) / [ax[1] - ax[0] for ax in axes]
 
 
-def _resample_rows(fan: _Fan, target_axes: tuple, cover_axes: tuple):
+def _resample_rows(fan: _Fan, target_axes: tuple):
     """Launch coordinates and covector slots of the ray through each target node.
 
     Every fan row is a fold-free image of the regular launch lattice, so
@@ -291,8 +299,8 @@ def _resample_rows(fan: _Fan, target_axes: tuple, cover_axes: tuple):
     closed form (_solve_small), since a launch lattice has at most two axes.
     The converged stencil also gives the row's slots, and the launch
     coordinates are affine in the indices.  The tolerance scales with the
-    fan's coverage box cover_axes, not with the targets, so a node takes the
-    same steps on any target box that holds it.
+    fan's launch lattice, not with the targets, so a node takes the same
+    steps on any target box that holds it.
 
     Returns (launch, slots) shaped (*target_counts, nrows, n) and
     (*target_counts, nrows, n+1), the depth row index before the component.
@@ -300,7 +308,7 @@ def _resample_rows(fan: _Fan, target_axes: tuple, cover_axes: tuple):
     off the lattice.
     """
     target = np.stack(np.meshgrid(*target_axes, indexing="ij"), axis=-1)
-    tol = 1e-13 * max(1.0, *(abs(float(ax[i])) for ax in cover_axes for i in (0, -1)))
+    tol = 1e-13 * max(1.0, *(abs(float(ax[i])) for ax in fan.axes for i in (0, -1)))
     lattice = fan.pos.shape[1:-1]
     top = np.array(lattice) - 1.0
     idx = _grid_indices(target, fan.axes)
@@ -329,12 +337,11 @@ def _resample_rows(fan: _Fan, target_axes: tuple, cover_axes: tuple):
     return launch, slots
 
 
-def _phase_on(fan: _Fan, side: str, grid: SpacetimeGrid, target_axes: tuple,
-              cover_axes: tuple):
+def _phase_on(fan: _Fan, side: str, grid: SpacetimeGrid, target_axes: tuple):
     """(psi, grad, lateral launch coordinates) of one family on the target
     nodes times the depth rows: the phase is the launch time shifted to the
     window, and grad the ray's covector slots (_resample_rows)."""
-    launch, grad = _resample_rows(fan, target_axes, cover_axes)
+    launch, grad = _resample_rows(fan, target_axes)
     psi = launch[..., 0] - grid.t1 if side == "+" else grid.t2 - launch[..., 0]
     return psi, grad, [launch[..., j] for j in range(1, grid.n)]
 
@@ -356,21 +363,18 @@ class EikonalField:
     psi holds the phase, grad its spacetime gradient with the depth component
     recomputed from the null constraint along each ray.  Both live on the
     grid's (time, lateral) window times the slab depth nodes, depth last.
-    The field keeps its fan and the fan's coverage box (_cover_axes), the
-    grid-aligned (time, lateral) box every fan row covers, so build_chart can
-    invert the fan again on the nodes it reads; a '-' field also keeps the
-    launch lateral coordinates on the window (_phi).
+    The field keeps its fan, so build_chart can invert it again on the nodes
+    it reads; a '-' field also keeps the launch lateral coordinates on the
+    window (_phi).
     """
 
     psi: np.ndarray
     side: str
     grad: np.ndarray
     grid: SpacetimeGrid
-    depth: float
     depth_nodes: np.ndarray
     metric: MetricField
     _fan: _Fan
-    _cover_axes: tuple
     _phi: list
 
     def residual(self) -> np.ndarray:
@@ -417,19 +421,16 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
         pad_lat = default_lat if pad_lat is None else pad_lat
 
     fan = _integrate_fan(metric, side, grid, depth, pad_time, pad_lat)
-    cover = _coverage_axes(fan, grid)
-    window = tuple(ax[s] for ax, s in zip(cover, _window_slices(cover, grid.face_axes())))
-    psi, grad, phi = _phase_on(fan, side, grid, window, cover)
+    _coverage(fan, grid)   # refuses a fan whose coverage misses the window
+    psi, grad, phi = _phase_on(fan, side, grid, grid.face_axes())
     return EikonalField(
         psi=psi,
         side=side,
         grad=grad,
         grid=grid,
-        depth=fan.depth_nodes[-1],
         depth_nodes=fan.depth_nodes,
         metric=metric,
         _fan=fan,
-        _cover_axes=cover,
         _phi=phi if side == "-" else [],
     )
 
@@ -438,17 +439,6 @@ def _default_pads(grid: SpacetimeGrid, depth: float, slope: float) -> tuple:
     """(pad_time, pad_lat) launch margins for a fan reaching the given depth."""
     drift = 1.6 * depth * slope
     return drift + 0.5 * (grid.t2 - grid.t1) + 4.0 * grid.dt, drift + 4.0 * max(grid.h)
-
-
-def _window_slices(axes, window_axes) -> tuple:
-    """Slices of the regular axes that select window_axes, a window on the same lattice."""
-    sl = []
-    for ax, win in zip(axes, window_axes):
-        i0 = int(round((win[0] - ax[0]) / (ax[1] - ax[0])))
-        if not np.isclose(ax[i0], win[0], atol=1e-9):
-            raise AssertionError("axes misaligned with the window")
-        sl.append(slice(i0, i0 + len(win)))
-    return tuple(sl)
 
 
 def solve_transport_phi(metric: MetricField, psi_minus: EikonalField,
@@ -557,15 +547,12 @@ class _Stencil:
 class GoursatChart:
     """Boundary-normal chart assembled from a null phase pair.
 
-    Slab arrays (psi fields, y_of_x, jacobian_det, focal_mask) live on the
-    grid window times depth nodes.  Chart-space arrays (d_gauge, g1, x_at_y
-    and the pulled coefficient fields) live on y_grid, whose depth axis is
-    the distance to the face in chart coordinates.
+    Slab arrays (y_of_x, jacobian_det, focal_mask) live on the grid window
+    times depth nodes.  Chart-space arrays (d_gauge, g1, x_at_y and the
+    pulled coefficient fields) live on y_grid, whose depth axis is the
+    distance to the face in chart coordinates.  It keeps no phase field.
     """
 
-    psi_plus: EikonalField
-    psi_minus: EikonalField
-    phi: list
     y_of_x: np.ndarray
     jacobian_det: np.ndarray
     focal_mask: np.ndarray
@@ -573,12 +560,9 @@ class GoursatChart:
     g1: np.ndarray
     y_grid: SpacetimeGrid
     x_at_y: np.ndarray
-    T1: float
-    T2: float
     metric: MetricField
     grid: SpacetimeGrid
     depth_nodes: np.ndarray
-    j_max: float
     _pull: dict
 
     # the linear half of the chart: (s, tau) -> (y0, yn)
@@ -606,12 +590,12 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     The chart coordinates are y0 (time), the transported lateral fields, and
     the depth yn; y0 and yn are linear in the two phases, and on the face the
     map restricts to the identity.  phi must be what solve_transport_phi
-    returned for psi_minus and is only checked for shape and kept on the
-    chart.  Coefficient fields of the transformed operator are computed on
-    the slab, sampled once along virtual receding rays launched from the
-    chart's time lattice (_virtual_rays, _pull_to_chart), and re-gridded onto
-    a rectangle in chart coordinates whose depth step is three times its time
-    step (the forward run then sits safely inside the stability bound).
+    returned for psi_minus and is only checked for shape.  Coefficient fields
+    of the transformed operator are computed on the slab, sampled once along
+    virtual receding rays launched from the chart's time lattice
+    (_virtual_rays, _pull_to_chart), and re-gridded onto a rectangle in chart
+    coordinates whose depth step is three times its time step (the forward
+    run then sits safely inside the stability bound).
 
     The slab fields live on the read box (_read_box): the part of the two
     fans' coverage overlap that the virtual rays' stencils and the window
@@ -640,27 +624,21 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     metric = psi_plus.metric
     n = grid.n
     hz = grid.h[-1]
-    depth_nodes = psi_plus.depth_nodes
-    if len(depth_nodes) != len(psi_minus.depth_nodes) or abs(psi_plus.depth - psi_minus.depth) > 1e-12:
+    depth_nodes, other = psi_plus.depth_nodes, psi_minus.depth_nodes
+    if len(depth_nodes) != len(other) or abs(depth_nodes[-1] - other[-1]) > 1e-12:
         raise ValueError("phase fields sampled to different depths")
 
-    # overlap of the two coverage boxes (same lattice)
-    overlap = []
-    for ax_p, ax_m, step in zip(psi_plus._cover_axes, psi_minus._cover_axes, grid.steps()[:-1]):
-        lo = max(ax_p[0], ax_m[0])
-        hi = min(ax_p[-1], ax_m[-1])
-        k0 = int(round((lo - ax_p[0]) / step))
-        k1 = int(round((hi - ax_p[0]) / step))
-        overlap.append(ax_p[k0:k1 + 1])
-    overlap = tuple(overlap)
+    cover_p, cover_m = _coverage(psi_plus._fan, grid), _coverage(psi_minus._fan, grid)
+    overlap = tuple((max(p[0], m[0]), min(p[1], m[1])) for p, m in zip(cover_p, cover_m))
+    overlap_axes = _lattice(grid, overlap)
 
     # the pull's virtual rays, and the box of overlap nodes they and the window read
-    rays = _virtual_rays(_trim_fan(psi_minus._fan, overlap), grid, T1, T2, y_depth)
-    fracs = _grid_indices(rays.pos, overlap)
-    box = _read_box(fracs, overlap, grid.face_axes())
-    box_axes = tuple(ax[s] for ax, s in zip(overlap, box))
-    psi_p, grad_p, _ = _phase_on(psi_plus._fan, "+", grid, box_axes, psi_plus._cover_axes)
-    psi_m, grad_m, phi_box = _phase_on(psi_minus._fan, "-", grid, box_axes, psi_minus._cover_axes)
+    rays = _virtual_rays(_trim_fan(psi_minus._fan, overlap_axes), grid, T1, T2, y_depth)
+    fracs = _grid_indices(rays.pos, overlap_axes)
+    box = _read_box(fracs, overlap, grid)
+    box_axes = _lattice(grid, box)
+    psi_p, grad_p, _ = _phase_on(psi_plus._fan, "+", grid, box_axes)
+    psi_m, grad_m, phi_box = _phase_on(psi_minus._fan, "-", grid, box_axes)
 
     dphi = [np.stack(np.gradient(p, *grid.steps(), edge_order=2), axis=-1) for p in phi_box]
 
@@ -693,7 +671,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
         raise FocalRegion(f"one-form system singular at slab node {node}: det {det_m[where]:.3g}")
     Ap_x, Am_x, *Aj_x = _solve_small(M, [A_x[..., i] for i in range(n + 1)])
 
-    window = _window_slices(box_axes, grid.face_axes())
+    window = tuple(slice(-lo, len(ax) - lo) for ax, (lo, _) in zip(grid.face_axes(), box))
     y_of_x = np.stack([c[window] for c in y_comps], axis=-1)
 
     # ---- pull the coefficient fields onto a chart-space rectangle ----------
@@ -707,14 +685,11 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
 
     # shifting by the box's whole-node offset is exact, so every weight is the overlap's
     y_grid, pulled, row_index = _pull_to_chart(
-        rays, fracs - [sl.start for sl in box], slab_fields, grid, T1, T2)
+        rays, fracs - [b[0] - o[0] for b, o in zip(box, overlap)], slab_fields, grid, T1, T2)
     x_at_y = np.stack(
         [pulled[f"x{d}"] for d in range(n)] + [row_index * hz], axis=-1)
 
     return GoursatChart(
-        psi_plus=psi_plus,
-        psi_minus=psi_minus,
-        phi=list(phi),
         y_of_x=y_of_x,
         jacobian_det=jac_det[window],
         focal_mask=focal[window],
@@ -722,12 +697,9 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
         g1=pulled["g1"],
         y_grid=y_grid,
         x_at_y=x_at_y,
-        T1=float(T1),
-        T2=float(T2),
         metric=metric,
         grid=grid,
         depth_nodes=depth_nodes,
-        j_max=float(j_max),
         _pull=pulled,
     )
 
@@ -753,24 +725,23 @@ def _trim_fan(fan: _Fan, axes: tuple) -> _Fan:
                 fan.pos[take], fan.p[take])
 
 
-def _read_box(fracs: np.ndarray, axes: tuple, window_axes) -> tuple:
-    """Slices of the regular axes holding every node the chart reads.
+def _read_box(fracs: np.ndarray, overlap: tuple, grid: SpacetimeGrid) -> tuple:
+    """Node ranges (as _coverage's) of every node the chart reads.
 
-    fracs[..., d] are fractional indices on axes[d].  Per axis, the hull of
-    their cells is widened by the stencil's reach (-1 to +2 nodes), then by
-    one node for np.gradient's edge stencil, joined with the window
-    (window_axes) widened by one node, and clipped to the axes.  On the box,
+    fracs[..., d] are fractional indices on the overlap box's axis d.  Per
+    axis, the hull of their cells is widened by the stencil's reach (-1 to +2
+    nodes), then by one node for np.gradient's edge stencil, joined with the
+    window widened by one node, and clipped to the overlap.  On the box,
     every stencil at fracs minus the box's offset clamps, weighs and reads as
-    on the whole axes, and every difference at those nodes and on the window
-    is a centred one wherever it is on the whole axes.
+    on the whole overlap, and every difference at those nodes and on the
+    window is a centred one wherever it is on the whole overlap.
     """
-    window = _window_slices(axes, window_axes)
     box = []
-    for d, (ax, win) in enumerate(zip(axes, window)):
+    for d, ((o_lo, o_hi), ax) in enumerate(zip(overlap, grid.face_axes())):
         cells = np.floor(fracs[..., d])
-        lo = min(int(cells.min()) - 2, win.start - 1)   # reach -1, then the edge node
-        hi = max(int(cells.max()) + 3, win.stop)        # reach +2, then the edge node
-        box.append(slice(max(lo, 0), min(hi, len(ax) - 1) + 1))
+        lo = min(o_lo + int(cells.min()) - 2, -1)        # reach -1, then the edge node
+        hi = max(o_lo + int(cells.max()) + 3, len(ax))   # reach +2, then the edge node
+        box.append((max(lo, o_lo), min(hi, o_hi)))
     return tuple(box)
 
 
@@ -885,14 +856,12 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
     cols = (i_grid + 3 * q_grid).ravel()
     s_star = (dty * (i_grid - 3.0 * q_grid)).ravel()[(...,) + (None,) * len(lat_shape)]
 
+    # S_t falls with the row: bracket each target between rows k-1 and k
     S_t = S[:, cols]
-    SS = -S_t
-    ss = -s_star
-    k = np.sum(SS < ss, axis=0)
-    k = np.clip(k, 1, nrows - 1)
-    lo = np.take_along_axis(SS, (k - 1)[None], axis=0)[0]
-    hi = np.take_along_axis(SS, k[None], axis=0)[0]
-    theta = np.where(hi > lo, (ss - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
+    k = np.clip(np.sum(S_t > s_star, axis=0), 1, nrows - 1)
+    lo = np.take_along_axis(S_t, (k - 1)[None], axis=0)[0]
+    hi = np.take_along_axis(S_t, k[None], axis=0)[0]
+    theta = np.where(lo > hi, (lo - s_star) / np.where(lo > hi, lo - hi, 1.0), 0.0)
     r = np.clip(k - 1 + theta, 0.0, nrows - 1.0)
     for _ in range(2):
         fval = _row_lagrange(S_t, r, _lagrange_weights)
@@ -935,9 +904,9 @@ class TransformedOperator:
 
     The time and depth slots both carry speed one and the shared potential
     component A_minus; the outgoing potential component is identically zero
-    by the gauge choice.  metric_matrix/potential_vector/rho are the sampled
-    arrays a forward run consumes; V1 is the zeroth-order remainder from the
-    lateral volume normalization.
+    by the gauge choice.  metric_matrix/potential_vector are the sampled
+    arrays a forward run consumes, with unit volume weight; V1 is the
+    zeroth-order remainder from the lateral volume normalization.
     """
 
     g0_plus_j: list
@@ -949,16 +918,14 @@ class TransformedOperator:
     grid: SpacetimeGrid
     metric_matrix: np.ndarray
     potential_vector: np.ndarray
-    rho: np.ndarray
     g1: np.ndarray
     d_gauge: np.ndarray
-    chart: GoursatChart
 
     def provider(self) -> SampledCoefficients:
         """Sampled-coefficient view consumed by the forward stepper."""
         v1 = self.V1 if np.any(self.V1 != 0.0) else None
         return SampledCoefficients(self.grid, self.metric_matrix,
-                                   self.potential_vector, rho=self.rho, v1=v1)
+                                   self.potential_vector, rho=np.ones(self.grid.shape), v1=v1)
 
     def boundary_traces(self) -> dict:
         """Face values used by the flux-map transformation: g1, its depth
@@ -1119,10 +1086,8 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart) -> Transform
         grid=y_grid,
         metric_matrix=G,
         potential_vector=A_vec,
-        rho=np.ones(y_grid.shape),
         g1=chart.g1,
         d_gauge=chart.d_gauge,
-        chart=chart,
     )
 
 
@@ -1171,7 +1136,7 @@ def find_chart_depth(metric: MetricField, grid: SpacetimeGrid, cap: float) -> fl
         pads = _default_pads(grid, nz * hz, slope)
         try:
             for side in ("+", "-"):
-                _coverage_axes(_integrate_fan(metric, side, grid, nz * hz, *pads), grid)
+                _coverage(_integrate_fan(metric, side, grid, nz * hz, *pads), grid)
             return True
         except CharacteristicCrossing:
             return False

@@ -68,7 +68,12 @@ __all__ = [
 ]
 
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+def _integrate(values: np.ndarray, steps) -> float:
+    """Trapezoid rule of values over all of its axes, the last axis first."""
+    trapz = getattr(np, "trapezoid", None) or np.trapz
+    for axis in reversed(range(values.ndim)):
+        values = trapz(values, dx=steps[axis], axis=axis)
+    return float(values)
 
 
 class CFLViolation(ValueError):
@@ -156,10 +161,7 @@ class BoundarySignal:
         total = np.abs(values) ** 2
         for axis, step in enumerate(steps):
             total = total + np.abs(np.gradient(values, step, axis=axis)) ** 2
-        # trapezoid over time and the face axes
-        for axis in reversed(range(total.ndim)):
-            total = _trapz(total, dx=steps[axis], axis=axis)
-        return float(total)
+        return _integrate(total, steps)  # over time and the face axes
 
 
 # ---------------------------------------------------------------------------
@@ -790,9 +792,7 @@ def energy(u: WaveField, t: float, metric: MetricField, A=None) -> float:
         for k in range(1, n + 1):
             integrand = integrand - np.real(g[..., j, k] * dsp[j - 1] * np.conj(dsp[k - 1]))
 
-    for axis in reversed(range(n)):
-        integrand = _trapz(integrand, dx=grid.h[axis], axis=axis)
-    return float(integrand)
+    return _integrate(integrand, grid.h)
 
 
 def graph_norm_sq(u: WaveField, m: int) -> float:
@@ -802,9 +802,7 @@ def graph_norm_sq(u: WaveField, m: int) -> float:
     total = np.abs(um) ** 2 + np.abs(_time_derivative(u, m)) ** 2
     for axis in range(grid.n):
         total = total + np.abs(np.gradient(um, grid.h[axis], axis=axis)) ** 2
-    for axis in reversed(range(grid.n)):
-        total = _trapz(total, dx=grid.h[axis], axis=axis)
-    return float(total)
+    return _integrate(total, grid.h)
 
 
 # ---------------------------------------------------------------------------

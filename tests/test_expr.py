@@ -59,6 +59,9 @@ def test_numpy_vectorized_evaluation():
 def test_power_requires_literal_exponent():
     with pytest.raises(ExprError):
         parse_expr("x0^x1")
+    # '^' does not chain: its exponent is a literal, not another power
+    with pytest.raises(ExprError, match=r"unexpected token '\^'"):
+        parse_expr("x0^2^3")
 
 
 # ===== error positions =======================================================

@@ -72,13 +72,27 @@ def test_grid_axes_and_steps(grid):
 
 
 def test_grid_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    # every refusal names what it got and the bound it broke
+    with pytest.raises(ValueError, match=r"spatial dimension must be 1 or 2, got 3"):
+        SpacetimeGrid(n=3, extent=(1.0,) * 3, h=(0.1,) * 3, dt=0.01, t1=0.0, t2=1.0)
+    with pytest.raises(ValueError, match=r"one entry per spatial axis \(2\), got 1 and 2"):
+        SpacetimeGrid(n=2, extent=(1.0,), h=(0.1, 0.1), dt=0.01, t1=0.0, t2=1.0)
+    with pytest.raises(ValueError, match=r"spacing on x1 must be strictly positive, got -0\.1"):
         SpacetimeGrid(n=1, extent=(1.0,), h=(-0.1,), dt=0.01, t1=0.0, t2=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"extent on x2 must be strictly positive, got 0$"):
+        SpacetimeGrid(n=2, extent=(1.0, 0.0), h=(0.1, 0.1), dt=0.01, t1=0.0, t2=1.0)
+    with pytest.raises(ValueError, match=r"dt must be strictly positive, got -0\.01"):
+        SpacetimeGrid(n=1, extent=(1.0,), h=(0.1,), dt=-0.01, t1=0.0, t2=1.0)
+    with pytest.raises(ValueError, match=r"time window \[t1, t2\] = \[1, 1\] must have t2 > t1"):
         SpacetimeGrid(n=1, extent=(1.0,), h=(0.1,), dt=0.01, t1=1.0, t2=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"integer multiple of h: x1 has extent/h = 1/0\.3 = "
+                                         r"3\.33333"):
         SpacetimeGrid(n=1, extent=(1.0,), h=(0.3,), dt=0.01, t1=0.0, t2=1.0)  # not integral
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"one \[lo,hi\] pair per tangential axis \(1\), got 2"):
+        SpacetimeGrid(n=2, extent=(1.0, 1.0), h=(0.1, 0.1), dt=0.01, t1=0.0, t2=1.0,
+                      boundary_patch=((0.1, 0.9), (0.2, 0.8)))
+    with pytest.raises(ValueError, match=r"inside the face: got \[0\.9, 0\.2\] on x1, "
+                                         r"face \[0, 1\]"):
         SpacetimeGrid(n=2, extent=(1.0, 1.0), h=(0.1, 0.1), dt=0.01, t1=0.0, t2=1.0,
                       boundary_patch=((0.9, 0.2),))
 

@@ -11,7 +11,9 @@ causally clean part of the rectangle.
 
 import csv
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -28,13 +30,14 @@ from bclab.goursat import (
     CharacteristicCrossing,
     FocalRegion,
     GoursatChart,
-    _coverage_axes,
+    _coverage,
     _cumulative_trapezoid,
     _fan_rhs,
     _grid_indices,
     _integrate_fan,
     _lagrange_dweights,
     _lagrange_weights,
+    _lattice,
     _normal_root,
     _pull_to_chart,
     _resample_rows,
@@ -464,8 +467,9 @@ def test_launch_inversion_oracle_2d():
     g = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=0.35 * h,
                       t1=0.0, t2=1.4)
     em = solve_eikonal(VAR_METRIC_2D, "-", g, 0.25)
-    fan, cover = em._fan, em._cover_axes
-    launch, slots = _resample_rows(fan, cover, cover)
+    fan, box = em._fan, _coverage(em._fan, g)
+    cover = _lattice(g, box)
+    launch, slots = _resample_rows(fan, cover)
     idx = _grid_indices(launch, fan.axes)
     # the rays drift by several lattice cells, so the warm starts do work
     assert np.abs(idx[..., -1, :] - idx[..., 0, :]).max() > 2.0
@@ -481,13 +485,13 @@ def test_launch_inversion_oracle_2d():
         assert np.abs(launch[..., m, :] - got).max() <= 1e-13
     # the window's fields are the coverage box's, bitwise: a node's Newton
     # steps do not depend on which other targets share its row
-    window = goursat._window_slices(cover, g.face_axes())
+    window = tuple(slice(-lo, len(ax) - lo) for ax, (lo, _) in zip(g.face_axes(), box))
     assert em.psi.tobytes() == (1.4 - launch[window][..., 0]).tobytes()
     assert em.grad.tobytes() == slots[window].tobytes()
     assert em._phi[0].tobytes() == np.ascontiguousarray(launch[window][..., 1]).tobytes()
     # the whole launch box inverts at the face, but the drifting rows leave it
     with pytest.raises(ValueError, match=r"fan row 1 .*target nodes.*worst residual"):
-        _resample_rows(fan, fan.axes, cover)
+        _resample_rows(fan, fan.axes)
 
 
 def test_eikonal_bitwise_deterministic_2d():
@@ -503,8 +507,9 @@ def test_eikonal_bitwise_deterministic_2d():
 def test_launch_inversion_oracle_1d():
     g = grid1(1 / 32)
     em = solve_eikonal(VAR_METRIC_1D, "-", g, 0.375)
-    fan, cover = em._fan, em._cover_axes
-    launch, slots = _resample_rows(fan, cover, cover)
+    fan, box = em._fan, _coverage(em._fan, g)
+    cover = _lattice(g, box)
+    launch, slots = _resample_rows(fan, cover)
     idx = _grid_indices(launch, fan.axes)
     assert np.abs(idx[:, -1] - idx[:, 0]).max() > 2.0
     target = cover[0][:, None]
@@ -513,11 +518,11 @@ def test_launch_inversion_oracle_1d():
     for m in range(len(fan.pos)):
         got = _Stencil(idx[:, m], fan.axes[0].shape)(fan.axes[0][:, None])
         assert np.abs(launch[:, m] - got).max() <= 1e-13
-    window = goursat._window_slices(cover, g.face_axes())
+    window = tuple(slice(-lo, len(ax) - lo) for ax, (lo, _) in zip(g.face_axes(), box))
     assert em.psi.tobytes() == (2.0 - launch[window][..., 0]).tobytes()
     assert em.grad.tobytes() == slots[window].tobytes()
     with pytest.raises(ValueError, match=r"fan row 1 .*target nodes.*worst residual"):
-        _resample_rows(fan, fan.axes, cover)
+        _resample_rows(fan, fan.axes)
 
 
 @pytest.mark.parametrize("shape", [(9,), (7, 8), (6, 7, 5)])
@@ -575,7 +580,7 @@ def test_lagrange_exact_on_cubics(shape):
 def test_chart_pull_refuses_unconverged_depth_lookup():
     g = grid1(1 / 32)
     em = solve_eikonal(MetricField.minkowski(1), "-", g, 0.375)
-    cover = em._cover_axes
+    cover = _lattice(g, _coverage(em._fan, g))
     rays = _virtual_rays(_trim_fan(em._fan, cover), g, 0.0, 2.0, None)
     fracs = _grid_indices(rays.pos, cover)
     ext_t, z = cover[0], em.depth_nodes
@@ -599,9 +604,10 @@ def test_chart_path_refusals_name_the_quantity_and_its_bound():
     short = _integrate_fan(flat, "-", g, 0.375, 0.01, 0.0)
     with pytest.raises(ValueError, match=rf"covers \[{num}, {num}\] on x0, but the slab window "
                                          rf"needs \[0\.0000, 2\.0000\]; increase pad_time/pad_lat"):
-        _coverage_axes(short, g)
+        _coverage(short, g)
     em = solve_eikonal(flat, "-", g, 0.375)
-    fan, cover = em._fan, em._cover_axes
+    fan = em._fan
+    cover = _lattice(g, _coverage(fan, g))
     # trimming: the count of rays that stay inside, against the 8 needed
     with pytest.raises(ValueError, match=rf"only 0 of {fan.pos.shape[1]} rays along launch axis 0 "
                                          rf"stay inside the slab's \[{num}, {num}\], need 8; "
@@ -629,7 +635,7 @@ def test_chart_path_refusals_name_the_quantity_and_its_bound():
                        g, 0.0, 2.0)
     g2 = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 16, 1 / 16), dt=0.35 / 16, t1=0.0, t2=1.4)
     em2 = solve_eikonal(MetricField.minkowski(2), "-", g2, 0.25)
-    fan2 = _trim_fan(em2._fan, em2._cover_axes)
+    fan2 = _trim_fan(em2._fan, _lattice(g2, _coverage(em2._fan, g2)))
     k = int(np.searchsorted(fan2.axes[1], 0.1))
     narrow = dataclasses.replace(fan2, axes=(fan2.axes[0], fan2.axes[1][k:]),
                                  pos=fan2.pos[:, :, k:], p=fan2.p[:, :, k:])
@@ -731,17 +737,16 @@ def test_chart_read_box_matches_the_whole_overlap(monkeypatch, metric):
     phi = solve_transport_phi(metric, em, g)
     read_box, boxes = goursat._read_box, []
 
-    def spy(fracs, axes, window_axes):
-        boxes.append((read_box(fracs, axes, window_axes), axes))
+    def spy(fracs, overlap, grid):
+        boxes.append((read_box(fracs, overlap, grid), overlap))
         return boxes[-1][0]
 
     monkeypatch.setattr(goursat, "_read_box", spy)
     ch = build_chart(ep, em, phi, 0.0, 1.4)
     # the box leaves out nodes of the overlap on every side of both axes
-    (box, axes), = boxes
-    assert all(0 < sl.start and sl.stop < len(ax) for sl, ax in zip(box, axes))
-    monkeypatch.setattr(goursat, "_read_box",
-                        lambda fracs, axes, window_axes: tuple(slice(0, len(ax)) for ax in axes))
+    (box, overlap), = boxes
+    assert all(o[0] < b[0] and b[1] < o[1] for b, o in zip(box, overlap))
+    monkeypatch.setattr(goursat, "_read_box", lambda fracs, overlap, grid: overlap)
     whole = build_chart(ep, em, phi, 0.0, 1.4)
     for name in ("x_at_y", "g1", "d_gauge", "y_of_x", "jacobian_det", "focal_mask"):
         assert getattr(ch, name).tobytes() == getattr(whole, name).tobytes(), name
@@ -787,8 +792,8 @@ def test_chart_refuses_singular_one_form_node(monkeypatch):
     em = solve_eikonal(flat, "-", g, 0.375)
     resample, plus = goursat._resample_rows, {}
 
-    def inject(fan, target_axes, cover_axes):
-        launch, slots = resample(fan, target_axes, cover_axes)
+    def inject(fan, target_axes):
+        launch, slots = resample(fan, target_axes)
         node = (int(np.argmin(np.abs(target_axes[0] - 1.0))), 3)  # t = 1, depth 3/32
         if fan is ep._fan:
             plus["slots"] = slots[node].copy()
@@ -799,6 +804,23 @@ def test_chart_refuses_singular_one_form_node(monkeypatch):
     monkeypatch.setattr(goursat, "_resample_rows", inject)
     with pytest.raises(FocalRegion, match=r"singular at slab node \(.*, 0\.09375\): det 0"):
         build_chart(ep, em, [], 0.0, 2.0)
+
+
+def test_chart_does_not_keep_the_fans_alive():
+    # the chart and its operator keep only what they read: once the phase
+    # fields go, their fans go with them
+    flat = MetricField.minkowski(1)
+    g = grid1(1 / 32)
+    ep = solve_eikonal(flat, "+", g, 0.375)
+    em = solve_eikonal(flat, "-", g, 0.375)
+    phi = solve_transport_phi(flat, em, g)
+    chart = build_chart(ep, em, phi, 0.0, 2.0)
+    op = transform_operator(flat, None, chart)
+    fans = [weakref.ref(ep._fan), weakref.ref(em._fan)]
+    del ep, em, phi
+    gc.collect()
+    assert [ref() is None for ref in fans] == [True, True]
+    assert op.grid is chart.y_grid
 
 
 def test_pad_too_small_raises():
@@ -915,8 +937,9 @@ def conjugated_chart_field(metric, grid, depth, t2, w_re_s, w_im_s):
     F_re, F_im = apply_operator_symbolic(metric, None, w_re, w_im)
     env = {f"x{k}": chart.x_at_y[..., k] for k in range(n + 1)}
     w = w_re.evaluate(env) + 1j * w_im.evaluate(env)
-    F = F_re.evaluate(env) + 1j * F_im.evaluate(env)
-    F = np.broadcast_to(np.asarray(F, dtype=complex), w.shape)
+    # one compiled plan shares the image's subexpressions; bitwise the tree walk
+    F = _eval_table([F_re, F_im], env, w.shape)
+    F = F[..., 0] + 1j * F[..., 1]
 
     scale = chart.g1 ** 0.25 * np.exp(-1j * chart.d_gauge)
     return chart, op, (w_re, w_im), scale * w, scale * F / op.gh_pm
