@@ -22,7 +22,9 @@ Arrays follow the package layout [time, lateral..., depth]; the controlled
 face sits at depth zero and the chart restricts to the identity there.
 Characteristic launches are independent per boundary node and integrate as
 one vectorized batch, so results are deterministic regardless of how the
-work is scheduled.
+work is scheduled.  Every RK4 stage reads a ray's time only through g, so
+when g has no x0 every launch-time slice of a fan is the first shifted in
+time, and only that slice is integrated (_distinct_rays).
 
 Every move between a characteristic fan and a tensor grid goes through one
 n-axis 4-point Lagrange stencil, _Stencil, at fractional grid indices; a
@@ -53,7 +55,7 @@ import numpy as np
 
 from .expr import Call, Const, Expr
 from .geometry import MetricField, SpacetimeGrid, _as_expr, _cone, _det, _solve_small
-from .solver import SampledCoefficients, WaveField, solve_ibvp
+from .solver import SampledCoefficients, WaveField, _time_free, solve_ibvp
 
 __all__ = [
     "CharacteristicCrossing",
@@ -138,9 +140,10 @@ def _fan_row(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
     g, dH = metric.eval_ham(_fan_env(metric.n, pos, z), pos.shape[:-1], count=metric.n)
     pn, radicand = _normal_root(g, ptan)
     if np.any(radicand <= 0.0):
+        where = tuple(int(i) for i in np.unravel_index(np.argmin(radicand), radicand.shape))
         raise CharacteristicCrossing(
-            f"face foliation degenerates near depth {z:.4f} (radicand <= 0)"
-        )
+            f"face foliation degenerates near depth {z:.4f}: least radicand "
+            f"{radicand[where]:.3g} <= 0 at lateral launch node {where[1:]}")
     return dH, g, pn
 
 
@@ -169,24 +172,24 @@ def _fan_rhs(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
 
 def _check_fold(pos_row: np.ndarray, side: str, z: float):
     if pos_row.shape[-1] == 1:
-        if np.any(np.diff(pos_row[..., 0]) <= 0.0):
-            raise CharacteristicCrossing(
-                f"'{side}' family folds over by depth {z:.4f}"
-            )
-    else:
-        d00 = np.gradient(pos_row[..., 0], axis=0)
-        d01 = np.gradient(pos_row[..., 0], axis=1)
-        d10 = np.gradient(pos_row[..., 1], axis=0)
-        d11 = np.gradient(pos_row[..., 1], axis=1)
-        if np.any(d00 * d11 - d01 * d10 <= 0.0):
-            raise CharacteristicCrossing(
-                f"'{side}' family folds over by depth {z:.4f}"
-            )
+        jac = np.diff(pos_row[..., 0])
+    else:  # row c: component c's gradient along the (time, lateral) launch axes
+        jac = _det([[np.gradient(pos_row[..., c], axis=a) for a in (0, 1)] for c in (0, 1)])
+    if np.any(jac <= 0.0):
+        where = tuple(int(i) for i in np.unravel_index(np.argmin(jac), jac.shape))
+        raise CharacteristicCrossing(f"'{side}' family folds over by depth {z:.4f}: least "
+                                     f"Jacobian {jac[where]:.3g} <= 0 at launch node {where}")
+
+
+def _distinct_rays(metric: MetricField) -> slice:
+    """Launch-time slices whose rays differ: the first alone when g has no x0."""
+    return slice(0, 1) if _time_free(tuple(e for row in metric.g for e in row)) else slice(None)
 
 
 def _slope_bound(metric: MetricField, grid: SpacetimeGrid) -> float:
-    """Largest tangential drift per unit depth of either family at the face."""
-    pos = np.stack(np.meshgrid(*grid.face_axes(), indexing="ij"), axis=-1)
+    """Largest tangential drift per unit depth of either family at the face,
+    taken on the distinct launch-time slices (_distinct_rays)."""
+    pos = np.stack(np.meshgrid(*grid.face_axes(), indexing="ij"), axis=-1)[_distinct_rays(metric)]
     worst = 0.0
     for sign in (1.0, -1.0):
         ptan = np.zeros(pos.shape)
@@ -197,12 +200,18 @@ def _slope_bound(metric: MetricField, grid: SpacetimeGrid) -> float:
 
 
 def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
+    """RK4 in depth of one family from the padded launch lattice, on its
+    distinct launch-time slices (_distinct_rays): the stored rows are full, the
+    step's increments broadcast over launch times and added elementwise, so
+    every slice is bitwise what its own RK4 gives.  Folds are checked on the
+    full rows.  Raises ValueError for fewer than three depth steps."""
     n = grid.n
     dt = grid.dt
     hz = grid.h[-1]
     nz = int(round(depth / hz))
     if nz < 3:
-        raise ValueError("slab depth must cover at least three depth steps")
+        raise ValueError(f"slab depth {depth:.4f} is {nz} depth steps of h_n = {hz:.4f}; "
+                         "need at least 3")
 
     m_pad = int(math.ceil(pad_time / dt)) + 2
     axes = [grid.t1 + dt * np.arange(-m_pad, grid.nt + m_pad)]
@@ -216,20 +225,22 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
     pos = np.empty((nz + 1,) + lattice + (n,))
     p = np.empty((nz + 1,) + lattice + (n + 1,))
     cur_pos = np.stack(mesh, axis=-1)
-    cur_p = np.zeros(lattice + (n,))
+    rays = _distinct_rays(metric)
+    cur_p = np.zeros(cur_pos[rays].shape)
     cur_p[..., 0] = 1.0 if side == "+" else -1.0
 
     zs = hz * np.arange(nz + 1)
     for m in range(nz + 1):
-        row = _fan_row(metric, cur_pos, cur_p, zs[m])
+        ray_pos = cur_pos[rays]
+        row = _fan_row(metric, ray_pos, cur_p, zs[m])
         pos[m], p[m, ..., :n], p[m, ..., n] = cur_pos, cur_p, row[2]
         _check_fold(pos[m], side, zs[m])
         if m == nz:
             break
         k1 = _fan_flow(metric, row, cur_p)
-        k2 = _fan_rhs(metric, cur_pos + 0.5 * hz * k1[0], cur_p + 0.5 * hz * k1[1], zs[m] + 0.5 * hz)
-        k3 = _fan_rhs(metric, cur_pos + 0.5 * hz * k2[0], cur_p + 0.5 * hz * k2[1], zs[m] + 0.5 * hz)
-        k4 = _fan_rhs(metric, cur_pos + hz * k3[0], cur_p + hz * k3[1], zs[m] + hz)
+        k2 = _fan_rhs(metric, ray_pos + 0.5 * hz * k1[0], cur_p + 0.5 * hz * k1[1], zs[m] + 0.5 * hz)
+        k3 = _fan_rhs(metric, ray_pos + 0.5 * hz * k2[0], cur_p + 0.5 * hz * k2[1], zs[m] + 0.5 * hz)
+        k4 = _fan_rhs(metric, ray_pos + hz * k3[0], cur_p + hz * k3[1], zs[m] + hz)
         cur_pos = cur_pos + (hz / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         cur_p = cur_p + (hz / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
 
@@ -406,15 +417,16 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
     lattice, and every depth row of the fan is inverted for the launch point
     of the ray through each node of the grid's window (see the module notes).
     The phase is the launch time shifted to the window; a '-' field also keeps
-    the launch lateral coordinates, which solve_transport_phi returns.
+    the launch lateral coordinates, which solve_transport_phi returns.  When g
+    has no x0 the fan integrates one launch-time slice (_integrate_fan).
     Raises CharacteristicCrossing when the family folds over before reaching
     the depth, and ValueError when the fan's coverage box misses the window or
     a row does not invert inside the padded lattice.
     """
     if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
+        raise ValueError(f"side must be '+' or '-', got {side!r}")
     if not 0.0 < depth:
-        raise ValueError("depth must be positive")
+        raise ValueError(f"depth must be positive, got {depth!r}")
     if pad_time is None or pad_lat is None:
         default_time, default_lat = _default_pads(grid, depth, _slope_bound(metric, grid))
         pad_time = default_time if pad_time is None else pad_time
@@ -1128,27 +1140,30 @@ def find_chart_depth(metric: MetricField, grid: SpacetimeGrid, cap: float) -> fl
     hz = grid.h[-1]
     nz_cap = int(math.floor(cap / hz + 1e-9))
     if nz_cap < 3:
-        raise ValueError("cap must allow at least three depth steps")
+        raise ValueError(f"cap {cap:.4f} allows {nz_cap} depth steps of h_n = {hz:.4f}; "
+                         f"need at least 3 * h_n = {3 * hz:.4f}")
 
     slope = _slope_bound(metric, grid)
 
-    def clean(nz: int) -> bool:
+    def crossing(nz: int):  # (side, refusal) of the first family that crosses, or None
         pads = _default_pads(grid, nz * hz, slope)
-        try:
-            for side in ("+", "-"):
+        for side in ("+", "-"):
+            try:
                 _coverage(_integrate_fan(metric, side, grid, nz * hz, *pads), grid)
-            return True
-        except CharacteristicCrossing:
-            return False
+            except CharacteristicCrossing as err:
+                return side, err
+        return None
 
-    if clean(nz_cap):
+    if crossing(nz_cap) is None:
         return nz_cap * hz
     lo, hi = 3, nz_cap
-    if not clean(lo):
-        raise CharacteristicCrossing("families fold within three depth steps")
+    first = crossing(lo)
+    if first is not None:
+        raise CharacteristicCrossing(
+            f"the '{first[0]}' family folds within three depth steps: {first[1]}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if clean(mid):
+        if crossing(mid) is None:
             lo = mid
         else:
             hi = mid

@@ -504,6 +504,47 @@ def test_eikonal_bitwise_deterministic_2d():
     assert a.grad.tobytes() == b.grad.tobytes()
 
 
+# x0-free, with cross terms and a potential: the fans integrate one slice
+STATIC_METRIC_1D = MetricField(
+    1,
+    [["1 + 0.1*cos(x1)", "0.1*cos(2*x1)"],
+     ["0.1*cos(2*x1)", "-1 - 0.2*sin(x1)"]],
+    ["0.2*x1", "0.1*cos(x1)"],
+)
+
+
+def with_time_read(metric):
+    """The metric with g^00 + 0*x0: the same values, but g keeps x0."""
+    g = [list(row) for row in metric.g]
+    g[0][0] = parse_expr(g[0][0].render() + " + 0*x0")
+    return MetricField(metric.n, g, metric.A)
+
+
+@pytest.mark.parametrize("metric, grid, depth", [
+    pytest.param(WAVEGUIDE, SpacetimeGrid(n=2, extent=(1.0, 0.25), h=(1 / 16, 1 / 16),
+                                          dt=0.3 / 16, t1=0.0, t2=0.8), 0.1875, id="waveguide"),
+    pytest.param(VAR_METRIC_2D, SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 16, 1 / 16),
+                                              dt=0.35 / 16, t1=0.0, t2=1.4), 0.25, id="var_2d"),
+    pytest.param(STATIC_METRIC_1D, grid1(1 / 32), 0.375, id="static_1d"),
+])
+def test_time_free_fan_matches_the_whole_lattice_bitwise(metric, grid, depth):
+    # g without x0: each launch-time slice of a fan is the first shifted in
+    # time, so only that slice is integrated; the copy whose g reads x0 (times
+    # zero) integrates every slice and must give the same bits everywhere
+    timed = with_time_read(metric)
+    assert goursat._distinct_rays(metric) == slice(0, 1)
+    assert goursat._distinct_rays(timed) == slice(None)
+    assert goursat._slope_bound(metric, grid) == goursat._slope_bound(timed, grid)
+    for side in ("+", "-"):
+        free, full = (solve_eikonal(m, side, grid, depth) for m in (metric, timed))
+        assert free._fan.pos.tobytes() == full._fan.pos.tobytes()
+        assert free._fan.p.tobytes() == full._fan.p.tobytes()
+        assert free.psi.tobytes() == full.psi.tobytes()
+        assert free.grad.tobytes() == full.grad.tobytes()
+    phis = [solve_transport_phi(m, e, grid) for m, e in ((metric, free), (timed, full))]
+    assert [p.tobytes() for p in phis[0]] == [p.tobytes() for p in phis[1]]
+
+
 def test_launch_inversion_oracle_1d():
     g = grid1(1 / 32)
     em = solve_eikonal(VAR_METRIC_1D, "-", g, 0.375)
@@ -642,6 +683,38 @@ def test_chart_path_refusals_name_the_quantity_and_its_bound():
     with pytest.raises(ValueError, match=rf"launches span \[{num}, {num}\] on x1, the chart "
                                          r"needs \[0\.0000, 1\.0000\]; increase pad_lat"):
         _virtual_rays(narrow, g2, 0.0, 1.4, None)
+
+
+def test_fan_refusals_name_the_value_and_its_bound():
+    num = r"-?\d+\.\d+"
+    g = grid1(1 / 32)
+    flat = MetricField.minkowski(1)
+    with pytest.raises(ValueError, match=r"slab depth 0\.0625 is 2 depth steps of "
+                                         r"h_n = 0\.0312; need at least 3"):
+        _integrate_fan(flat, "+", g, 0.0625, 0.5, 0.0)
+    with pytest.raises(ValueError, match=r"side must be '\+' or '-', got 'x'"):
+        solve_eikonal(flat, "x", g, 0.375)
+    with pytest.raises(ValueError, match=r"depth must be positive, got -0\.1"):
+        solve_eikonal(flat, "+", g, -0.1)
+    with pytest.raises(ValueError, match=r"cap 0\.0500 allows 1 depth steps of h_n = 0\.0312; "
+                                         r"need at least 3 \* h_n = 0\.0938"):
+        find_chart_depth(flat, g, 0.05)
+    # the radicand is x0-free here, so the refusal names no launch time
+    slow = MetricField(2, [["1 - 2*x2*(1 + 0.5*x1)", "0", "0"], ["0", "-1", "0"],
+                           ["0", "0", "-1"]])
+    g2 = SpacetimeGrid(n=2, extent=(1.0, 1.0), h=(1 / 16, 1 / 16), dt=0.3 / 16, t1=0.0, t2=0.8)
+    with pytest.raises(CharacteristicCrossing,
+                       match=rf"degenerates near depth {num}: least radicand {num} <= 0 at "
+                             r"lateral launch node \(\d+,\)$"):
+        solve_eikonal(slow, "+", g2, 0.75)
+    coarse = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 8, 1 / 8), dt=0.3 / 8, t1=0.0, t2=0.8)
+    fold = rf"'\+' family folds over by depth 0\.2500: least Jacobian {num}(e-\d+)? <= 0 at " \
+           r"launch node \(\d+, \d+\)"
+    with pytest.raises(CharacteristicCrossing, match=fold):
+        solve_eikonal(WAVEGUIDE, "+", coarse, 0.375)
+    with pytest.raises(CharacteristicCrossing,
+                       match=r"the '\+' family folds within three depth steps: " + fold):
+        find_chart_depth(WAVEGUIDE, coarse, 0.5)
 
 
 def test_transport_orthogonality_2d():

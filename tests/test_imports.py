@@ -1,6 +1,7 @@
 """The package runs on numpy alone, its export lists hold, it factors every
-per-node matrix through geometry._det and geometry._solve_small, and the
-stepper's per-step methods only multiply and add.
+per-node matrix through geometry._det and geometry._solve_small, the
+stepper's per-step methods only multiply and add, and no raise site adds a
+plain string-literal message.
 
 A fresh interpreter imports bclab from src/; every top-level module the
 import adds must be bclab itself, numpy or part of the standard library.
@@ -82,3 +83,70 @@ def test_stepper_per_step_methods_hold_no_division_and_no_negation():
                     or called in ("divide", "true_divide", "reciprocal", "negative"):
                 found.append(f"{name}: {type(node).__name__} {called or ''}".strip())
     assert found == []
+
+
+# Raise sites whose message is still a plain string literal, naming no value.
+# A ratchet: a new plain-literal raise fails the scan, and a site that gains a
+# value must leave this list, so it only shrinks.  Keyed by module and message.
+PLAIN_RAISES_STILL_OPEN = {
+    # dn.py: structural refusals of the trace, the transform and the probe
+    ("dn.py", "the face carries no tangential directions for n = 1; "
+              "the face symbol is never elliptic"),
+    ("dn.py", "tangential part of the covector vanishes"),
+    ("dn.py", "the probe needs the run grid to shape its data"),
+    ("dn.py", "trace grid must be the operator's chart rectangle"),
+    ("dn.py", "datum samples must match the trace shape"),
+    # expr.py: parse errors, which carry the line and column as arguments
+    ("expr.py", "exponent must be a numeric literal"),
+    ("expr.py", "unexpected end of expression"),
+    # geometry.py: matrix sizes, diffeo maps and influence_region's inputs
+    ("geometry.py", "determinant implemented for sizes 1..3"),
+    ("geometry.py", "pushforward needs the diffeo's closed-form inverse"),
+    ("geometry.py", "direction must be 'forward' or 'backward'"),
+    ("geometry.py", "seed mask must cover the spatial grid"),
+    ("geometry.py", "seed set must be nonempty"),
+    ("geometry.py", "potential needs n+1 components"),
+    ("geometry.py", "forward map needs n+1 components"),
+    ("geometry.py", "inverse map needs n+1 components"),
+    # goursat.py: build_chart's input checks and the transformed operator's
+    ("goursat.py", "transport runs along the receding ('-') family"),
+    ("goursat.py", "build_chart expects ('+', '-') phase fields in that order"),
+    ("goursat.py", "phase fields live on different grids"),
+    ("goursat.py", "chart window must match the grid's time window"),
+    ("goursat.py", "need one transported lateral field per lateral axis"),
+    ("goursat.py", "transported fields must share the phase slab shape"),
+    ("goursat.py", "phase fields sampled to different depths"),
+    ("goursat.py", "chart was built for a different potential"),
+    ("goursat.py", "chart rectangle overlaps focal nodes; reduce y_depth or j_max"),
+    ("goursat.py", "phase-pair normalization lost positivity on the rectangle"),
+    ("goursat.py", "grid must be the operator's chart rectangle"),
+    # solver.py
+    ("solver.py", "full samples were not stored for this run"),
+}
+
+
+def plain_raises(path: Path) -> list:
+    """(module, message) of every raise X("literal") in a source file; an
+    f-string without a placeholder counts as a literal."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and node.exc.args):
+            continue
+        msg = node.exc.args[0]
+        if isinstance(msg, ast.JoinedStr) and not any(
+                isinstance(v, ast.FormattedValue) for v in msg.values):
+            msg = ast.Constant("".join(v.value for v in msg.values))
+        if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+            found.append((path.name, msg.value))
+    return found
+
+
+def test_no_new_plain_string_raise():
+    # every error names the condition, the place and the value
+    found = [site for path in sorted((SRC / "bclab").glob("*.py"))
+             for site in plain_raises(path)]
+    assert len(found) == len(set(found))  # a second copy of a listed site is new too
+    assert sorted(set(found) - PLAIN_RAISES_STILL_OPEN) == [], "new plain-string raise"
+    assert sorted(PLAIN_RAISES_STILL_OPEN - set(found)) == [], "mended: drop it from the list"
+    assert len(PLAIN_RAISES_STILL_OPEN) <= 27

@@ -1087,6 +1087,40 @@ def test_dn_trace_diffeomorphism_invariant_2d_time_shift():
     assert math.log2(gaps[1] / gaps[2]) >= 1.5
 
 
+def test_dn_trace_diffeomorphism_invariant_2d_depth_stretch():
+    # y2 = L(e^{a x2/L} - 1)/(e^a - 1) with a = 0.5 + 0.2 sin x0 fixes the face
+    # pointwise and maps the box onto itself; its time-varying stretch gives
+    # the pushforward g^{0j} != 0 cross terms, so the DN traces of the run and
+    # of its pushforward agree up to the scheme's error; the (0.2, 0.2) signal
+    # is resolved at these h, so the gap falls at better than order 1.5.  A
+    # g^{0n} term is nearly a face-fixing time shift, so dropping the cross
+    # terms moves the finest gap by about 1% of the trace (2.4e-2 -> 3.2e-2),
+    # which the finest-gap bound sits between
+    a, L = "(0.5 + 0.2*sin(x0))", 0.5
+    phi = Diffeo(2, ["x0", "x1", f"{L}*(exp({a}*x2/{L}) - 1)/(exp({a}) - 1)"],
+                 ["x0", "x1", f"{L}*log(1 + x2*(exp({a}) - 1)/{L})/{a}"])
+    sig = BoundarySignal(0.2, 0.2, centers=(0.5,), widths=(0.3,))
+    gaps = []
+    for h in (1 / 16, 1 / 32, 1 / 64):
+        def grid(dt):
+            return SpacetimeGrid(n=2, extent=(1.0, L), h=(h, h), dt=dt, t1=0.0, t2=0.8,
+                                 boundary_patch=((0.2, 0.8),))
+
+        probe = grid(h / 4)
+        assert phi.fixes_boundary_face(probe) and phi.slices_spacelike(TIME_CROSS_2D, probe)
+        pushed = pushforward(TIME_CROSS_2D, phi, probe)
+        cfl = min(cfl_time_step(TIME_CROSS_2D, probe), cfl_time_step(pushed, probe))
+        g = grid(0.8 / math.ceil(0.8 / cfl))
+        base = dn_trace(solve_ibvp(TIME_CROSS_2D, None, sig, g, store="boundary"), TIME_CROSS_2D)
+        moved = dn_trace(solve_ibvp(pushed, None, sig, g, store="boundary"), pushed)
+        gaps.append(float(np.max(np.abs(base.values - moved.values))
+                          / np.max(np.abs(base.values))))
+    # 0.33, 8.8e-2, 2.4e-2
+    assert gaps[-1] <= 0.028
+    assert math.log2(gaps[0] / gaps[1]) >= 1.5
+    assert math.log2(gaps[1] / gaps[2]) >= 1.5
+
+
 def test_dn_trace_diffeomorphism_invariant():
     # y1 = (e^{a x1} - 1)/(e^a - 1) fixes the face pointwise with phi'(0) ~ 0.77,
     # so the normalized traces of the run and of its pushforward agree up to O(h^2)
