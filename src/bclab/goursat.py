@@ -24,7 +24,8 @@ Characteristic launches are independent per boundary node and integrate as
 one vectorized batch, so results are deterministic regardless of how the
 work is scheduled.  Every RK4 stage reads a ray's time only through g, so
 when g has no x0 every launch-time slice of a fan is the first shifted in
-time, and only that slice is integrated (_distinct_rays).
+time: only that slice is integrated (_distinct_rays), and each fan row is
+inverted at one launch time, then shifted by whole nodes (_resample_rows).
 
 Every move between a characteristic fan and a tensor grid goes through one
 n-axis 4-point Lagrange stencil, _Stencil, at fractional grid indices; a
@@ -124,12 +125,17 @@ def _fan_env(n: int, pos: np.ndarray, z: float) -> dict:
 
 @dataclass
 class _Fan:
-    """One characteristic family, integrated in depth from a padded face lattice."""
+    """One characteristic family, integrated in depth from a padded face lattice.
+
+    rays is the _distinct_rays slice it was integrated on; for slice(0, 1)
+    the lateral pos and all of p are bitwise constant along launch time.
+    """
 
     axes: tuple            # launch coordinate arrays (time, lateral...)
     depth_nodes: np.ndarray
     pos: np.ndarray        # (nz+1, *lattice, n) tangential positions
     p: np.ndarray          # (nz+1, *lattice, n+1) covector, depth component last
+    rays: slice
 
 
 def _fan_row(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
@@ -244,7 +250,7 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
         cur_pos = cur_pos + (hz / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         cur_p = cur_p + (hz / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
 
-    return _Fan(tuple(axes), zs, pos, p)
+    return _Fan(tuple(axes), zs, pos, p, rays)
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +309,19 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
 
     Every fan row is a fold-free image of the regular launch lattice, so
     pos[m](indices) = node has one solution in the lattice.  Newton on the
-    row's Lagrange interpolant finds it: row 0 is the lattice itself, where
-    the affine guess is exact, and each later row starts from the previous
-    row's solution.  Each step locates one _Stencil and takes its slopes only
-    when the residual check fails; a step inverts the 1x1 or 2x2 Jacobian in
-    closed form (_solve_small), since a launch lattice has at most two axes.
-    The converged stencil also gives the row's slots, and the launch
-    coordinates are affine in the indices.  The tolerance scales with the
-    fan's launch lattice, not with the targets, so a node takes the same
+    row's Lagrange interpolant finds it, from the affine guess on row 0 (the
+    lattice itself) and from the previous row's solution after that; a step
+    locates one _Stencil, takes its slopes only when the residual check
+    fails and solves in closed form (_solve_small).  The converged stencil
+    gives the row's slots; the launch coordinates are affine in the indices.
+    The tolerance scales with the launch lattice, so a node takes the same
     steps on any target box that holds it.
+
+    When g has no x0 (fan.rays), Newton solves the target's lateral nodes
+    once, at the lattice's middle launch time; each target time row takes
+    that solution shifted by its whole-node offset, and the solved slots.
+    Every shifted node is checked where it lands, so a target time off the
+    fan's nodes is refused.  Otherwise every node is solved, unshifted.
 
     Returns (launch, slots) shaped (*target_counts, nrows, n) and
     (*target_counts, nrows, n+1), the depth row index before the component.
@@ -322,26 +332,33 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
     tol = 1e-13 * max(1.0, *(abs(float(ax[i])) for ax in fan.axes for i in (0, -1)))
     lattice = fan.pos.shape[1:-1]
     top = np.array(lattice) - 1.0
-    idx = _grid_indices(target, fan.axes)
+    every = fan.rays == slice(None)
+    solve = target if every else np.stack(np.meshgrid(
+        fan.axes[0][len(fan.axes[0]) // 2, None], *target_axes[1:], indexing="ij"), axis=-1)
+    idx = _grid_indices(solve, fan.axes)
+    shift = np.round(_grid_indices(target, fan.axes) - idx)   # whole time nodes, else zero
     nrows, n = fan.pos.shape[0], fan.pos.shape[-1]
-    launch = np.empty(idx.shape[:-1] + (nrows, n))
-    slots = np.empty(idx.shape[:-1] + (nrows, n + 1))
+    launch = np.empty(target.shape[:-1] + (nrows, n))
+    slots = np.empty(target.shape[:-1] + (nrows, n + 1))
     for row, pos in enumerate(fan.pos):
         for step in range(_NEWTON_STEPS + 1):
             stencil = _Stencil(idx, lattice)
-            res = stencil(pos) - target
+            res = stencil(pos) - solve
             norm = np.max(np.abs(res), axis=-1)
             if np.all(norm <= tol) or step == _NEWTON_STEPS:
                 break
             idx = idx - _solve_small(stencil.slopes(), res)
-        bad = ~(norm <= tol) | np.any((idx < -1e-9) | (idx > top + 1e-9), axis=-1)
+        at = idx + shift
+        if not every:
+            norm = np.max(np.abs(_Stencil(at, lattice)(pos) - target), axis=-1)
+        bad = ~(norm <= tol) | np.any((at < -1e-9) | (at > top + 1e-9), axis=-1)
         if np.any(bad):
             raise ValueError(
                 f"fan row {row} (depth {fan.depth_nodes[row]:.4f}): {int(np.sum(bad))} target "
                 f"nodes do not invert inside the launch lattice (worst residual "
                 f"{float(np.max(norm[bad])):.2e}, tolerance {tol:.2e}); increase pad_time/pad_lat"
             )
-        launch[..., row, :] = idx
+        launch[..., row, :] = at
         slots[..., row, :] = stencil(fan.p[row])
     for d, ax in enumerate(fan.axes):
         launch[..., d] = ax[0] + (ax[1] - ax[0]) * launch[..., d]
@@ -351,7 +368,8 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
 def _phase_on(fan: _Fan, side: str, grid: SpacetimeGrid, target_axes: tuple):
     """(psi, grad, lateral launch coordinates) of one family on the target
     nodes times the depth rows: the phase is the launch time shifted to the
-    window, and grad the ray's covector slots (_resample_rows)."""
+    window, and grad the ray's covector slots (_resample_rows; for g without
+    x0, one solved launch-time row shifted by whole nodes)."""
     launch, grad = _resample_rows(fan, target_axes)
     psi = launch[..., 0] - grid.t1 if side == "+" else grid.t2 - launch[..., 0]
     return psi, grad, [launch[..., j] for j in range(1, grid.n)]
@@ -418,7 +436,8 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
     of the ray through each node of the grid's window (see the module notes).
     The phase is the launch time shifted to the window; a '-' field also keeps
     the launch lateral coordinates, which solve_transport_phi returns.  When g
-    has no x0 the fan integrates one launch-time slice (_integrate_fan).
+    has no x0 the fan integrates one launch-time slice (_integrate_fan), and
+    each row is inverted at one launch time, shifted by whole nodes.
     Raises CharacteristicCrossing when the family folds over before reaching
     the depth, and ValueError when the fan's coverage box misses the window or
     a row does not invert inside the padded lattice.
@@ -464,7 +483,8 @@ def solve_transport_phi(metric: MetricField, psi_minus: EikonalField,
     window arrays it kept; neither metric nor grid is read.
     """
     if psi_minus.side != "-":
-        raise ValueError("transport runs along the receding ('-') family")
+        raise ValueError("transport runs along the receding ('-') family, got side "
+                         f"{psi_minus.side!r}")
     return list(psi_minus._phi)
 
 
@@ -622,23 +642,28 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     singular at a node of the read box.
     """
     if psi_plus.side != "+" or psi_minus.side != "-":
-        raise ValueError("build_chart expects ('+', '-') phase fields in that order")
+        raise ValueError("build_chart expects ('+', '-') phase fields in that order, got "
+                         f"({psi_plus.side!r}, {psi_minus.side!r})")
     grid = psi_plus.grid
     if psi_minus.grid is not grid and psi_minus.grid != grid:
-        raise ValueError("phase fields live on different grids")
+        raise ValueError(f"phase fields live on different grids: {grid} and {psi_minus.grid}")
     if abs(T1 - grid.t1) > 1e-12 or abs(T2 - grid.t2) > 1e-12:
-        raise ValueError("chart window must match the grid's time window")
+        raise ValueError(f"chart window [{T1}, {T2}] must match the grid's time window "
+                         f"[{grid.t1}, {grid.t2}]")
     if len(phi) != grid.n - 1:
-        raise ValueError("need one transported lateral field per lateral axis")
+        raise ValueError(f"got {len(phi)} transported lateral fields, need one per lateral "
+                         f"axis, n - 1 = {grid.n - 1}")
     for p in phi:
         if p.shape != psi_minus.psi.shape:
-            raise ValueError("transported fields must share the phase slab shape")
+            raise ValueError(f"transported field shape {p.shape} must share the phase slab "
+                             f"shape {psi_minus.psi.shape}")
     metric = psi_plus.metric
     n = grid.n
     hz = grid.h[-1]
     depth_nodes, other = psi_plus.depth_nodes, psi_minus.depth_nodes
     if len(depth_nodes) != len(other) or abs(depth_nodes[-1] - other[-1]) > 1e-12:
-        raise ValueError("phase fields sampled to different depths")
+        raise ValueError(f"phase fields sampled to different depths: {len(depth_nodes)} rows "
+                         f"to {depth_nodes[-1]:.6g} and {len(other)} rows to {other[-1]:.6g}")
 
     cover_p, cover_m = _coverage(psi_plus._fan, grid), _coverage(psi_minus._fan, grid)
     overlap = tuple((max(p[0], m[0]), min(p[1], m[1])) for p, m in zip(cover_p, cover_m))
@@ -734,7 +759,7 @@ def _trim_fan(fan: _Fan, axes: tuple) -> _Fan:
         slices.append(slice(idx[0], idx[-1] + 1))
     take = (slice(None),) + tuple(slices)
     return _Fan(tuple(ax[s] for ax, s in zip(fan.axes, slices)), fan.depth_nodes,
-                fan.pos[take], fan.p[take])
+                fan.pos[take], fan.p[take], fan.rays)
 
 
 def _read_box(fracs: np.ndarray, overlap: tuple, grid: SpacetimeGrid) -> tuple:

@@ -530,7 +530,9 @@ def with_time_read(metric):
 def test_time_free_fan_matches_the_whole_lattice_bitwise(metric, grid, depth):
     # g without x0: each launch-time slice of a fan is the first shifted in
     # time, so only that slice is integrated; the copy whose g reads x0 (times
-    # zero) integrates every slice and must give the same bits everywhere
+    # zero) integrates every slice and must give the same fan bits.  Its
+    # inversion solves every target node, where the x0-free one solves one
+    # time row and shifts it by whole nodes, so the fields agree to round-off
     timed = with_time_read(metric)
     assert goursat._distinct_rays(metric) == slice(0, 1)
     assert goursat._distinct_rays(timed) == slice(None)
@@ -539,10 +541,67 @@ def test_time_free_fan_matches_the_whole_lattice_bitwise(metric, grid, depth):
         free, full = (solve_eikonal(m, side, grid, depth) for m in (metric, timed))
         assert free._fan.pos.tobytes() == full._fan.pos.tobytes()
         assert free._fan.p.tobytes() == full._fan.p.tobytes()
-        assert free.psi.tobytes() == full.psi.tobytes()
-        assert free.grad.tobytes() == full.grad.tobytes()
+        assert np.abs(free.psi - full.psi).max() <= 1e-12
+        assert np.abs(free.grad - full.grad).max() <= 1e-12
     phis = [solve_transport_phi(m, e, grid) for m, e in ((metric, free), (timed, full))]
-    assert [p.tobytes() for p in phis[0]] == [p.tobytes() for p in phis[1]]
+    assert len(phis[0]) == len(phis[1]) == grid.n - 1
+    assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(*phis))
+
+
+# the x0-free cases above, for the tests of the whole-node shift
+TIME_FREE_CASES = [
+    pytest.param(WAVEGUIDE, SpacetimeGrid(n=2, extent=(1.0, 0.25), h=(1 / 16, 1 / 16),
+                                          dt=0.3 / 16, t1=0.0, t2=0.8), 0.1875, id="waveguide"),
+    pytest.param(VAR_METRIC_2D, SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 16, 1 / 16),
+                                              dt=0.35 / 16, t1=0.0, t2=1.4), 0.25, id="var_2d"),
+    pytest.param(STATIC_METRIC_1D, grid1(1 / 32), 0.375, id="static_1d"),
+]
+
+
+@pytest.mark.parametrize("metric, grid, depth", TIME_FREE_CASES)
+def test_time_free_fan_rows_are_constant_along_launch_time(metric, grid, depth):
+    # the premise of the whole-node shift: for g without x0 every stored row's
+    # lateral positions and covector are one launch-time slice, bitwise, and
+    # its times are that slice's shifted by the whole launch steps
+    for side in ("+", "-"):
+        fan = solve_eikonal(metric, side, grid, depth)._fan
+        assert fan.rays == slice(0, 1)
+        assert _trim_fan(fan, _lattice(grid, _coverage(fan, grid))).rays == fan.rays
+        lateral = fan.pos[..., 1:]
+        assert lateral.tobytes() == np.broadcast_to(lateral[:, :1], lateral.shape).tobytes()
+        assert fan.p.tobytes() == np.broadcast_to(fan.p[:, :1], fan.p.shape).tobytes()
+        steps = (fan.axes[0] - grid.t1) / grid.dt
+        assert np.abs(steps - np.round(steps)).max() <= 1e-9
+        drift = fan.pos[..., 0] - fan.axes[0][(slice(None),) + (None,) * (grid.n - 1)]
+        assert np.abs(drift - drift[:, :1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("metric, grid, depth", TIME_FREE_CASES)
+def test_shifted_inversion_lands_on_every_target_node(metric, grid, depth):
+    # g without x0: each fan row is inverted at one launch time and shifted by
+    # whole nodes to the others; every shifted node must still invert its
+    # target inside the lattice, whichever box holds it
+    for side in ("+", "-"):
+        fld = solve_eikonal(metric, side, grid, depth)
+        fan, box = fld._fan, _coverage(fld._fan, grid)
+        cover = _lattice(grid, box)
+        launch, slots = _resample_rows(fan, cover)
+        idx = _grid_indices(launch, fan.axes)
+        target = np.stack(np.meshgrid(*cover, indexing="ij"), axis=-1)
+        top = np.array(fan.pos.shape[1:-1]) - 1.0
+        for m, pos in enumerate(fan.pos):
+            assert np.abs(_Stencil(idx[..., m, :], pos.shape[:-1])(pos) - target).max() <= 1e-12
+            assert np.all((idx[..., m, :] >= -1e-9) & (idx[..., m, :] <= top + 1e-9))
+        window = tuple(slice(-lo, len(ax) - lo) for ax, (lo, _) in zip(grid.face_axes(), box))
+        at = launch[window]
+        psi = at[..., 0] - grid.t1 if side == "+" else grid.t2 - at[..., 0]
+        assert fld.psi.tobytes() == psi.tobytes()
+        assert fld.grad.tobytes() == slots[window].tobytes()
+        phi = [np.ascontiguousarray(at[..., j]).tobytes() for j in range(1, grid.n)]
+        assert [p.tobytes() for p in fld._phi] == (phi if side == "-" else [])
+        # half a step off the fan's launch times no whole-node shift lands
+        with pytest.raises(ValueError, match=r"fan row \d+ .*target nodes.*worst residual"):
+            _resample_rows(fan, (cover[0] + 0.5 * grid.dt,) + cover[1:])
 
 
 def test_launch_inversion_oracle_1d():
@@ -852,6 +911,37 @@ def test_chart_input_validation():
         build_chart(ep, em, [], 0.0, 1.5)  # window disagrees with the grid
     with pytest.raises(ValueError, match="lateral"):
         build_chart(ep, em, [np.zeros_like(ep.psi)], 0.0, 2.0)  # no laterals in 1d
+
+
+def test_chart_input_refusals_name_the_value_and_its_bound():
+    flat = MetricField.minkowski(1)
+    g = grid1(1 / 32)
+    ep = solve_eikonal(flat, "+", g, 0.375)
+    em = solve_eikonal(flat, "-", g, 0.375)
+    with pytest.raises(ValueError, match=r"receding \('-'\) family, got side '\+'"):
+        solve_transport_phi(flat, ep, g)
+    with pytest.raises(ValueError, match=r"in that order, got \('-', '\+'\)"):
+        build_chart(em, ep, [], 0.0, 2.0)
+    narrow = solve_eikonal(flat, "-", grid1(1 / 32, extent=0.5), 0.375)
+    with pytest.raises(ValueError, match=r"different grids: SpacetimeGrid\(n=1, extent=\(1\.0,\)"
+                                         r".* and SpacetimeGrid\(n=1, extent=\(0\.5,\)"):
+        build_chart(ep, narrow, [], 0.0, 2.0)
+    with pytest.raises(ValueError, match=r"chart window \[0\.0, 1\.5\] must match the grid's "
+                                         r"time window \[0\.0, 2\.0\]"):
+        build_chart(ep, em, [], 0.0, 1.5)
+    with pytest.raises(ValueError, match=r"got 1 transported lateral fields, need one per "
+                                         r"lateral axis, n - 1 = 0"):
+        build_chart(ep, em, [np.zeros_like(ep.psi)], 0.0, 2.0)
+    shallow = solve_eikonal(flat, "-", g, 0.25)
+    with pytest.raises(ValueError, match=r"different depths: 13 rows to 0\.375 and 9 rows "
+                                         r"to 0\.25$"):
+        build_chart(ep, shallow, [], 0.0, 2.0)
+    flat2 = MetricField.minkowski(2)
+    g2 = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 8, 1 / 8), dt=0.3 / 8, t1=0.0, t2=0.8)
+    ep2, em2 = (solve_eikonal(flat2, side, g2, 0.375) for side in "+-")
+    with pytest.raises(ValueError, match=r"transported field shape \(3, 3\) must share the "
+                                         r"phase slab shape \(22, 9, 4\)"):
+        build_chart(ep2, em2, [np.zeros((3, 3))], 0.0, 0.8)
 
 
 def test_chart_refuses_singular_one_form_node(monkeypatch):

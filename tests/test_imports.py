@@ -108,14 +108,7 @@ PLAIN_RAISES_STILL_OPEN = {
     ("geometry.py", "potential needs n+1 components"),
     ("geometry.py", "forward map needs n+1 components"),
     ("geometry.py", "inverse map needs n+1 components"),
-    # goursat.py: build_chart's input checks and the transformed operator's
-    ("goursat.py", "transport runs along the receding ('-') family"),
-    ("goursat.py", "build_chart expects ('+', '-') phase fields in that order"),
-    ("goursat.py", "phase fields live on different grids"),
-    ("goursat.py", "chart window must match the grid's time window"),
-    ("goursat.py", "need one transported lateral field per lateral axis"),
-    ("goursat.py", "transported fields must share the phase slab shape"),
-    ("goursat.py", "phase fields sampled to different depths"),
+    # goursat.py: the transformed operator's checks
     ("goursat.py", "chart was built for a different potential"),
     ("goursat.py", "chart rectangle overlaps focal nodes; reduce y_depth or j_max"),
     ("goursat.py", "phase-pair normalization lost positivity on the rectangle"),
@@ -149,4 +142,4 @@ def test_no_new_plain_string_raise():
     assert len(found) == len(set(found))  # a second copy of a listed site is new too
     assert sorted(set(found) - PLAIN_RAISES_STILL_OPEN) == [], "new plain-string raise"
     assert sorted(PLAIN_RAISES_STILL_OPEN - set(found)) == [], "mended: drop it from the list"
-    assert len(PLAIN_RAISES_STILL_OPEN) <= 27
+    assert len(PLAIN_RAISES_STILL_OPEN) <= 20
