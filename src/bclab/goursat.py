@@ -34,10 +34,11 @@ tensor nodes one depth row at a time: each row is a fold-free image of the
 regular launch lattice, so the launch indices of the ray through every node
 come from Newton on the row's interpolant, warm-started from the row above.
 The phase and the lateral coordinates are affine in those indices; the
-converged row's stencil gives the covector slots.  solve_eikonal inverts the
-fan on the grid's window only.  build_chart first places the pull's virtual
+converged row's stencil gives the covector slots.  solve_eikonal does not
+invert: a field inverts its fan on the grid's window when first read.
+build_chart does not read those fields.  It first places the pull's virtual
 receding rays, launched on the chart's own lattice, on each row of the
-trimmed receding fan, then inverts both fans again on the read box: the
+trimmed receding fan, then inverts both fans on the read box: the
 nodes of the fans' coverage overlap that those rays' stencils, the slab
 differences and the window read, and samples every slab field there once,
 one stencil per fan row for all fields.  Every such box is a tuple of node
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -176,10 +178,18 @@ def _fan_rhs(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
     return _fan_flow(metric, _fan_row(metric, pos, ptan, z), ptan)
 
 
-def _check_fold(pos_row: np.ndarray, side: str, z: float):
+def _check_fold(pos_row: np.ndarray, side: str, z: float, rays: slice):
     if pos_row.shape[-1] == 1:
         jac = np.diff(pos_row[..., 0])
-    else:  # row c: component c's gradient along the (time, lateral) launch axes
+    else:
+        if rays == slice(0, 1):
+            # x1 is constant along launch time, so the Jacobian is exactly dt/di *
+            # dx1/dj, which (rounding is monotone) the least factors' product bounds
+            least = (np.min(np.gradient(pos_row[..., 0], axis=0)),
+                     np.min(np.gradient(pos_row[rays, :, 1], axis=1)))
+            if least[0] > 0.0 and least[0] * least[1] > 0.0:
+                return
+        # row c: component c's gradient along the (time, lateral) launch axes
         jac = _det([[np.gradient(pos_row[..., c], axis=a) for a in (0, 1)] for c in (0, 1)])
     if np.any(jac <= 0.0):
         where = tuple(int(i) for i in np.unravel_index(np.argmin(jac), jac.shape))
@@ -240,7 +250,7 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
         ray_pos = cur_pos[rays]
         row = _fan_row(metric, ray_pos, cur_p, zs[m])
         pos[m], p[m, ..., :n], p[m, ..., n] = cur_pos, cur_p, row[2]
-        _check_fold(pos[m], side, zs[m])
+        _check_fold(pos[m], side, zs[m], rays)
         if m == nz:
             break
         k1 = _fan_flow(metric, row, cur_p)
@@ -391,20 +401,27 @@ class EikonalField:
 
     psi holds the phase, grad its spacetime gradient with the depth component
     recomputed from the null constraint along each ray.  Both live on the
-    grid's (time, lateral) window times the slab depth nodes, depth last.
-    The field keeps its fan, so build_chart can invert it again on the nodes
-    it reads; a '-' field also keeps the launch lateral coordinates on the
-    window (_phi).
+    grid's (time, lateral) window times the slab depth nodes, depth last; a
+    '-' field's _phi holds the launch lateral coordinates there.  The field
+    keeps its fan: the first read of psi, grad or _phi inverts it on the
+    window for all three (raising ValueError where a row does not invert),
+    and build_chart inverts it only on the nodes it reads.
     """
 
-    psi: np.ndarray
     side: str
-    grad: np.ndarray
     grid: SpacetimeGrid
     depth_nodes: np.ndarray
     metric: MetricField
     _fan: _Fan
-    _phi: list
+
+    @cached_property
+    def _window(self) -> tuple:
+        psi, grad, phi = _phase_on(self._fan, self.side, self.grid, self.grid.face_axes())
+        return psi, grad, phi if self.side == "-" else []
+
+    psi = property(lambda self: self._window[0])
+    grad = property(lambda self: self._window[1])
+    _phi = property(lambda self: self._window[2])
 
     def residual(self) -> np.ndarray:
         """Null-constraint defect of the cached gradient at every slab node."""
@@ -432,15 +449,17 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
 
     side '+' seeds the phase advancing with time, '-' the receding one.  The
     phase is frozen along each characteristic; rays launch from a padded face
-    lattice, and every depth row of the fan is inverted for the launch point
-    of the ray through each node of the grid's window (see the module notes).
-    The phase is the launch time shifted to the window; a '-' field also keeps
-    the launch lateral coordinates, which solve_transport_phi returns.  When g
-    has no x0 the fan integrates one launch-time slice (_integrate_fan), and
-    each row is inverted at one launch time, shifted by whole nodes.
+    lattice.  Nothing is inverted here: the first read of the field's psi,
+    grad or _phi inverts every depth row of the fan for the launch point of
+    the ray through each node of the grid's window (see the module notes).
+    The phase is the launch time shifted to the window; a '-' field also has
+    the launch lateral coordinates, which solve_transport_phi returns.  When
+    g has no x0 the fan integrates one launch-time slice (_integrate_fan),
+    and each row is inverted at one launch time, shifted by whole nodes.
     Raises CharacteristicCrossing when the family folds over before reaching
-    the depth, and ValueError when the fan's coverage box misses the window or
-    a row does not invert inside the padded lattice.
+    the depth, and ValueError when the fan's coverage box misses the window.
+    A row that does not invert inside the padded lattice is refused by the
+    first read of the field, or by build_chart.
     """
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
@@ -453,17 +472,7 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
 
     fan = _integrate_fan(metric, side, grid, depth, pad_time, pad_lat)
     _coverage(fan, grid)   # refuses a fan whose coverage misses the window
-    psi, grad, phi = _phase_on(fan, side, grid, grid.face_axes())
-    return EikonalField(
-        psi=psi,
-        side=side,
-        grad=grad,
-        grid=grid,
-        depth_nodes=fan.depth_nodes,
-        metric=metric,
-        _fan=fan,
-        _phi=phi if side == "-" else [],
-    )
+    return EikonalField(side, grid, fan.depth_nodes, metric, fan)
 
 
 def _default_pads(grid: SpacetimeGrid, depth: float, slope: float) -> tuple:
@@ -478,9 +487,9 @@ def solve_transport_phi(metric: MetricField, psi_minus: EikonalField,
 
     Each field equals its launch value on the face and is constant along the
     rays of psi_minus, which realizes the defining first-order transport
-    equation exactly at ray points.  solve_eikonal already inverted the fan
-    on the grid's window for those launch values, so this returns the n-1
-    window arrays it kept; neither metric nor grid is read.
+    equation exactly at ray points.  This returns the n-1 window arrays of
+    psi_minus._phi, which inverts the fan on the grid's window on its first
+    read; neither metric nor grid is read.
     """
     if psi_minus.side != "-":
         raise ValueError("transport runs along the receding ('-') family, got side "
@@ -622,7 +631,9 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     The chart coordinates are y0 (time), the transported lateral fields, and
     the depth yn; y0 and yn are linear in the two phases, and on the face the
     map restricts to the identity.  phi must be what solve_transport_phi
-    returned for psi_minus and is only checked for shape.  Coefficient fields
+    returned for psi_minus: the count of fields and each one's shape, the
+    grid's window times the depth nodes, are checked, and its values are not
+    read.  Coefficient fields
     of the transformed operator are computed on the slab, sampled once along
     virtual receding rays launched from the chart's time lattice
     (_virtual_rays, _pull_to_chart), and re-gridded onto a rectangle in chart
@@ -631,9 +642,11 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
 
     The slab fields live on the read box (_read_box): the part of the two
     fans' coverage overlap that the virtual rays' stencils and the window
-    read.  Both fans are inverted again there, so every stencil and
-    difference sees the values it would on the whole overlap.  The refusals
-    below, and the focal mask, cover only those nodes.
+    read.  Both fans are inverted there, and the phase fields' window values
+    are not read, so every stencil and difference sees the values it would
+    on the whole overlap.  A fan row that does not invert inside the padded
+    lattice on that box raises ValueError.  The refusals below, and the
+    focal mask, cover only those nodes.
 
     y_depth caps the chart depth; the default takes what the fan coverage
     supports.  Nodes where the Jacobian leaves [1/j_max, j_max], or where the
@@ -653,10 +666,11 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     if len(phi) != grid.n - 1:
         raise ValueError(f"got {len(phi)} transported lateral fields, need one per lateral "
                          f"axis, n - 1 = {grid.n - 1}")
+    slab = tuple(len(ax) for ax in grid.face_axes()) + (len(psi_minus.depth_nodes),)
     for p in phi:
-        if p.shape != psi_minus.psi.shape:
+        if p.shape != slab:
             raise ValueError(f"transported field shape {p.shape} must share the phase slab "
-                             f"shape {psi_minus.psi.shape}")
+                             f"shape {slab}")
     metric = psi_plus.metric
     n = grid.n
     hz = grid.h[-1]
@@ -1067,19 +1081,22 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart) -> Transform
     built = [a.render() for a in chart.metric.A]
     given = [_as_expr(a).render() for a in A]
     if built != given:
-        raise ValueError("chart was built for a different potential")
+        raise ValueError(f"chart was built for a different potential: built with "
+                         f"({', '.join(built)}), given ({', '.join(given)})")
 
     pulled = chart._pull
-    if float(np.max(pulled["focal"])) > 0.05:
-        raise FocalRegion(
-            "chart rectangle overlaps focal nodes; reduce y_depth or j_max"
-        )
+    focal = float(np.max(pulled["focal"]))
+    if focal > 0.05:
+        raise FocalRegion(f"chart rectangle overlaps focal nodes: largest pulled focal weight "
+                          f"{focal:.3g} > 0.05; reduce y_depth or j_max")
 
     n = chart.grid.n
     y_grid = chart.y_grid
     ghpm = pulled["ghpm"]
     if np.any(ghpm <= 0.0):
-        raise FocalRegion("phase-pair normalization lost positivity on the rectangle")
+        raise FocalRegion(f"phase-pair normalization lost positivity on the rectangle: "
+                          f"{int(np.sum(ghpm <= 0.0))} of {ghpm.size} nodes have ghpm <= 0, "
+                          f"least {float(np.min(ghpm)):.3g}")
 
     g0_plus_j = [pulled[f"ghp{j}"] / ghpm for j in range(n - 1)]
     g0_jk = [[pulled[f"gh{j}{k}"] / ghpm for k in range(n - 1)] for j in range(n - 1)]
@@ -1144,7 +1161,7 @@ def solve_transformed_ibvp(op: TransformedOperator, f, grid: SpacetimeGrid,
     checks every level and reports the realised CFL.
     """
     if grid != op.grid:
-        raise ValueError("grid must be the operator's chart rectangle")
+        raise ValueError(f"grid must be the operator's chart rectangle {op.grid}, got {grid}")
     return solve_ibvp(None, None, f, grid, forcing, provider=op.provider(), **kwargs)
 
 

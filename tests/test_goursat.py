@@ -604,6 +604,49 @@ def test_shifted_inversion_lands_on_every_target_node(metric, grid, depth):
             _resample_rows(fan, (cover[0] + 0.5 * grid.dt,) + cover[1:])
 
 
+@pytest.mark.parametrize("metric, grid, depth", [
+    # the waveguide's fans fold by depth 0.25 on both grids
+    pytest.param(WAVEGUIDE, SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 8, 1 / 8),
+                                          dt=0.3 / 8, t1=0.0, t2=0.8), 0.375, id="coarse"),
+    # the bench's depth-search grid at its cap
+    pytest.param(WAVEGUIDE, SpacetimeGrid(n=2, extent=(1.0, 0.25), h=(1 / 16, 1 / 16),
+                                          dt=0.3 / 16, t1=0.0, t2=0.8), 0.5, id="waveguide"),
+    pytest.param(VAR_METRIC_2D, SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 16, 1 / 16),
+                                              dt=0.35 / 16, t1=0.0, t2=1.4), 0.25, id="var_2d"),
+    # the bench's chart metric, grid and depth
+    pytest.param(VAR_METRIC_2D, SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 20, 1 / 20),
+                                              dt=0.35 / 20, t1=0.0, t2=1.4), 0.3, id="bench"),
+])
+def test_time_free_fold_check_matches_the_full_jacobian(monkeypatch, metric, grid, depth):
+    # g without x0: x1 is constant along launch time, so _check_fold accepts a
+    # row from dt/di and one slice's dx1/dj without forming the Jacobian; on
+    # every depth row, folded or not, it gives the full Jacobian's verdict and
+    # message
+    check, det, rows, dets = goursat._check_fold, goursat._det, [], []
+    monkeypatch.setattr(goursat, "_check_fold", lambda *row: rows.append(row))
+    for side in ("+", "-"):
+        pads = goursat._default_pads(grid, depth, goursat._slope_bound(metric, grid))
+        _integrate_fan(metric, side, grid, depth, *pads)
+    monkeypatch.setattr(goursat, "_det", lambda m: dets.append(1) or det(m))
+
+    def verdict(pos, side, z, rays):
+        dets.clear()
+        try:
+            check(pos, side, z, rays)
+        except CharacteristicCrossing as err:
+            return str(err), len(dets)
+        return None, len(dets)
+
+    folds = []
+    for pos, side, z, rays in rows:
+        assert rays == slice(0, 1)
+        got, formed = verdict(pos, side, z, rays)
+        assert got == verdict(pos, side, z, slice(None))[0]
+        folds.append(got is not None)
+        assert formed == folds[-1]   # an accepted row forms no Jacobian
+    assert any(folds) == (metric is WAVEGUIDE) and not all(folds)
+
+
 def test_launch_inversion_oracle_1d():
     g = grid1(1 / 32)
     em = solve_eikonal(VAR_METRIC_1D, "-", g, 0.375)
@@ -885,6 +928,26 @@ def test_chart_read_box_matches_the_whole_overlap(monkeypatch, metric):
     assert ch._pull.keys() == whole._pull.keys()
     for name, value in ch._pull.items():
         assert value.tobytes() == whole._pull[name].tobytes(), name
+
+
+@pytest.mark.parametrize("metric", [VAR_METRIC_2D, TIME_CROSS_2D], ids=["var", "time_cross"])
+def test_each_fan_is_inverted_once_per_chart(monkeypatch, metric):
+    # solve_eikonal only integrates; the '-' window inversion runs once, for
+    # solve_transport_phi, and every window field comes from it; build_chart
+    # inverts each fan on its read box alone
+    g = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 16, 1 / 16), dt=0.35 / 16,
+                      t1=0.0, t2=1.4)
+    resample, calls = goursat._resample_rows, []
+    monkeypatch.setattr(goursat, "_resample_rows",
+                        lambda fan, axes: calls.append(id(fan)) or resample(fan, axes))
+    ep, em = (solve_eikonal(metric, side, g, 0.3125) for side in "+-")
+    assert calls == []
+    phi = solve_transport_phi(metric, em, g)
+    assert calls == [id(em._fan)]
+    assert em.psi.shape == em.grad.shape[:-1] == phi[0].shape
+    assert calls == [id(em._fan)]
+    build_chart(ep, em, phi, 0.0, 1.4)
+    assert calls == [id(em._fan), id(ep._fan), id(em._fan)]
 
 
 def test_chart_inverse_map_roundtrip_1d():
@@ -1335,6 +1398,28 @@ def test_potential_mismatch_raises():
     _, ch = chart_pipeline_1d(flat, 1 / 32, depth=0.375, t2=2.0)
     with pytest.raises(ValueError, match="different potential"):
         transform_operator(flat, ["1", "0"], ch)
+
+
+def test_transformed_operator_refusals_name_the_value_and_its_bound():
+    flat = MetricField.minkowski(1)
+    _, ch = chart_pipeline_1d(flat, 1 / 32, depth=0.375, t2=2.0)
+    with pytest.raises(ValueError, match=r"different potential: built with \(0, 0\), "
+                                         r"given \(1, 0\)$"):
+        transform_operator(flat, ["1", "0"], ch)
+    focal = dataclasses.replace(ch, _pull={**ch._pull, "focal": ch._pull["focal"] + 0.25})
+    with pytest.raises(FocalRegion, match=r"overlaps focal nodes: largest pulled focal weight "
+                                          r"0\.25 > 0\.05; reduce y_depth or j_max"):
+        transform_operator(flat, None, focal)
+    ghpm = ch._pull["ghpm"].copy()
+    ghpm[4, 2:5] = [-0.5, 0.0, -0.25]
+    lost = dataclasses.replace(ch, _pull={**ch._pull, "ghpm": ghpm})
+    with pytest.raises(FocalRegion, match=rf"lost positivity on the rectangle: 3 of {ghpm.size} "
+                                          r"nodes have ghpm <= 0, least -0\.5$"):
+        transform_operator(flat, None, lost)
+    op = transform_operator(flat, None, ch)
+    with pytest.raises(ValueError, match=r"chart rectangle SpacetimeGrid\(n=1, extent=\(0\.375,\)"
+                                         r".*, got SpacetimeGrid\(n=1, extent=\(1\.0,\)"):
+        solve_transformed_ibvp(op, None, ch.grid)
 
 
 def test_boundary_traces_flat_2d():

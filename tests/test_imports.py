@@ -108,11 +108,6 @@ PLAIN_RAISES_STILL_OPEN = {
     ("geometry.py", "potential needs n+1 components"),
     ("geometry.py", "forward map needs n+1 components"),
     ("geometry.py", "inverse map needs n+1 components"),
-    # goursat.py: the transformed operator's checks
-    ("goursat.py", "chart was built for a different potential"),
-    ("goursat.py", "chart rectangle overlaps focal nodes; reduce y_depth or j_max"),
-    ("goursat.py", "phase-pair normalization lost positivity on the rectangle"),
-    ("goursat.py", "grid must be the operator's chart rectangle"),
     # solver.py
     ("solver.py", "full samples were not stored for this run"),
 }
@@ -142,4 +137,4 @@ def test_no_new_plain_string_raise():
     assert len(found) == len(set(found))  # a second copy of a listed site is new too
     assert sorted(set(found) - PLAIN_RAISES_STILL_OPEN) == [], "new plain-string raise"
     assert sorted(PLAIN_RAISES_STILL_OPEN - set(found)) == [], "mended: drop it from the list"
-    assert len(PLAIN_RAISES_STILL_OPEN) <= 20
+    assert len(PLAIN_RAISES_STILL_OPEN) <= 16
