@@ -104,7 +104,8 @@ def dn_trace(u: WaveField, metric, A=None) -> DNTrace:
 
     if isinstance(metric, TransformedOperator):
         if grid != metric.grid:
-            raise ValueError("trace grid must be the operator's chart rectangle")
+            raise ValueError(f"trace grid {grid} must be the operator's chart rectangle "
+                             f"{metric.grid}")
         g_n = metric.metric_matrix[..., 0, :, n]
         pot = metric.potential_vector[..., 0, :]
     else:
@@ -153,7 +154,8 @@ def transform_dn(dn: DNTrace, boundary_coeffs: dict, f=None) -> DNTrace:
     if f is not None:
         f = np.asarray(f, dtype=complex)
         if f.shape != dn.values.shape:
-            raise ValueError("datum samples must match the trace shape")
+            raise ValueError(f"datum samples of shape {f.shape} must match the trace shape "
+                             f"{dn.values.shape}")
         dq_n = 0.25 * g1 ** (-0.75) * dg1
         drift = np.zeros_like(dn.values, dtype=float) + dq_n
         steps = dn.grid.steps()

@@ -447,7 +447,7 @@ class MetricField:
             A = [Const(0.0)] * size
         self.A = [_as_expr(a) for a in A]
         if len(self.A) != size:
-            raise ValueError("potential needs n+1 components")
+            raise ValueError(f"potential needs n+1 = {size} components, got {len(self.A)}")
         self._rho = None
         self._grad_g = None
         self._ham_plans = {}
@@ -567,12 +567,13 @@ class Diffeo:
         size = n + 1
         self.forward = [_as_expr(c) for c in forward]
         if len(self.forward) != size:
-            raise ValueError("forward map needs n+1 components")
+            raise ValueError(f"forward map needs n+1 = {size} components, got {len(self.forward)}")
         self.inverse = None
         if inverse is not None:
             self.inverse = [_as_expr(c) for c in inverse]
             if len(self.inverse) != size:
-                raise ValueError("inverse map needs n+1 components")
+                raise ValueError(f"inverse map needs n+1 = {size} components, "
+                                 f"got {len(self.inverse)}")
         self.jacobian = [
             [self.forward[j].diff(f"x{p}") for p in range(size)] for j in range(size)
         ]

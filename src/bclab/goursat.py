@@ -29,12 +29,16 @@ inverted at one launch time, then shifted by whole nodes (_resample_rows).
 
 Every move between a characteristic fan and a tensor grid goes through one
 n-axis 4-point Lagrange stencil, _Stencil, at fractional grid indices; a
-stencil is located once and applied to every array it reads.  Fans move onto
-tensor nodes one depth row at a time: each row is a fold-free image of the
-regular launch lattice, so the launch indices of the ray through every node
-come from Newton on the row's interpolant, warm-started from the row above.
-The phase and the lateral coordinates are affine in those indices; the
-converged row's stencil gives the covector slots.  solve_eikonal does not
+stencil is located once and applied to every array it reads, gathering from
+the array's flat view in place.  Each depth row of a fan is a fold-free image of
+the regular launch lattice, so the launch indices of the ray through every
+tensor node come from Newton on the row's interpolant.  For a time-dependent
+g the rows are solved in turn, each warm-started from the row above; for g
+without x0 the one launch-time row of every fan row is solved in one batch
+from the affine guess.  A node stops once it converges, so its bits do not
+depend on the other nodes of its batch.  The phase and the lateral
+coordinates are affine in those indices; the converged stencil gives the
+covector slots.  solve_eikonal does not
 invert: a field inverts its fan on the grid's window when first read.
 build_chart does not read those fields.  It first places the pull's virtual
 receding rays, launched on the chart's own lattice, on each row of the
@@ -283,9 +287,9 @@ def _coverage(fan: _Fan, grid: SpacetimeGrid) -> tuple:
     inset = 1 if n > 1 else 0
     box = []
     for d in range(n):
-        comp = fan.pos[..., d]
-        lo = float(np.max(np.take(comp, 0, axis=d + 1)))
-        hi = float(np.min(np.take(comp, -1, axis=d + 1)))
+        edge = (slice(None),) * (d + 1)   # the launch slices' views, read in place
+        lo = float(np.max(fan.pos[edge + (0, ..., d)]))
+        hi = float(np.min(fan.pos[edge + (-1, ..., d)]))
         step, org = spacings[d], origins[d]
         i_lo = int(math.ceil((lo - org) / step - 1e-9)) + inset
         i_hi = int(math.floor((hi - org) / step + 1e-9)) - inset
@@ -319,19 +323,23 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
 
     Every fan row is a fold-free image of the regular launch lattice, so
     pos[m](indices) = node has one solution in the lattice.  Newton on the
-    row's Lagrange interpolant finds it, from the affine guess on row 0 (the
-    lattice itself) and from the previous row's solution after that; a step
-    locates one _Stencil, takes its slopes only when the residual check
-    fails and solves in closed form (_solve_small).  The converged stencil
-    gives the row's slots; the launch coordinates are affine in the indices.
-    The tolerance scales with the launch lattice, so a node takes the same
-    steps on any target box that holds it.
+    row's Lagrange interpolant finds it: a step locates one _Stencil, takes
+    its slopes only when the residual check fails and solves in closed form
+    (_solve_small).  A node whose residual is within the tolerance keeps its
+    bits while the others step on.  The tolerance scales with the launch
+    lattice, so a node takes the same steps on any target box that holds it.
+    The converged stencil gives the slots; the launch coordinates are affine
+    in the indices.
 
-    When g has no x0 (fan.rays), Newton solves the target's lateral nodes
-    once, at the lattice's middle launch time; each target time row takes
-    that solution shifted by its whole-node offset, and the solved slots.
-    Every shifted node is checked where it lands, so a target time off the
-    fan's nodes is refused.  Otherwise every node is solved, unshifted.
+    For a time-dependent g every target node is solved on every row, from
+    the affine guess on row 0 (the lattice itself) and warm-started from the
+    previous row's solution after that.  When g has no x0 (fan.rays), the
+    target's lateral nodes are solved at the lattice's middle launch time
+    only, for every fan row in one batch from the affine guess, row m's
+    stencils led by m whole rows of fan.pos.  Each target time row takes that
+    solution shifted by its whole-node offset, and the solved slots.  Every
+    shifted node is checked where it lands, row by row, so a target time off
+    the fan's nodes is refused.
 
     Returns (launch, slots) shaped (*target_counts, nrows, n) and
     (*target_counts, nrows, n+1), the depth row index before the component.
@@ -341,26 +349,24 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
     target = np.stack(np.meshgrid(*target_axes, indexing="ij"), axis=-1)
     tol = 1e-13 * max(1.0, *(abs(float(ax[i])) for ax in fan.axes for i in (0, -1)))
     lattice = fan.pos.shape[1:-1]
+    size = math.prod(lattice)   # nodes per fan row: row m's stencils lead by m * size
     top = np.array(lattice) - 1.0
-    every = fan.rays == slice(None)
-    solve = target if every else np.stack(np.meshgrid(
-        fan.axes[0][len(fan.axes[0]) // 2, None], *target_axes[1:], indexing="ij"), axis=-1)
-    idx = _grid_indices(solve, fan.axes)
-    shift = np.round(_grid_indices(target, fan.axes) - idx)   # whole time nodes, else zero
     nrows, n = fan.pos.shape[0], fan.pos.shape[-1]
     launch = np.empty(target.shape[:-1] + (nrows, n))
     slots = np.empty(target.shape[:-1] + (nrows, n + 1))
-    for row, pos in enumerate(fan.pos):
+
+    def newton(idx, lead, solve):
+        # a node stops once it converges, so its bits do not depend on its batch
         for step in range(_NEWTON_STEPS + 1):
-            stencil = _Stencil(idx, lattice)
-            res = stencil(pos) - solve
+            stencil = _Stencil(idx, lattice, lead)
+            res = stencil(fan.pos) - solve
             norm = np.max(np.abs(res), axis=-1)
-            if np.all(norm <= tol) or step == _NEWTON_STEPS:
-                break
-            idx = idx - _solve_small(stencil.slopes(), res)
-        at = idx + shift
-        if not every:
-            norm = np.max(np.abs(_Stencil(at, lattice)(pos) - target), axis=-1)
+            live = ~(norm <= tol)
+            if not np.any(live) or step == _NEWTON_STEPS:
+                return idx, norm, stencil
+            idx = np.where(live[..., None], idx - _solve_small(stencil.slopes(), res), idx)
+
+    def accept(row, at, norm):
         bad = ~(norm <= tol) | np.any((at < -1e-9) | (at > top + 1e-9), axis=-1)
         if np.any(bad):
             raise ValueError(
@@ -369,7 +375,26 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
                 f"{float(np.max(norm[bad])):.2e}, tolerance {tol:.2e}); increase pad_time/pad_lat"
             )
         launch[..., row, :] = at
-        slots[..., row, :] = stencil(fan.p[row])
+
+    if fan.rays == slice(None):
+        idx = _grid_indices(target, fan.axes)
+        for row in range(nrows):
+            idx, norm, stencil = newton(idx, row * size, target)
+            accept(row, idx, norm)
+            slots[..., row, :] = stencil(fan.p)
+    else:
+        solve = np.stack(np.meshgrid(fan.axes[0][len(fan.axes[0]) // 2, None],
+                                     *target_axes[1:], indexing="ij"), axis=-1)
+        guess = _grid_indices(solve, fan.axes)
+        shift = np.round(_grid_indices(target, fan.axes) - guess)   # whole time nodes
+        rows = np.arange(nrows).reshape((nrows,) + (1,) * (solve.ndim - 1))
+        idx, _, stencil = newton(np.broadcast_to(guess, (nrows,) + guess.shape),
+                                 size * rows, solve)
+        slots[...] = np.moveaxis(stencil(fan.p), 0, -2)
+        for row in range(nrows):
+            at = idx[row] + shift
+            accept(row, at, np.max(np.abs(_Stencil(at, lattice, row * size)(fan.pos) - target),
+                                   axis=-1))
     for d, ax in enumerate(fan.axes):
         launch[..., d] = ax[0] + (ax[1] - ax[0]) * launch[..., d]
     return launch, slots
@@ -543,13 +568,18 @@ class _Stencil:
     on that grid: calling it on F (*shape, k) returns the (..., k) values.
     slopes() then returns their (..., k, d) derivatives along each axis from
     the same gather.  Sum-factorized: one flat gather per stencil node, then
-    one contraction per axis, last axis first.
+    one contraction per axis, last axis first.  The gathers read F's flat
+    view in place (a copy only when F is not C-contiguous) and land
+    components first, so every contraction runs along the points.
+
+    lead (broadcast against the points) is added to every flat base: with F
+    a stack of grids, lead = m * prod(shape) reads grid m.
     """
 
-    def __init__(self, fracs: np.ndarray, shape: tuple):
+    def __init__(self, fracs: np.ndarray, shape: tuple, lead=0):
         ndim = len(shape)
         strides = [int(np.prod(shape[d + 1:])) for d in range(ndim)]
-        self.base, self.ts = 0, []
+        self.base, self.ts = lead, []
         for d in range(ndim):
             i0 = np.clip(np.floor(fracs[..., d]).astype(int), 1, shape[d] - 3)
             self.base = self.base + strides[d] * i0
@@ -559,10 +589,12 @@ class _Stencil:
         self._partial = None
 
     def __call__(self, F: np.ndarray) -> np.ndarray:
-        # components first, so the weights broadcast over the trailing point axes
-        planes = np.moveaxis(F, -1, 0).reshape(F.shape[-1], -1)
+        k = F.shape[-1]
+        flat = F.reshape(-1)
+        # flat index of component c of each point's base node, components first
+        first = k * self.base + np.arange(k).reshape((k,) + (1,) * np.ndim(self.base))
         # partial[j]: the last j axes contracted with value weights
-        partial = [[planes.take(self.base + off, axis=1) for off in self.offsets]]
+        partial = [[flat.take(first + k * off) for off in self.offsets]]
         for w in reversed(self.weights):
             partial.append(_contract(partial[-1], w))
         self._partial = partial
@@ -687,6 +719,39 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     rays = _virtual_rays(_trim_fan(psi_minus._fan, overlap_axes), grid, T1, T2, y_depth)
     fracs = _grid_indices(rays.pos, overlap_axes)
     box = _read_box(fracs, overlap, grid)
+    # the slab's intermediates die with the helper, before the pull
+    slab_fields, y_of_x, jac_det, focal = _slab_fields(psi_plus, psi_minus, box, T1, T2, j_max)
+
+    # ---- pull the coefficient fields onto a chart-space rectangle ----------
+    # shifting by the box's whole-node offset is exact, so every weight is the overlap's
+    y_grid, pulled, row_index = _pull_to_chart(
+        rays, fracs - [b[0] - o[0] for b, o in zip(box, overlap)], slab_fields, grid, T1, T2)
+    x_at_y = np.stack(
+        [pulled[f"x{d}"] for d in range(n)] + [row_index * hz], axis=-1)
+
+    return GoursatChart(
+        y_of_x=y_of_x,
+        jacobian_det=jac_det,
+        focal_mask=focal,
+        d_gauge=pulled["d"],
+        g1=pulled["g1"],
+        y_grid=y_grid,
+        x_at_y=x_at_y,
+        metric=metric,
+        grid=grid,
+        depth_nodes=depth_nodes,
+        _pull=pulled,
+    )
+
+
+def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
+                 T1: float, T2: float, j_max: float):
+    """The chart's slab quantities on the read box: (the fields the pull
+    samples, then y_of_x, the Jacobian determinant and the focal mask on the
+    grid's window).  Both fans are inverted on the box here (_phase_on).
+    Raises FocalRegion where the one-form system is singular."""
+    grid, metric, depth_nodes = psi_plus.grid, psi_plus.metric, psi_plus.depth_nodes
+    n = grid.n
     box_axes = _lattice(grid, box)
     psi_p, grad_p, _ = _phase_on(psi_plus._fan, "+", grid, box_axes)
     psi_m, grad_m, phi_box = _phase_on(psi_minus._fan, "-", grid, box_axes)
@@ -725,7 +790,6 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     window = tuple(slice(-lo, len(ax) - lo) for ax, (lo, _) in zip(grid.face_axes(), box))
     y_of_x = np.stack([c[window] for c in y_comps], axis=-1)
 
-    # ---- pull the coefficient fields onto a chart-space rectangle ----------
     slab_fields = {"s": psi_p, "ghpm": ghpm, "g1": g1_x,
                    "Ap": Ap_x, "Am": Am_x, "focal": focal.astype(float)}
     for j in range(n - 1):
@@ -734,25 +798,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
         for k in range(n - 1):
             slab_fields[f"gh{j}{k}"] = ghjk[j][k]
 
-    # shifting by the box's whole-node offset is exact, so every weight is the overlap's
-    y_grid, pulled, row_index = _pull_to_chart(
-        rays, fracs - [b[0] - o[0] for b, o in zip(box, overlap)], slab_fields, grid, T1, T2)
-    x_at_y = np.stack(
-        [pulled[f"x{d}"] for d in range(n)] + [row_index * hz], axis=-1)
-
-    return GoursatChart(
-        y_of_x=y_of_x,
-        jacobian_det=jac_det[window],
-        focal_mask=focal[window],
-        d_gauge=pulled["d"],
-        g1=pulled["g1"],
-        y_grid=y_grid,
-        x_at_y=x_at_y,
-        metric=metric,
-        grid=grid,
-        depth_nodes=depth_nodes,
-        _pull=pulled,
-    )
+    return slab_fields, y_of_x, jac_det[window], focal[window]
 
 
 def _trim_fan(fan: _Fan, axes: tuple) -> _Fan:

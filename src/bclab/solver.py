@@ -180,7 +180,8 @@ class WaveField:
 
     def slice(self, m: int) -> np.ndarray:
         if self.samples is None:
-            raise ValueError("full samples were not stored for this run")
+            raise ValueError(f"full samples were not stored for this run, so level {m} cannot "
+                             'be read; solve with store="all"')
         return self.samples[m]
 
     def face_trace(self) -> np.ndarray:

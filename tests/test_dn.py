@@ -62,6 +62,14 @@ def test_transform_dn_rejects_datum_of_wrong_shape():
         transform_dn(dn, face_coeffs(), f=np.zeros(dn.values.shape[1:], dtype=complex))
 
 
+def test_transform_dn_datum_refusal_names_both_shapes():
+    dn = trace_2d()
+    face = dn.values.shape
+    with pytest.raises(ValueError, match=rf"datum samples of shape \({face[1]},\) must match the "
+                                         rf"trace shape \({face[0]}, {face[1]}\)$"):
+        transform_dn(dn, face_coeffs(), f=np.zeros(face[1:], dtype=complex))
+
+
 def test_transform_dn_unit_coefficients_keep_the_trace():
     dn = trace_2d()
     out = transform_dn(dn, face_coeffs(), f=np.ones_like(dn.values))

@@ -539,6 +539,15 @@ def test_diffeo_fixes_face_and_spacelike_slices():
     assert not tilted.slices_spacelike(MetricField.minkowski(2), grid)
 
 
+def test_component_count_refusals_name_the_count():
+    with pytest.raises(ValueError, match=r"potential needs n\+1 = 3 components, got 2$"):
+        MetricField(2, MetricField.minkowski(2).g, ["0", "0"])
+    with pytest.raises(ValueError, match=r"forward map needs n\+1 = 2 components, got 3$"):
+        Diffeo(1, ["x0", "x1", "x1"])
+    with pytest.raises(ValueError, match=r"inverse map needs n\+1 = 2 components, got 1$"):
+        Diffeo(1, ["x0", "2*x1"], ["x0"])
+
+
 def _refuses_fold():
     # det dy/dx = cos(4 x0) changes sign at t = pi/8, between the levels 7/32
     # and 7/16 of a five-level sample; the first level past it is t = 51/128

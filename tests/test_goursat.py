@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -720,6 +721,55 @@ def test_lagrange_exact_on_cubics(shape):
     assert np.abs(_row_lagrange(F, r, _lagrange_dweights) - dwant).max() <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(9,), (7, 8)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stencil_reads_a_strided_view_as_its_copy(shape, k):
+    # every other node of a larger grid, components last: the gather must
+    # read the view's values, not its buffer's layout
+    rng = np.random.default_rng(10 * k + len(shape))
+    every_other = (slice(None, None, 2),) * len(shape)
+    view = rng.standard_normal(tuple(2 * s for s in shape) + (k,))[every_other]
+    assert not view.flags.c_contiguous
+    copy = np.ascontiguousarray(view)
+    pts = rng.random((15, len(shape))) * (np.array(shape) - 1.0)
+    stencil = _Stencil(pts, shape)
+    got, got_slopes = stencil(view), stencil.slopes()
+    assert got.shape == (15, k) and got_slopes.shape == (15, k, len(shape))
+    assert got.tobytes() == stencil(copy).tobytes()
+    assert got_slopes.tobytes() == stencil.slopes().tobytes()
+
+
+def test_stencil_gathers_without_copying_its_source():
+    # a few points on a 2 MB node-major grid: the gather reads the nodes in
+    # place, so one call allocates far less than the grid it reads
+    F = np.random.default_rng(0).standard_normal((400, 320, 2))
+    stencil = _Stencil(np.array([[10.5, 20.25], [200.0, 300.75], [398.9, 0.1]]), F.shape[:-1])
+    tracemalloc.start()
+    try:
+        stencil(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < F.nbytes
+
+
+@pytest.mark.parametrize("metric", [VAR_METRIC_2D, TIME_CROSS_2D], ids=["var", "time_cross"])
+def test_inversion_of_one_column_is_the_box_column(metric):
+    # a converged node stops, so its bits do not depend on the other targets
+    # it is solved with: for the x0-free batch of every fan row, and for a
+    # time-dependent g's row-by-row solve alike
+    h = 1 / 16
+    g = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=0.35 * h, t1=0.0, t2=1.4)
+    for side in ("+", "-"):
+        fan = solve_eikonal(metric, side, g, 0.25)._fan
+        cover = _lattice(g, _coverage(fan, g))
+        launch, slots = _resample_rows(fan, cover)
+        for j in (0, len(cover[1]) // 2):
+            col_launch, col_slots = _resample_rows(fan, (cover[0], cover[1][j:j + 1]))
+            assert col_launch.tobytes() == np.ascontiguousarray(launch[:, j:j + 1]).tobytes()
+            assert col_slots.tobytes() == np.ascontiguousarray(slots[:, j:j + 1]).tobytes()
+
+
 def test_chart_pull_refuses_unconverged_depth_lookup():
     g = grid1(1 / 32)
     em = solve_eikonal(MetricField.minkowski(1), "-", g, 0.375)
@@ -1420,6 +1470,17 @@ def test_transformed_operator_refusals_name_the_value_and_its_bound():
     with pytest.raises(ValueError, match=r"chart rectangle SpacetimeGrid\(n=1, extent=\(0\.375,\)"
                                          r".*, got SpacetimeGrid\(n=1, extent=\(1\.0,\)"):
         solve_transformed_ibvp(op, None, ch.grid)
+
+
+def test_chart_trace_refusal_names_both_grids():
+    flat = MetricField.minkowski(1)
+    g, ch = chart_pipeline_1d(flat, 1 / 32, depth=0.375, t2=2.0)
+    op = transform_operator(flat, None, ch)
+    lab = solve_ibvp(flat, None, BoundarySignal(0.2, 0.1), g, store="boundary")
+    with pytest.raises(ValueError, match=r"trace grid SpacetimeGrid\(n=1, extent=\(1\.0,\).* must be "
+                                         r"the operator's chart rectangle SpacetimeGrid\(n=1, "
+                                         r"extent=\(0\.375,\)"):
+        dn_trace(lab, op)
 
 
 def test_boundary_traces_flat_2d():

@@ -89,13 +89,11 @@ def test_stepper_per_step_methods_hold_no_division_and_no_negation():
 # A ratchet: a new plain-literal raise fails the scan, and a site that gains a
 # value must leave this list, so it only shrinks.  Keyed by module and message.
 PLAIN_RAISES_STILL_OPEN = {
-    # dn.py: structural refusals of the trace, the transform and the probe
+    # dn.py: structural refusals of the trace and the probe
     ("dn.py", "the face carries no tangential directions for n = 1; "
               "the face symbol is never elliptic"),
     ("dn.py", "tangential part of the covector vanishes"),
     ("dn.py", "the probe needs the run grid to shape its data"),
-    ("dn.py", "trace grid must be the operator's chart rectangle"),
-    ("dn.py", "datum samples must match the trace shape"),
     # expr.py: parse errors, which carry the line and column as arguments
     ("expr.py", "exponent must be a numeric literal"),
     ("expr.py", "unexpected end of expression"),
@@ -105,11 +103,6 @@ PLAIN_RAISES_STILL_OPEN = {
     ("geometry.py", "direction must be 'forward' or 'backward'"),
     ("geometry.py", "seed mask must cover the spatial grid"),
     ("geometry.py", "seed set must be nonempty"),
-    ("geometry.py", "potential needs n+1 components"),
-    ("geometry.py", "forward map needs n+1 components"),
-    ("geometry.py", "inverse map needs n+1 components"),
-    # solver.py
-    ("solver.py", "full samples were not stored for this run"),
 }
 
 
@@ -137,4 +130,4 @@ def test_no_new_plain_string_raise():
     assert len(found) == len(set(found))  # a second copy of a listed site is new too
     assert sorted(set(found) - PLAIN_RAISES_STILL_OPEN) == [], "new plain-string raise"
     assert sorted(PLAIN_RAISES_STILL_OPEN - set(found)) == [], "mended: drop it from the list"
-    assert len(PLAIN_RAISES_STILL_OPEN) <= 16
+    assert len(PLAIN_RAISES_STILL_OPEN) <= 10

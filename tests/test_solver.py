@@ -1152,6 +1152,14 @@ def test_norms_need_full_samples():
         energy(slim, g.times()[1], MetricField.minkowski(1))
 
 
+def test_missing_samples_refusal_names_the_level_and_the_remedy():
+    g = grid1(1 / 32, t2=0.5)
+    slim = solve_ibvp(MetricField.minkowski(1), None, BoundarySignal(0.2, 0.1), g,
+                      store="boundary")
+    with pytest.raises(ValueError, match=r'level 3 cannot be read; solve with store="all"$'):
+        slim.slice(3)
+
+
 def test_graph_norm_bound_refinement_stable():
     # max_t ||u||_{H1 x L2}^2 <= C |f|_{H1}^2 with C stable under refinement
     m = MetricField.minkowski(1)
