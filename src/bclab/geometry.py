@@ -408,7 +408,7 @@ def _det(matrix):
         d, e, f = matrix[1]
         g, h, i = matrix[2]
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    raise ValueError("determinant implemented for sizes 1..3")
+    raise ValueError(f"determinant implemented for sizes 1..3, got a {size} x {size} matrix")
 
 
 def _solve_small(matrix, rhs):
@@ -798,7 +798,8 @@ def pushforward(metric: MetricField, phi: Diffeo, grid: SpacetimeGrid | None = N
     grid is supplied the Jacobian is checked for singular nodes first.
     """
     if phi.inverse is None:
-        raise ValueError("pushforward needs the diffeo's closed-form inverse")
+        raise ValueError(f"pushforward needs the diffeo's closed-form inverse: its n + 1 = "
+                         f"{phi.n + 1} inverse components, got none")
     if grid is not None:
         phi.check_nonsingular(grid)
     size = metric.n + 1
@@ -994,13 +995,15 @@ def influence_region(
     between those times the mask under-reports the reach.
     """
     if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     sign = 1 if direction == "forward" else -1
     seed_mask = np.asarray(seed_mask, dtype=bool)
     if seed_mask.shape != grid.shape:
-        raise ValueError("seed mask must cover the spatial grid")
+        raise ValueError(f"seed mask must cover the spatial grid: shape {seed_mask.shape}, "
+                         f"grid {grid.shape}")
     if not seed_mask.any():
-        raise ValueError("seed set must be nonempty")
+        raise ValueError(f"seed set must be nonempty: 0 of the {seed_mask.size} spatial nodes "
+                         "are seeded")
     if seed_time is None:
         seed_time = grid.t1 if sign > 0 else grid.t2
     t_seed = float(seed_time)

@@ -27,28 +27,38 @@ when g has no x0 every launch-time slice of a fan is the first shifted in
 time: only that slice is integrated (_distinct_rays), and each fan row is
 inverted at one launch time, then shifted by whole nodes (_resample_rows).
 
+Each fan launches from a face lattice padded to what its rays reach
+(_default_pads): per end of the window, from both families' time drift at
+the face and the chart pull's reach past T2; laterally, from the lateral
+drift.  The pads are coupled across the families, because the pull keeps
+only the receding rays that stay inside both fans' coverage.
+
 Every move between a characteristic fan and a tensor grid goes through one
 n-axis 4-point Lagrange stencil, _Stencil, at fractional grid indices; a
 stencil is located once and applied to every array it reads, gathering from
-the array's flat view in place.  Each depth row of a fan is a fold-free image of
-the regular launch lattice, so the launch indices of the ray through every
-tensor node come from Newton on the row's interpolant.  For a time-dependent
+the array's flat view in place.  Each depth row of a fan is a fold-free
+image of the regular launch lattice, so the launch indices of the ray
+through every tensor node come from Newton on the row's interpolant, to a
+tolerance set by the grid's window, not by the pads.  For a time-dependent
 g the rows are solved in turn, each warm-started from the row above; for g
 without x0 the one launch-time row of every fan row is solved in one batch
 from the affine guess.  A node stops once it converges, so its bits do not
 depend on the other nodes of its batch.  The phase and the lateral
 coordinates are affine in those indices; the converged stencil gives the
-covector slots.  solve_eikonal does not
-invert: a field inverts its fan on the grid's window when first read.
+covector slots.  The results are stored depth row first, so one row of
+them is contiguous.  solve_eikonal does not invert: a field inverts its fan
+on the grid's window when first read.
+
 build_chart does not read those fields.  It first places the pull's virtual
-receding rays, launched on the chart's own lattice, on each row of the
-trimmed receding fan, then inverts both fans on the read box: the
-nodes of the fans' coverage overlap that those rays' stencils, the slab
-differences and the window read, and samples every slab field there once,
-one stencil per fan row for all fields.  Every such box is a tuple of node
-ranges on the grid's face lattice (_coverage).  Along each ray the pull's
-depth lookup and row values use the 1-axis form of the same stencil,
-_row_lagrange, one fractional row per column.
+receding rays, launched on the chart's own lattice up to the slab's reach,
+on each row of the trimmed receding fan, then inverts both fans on the read
+box: the nodes of the fans' coverage overlap that those rays' stencils, the
+slab differences and the window read.  It samples every slab field there
+once, one stencil per fan row for all fields, reading each row in place.
+Every such box is a tuple of node ranges on the grid's face lattice
+(_coverage).  Along each ray the pull's depth lookup and row values use the
+1-axis form of the same stencil, _row_lagrange, one fractional row per
+column.
 """
 
 from __future__ import annotations
@@ -134,7 +144,9 @@ class _Fan:
     """One characteristic family, integrated in depth from a padded face lattice.
 
     rays is the _distinct_rays slice it was integrated on; for slice(0, 1)
-    the lateral pos and all of p are bitwise constant along launch time.
+    the lateral pos and all of p are bitwise constant along launch time.  tol
+    is the inversion's residual tolerance (_resample_rows), scaled by the
+    grid's window, not by the padded lattice.
     """
 
     axes: tuple            # launch coordinate arrays (time, lateral...)
@@ -142,6 +154,7 @@ class _Fan:
     pos: np.ndarray        # (nz+1, *lattice, n) tangential positions
     p: np.ndarray          # (nz+1, *lattice, n+1) covector, depth component last
     rays: slice
+    tol: float
 
 
 def _fan_row(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
@@ -206,17 +219,20 @@ def _distinct_rays(metric: MetricField) -> slice:
     return slice(0, 1) if _time_free(tuple(e for row in metric.g for e in row)) else slice(None)
 
 
-def _slope_bound(metric: MetricField, grid: SpacetimeGrid) -> float:
-    """Largest tangential drift per unit depth of either family at the face,
-    taken on the distinct launch-time slices (_distinct_rays)."""
+def _face_drift(metric: MetricField, grid: SpacetimeGrid) -> dict:
+    """Each family's drift per unit depth at the face, on the distinct
+    launch-time slices (_distinct_rays): side -> (largest forward time drift,
+    largest backward time drift, largest lateral drift), each at least 0."""
     pos = np.stack(np.meshgrid(*grid.face_axes(), indexing="ij"), axis=-1)[_distinct_rays(metric)]
-    worst = 0.0
-    for sign in (1.0, -1.0):
+    drift = {}
+    for side in ("+", "-"):
         ptan = np.zeros(pos.shape)
-        ptan[..., 0] = sign
+        ptan[..., 0] = 1.0 if side == "+" else -1.0
         dpos, _ = _fan_rhs(metric, pos, ptan, 0.0)
-        worst = max(worst, float(np.max(np.abs(dpos))))
-    return worst
+        drift[side] = (max(0.0, float(np.max(dpos[..., 0]))),
+                       max(0.0, -float(np.min(dpos[..., 0]))),
+                       float(np.max(np.abs(dpos[..., 1:]), initial=0.0)))
+    return drift
 
 
 def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
@@ -224,7 +240,9 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
     distinct launch-time slices (_distinct_rays): the stored rows are full, the
     step's increments broadcast over launch times and added elementwise, so
     every slice is bitwise what its own RK4 gives.  Folds are checked on the
-    full rows.  Raises ValueError for fewer than three depth steps."""
+    full rows.  pad_time is one margin for both ends of the window, or a pair
+    (before t1, after t2).  Raises ValueError for fewer than three depth
+    steps."""
     n = grid.n
     dt = grid.dt
     hz = grid.h[-1]
@@ -233,8 +251,8 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
         raise ValueError(f"slab depth {depth:.4f} is {nz} depth steps of h_n = {hz:.4f}; "
                          "need at least 3")
 
-    m_pad = int(math.ceil(pad_time / dt)) + 2
-    axes = [grid.t1 + dt * np.arange(-m_pad, grid.nt + m_pad)]
+    before, after = (int(math.ceil(pad / dt)) + 2 for pad in np.broadcast_to(pad_time, 2))
+    axes = [grid.t1 + dt * np.arange(-before, grid.nt + after)]
     for i in range(1, n):
         h = grid.h[i - 1]
         k_pad = int(math.ceil(pad_lat / h)) + 2
@@ -264,7 +282,8 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
         cur_pos = cur_pos + (hz / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         cur_p = cur_p + (hz / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
 
-    return _Fan(tuple(axes), zs, pos, p, rays)
+    tol = 1e-13 * max(1.0, abs(grid.t1), abs(grid.t2), *grid.extent[:-1])
+    return _Fan(tuple(axes), zs, pos, p, rays, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +344,11 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
     pos[m](indices) = node has one solution in the lattice.  Newton on the
     row's Lagrange interpolant finds it: a step locates one _Stencil, takes
     its slopes only when the residual check fails and solves in closed form
-    (_solve_small).  A node whose residual is within the tolerance keeps its
-    bits while the others step on.  The tolerance scales with the launch
-    lattice, so a node takes the same steps on any target box that holds it.
-    The converged stencil gives the slots; the launch coordinates are affine
-    in the indices.
+    (_solve_small).  A node whose residual is within the fan's tolerance
+    keeps its bits while the others step on.  The tolerance scales with the
+    grid's window, so a node takes the same steps on any target box that
+    holds it and on any padded lattice.  The converged stencil gives the
+    slots; the launch coordinates are affine in the indices.
 
     For a time-dependent g every target node is solved on every row, from
     the affine guess on row 0 (the lattice itself) and warm-started from the
@@ -342,18 +361,19 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
     the fan's nodes is refused.
 
     Returns (launch, slots) shaped (*target_counts, nrows, n) and
-    (*target_counts, nrows, n+1), the depth row index before the component.
+    (*target_counts, nrows, n+1), the depth row index before the component:
+    views of arrays stored depth row first, so each depth row is C-contiguous.
     Raises ValueError naming the row when a node does not converge or lands
     off the lattice.
     """
     target = np.stack(np.meshgrid(*target_axes, indexing="ij"), axis=-1)
-    tol = 1e-13 * max(1.0, *(abs(float(ax[i])) for ax in fan.axes for i in (0, -1)))
+    tol = fan.tol
     lattice = fan.pos.shape[1:-1]
     size = math.prod(lattice)   # nodes per fan row: row m's stencils lead by m * size
     top = np.array(lattice) - 1.0
     nrows, n = fan.pos.shape[0], fan.pos.shape[-1]
-    launch = np.empty(target.shape[:-1] + (nrows, n))
-    slots = np.empty(target.shape[:-1] + (nrows, n + 1))
+    launch = np.empty((nrows,) + target.shape[:-1] + (n,))
+    slots = np.empty((nrows,) + target.shape[:-1] + (n + 1,))
 
     def newton(idx, lead, solve):
         # a node stops once it converges, so its bits do not depend on its batch
@@ -374,14 +394,14 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
                 f"nodes do not invert inside the launch lattice (worst residual "
                 f"{float(np.max(norm[bad])):.2e}, tolerance {tol:.2e}); increase pad_time/pad_lat"
             )
-        launch[..., row, :] = at
+        launch[row] = at
 
     if fan.rays == slice(None):
         idx = _grid_indices(target, fan.axes)
         for row in range(nrows):
             idx, norm, stencil = newton(idx, row * size, target)
             accept(row, idx, norm)
-            slots[..., row, :] = stencil(fan.p)
+            slots[row] = stencil(fan.p)
     else:
         solve = np.stack(np.meshgrid(fan.axes[0][len(fan.axes[0]) // 2, None],
                                      *target_axes[1:], indexing="ij"), axis=-1)
@@ -390,14 +410,14 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
         rows = np.arange(nrows).reshape((nrows,) + (1,) * (solve.ndim - 1))
         idx, _, stencil = newton(np.broadcast_to(guess, (nrows,) + guess.shape),
                                  size * rows, solve)
-        slots[...] = np.moveaxis(stencil(fan.p), 0, -2)
+        slots[...] = stencil(fan.p)   # one time row, broadcast over the target's
         for row in range(nrows):
             at = idx[row] + shift
             accept(row, at, np.max(np.abs(_Stencil(at, lattice, row * size)(fan.pos) - target),
                                    axis=-1))
     for d, ax in enumerate(fan.axes):
         launch[..., d] = ax[0] + (ax[1] - ax[0]) * launch[..., d]
-    return launch, slots
+    return np.moveaxis(launch, 0, -2), np.moveaxis(slots, 0, -2)
 
 
 def _phase_on(fan: _Fan, side: str, grid: SpacetimeGrid, target_axes: tuple):
@@ -474,9 +494,13 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
 
     side '+' seeds the phase advancing with time, '-' the receding one.  The
     phase is frozen along each characteristic; rays launch from a padded face
-    lattice.  Nothing is inverted here: the first read of the field's psi,
-    grad or _phi inverts every depth row of the fan for the launch point of
-    the ray through each node of the grid's window (see the module notes).
+    lattice.  By default its margins (_default_pads) are sized per end and
+    per axis to the two families' drift and to the chart pull's reach;
+    pad_time (both ends of the window) and pad_lat (both ends of every
+    lateral axis) override them.  Nothing is inverted here: the first read
+    of the field's psi, grad or _phi inverts every depth row of the fan for
+    the launch point of the ray through each node of the grid's window (see
+    the module notes).
     The phase is the launch time shifted to the window; a '-' field also has
     the launch lateral coordinates, which solve_transport_phi returns.  When
     g has no x0 the fan integrates one launch-time slice (_integrate_fan),
@@ -491,7 +515,7 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
     if not 0.0 < depth:
         raise ValueError(f"depth must be positive, got {depth!r}")
     if pad_time is None or pad_lat is None:
-        default_time, default_lat = _default_pads(grid, depth, _slope_bound(metric, grid))
+        default_time, default_lat = _default_pads(grid, depth, _face_drift(metric, grid), side)
         pad_time = default_time if pad_time is None else pad_time
         pad_lat = default_lat if pad_lat is None else pad_lat
 
@@ -500,10 +524,25 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
     return EikonalField(side, grid, fan.depth_nodes, metric, fan)
 
 
-def _default_pads(grid: SpacetimeGrid, depth: float, slope: float) -> tuple:
-    """(pad_time, pad_lat) launch margins for a fan reaching the given depth."""
-    drift = 1.6 * depth * slope
-    return drift + 0.5 * (grid.t2 - grid.t1) + 4.0 * grid.dt, drift + 4.0 * max(grid.h)
+def _default_pads(grid: SpacetimeGrid, depth: float, drift: dict, side: str) -> tuple:
+    """((before t1, after t2), lateral) launch margins of the side's fan for
+    the given depth.  Each drift is a _face_drift rate times 1.6 * depth; the
+    margins add 4 dt in time and 4 h laterally.
+
+    The margins are coupled across the families.  _trim_fan keeps only the
+    receding rays that stay inside both fans' coverage overlap, and the pull
+    launches them from T1 to its reach past T2 (_depth_steps, at the '+'
+    forward plus the '-' backward drift).  So every fan covers the times from
+    T1 less the '-' backward drift to the reach plus the '-' forward drift,
+    and the lateral span widened by the '-' lateral drift; each end is
+    widened again by the fan's own drift into the window.
+    """
+    fwd, bwd, lat = (1.6 * depth * rate for rate in drift[side])
+    fwd_m, bwd_m, lat_m = (1.6 * depth * rate for rate in drift["-"])
+    dz = 3.0 * _chart_steps(grid)[0]
+    reach = dz * _depth_steps(grid.t2 - grid.t1, dz, None, 1.6 * depth * drift["+"][0] + bwd_m)
+    margin = 4.0 * grid.dt
+    return (fwd + bwd_m + margin, bwd + fwd_m + reach + margin), lat + lat_m + 4.0 * max(grid.h)
 
 
 def solve_transport_phi(metric: MetricField, psi_minus: EikonalField,
@@ -680,11 +719,15 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     lattice on that box raises ValueError.  The refusals below, and the
     focal mask, cover only those nodes.
 
-    y_depth caps the chart depth; the default takes what the fan coverage
-    supports.  Nodes where the Jacobian leaves [1/j_max, j_max], or where the
-    phase-pair normalization loses positivity, are flagged in focal_mask.
-    Raises FocalRegion where the one-form system for the hatted potentials is
-    singular at a node of the read box.
+    y_depth caps the chart depth; the default takes what the slab reaches.
+    The virtual rays launch only as far past T2 as the two fans' time drifts
+    let the chart reach (_virtual_rays), and a chart that reaches every
+    launch while the slab may reach deeper raises ValueError (increase
+    pad_time) instead of coming out shallower.  Nodes where the Jacobian
+    leaves [1/j_max, j_max], or where the phase-pair normalization loses
+    positivity, are flagged in focal_mask.  Raises FocalRegion where the
+    one-form system for the hatted potentials is singular at a node of the
+    read box.
     """
     if psi_plus.side != "+" or psi_minus.side != "-":
         raise ValueError("build_chart expects ('+', '-') phase fields in that order, got "
@@ -716,7 +759,11 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     overlap_axes = _lattice(grid, overlap)
 
     # the pull's virtual rays, and the box of overlap nodes they and the window read
-    rays = _virtual_rays(_trim_fan(psi_minus._fan, overlap_axes), grid, T1, T2, y_depth)
+    minus, plus = _trim_fan(psi_minus._fan, overlap_axes), psi_plus._fan
+    # the most the advancing phase falls along a virtual ray (_virtual_rays)
+    drop = float(np.max(minus.pos[0, ..., 0] - minus.pos[-1, ..., 0])
+                 + np.max(plus.pos[-1, ..., 0] - plus.pos[0, ..., 0]))
+    rays = _virtual_rays(minus, grid, T1, T2, y_depth, drop)
     fracs = _grid_indices(rays.pos, overlap_axes)
     box = _read_box(fracs, overlap, grid)
     # the slab's intermediates die with the helper, before the pull
@@ -749,16 +796,33 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
     """The chart's slab quantities on the read box: (the fields the pull
     samples, then y_of_x, the Jacobian determinant and the focal mask on the
     grid's window).  Both fans are inverted on the box here (_phase_on).
-    Raises FocalRegion where the one-form system is singular."""
+    Every quantity is formed depth row first, (rows, *box), as _resample_rows
+    stores them, so each depth row is C-contiguous; the fields leave as
+    (*box, rows) views, and the pull's stencils read a row in place.  Raises
+    FocalRegion where the one-form system is singular."""
     grid, metric, depth_nodes = psi_plus.grid, psi_plus.metric, psi_plus.depth_nodes
     n = grid.n
     box_axes = _lattice(grid, box)
+
+    def rows_first(a):   # (*box, rows, ...) -> (rows, *box, ...), a view
+        return np.moveaxis(a, n, 0)
+
+    def rows_last(a):
+        return np.moveaxis(a, 0, n)
+
     psi_p, grad_p, _ = _phase_on(psi_plus._fan, "+", grid, box_axes)
     psi_m, grad_m, phi_box = _phase_on(psi_minus._fan, "-", grid, box_axes)
+    psi_p, grad_p, psi_m, grad_m = map(rows_first, (psi_p, grad_p, psi_m, grad_m))
+    phi_box = [rows_first(p) for p in phi_box]
 
-    dphi = [np.stack(np.gradient(p, *grid.steps(), edge_order=2), axis=-1) for p in phi_box]
+    steps = grid.steps()
+    dphi = []
+    for p in phi_box:
+        parts = np.gradient(p, steps[-1], *steps[:-1], edge_order=2)
+        dphi.append(np.stack(parts[1:] + parts[:1], axis=-1))
 
-    env = _slab_env(*box_axes, depth_nodes)
+    mesh = np.meshgrid(depth_nodes, *box_axes, indexing="ij")
+    env = {f"x{i}": m for i, m in enumerate(mesh[1:] + mesh[:1])}
     slab_shape = psi_p.shape
     g = metric.eval_g(env, slab_shape)
 
@@ -782,13 +846,14 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
     A_x = metric.eval_A(env, slab_shape)
     det_m = _det(M)
     if not np.all(det_m):
-        where = np.unravel_index(int(np.argmin(np.abs(det_m))), slab_shape)
+        det_m = rows_last(det_m)
+        where = np.unravel_index(int(np.argmin(np.abs(det_m))), det_m.shape)
         node = tuple(float(ax[k]) for ax, k in zip(box_axes + (depth_nodes,), where))
         raise FocalRegion(f"one-form system singular at slab node {node}: det {det_m[where]:.3g}")
     Ap_x, Am_x, *Aj_x = _solve_small(M, [A_x[..., i] for i in range(n + 1)])
 
     window = tuple(slice(-lo, len(ax) - lo) for ax, (lo, _) in zip(grid.face_axes(), box))
-    y_of_x = np.stack([c[window] for c in y_comps], axis=-1)
+    y_of_x = np.stack([rows_last(c)[window] for c in y_comps], axis=-1)
 
     slab_fields = {"s": psi_p, "ghpm": ghpm, "g1": g1_x,
                    "Ap": Ap_x, "Am": Am_x, "focal": focal.astype(float)}
@@ -798,7 +863,8 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
         for k in range(n - 1):
             slab_fields[f"gh{j}{k}"] = ghjk[j][k]
 
-    return slab_fields, y_of_x, jac_det[window], focal[window]
+    return ({name: rows_last(f) for name, f in slab_fields.items()}, y_of_x,
+            rows_last(jac_det)[window], rows_last(focal)[window])
 
 
 def _trim_fan(fan: _Fan, axes: tuple) -> _Fan:
@@ -819,7 +885,7 @@ def _trim_fan(fan: _Fan, axes: tuple) -> _Fan:
         slices.append(slice(idx[0], idx[-1] + 1))
     take = (slice(None),) + tuple(slices)
     return _Fan(tuple(ax[s] for ax, s in zip(fan.axes, slices)), fan.depth_nodes,
-                fan.pos[take], fan.p[take], fan.rays)
+                fan.pos[take], fan.p[take], fan.rays, fan.tol)
 
 
 def _read_box(fracs: np.ndarray, overlap: tuple, grid: SpacetimeGrid) -> tuple:
@@ -856,28 +922,52 @@ class _Rays:
     pos: np.ndarray        # (nrows, launches, *lateral, n) tangential positions
     dty: float             # the chart's time step
     nt_y: int              # the chart's time levels
-    nq_cap: int            # chart depth steps the launches support
+    nq_cap: int            # chart depth steps the pull tries first
+    short: bool            # the launches end before the depth the chart may reach
 
 
-def _virtual_rays(fan: _Fan, grid: SpacetimeGrid, T1: float, T2: float, y_depth) -> _Rays:
+def _chart_steps(grid: SpacetimeGrid) -> tuple:
+    """(dty, nt_y): the chart's time step and levels.  The step divides the
+    window into the fewest steps that keep it within a third of the finest
+    lateral spacing (the depth spacing for n = 1); the chart's depth step is
+    three times it."""
+    window = grid.t2 - grid.t1
+    href = min(grid.h[:-1]) if grid.n > 1 else grid.h[-1]
+    steps = int(math.ceil(window / (href / 3.0)))
+    return window / steps, steps + 1
+
+
+def _depth_steps(window: float, dz: float, y_depth, drop) -> int:
+    """Chart depth steps of dz the pull may try: within y_depth and half the
+    window, and, for a drop, at most one past drop / (2 dz), the deepest a
+    virtual ray along which the advancing phase falls by drop can reach
+    (_virtual_rays)."""
+    cap = 0.5 * window if y_depth is None else min(float(y_depth), 0.5 * window)
+    steps = int(math.floor(cap / dz + 1e-9))
+    return steps if drop is None else min(steps, int(math.floor(drop / (2.0 * dz))) + 1)
+
+
+def _virtual_rays(fan: _Fan, grid: SpacetimeGrid, T1: float, T2: float, y_depth,
+                  drop=None) -> _Rays:
     """Stage one of the chart pull: rays launched on the chart's own time
-    lattice and the grid's lateral nodes, placed on each row of the trimmed
-    receding fan by one _Stencil located once for all rows.
+    lattice (_chart_steps) and the grid's lateral nodes, placed on each row of
+    the trimmed receding fan by one _Stencil located once for all rows.
 
-    The chart's time step divides the window into the fewest steps that keep
-    it within a third of the finest lateral spacing (the depth spacing for
-    n = 1), and its depth step is three times that.  The launches run on
-    past T2 as far as the chart depth needs, capped by y_depth and half the
-    window.  Raises ValueError when the fan's launches miss the window or
-    support fewer than four chart depth steps.
+    The launches run on past T2 as far as the chart depth can reach: capped
+    by y_depth and half the window and, given drop, by the slab's reach.  On
+    row 0 the advancing phase along the ray launched at xi is xi - T1; on the
+    last row it is lower by that receding ray's backward time drift plus the
+    forward drift of the advancing ray through its end, at most drop (both
+    fans' largest drifts).  The pull's depth test at nq steps of dz needs a
+    fall of 2 nq dz, so it cannot pass past drop / (2 dz) (_depth_steps).
+    Raises ValueError when the fan's launches miss the window or support
+    fewer than four chart depth steps.  The rays are marked short when the
+    launches end before the depth the chart may reach, which the pull then
+    refuses if its chart reaches them all.
     """
     n = grid.n
-    window = T2 - T1
-    href = min(grid.h[:-1]) if n > 1 else grid.h[-1]
-    steps = int(math.ceil(window / (href / 3.0)))
-    dty = window / steps
+    dty, nt_y = _chart_steps(grid)
     dz = 3.0 * dty
-    nt_y = steps + 1
 
     if fan.axes[0][0] > T1 + 1e-12:
         raise ValueError(f"trimmed fan launches from t = {fan.axes[0][0]:.4f}, after the "
@@ -889,20 +979,20 @@ def _virtual_rays(fan: _Fan, grid: SpacetimeGrid, T1: float, T2: float, y_depth)
                              f"x{i}, the chart needs [{need[0]:.4f}, {need[1]:.4f}]; "
                              "increase pad_lat")
 
-    cap = 0.5 * window if y_depth is None else min(float(y_depth), 0.5 * window)
-    nq_cap = int(math.floor(cap / dz + 1e-9))
-    xi_hi = min(T2 + nq_cap * dz, fan.axes[0][-1])
-    n_star = int(math.floor((xi_hi - T1) / dty + 1e-9)) + 1
-    nq_cap = min(nq_cap, (n_star - nt_y) // 3)
-    if nq_cap < 4:
+    nq_cap = _depth_steps(T2 - T1, dz, y_depth, None)
+    launched = (int(math.floor((fan.axes[0][-1] - T1) / dty + 1e-9)) + 1 - nt_y) // 3
+    if min(nq_cap, launched) < 4:
         raise ValueError(f"fan launch coverage too narrow for the chart: launches end at "
-                         f"t = {fan.axes[0][-1]:.4f}, {nq_cap} chart depth steps of {dz:.4f} "
-                         f"past T2 = {T2:.4f}, need 4; increase pad_time")
-    xi_star = T1 + dty * np.arange(n_star)
+                         f"t = {fan.axes[0][-1]:.4f}, {min(nq_cap, launched)} chart depth steps "
+                         f"of {dz:.4f} past T2 = {T2:.4f}, need 4; increase pad_time")
+    reach = _depth_steps(T2 - T1, dz, y_depth, drop)
+    nq_cap = min(reach, launched)
+    xi_star = T1 + dty * np.arange(nt_y + 3 * nq_cap)
 
     nodes = np.stack(np.meshgrid(xi_star, *grid.face_axes()[1:], indexing="ij"), axis=-1)
     launches = _Stencil(_grid_indices(nodes, fan.axes), fan.pos.shape[1:-1])
-    return _Rays(np.stack([launches(row) for row in fan.pos]), dty, nt_y, nq_cap)
+    return _Rays(np.stack([launches(row) for row in fan.pos]), dty, nt_y, nq_cap,
+                 launched < reach)
 
 
 def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: SpacetimeGrid,
@@ -911,16 +1001,19 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
 
     Stage one samples every slab field (*box, depth rows) at the rays'
     points, fracs (nrows, launches, *lateral, n) fractional indices on the
-    box: one _Stencil per fan row, located once for all fields.  The rays'
-    positions become the x{d} rows.  slab_fields must hold the advancing
+    box: one _Stencil per fan row, located once for all fields.  A field
+    stored depth row first, as _slab_fields' are, is read in place.  The
+    rays' positions become the x{d} rows.  slab_fields must hold the advancing
     phase "s" and the outgoing hatted potential "Ap"; "Ap" leaves as the
     gauge phase "d" = -int Ap ds, zero on the face and integrated along each
     virtual ray, where (tau, y') are frozen.  Stage two inverts the advancing
     phase along each virtual ray (two Newton steps on the 4-point row
     interpolant from a linear bracket) to land on the requested chart depth
     nodes, and raises ValueError when a node still misses its phase value by
-    more than 1e-9 * dty.  Returns (y_grid, pulled fields, fractional row
-    index).
+    more than 1e-9 * dty.  When the rays are short (_virtual_rays) and the
+    chart reaches all the depth steps their launches support, it raises
+    ValueError rather than return a chart that more launches might deepen.
+    Returns (y_grid, pulled fields, fractional row index).
     """
     n = grid.n
     dty, nt_y, dz = rays.dty, rays.nt_y, 3.0 * rays.dty
@@ -948,6 +1041,10 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
     if nq < 4:
         raise ValueError(f"chart depth coverage too shallow: the rays reach {nq} chart depth "
                          f"steps of {dz:.4f}, need 4; deepen the slab")
+    if rays.short and nq == rays.nq_cap:
+        raise ValueError(f"chart pull: the rays reach all {nq} chart depth steps of {dz:.4f} "
+                         f"that the launches support, and the slab may reach deeper; "
+                         "increase pad_time")
 
     i_grid, q_grid = np.meshgrid(np.arange(nt_y), np.arange(nq + 1), indexing="ij")
     cols = (i_grid + 3 * q_grid).ravel()
@@ -1219,8 +1316,9 @@ def find_chart_depth(metric: MetricField, grid: SpacetimeGrid, cap: float) -> fl
     """Largest slab depth (multiple of the depth spacing) both families reach.
 
     Bisects on the crossing error.  Each probe only integrates the two fans
-    with solve_eikonal's default pads and checks folds, radicands and
-    coverage; nothing is resampled.  Those are the checks where
+    with solve_eikonal's default pads at the probed depth (_default_pads,
+    per family and per end) and checks folds, radicands and coverage;
+    nothing is resampled.  Those are the checks where
     solve_eikonal refuses a fold, so both agree on the depth.  The positivity
     of the phase-pair normalization is enforced later by the chart's focal
     mask.
@@ -1231,11 +1329,11 @@ def find_chart_depth(metric: MetricField, grid: SpacetimeGrid, cap: float) -> fl
         raise ValueError(f"cap {cap:.4f} allows {nz_cap} depth steps of h_n = {hz:.4f}; "
                          f"need at least 3 * h_n = {3 * hz:.4f}")
 
-    slope = _slope_bound(metric, grid)
+    drift = _face_drift(metric, grid)
 
     def crossing(nz: int):  # (side, refusal) of the first family that crosses, or None
-        pads = _default_pads(grid, nz * hz, slope)
         for side in ("+", "-"):
+            pads = _default_pads(grid, nz * hz, drift, side)
             try:
                 _coverage(_integrate_fan(metric, side, grid, nz * hz, *pads), grid)
             except CharacteristicCrossing as err:

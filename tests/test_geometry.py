@@ -18,6 +18,7 @@ from bclab.geometry import (
     SingularJacobian,
     SpacetimeGrid,
     _cone,
+    _det,
     _eval_table,
     _Plan,
     apply_conjugation_gauge,
@@ -546,6 +547,22 @@ def test_component_count_refusals_name_the_count():
         Diffeo(1, ["x0", "x1", "x1"])
     with pytest.raises(ValueError, match=r"inverse map needs n\+1 = 2 components, got 1$"):
         Diffeo(1, ["x0", "2*x1"], ["x0"])
+
+
+def test_matrix_diffeo_and_seed_refusals_name_the_value_and_its_bound():
+    with pytest.raises(ValueError, match=r"sizes 1\.\.3, got a 4 x 4 matrix$"):
+        _det(np.eye(4))
+    with pytest.raises(ValueError, match=r"closed-form inverse: its n \+ 1 = 2 inverse "
+                                         r"components, got none$"):
+        pushforward(MetricField.minkowski(1), Diffeo(1, ["x0", "2*x1"]))
+    grid = _grid1(h=1 / 16)
+    seed = np.zeros(grid.shape, dtype=bool)
+    with pytest.raises(ValueError, match=r"'forward' or 'backward', got 'sideways'$"):
+        influence_region(grid, MetricField.minkowski(1), seed, "sideways")
+    with pytest.raises(ValueError, match=r"cover the spatial grid: shape \(5,\), grid \(17,\)$"):
+        influence_region(grid, MetricField.minkowski(1), seed[:5], "forward")
+    with pytest.raises(ValueError, match=r"nonempty: 0 of the 17 spatial nodes are seeded$"):
+        influence_region(grid, MetricField.minkowski(1), seed, "forward")
 
 
 def _refuses_fold():

@@ -29,6 +29,7 @@ from bclab.geometry import (
     MetricField, NonHyperbolic, SpacetimeGrid, _det, _eval_table, _Plan, trace_bicharacteristic)
 from bclab.goursat import (
     CharacteristicCrossing,
+    EikonalField,
     FocalRegion,
     GoursatChart,
     _coverage,
@@ -537,7 +538,7 @@ def test_time_free_fan_matches_the_whole_lattice_bitwise(metric, grid, depth):
     timed = with_time_read(metric)
     assert goursat._distinct_rays(metric) == slice(0, 1)
     assert goursat._distinct_rays(timed) == slice(None)
-    assert goursat._slope_bound(metric, grid) == goursat._slope_bound(timed, grid)
+    assert goursat._face_drift(metric, grid) == goursat._face_drift(timed, grid)
     for side in ("+", "-"):
         free, full = (solve_eikonal(m, side, grid, depth) for m in (metric, timed))
         assert free._fan.pos.tobytes() == full._fan.pos.tobytes()
@@ -626,7 +627,7 @@ def test_time_free_fold_check_matches_the_full_jacobian(monkeypatch, metric, gri
     check, det, rows, dets = goursat._check_fold, goursat._det, [], []
     monkeypatch.setattr(goursat, "_check_fold", lambda *row: rows.append(row))
     for side in ("+", "-"):
-        pads = goursat._default_pads(grid, depth, goursat._slope_bound(metric, grid))
+        pads = goursat._default_pads(grid, depth, goursat._face_drift(metric, grid), side)
         _integrate_fan(metric, side, grid, depth, *pads)
     monkeypatch.setattr(goursat, "_det", lambda m: dets.append(1) or det(m))
 
@@ -1103,6 +1104,87 @@ def test_pad_too_small_raises():
     g = grid1(1 / 24, extent=0.25, t2=1.0)
     with pytest.raises(ValueError, match="pad_time"):
         solve_eikonal(MetricField.minkowski(1), "+", g, 0.25, pad_time=0.01)
+
+
+# the bench's chart grid and depth
+BENCH_CHART_GRID = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 20, 1 / 20), dt=0.35 / 20,
+                                 t1=0.0, t2=1.4)
+
+
+def chart_stages(metric, grid, depth):
+    ep, em = (solve_eikonal(metric, side, grid, depth) for side in "+-")
+    chart = build_chart(ep, em, solve_transport_phi(metric, em, grid), grid.t1, grid.t2)
+    return ep, em, chart, transform_operator(metric, None, chart)
+
+
+@pytest.mark.parametrize("metric", [VAR_METRIC_2D, TIME_CROSS_2D], ids=["var", "time_cross"])
+def test_fan_lattices_fit_the_drift_and_the_reach(metric):
+    # the rays drift about 0.3 in time and under a fifth of a node laterally:
+    # each fan's lattice is padded to that and to the pull's reach, not to half
+    # the window and the time slope on every side, and the chart keeps its shape
+    ep, em, chart, _ = chart_stages(metric, BENCH_CHART_GRID, 0.3)
+    for fan in (ep._fan, em._fan):
+        assert fan.pos.shape[1] < 235 and fan.pos.shape[2] < 55
+    assert chart.y_grid.shape == (21, 6) and chart.y_grid.nt == 85
+
+
+@pytest.mark.parametrize("metric, grid, depth, t2", [
+    pytest.param(VAR_METRIC_2D, BENCH_CHART_GRID, 0.3, 1.4, id="var"),
+    pytest.param(TIME_CROSS_2D, BENCH_CHART_GRID, 0.3, 1.4, id="time_cross"),
+    pytest.param(VAR_METRIC_1D, grid1(1 / 32), 0.375, 2.0, id="var_1d"),
+])
+def test_reach_cap_leaves_the_chart_bitwise_equal(monkeypatch, metric, grid, depth, t2):
+    # the pull's launches stop at the slab's reach, one step past drop / (2 dz);
+    # launched on to where the fan ends, as the half-window cap did, the rays
+    # past the reach change no chart output
+    ep, em = (solve_eikonal(metric, side, grid, depth) for side in "+-")
+    phi = solve_transport_phi(metric, em, grid)
+    virtual, launches = goursat._virtual_rays, []
+
+    def spy(fan, grid, T1, T2, y_depth, drop=None):   # the second chart: no reach cap
+        rays = virtual(fan, grid, T1, T2, y_depth, None if launches else drop)
+        launches.append(rays.pos.shape[1])
+        return rays
+
+    monkeypatch.setattr(goursat, "_virtual_rays", spy)
+    capped, uncapped = (build_chart(ep, em, phi, 0.0, t2) for _ in range(2))
+    assert launches[0] < launches[1]
+    for name in ("x_at_y", "g1", "d_gauge", "y_of_x", "jacobian_det", "focal_mask"):
+        assert getattr(capped, name).tobytes() == getattr(uncapped, name).tobytes(), name
+    for name, value in capped._pull.items():
+        assert value.tobytes() == uncapped._pull[name].tobytes(), name
+
+
+def test_chart_refuses_launches_that_end_before_its_reach():
+    # flat 1D: the advancing phase falls by 0.75 along every receding ray, so
+    # the chart reaches 12 depth steps of 1/32; launches that end 8 steps past
+    # T2 are refused instead of giving a shallower chart
+    flat, g = MetricField.minkowski(1), grid1(1 / 32)
+    ep, em = (EikonalField(side, g, fan.depth_nodes, flat, fan) for side, fan in (
+        ("+", _integrate_fan(flat, "+", g, 0.375, (0.8, 0.5), 0.0)),
+        ("-", _integrate_fan(flat, "-", g, 0.375, (0.4, 0.625), 0.0))))
+    with pytest.raises(ValueError, match=r"the rays reach all 8 chart depth steps of 0\.0312 "
+                                         r"that the launches support, and the slab may reach "
+                                         r"deeper; increase pad_time"):
+        build_chart(ep, em, [], 0.0, 2.0)
+    assert build_chart(*(solve_eikonal(flat, side, g, 0.375) for side in "+-"), [],
+                       0.0, 2.0).y_grid.shape == (13,)
+
+
+def test_chart_stages_peak_memory_on_a_time_dependent_metric():
+    # the paper's case: every launch slice integrated, every target inverted.
+    # With lattices padded to the reach the chart stages peak near 15 MB under
+    # tracemalloc on the bench grid; padded to half the window on every side
+    # they peaked at 20 MB
+    chart_stages(TIME_CROSS_2D, BENCH_CHART_GRID, 0.3)   # warm: lazy imports, plans
+    gc.collect()
+    tracemalloc.start()
+    try:
+        chart_stages(TIME_CROSS_2D, BENCH_CHART_GRID, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_waveguide_fold_raises():

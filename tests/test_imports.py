@@ -97,12 +97,6 @@ PLAIN_RAISES_STILL_OPEN = {
     # expr.py: parse errors, which carry the line and column as arguments
     ("expr.py", "exponent must be a numeric literal"),
     ("expr.py", "unexpected end of expression"),
-    # geometry.py: matrix sizes, diffeo maps and influence_region's inputs
-    ("geometry.py", "determinant implemented for sizes 1..3"),
-    ("geometry.py", "pushforward needs the diffeo's closed-form inverse"),
-    ("geometry.py", "direction must be 'forward' or 'backward'"),
-    ("geometry.py", "seed mask must cover the spatial grid"),
-    ("geometry.py", "seed set must be nonempty"),
 }
 
 
@@ -130,4 +124,4 @@ def test_no_new_plain_string_raise():
     assert len(found) == len(set(found))  # a second copy of a listed site is new too
     assert sorted(set(found) - PLAIN_RAISES_STILL_OPEN) == [], "new plain-string raise"
     assert sorted(PLAIN_RAISES_STILL_OPEN - set(found)) == [], "mended: drop it from the list"
-    assert len(PLAIN_RAISES_STILL_OPEN) <= 10
+    assert len(PLAIN_RAISES_STILL_OPEN) <= 5
