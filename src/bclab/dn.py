@@ -210,12 +210,14 @@ def probe_symbol(pipeline, boundary_point, covector, k_list, *,
     n = len(covector)
     if n < 2:
         raise NotElliptic(
-            "the face carries no tangential directions for n = 1; "
-            "the face symbol is never elliptic")
+            f"covector {covector} has no tangential part: the face carries no tangential "
+            "directions for n = 1, so the face symbol is never elliptic; probe a face of "
+            "a grid with n >= 2")
     etap = np.asarray(covector[1:], dtype=float)
     scale = float(np.sqrt(etap @ etap))
     if scale == 0.0:
-        raise NotElliptic("tangential part of the covector vanishes")
+        raise NotElliptic(f"tangential part of the covector {covector} vanishes, so it "
+                          "gives no probe direction; give a nonzero lateral component")
     base = tuple(c / scale for c in covector)
     probes = [(base[0] + m * delta,) + base[1:] for m in (-1, 0, 1)]
     if boundary_coeffs is not None:
@@ -227,7 +229,8 @@ def probe_symbol(pipeline, boundary_point, covector, k_list, *,
                     f"discriminant {q_val:.4f}; need < -{ellipticity_margin}")
 
     if grid is None:
-        raise ValueError("the probe needs the run grid to shape its data")
+        raise ValueError(f"the probe needs the run grid to shape its data, got grid={grid}; "
+                         "pass grid=, the grid that pipeline solves on")
     if len(covector) != grid.n or len(boundary_point) != grid.n:
         raise ValueError(
             f"covector has {len(covector)} and boundary point {len(boundary_point)} "

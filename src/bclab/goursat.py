@@ -26,6 +26,10 @@ work is scheduled.  Every RK4 stage reads a ray's time only through g, so
 when g has no x0 every launch-time slice of a fan is the first shifted in
 time: only that slice is integrated (_distinct_rays), and each fan row is
 inverted at one launch time, then shifted by whole nodes (_resample_rows).
+When A has no x0 either (_one_level, the provider's `static` rule), every
+chart-time level is the middle one shifted in x0: the pull samples that
+level alone, and the chart-space fields and the operator's coefficients are
+it, broadcast over chart time, so the transformed run is static.
 
 Each fan launches from a face lattice padded to what its rays reach
 (_default_pads): per end of the window, from both families' time drift at
@@ -51,14 +55,16 @@ on the grid's window when first read.
 
 build_chart does not read those fields.  It first places the pull's virtual
 receding rays, launched on the chart's own lattice up to the slab's reach,
-on each row of the trimmed receding fan, then inverts both fans on the read
-box: the nodes of the fans' coverage overlap that those rays' stencils, the
-slab differences and the window read.  It samples every slab field there
-once, one stencil per fan row for all fields, reading each row in place.
-Every such box is a tuple of node ranges on the grid's face lattice
-(_coverage).  Along each ray the pull's depth lookup and row values use the
-1-axis form of the same stencil, _row_lagrange, one fractional row per
-column.
+on each row of the trimmed receding fan: for every chart-time level, or for
+the middle one alone when g and A have no x0.  It then inverts both fans on
+the read box: the nodes of the fans' coverage overlap that those rays'
+stencils, the slab differences and the window read; for one level that is
+the window and its edge nodes.  It samples every slab field there once, one
+stencil per fan row for all fields, reading each row in place.  Every such
+box is a tuple of node ranges on the grid's face lattice (_coverage).  Along
+each ray the pull's depth lookup and row values use the 1-axis form of the
+same stencil, _RowStencil, one fractional row per target: located once per
+Newton step, then once at the converged rows for every field.
 """
 
 from __future__ import annotations
@@ -581,15 +587,35 @@ def _lagrange_dweights(t: np.ndarray):
     return dm1, d0, dp1, dp2
 
 
+class _RowStencil:
+    """The 4-point Lagrange stencil along axis 0 of fields shaped (nrows, *row),
+    at one fractional row r[p] per point, located once.
+
+    at[p] is the flat index within one row of point p's column.  Calling the
+    stencil on F gathers F's four rows there from its flat view (a copy only
+    when F is not C-contiguous) and returns the values shaped like r; weights
+    is _lagrange_weights (the default) or _lagrange_dweights for slopes.  Near
+    an edge the stencil clamps.
+    """
+
+    def __init__(self, r: np.ndarray, at: np.ndarray, shape: tuple):
+        size = math.prod(shape[1:])
+        i0 = np.clip(np.floor(r).astype(int), 1, shape[0] - 3)
+        self.t = r - i0
+        self.index = [(i0 + off) * size + at for off in (-1, 0, 1, 2)]
+        self.values = _lagrange_weights(self.t)
+
+    def __call__(self, F: np.ndarray, weights=None) -> np.ndarray:
+        flat = F.reshape(-1)
+        out = np.zeros(self.t.shape, dtype=F.dtype)
+        for index, w in zip(self.index, self.values if weights is None else weights(self.t)):
+            out += w * flat.take(index)
+        return out
+
+
 def _row_lagrange(F: np.ndarray, r: np.ndarray, weights) -> np.ndarray:
-    """4-point Lagrange evaluation along axis 0 of F (nrows, *cols) at one
-    fractional row r[cols] per column; weights is _lagrange_weights for values
-    or _lagrange_dweights for slopes.  Near an edge the stencil clamps."""
-    i0 = np.clip(np.floor(r).astype(int), 1, F.shape[0] - 3)
-    out = np.zeros(i0.shape, dtype=F.dtype)
-    for off, w in zip((-1, 0, 1, 2), weights(r - i0)):
-        out += w * np.take_along_axis(F, (i0 + off)[None, ...], axis=0)[0]
-    return out
+    """_RowStencil on F (nrows, *cols) at one fractional row r[cols] per column."""
+    return _RowStencil(r, np.arange(r.size).reshape(r.shape), F.shape)(F, weights)
 
 
 def _contract(cells: list, weights) -> list:
@@ -662,7 +688,10 @@ class GoursatChart:
     Slab arrays (y_of_x, jacobian_det, focal_mask) live on the grid window
     times depth nodes.  Chart-space arrays (d_gauge, g1, x_at_y and the
     pulled coefficient fields) live on y_grid, whose depth axis is the
-    distance to the face in chart coordinates.  It keeps no phase field.
+    distance to the face in chart coordinates.  d_gauge, g1 and the pulled
+    coefficient fields are read-only views; when g and A have no x0
+    (_one_level) they are one chart-time level broadcast over chart time,
+    and x_at_y is that level shifted in x0.  It keeps no phase field.
     """
 
     y_of_x: np.ndarray
@@ -709,7 +738,9 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     virtual receding rays launched from the chart's time lattice
     (_virtual_rays, _pull_to_chart), and re-gridded onto a rectangle in chart
     coordinates whose depth step is three times its time step (the forward
-    run then sits safely inside the stability bound).
+    run then sits safely inside the stability bound).  When neither g nor A
+    reads x0 (_one_level), the rays serve the middle chart-time level alone,
+    and the chart-space fields are that level broadcast over chart time.
 
     The slab fields live on the read box (_read_box): the part of the two
     fans' coverage overlap that the virtual rays' stencils and the window
@@ -763,7 +794,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     # the most the advancing phase falls along a virtual ray (_virtual_rays)
     drop = float(np.max(minus.pos[0, ..., 0] - minus.pos[-1, ..., 0])
                  + np.max(plus.pos[-1, ..., 0] - plus.pos[0, ..., 0]))
-    rays = _virtual_rays(minus, grid, T1, T2, y_depth, drop)
+    rays = _virtual_rays(minus, grid, T1, T2, y_depth, drop, one_level=_one_level(metric))
     fracs = _grid_indices(rays.pos, overlap_axes)
     box = _read_box(fracs, overlap, grid)
     # the slab's intermediates die with the helper, before the pull
@@ -922,6 +953,8 @@ class _Rays:
     pos: np.ndarray        # (nrows, launches, *lateral, n) tangential positions
     dty: float             # the chart's time step
     nt_y: int              # the chart's time levels
+    first: int             # the first level the rays serve, launched at T1 + first dty
+    count: int             # the levels they serve: 1, or nt_y from level 0
     nq_cap: int            # chart depth steps the pull tries first
     short: bool            # the launches end before the depth the chart may reach
 
@@ -937,6 +970,13 @@ def _chart_steps(grid: SpacetimeGrid) -> tuple:
     return window / steps, steps + 1
 
 
+def _one_level(metric: MetricField) -> bool:
+    """True when neither g nor A reads x0 (the provider's `static` rule): every
+    chart-time level is then the middle one shifted in x0, so the pull samples
+    that level alone and transform_operator keeps it."""
+    return _time_free((*(e for row in metric.g for e in row), *metric.A))
+
+
 def _depth_steps(window: float, dz: float, y_depth, drop) -> int:
     """Chart depth steps of dz the pull may try: within y_depth and half the
     window, and, for a drop, at most one past drop / (2 dz), the deepest a
@@ -948,18 +988,23 @@ def _depth_steps(window: float, dz: float, y_depth, drop) -> int:
 
 
 def _virtual_rays(fan: _Fan, grid: SpacetimeGrid, T1: float, T2: float, y_depth,
-                  drop=None) -> _Rays:
+                  drop=None, one_level=False) -> _Rays:
     """Stage one of the chart pull: rays launched on the chart's own time
     lattice (_chart_steps) and the grid's lateral nodes, placed on each row of
     the trimmed receding fan by one _Stencil located once for all rows.
 
-    The launches run on past T2 as far as the chart depth can reach: capped
-    by y_depth and half the window and, given drop, by the slab's reach.  On
-    row 0 the advancing phase along the ray launched at xi is xi - T1; on the
-    last row it is lower by that receding ray's backward time drift plus the
-    forward drift of the advancing ray through its end, at most drop (both
-    fans' largest drifts).  The pull's depth test at nq steps of dz needs a
-    fall of 2 nq dz, so it cannot pass past drop / (2 dz) (_depth_steps).
+    Chart level i at depth step q reads the ray launched at T1 + (i + 3q) dty.
+    The rays serve every level, or with one_level (_one_level) the middle
+    one, nt_y // 2, alone: then only its 1 + 3 nq_cap launches are placed.
+    The launches run on past the last level served as far as the chart depth
+    can reach: capped by y_depth and half the window and, given drop, by the
+    slab's reach.  The launches the fan supports are counted past T2 either
+    way, so both give the same depth cap.  On row 0 the advancing phase along
+    the ray launched at xi is xi - T1; on the last row it is lower by that
+    receding ray's backward time drift plus the forward drift of the
+    advancing ray through its end, at most drop (both fans' largest drifts).
+    The pull's depth test at nq steps of dz needs a fall of 2 nq dz, so it
+    cannot pass past drop / (2 dz) (_depth_steps).
     Raises ValueError when the fan's launches miss the window or support
     fewer than four chart depth steps.  The rays are marked short when the
     launches end before the depth the chart may reach, which the pull then
@@ -987,11 +1032,12 @@ def _virtual_rays(fan: _Fan, grid: SpacetimeGrid, T1: float, T2: float, y_depth,
                          f"of {dz:.4f} past T2 = {T2:.4f}, need 4; increase pad_time")
     reach = _depth_steps(T2 - T1, dz, y_depth, drop)
     nq_cap = min(reach, launched)
-    xi_star = T1 + dty * np.arange(nt_y + 3 * nq_cap)
+    first, count = (nt_y // 2, 1) if one_level else (0, nt_y)
+    xi_star = T1 + dty * (first + np.arange(count + 3 * nq_cap))
 
     nodes = np.stack(np.meshgrid(xi_star, *grid.face_axes()[1:], indexing="ij"), axis=-1)
     launches = _Stencil(_grid_indices(nodes, fan.axes), fan.pos.shape[1:-1])
-    return _Rays(np.stack([launches(row) for row in fan.pos]), dty, nt_y, nq_cap,
+    return _Rays(np.stack([launches(row) for row in fan.pos]), dty, nt_y, first, count, nq_cap,
                  launched < reach)
 
 
@@ -1009,11 +1055,17 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
     virtual ray, where (tau, y') are frozen.  Stage two inverts the advancing
     phase along each virtual ray (two Newton steps on the 4-point row
     interpolant from a linear bracket) to land on the requested chart depth
-    nodes, and raises ValueError when a node still misses its phase value by
-    more than 1e-9 * dty.  When the rays are short (_virtual_rays) and the
-    chart reaches all the depth steps their launches support, it raises
-    ValueError rather than return a chart that more launches might deepen.
-    Returns (y_grid, pulled fields, fractional row index).
+    nodes, the targets s* = dty (i - 3q) at the absolute level i; the
+    converged rows locate one _RowStencil, which reads every field's rows at
+    the targets' launches in place and gives the miss check.  It raises
+    ValueError when a node still misses its phase value by more than
+    1e-9 * dty.  When the rays are short (_virtual_rays) and the chart
+    reaches all the depth steps their launches support, it raises ValueError
+    rather than return a chart that more launches might deepen.
+    Returns (y_grid, pulled fields, fractional row index) on the chart's
+    nt_y levels, the index and the fields read-only views.  For rays that
+    serve one level, that level is broadcast over the others, and "s" and
+    "x0" (new arrays) are shifted by (i - first) dty at level i.
     """
     n = grid.n
     dty, nt_y, dz = rays.dty, rays.nt_y, 3.0 * rays.dty
@@ -1029,12 +1081,13 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
 
     # feasible chart depth: every virtual ray must reach its deepest target
     S = stage1["s"]
+    first, count = rays.first, rays.count
     nq = rays.nq_cap
     while nq > 0:
-        i_idx = np.arange(nt_y)
+        i_idx = np.arange(count)
         cols = i_idx + 3 * nq
-        s_star = dty * (i_idx - 3.0 * nq)
-        deepest = S[-1, cols].reshape(nt_y, -1).max(axis=-1)
+        s_star = dty * (first + i_idx - 3.0 * nq)
+        deepest = S[-1, cols].reshape(count, -1).max(axis=-1)
         if np.all(deepest <= s_star + 1e-12):
             break
         nq -= 1
@@ -1046,11 +1099,15 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
                          f"that the launches support, and the slab may reach deeper; "
                          "increase pad_time")
 
-    i_grid, q_grid = np.meshgrid(np.arange(nt_y), np.arange(nq + 1), indexing="ij")
+    i_grid, q_grid = np.meshgrid(np.arange(count), np.arange(nq + 1), indexing="ij")
     cols = (i_grid + 3 * q_grid).ravel()
-    s_star = (dty * (i_grid - 3.0 * q_grid)).ravel()[(...,) + (None,) * len(lat_shape)]
+    s_star = (dty * (first + i_grid - 3.0 * q_grid)).ravel()[(...,) + (None,) * len(lat_shape)]
+    # the flat index of each target's column in one row (launches, *lateral)
+    lat_size = math.prod(lat_shape)
+    at = (cols * lat_size).reshape((-1,) + (1,) * len(lat_shape)) \
+        + np.arange(lat_size).reshape(lat_shape)
 
-    # S_t falls with the row: bracket each target between rows k-1 and k
+    # S falls with the row: bracket each target between rows k-1 and k
     S_t = S[:, cols]
     k = np.clip(np.sum(S_t > s_star, axis=0), 1, nrows - 1)
     lo = np.take_along_axis(S_t, (k - 1)[None], axis=0)[0]
@@ -1058,20 +1115,24 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
     theta = np.where(lo > hi, (lo - s_star) / np.where(lo > hi, lo - hi, 1.0), 0.0)
     r = np.clip(k - 1 + theta, 0.0, nrows - 1.0)
     for _ in range(2):
-        fval = _row_lagrange(S_t, r, _lagrange_weights)
-        slope = _row_lagrange(S_t, r, _lagrange_dweights)
+        stencil = _RowStencil(r, at, S.shape)
+        fval, slope = stencil(S), stencil(S, _lagrange_dweights)
         slope = np.where(np.abs(slope) < 1e-14, -1e-14, slope)
         r = np.clip(r - (fval - s_star) / slope, 0.0, nrows - 1.0)
+    # located once at the converged rows, for the miss check and every field
+    stencil = _RowStencil(r, at, S.shape)
+    on_rows = {name: stencil(rows) for name, rows in stage1.items()}
 
-    def to_y_shape(flat):
-        return np.moveaxis(flat.reshape((nt_y, nq + 1) + lat_shape), 1, -1)
+    def to_y_shape(flat):   # (count, nq+1, *lat) -> (nt_y, *lat, nq+1), a broadcast view
+        levels = np.moveaxis(flat.reshape((count, nq + 1) + lat_shape), 1, -1)
+        return np.broadcast_to(levels, (nt_y,) + levels.shape[1:])
 
     extent = tuple(grid.extent[:-1]) + (nq * dz,)
     h = tuple(grid.h[:-1]) + (dz,)
     y_grid = SpacetimeGrid(n=n, extent=extent, h=h, dt=dty, t1=T1, t2=T2,
                            boundary_patch=grid.boundary_patch)
 
-    miss = to_y_shape(np.abs(_row_lagrange(S_t, r, _lagrange_weights) - s_star))
+    miss = to_y_shape(np.abs(on_rows["s"] - s_star))
     bad = miss > 1e-9 * dty
     if np.any(bad):
         worst = np.unravel_index(np.argmax(miss), miss.shape)
@@ -1082,10 +1143,13 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
             f"y = ({', '.join(f'{c:.4f}' for c in node)})); refine the slab depth step"
         )
 
-    pulled = {name: to_y_shape(_row_lagrange(rows[:, cols], r, _lagrange_weights))
-              for name, rows in stage1.items()}
-    row_index = to_y_shape(r)
-    return y_grid, pulled, row_index
+    pulled = {name: to_y_shape(value) for name, value in on_rows.items()}
+    # level i of one pulled level is that level shifted by i - first chart time
+    # steps, which moves only the advancing phase and x0; zero for every level
+    shift = dty * (np.arange(nt_y) - np.arange(count) - first)
+    for name in ("s", "x0"):
+        pulled[name] = pulled[name] + shift.reshape((nt_y,) + (1,) * (pulled[name].ndim - 1))
+    return y_grid, pulled, to_y_shape(r)
 
 
 # ---------------------------------------------------------------------------
@@ -1217,7 +1281,12 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart) -> Transform
     Raises FocalRegion when the chart rectangle overlaps flagged nodes.  The
     potential argument must be the one the chart was built with (pass None to
     take it from the metric).  The zeroth-order term V1 is potential_term of
-    the chart's sampled volume factor.
+    the chart's sampled volume factor.  Every coefficient array is a read-only
+    view.  For a chart whose g and A have no x0 (_one_level) each is its
+    middle chart-time level broadcast over chart time: a y0 difference of a
+    field constant in y0 is exactly zero there, and only round-off at the
+    one-sided edges.  Its provider is then static, so the transformed run
+    builds its coefficients and checks its cone once.
     """
     if A is None:
         A = metric.A
@@ -1256,7 +1325,14 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart) -> Transform
 
     V1 = potential_term(chart.g1, g0_plus_j, g0_jk, y_grid)
 
-    G = np.zeros(shape + (n + 1, n + 1))
+    # a one-level chart (_one_level) is constant in chart time: keep its middle
+    # level, where every y0 difference is exactly zero, and broadcast it back
+    keep = slice(y_grid.nt // 2, y_grid.nt // 2 + 1) if _one_level(chart.metric) else slice(None)
+    g0_plus_j, A_j = [b[keep] for b in g0_plus_j], [a[keep] for a in A_j]
+    g0_jk = [[a[keep] for a in row] for row in g0_jk]
+    A_minus, V1, ghpm = A_minus[keep], V1[keep], ghpm[keep]
+
+    G = np.zeros(A_minus.shape + (n + 1, n + 1))
     G[..., 0, 0] = 1.0
     G[..., n, n] = -1.0
     for j in range(1, n):
@@ -1267,22 +1343,25 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart) -> Transform
         for k in range(1, n):
             G[..., j, k] = g0_jk[j - 1][k - 1]
 
-    A_vec = np.zeros(shape + (n + 1,))
+    A_vec = np.zeros(A_minus.shape + (n + 1,))
     A_vec[..., 0] = A_minus
     A_vec[..., n] = A_minus
     for j in range(1, n):
         A_vec[..., j] = A_j[j - 1]
 
+    def every(a):   # the kept levels on every chart-time level, a read-only view
+        return np.broadcast_to(a, shape + a.shape[len(shape):])
+
     return TransformedOperator(
-        g0_plus_j=g0_plus_j,
-        g0_jk=g0_jk,
-        A_minus=A_minus,
-        A_j=A_j,
-        V1=V1,
-        gh_pm=ghpm,
+        g0_plus_j=[every(b) for b in g0_plus_j],
+        g0_jk=[[every(a) for a in row] for row in g0_jk],
+        A_minus=every(A_minus),
+        A_j=[every(a) for a in A_j],
+        V1=every(V1),
+        gh_pm=every(ghpm),
         grid=y_grid,
-        metric_matrix=G,
-        potential_vector=A_vec,
+        metric_matrix=every(G),
+        potential_vector=every(A_vec),
         g1=chart.g1,
         d_gauge=chart.d_gauge,
     )

@@ -204,8 +204,10 @@ class SampledCoefficients:
     ((-1)^n det g)^(-1/2) of the node samples unless given.  `at` serves node
     levels only, caching those within one of the newest (the two a step
     reads); the stepper averages them onto its staggered points.  `static`
-    (no level depends on time) and `time_cross` (some g^{0j} is nonzero) are
-    fixed when the provider is built.
+    (no level depends on time: every array is time-independent, or its levels
+    are bitwise equal, as in a broadcast time axis) and `time_cross` (some
+    g^{0j} is nonzero) are fixed when the provider is built; a static
+    provider serves every level from level 0.
     """
 
     def __init__(self, grid: SpacetimeGrid, g, A, rho=None, v1=None, first_order=None):
@@ -223,8 +225,8 @@ class SampledCoefficients:
             return {"g": pick(g, 2), "A": pick(A, 1), "rho": pick(rho), "v1": pick(v1),
                     "first": None if first is None else [pick(b) for b in first]}
 
-        static = (g.ndim == grid.n + 2 and A.ndim == grid.n + 1
-                  and all(arr.ndim == grid.n for arr in scalars))
+        static = (_level_free(g, grid.n + 2) and _level_free(A, grid.n + 1)
+                  and all(_level_free(arr, grid.n) for arr in scalars))
         self._start(grid, g.shape[-1] - 1, sample, static,
                     bool(np.any(g[..., 0, 1:] != 0.0)))
 
@@ -282,6 +284,15 @@ class SampledCoefficients:
 
     def zeroth_at(self, t: float):
         return self._node(_time_index(self.grid, t))["v1"]
+
+
+def _level_free(arr: np.ndarray, ndim: int) -> bool:
+    """True for an array of ndim axes without a time axis, or one whose levels
+    are bitwise equal: a broadcast time axis, or equal bytes level by level."""
+    if arr.ndim == ndim or arr.strides[0] == 0:
+        return True
+    levels = np.ascontiguousarray(arr).view(np.uint8).reshape(len(arr), -1)
+    return bool(np.all(levels[1:] == levels[0]))
 
 
 def _time_free(field) -> bool:

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from bclab import goursat
+from bclab import goursat, solver
 from bclab.dn import DNTrace, dn_trace, transform_dn
 from bclab.expr import parse_expr
 from bclab.geometry import (
@@ -1141,8 +1141,8 @@ def test_reach_cap_leaves_the_chart_bitwise_equal(monkeypatch, metric, grid, dep
     phi = solve_transport_phi(metric, em, grid)
     virtual, launches = goursat._virtual_rays, []
 
-    def spy(fan, grid, T1, T2, y_depth, drop=None):   # the second chart: no reach cap
-        rays = virtual(fan, grid, T1, T2, y_depth, None if launches else drop)
+    def spy(fan, grid, T1, T2, y_depth, drop=None, one_level=False):   # the second: no cap
+        rays = virtual(fan, grid, T1, T2, y_depth, None if launches else drop, one_level)
         launches.append(rays.pos.shape[1])
         return rays
 
@@ -1185,6 +1185,140 @@ def test_chart_stages_peak_memory_on_a_time_dependent_metric():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_chart_stages_peak_memory_on_a_time_free_metric():
+    # the bench's chart metric: neither g nor A reads x0, so the pull samples
+    # one chart-time level and its read box spans the window.  The chart
+    # stages peak near 10.9 MB under tracemalloc on the bench grid; pulling
+    # every level, they peaked at 14.8 MB
+    chart_stages(VAR_METRIC_2D, BENCH_CHART_GRID, 0.3)   # warm: lazy imports, plans
+    gc.collect()
+    tracemalloc.start()
+    try:
+        chart_stages(VAR_METRIC_2D, BENCH_CHART_GRID, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+
+
+CHART_GRID_16 = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 16, 1 / 16), dt=0.35 / 16,
+                              t1=0.0, t2=1.4)
+
+# charts whose g and A have no x0: the bench's chart metric, the waveguide
+# below its fold, and a static 1D metric with cross terms and a potential
+ONE_LEVEL_CASES = [
+    pytest.param(VAR_METRIC_2D, CHART_GRID_16, 0.3125, id="var_2d"),
+    pytest.param(WAVEGUIDE, SpacetimeGrid(n=2, extent=(1.0, 0.25), h=(1 / 40, 1 / 40),
+                                          dt=0.3 / 40, t1=0.0, t2=0.8), 0.15, id="waveguide"),
+    pytest.param(STATIC_METRIC_1D, grid1(1 / 32), 0.375, id="static_1d"),
+]
+
+# a g without x0 whose A reads x0: the fans take the x0-free shortcuts, but
+# the pulled potentials and the gauge phase change with chart time
+A_READS_X0_2D = VAR_METRIC_2D.with_potential(["0.1*x2", "0.2*sin(x1)*cos(x0)", "0.1*cos(x2)"])
+
+
+def every_level_stages(monkeypatch, metric, grid, depth):
+    """chart_stages with the level rule set to pull every chart-time level."""
+    with monkeypatch.context() as patch:
+        patch.setattr(goursat, "_one_level", lambda metric: False)
+        return chart_stages(metric, grid, depth)
+
+
+def transformed_run(op):
+    """The transformed operator's run from a smooth start, zero on the faces."""
+    env = op.grid.env_at_time(op.grid.t1)
+    u0 = np.ones(op.grid.shape, dtype=complex)
+    for i in range(1, op.grid.n + 1):
+        x = env[f"x{i}"]
+        u0 = u0 * np.sin(np.pi * (x - x.min()) / (x.max() - x.min()))
+    return solve_transformed_ibvp(op, None, op.grid, initial=(u0, 1.01 * u0))
+
+
+def spy_rays(monkeypatch):
+    """Record every _Rays the chart pull launches."""
+    virtual, launched = goursat._virtual_rays, []
+    monkeypatch.setattr(goursat, "_virtual_rays",
+                        lambda *args, **kw: launched.append(virtual(*args, **kw)) or launched[-1])
+    return launched
+
+
+@pytest.mark.parametrize("metric, grid, depth", ONE_LEVEL_CASES)
+def test_one_level_chart_matches_every_level_chart(monkeypatch, metric, grid, depth):
+    # neither g nor A reads x0: the pull launches the middle chart-time level
+    # alone and shifts it in x0, and the operator keeps that level.  Pulling
+    # every level, as a time-dependent chart does, gives the same window
+    # fields bitwise and the rest to round-off
+    launched = spy_rays(monkeypatch)
+    *_, one, op = chart_stages(metric, grid, depth)
+    *_, every, op_every = every_level_stages(monkeypatch, metric, grid, depth)
+    rays, every_rays = launched
+    nt_y = one.y_grid.nt
+    assert (rays.first, rays.count) == (nt_y // 2, 1)
+    assert (every_rays.first, every_rays.count) == (0, nt_y)
+    assert rays.pos.shape[1] == 1 + 3 * rays.nq_cap < every_rays.pos.shape[1]
+    assert one.y_grid == every.y_grid and one.x_at_y.shape == every.x_at_y.shape
+    for name in ("y_of_x", "jacobian_det", "focal_mask"):
+        assert getattr(one, name).tobytes() == getattr(every, name).tobytes(), name
+
+    def close(got, want, rel):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+    for name in ("x_at_y", "g1", "d_gauge"):
+        close(getattr(one, name), getattr(every, name), 1e-12)
+    assert one._pull.keys() == every._pull.keys()
+    for name, value in one._pull.items():
+        close(value, every._pull[name], 1e-12)
+    # a chart-space field is one level, broadcast over chart time
+    assert one.g1.strides[0] == 0 and not one.g1.flags.writeable
+    close(op.V1, op_every.V1, 1e-9)
+    assert op.provider().static
+    run, run_every = transformed_run(op), transformed_run(op_every)
+    assert np.abs(run.samples - run_every.samples).max() <= 1e-10
+
+
+@pytest.mark.parametrize("metric", [TIME_CROSS_2D, A_READS_X0_2D], ids=["time_cross", "A_x0"])
+def test_time_dependent_chart_pulls_every_level(monkeypatch, metric):
+    # a g or an A that reads x0: the pull launches every chart-time level from
+    # level 0, the operator keeps every level and is not static, and every
+    # output is bitwise the every-level path's
+    launched = spy_rays(monkeypatch)
+    *_, chart, op = chart_stages(metric, CHART_GRID_16, 0.3125)
+    *_, every, op_every = every_level_stages(monkeypatch, metric, CHART_GRID_16, 0.3125)
+    assert [(r.first, r.count) for r in launched] == [(0, chart.y_grid.nt)] * 2
+    assert not op.provider().static
+    for name in ("y_of_x", "jacobian_det", "focal_mask", "x_at_y", "g1", "d_gauge"):
+        assert getattr(chart, name).tobytes() == getattr(every, name).tobytes(), name
+    assert chart._pull.keys() == every._pull.keys()
+    for name, value in chart._pull.items():
+        assert value.tobytes() == every._pull[name].tobytes(), name
+    for name in ("metric_matrix", "potential_vector", "V1", "A_minus", "gh_pm"):
+        assert getattr(op, name).tobytes() == getattr(op_every, name).tobytes(), name
+
+
+@pytest.mark.parametrize("metric, static", [(VAR_METRIC_2D, True), (TIME_CROSS_2D, False)],
+                         ids=["var", "time_cross"])
+def test_transformed_run_builds_a_time_free_level_once(monkeypatch, metric, static):
+    # an x0-free chart's operator is static: its run builds the step's
+    # coefficients and checks the cone once; a time-dependent one does both
+    # on every level
+    *_, op = chart_stages(metric, CHART_GRID_16, 0.3125)
+    built, speeds = [], []
+    level, speed = _Stepper.level, solver._level_speed
+
+    def counted_level(stepper, t):
+        if stepper._fixed is None:
+            built.append(t)
+        return level(stepper, t)
+
+    monkeypatch.setattr(_Stepper, "level", counted_level)
+    monkeypatch.setattr(solver, "_level_speed", lambda *args: speeds.append(1) or speed(*args))
+    transformed_run(op)
+    nt = op.grid.nt
+    assert (len(built), len(speeds)) == ((1, 1) if static else (nt - 2, nt))
 
 
 def test_waveguide_fold_raises():

@@ -89,11 +89,6 @@ def test_stepper_per_step_methods_hold_no_division_and_no_negation():
 # A ratchet: a new plain-literal raise fails the scan, and a site that gains a
 # value must leave this list, so it only shrinks.  Keyed by module and message.
 PLAIN_RAISES_STILL_OPEN = {
-    # dn.py: structural refusals of the trace and the probe
-    ("dn.py", "the face carries no tangential directions for n = 1; "
-              "the face symbol is never elliptic"),
-    ("dn.py", "tangential part of the covector vanishes"),
-    ("dn.py", "the probe needs the run grid to shape its data"),
     # expr.py: parse errors, which carry the line and column as arguments
     ("expr.py", "exponent must be a numeric literal"),
     ("expr.py", "unexpected end of expression"),
@@ -124,4 +119,4 @@ def test_no_new_plain_string_raise():
     assert len(found) == len(set(found))  # a second copy of a listed site is new too
     assert sorted(set(found) - PLAIN_RAISES_STILL_OPEN) == [], "new plain-string raise"
     assert sorted(PLAIN_RAISES_STILL_OPEN - set(found)) == [], "mended: drop it from the list"
-    assert len(PLAIN_RAISES_STILL_OPEN) <= 5
+    assert len(PLAIN_RAISES_STILL_OPEN) <= 2

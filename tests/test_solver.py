@@ -775,6 +775,32 @@ def test_expression_run_matches_sampled_arrays(metric, A, v1, first_order):
     assert np.max(np.abs(expr_run.samples - array_run.samples)) <= 1e-12 * scale
 
 
+def test_provider_with_bitwise_equal_levels_is_static():
+    # arrays whose levels are bitwise equal, stacked or broadcast over time,
+    # make a static provider: it serves level 0, and its run is bitwise the
+    # run that reads every level.  One level off by one ulp is time-dependent
+    g = _cross_grid()
+    env = g.env_at_time(0.0)
+    levels = (g.nt,) + g.shape
+    G = np.stack([VAR_METRIC_2D.eval_g(env, shape=g.shape)] * g.nt)
+    A = np.stack([VAR_METRIC_2D.eval_A(env, shape=g.shape)] * g.nt)
+    v1 = np.broadcast_to(0.3 * np.sin(math.pi * env["x1"]) + 0j, levels)
+    static = SampledCoefficients(g, G, A, v1=v1)
+    every = SampledCoefficients(g, G, A, v1=v1)
+    every.static = False
+    assert static.static
+    u0 = (np.sin(math.pi * env["x1"]) * np.sin(math.pi * env["x2"])).astype(complex)
+    runs = [solve_ibvp(None, None, None, g, initial=(u0, 1.01 * u0), provider=p)
+            for p in (static, every)]
+    assert runs[0].samples.tobytes() == runs[1].samples.tobytes()
+    assert runs[0].diagnostics["cfl"].tobytes() == runs[1].diagnostics["cfl"].tobytes()
+    coeffs = {"g": G, "A": A, "v1": v1}
+    for name, arr in coeffs.items():
+        off = arr.copy()
+        off.real[3, 4, 5] = np.nextafter(off.real[3, 4, 5], np.inf)
+        assert not SampledCoefficients(**{"grid": g, **coeffs, name: off}).static, name
+
+
 @pytest.mark.parametrize("given", [
     {"A": ["0.1", "0"]},
     {"v1": parse_expr("1")},
