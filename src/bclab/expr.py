@@ -580,7 +580,7 @@ class _Parser:
             inner = self.exponent_literal()
             self.expect_op(")")
             return Const(sign * inner.value)
-        raise ExprError("exponent must be a numeric literal", tok.line, tok.col)
+        raise ExprError(f"exponent must be a numeric literal, got {tok.text!r}", tok.line, tok.col)
 
     def atom(self) -> Expr:
         tok = self.advance()

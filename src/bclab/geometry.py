@@ -208,12 +208,15 @@ class _Plan:
 
     def fix(self, env: dict):
         """Run the steps without `varying` names over env once, here; returns
-        (env of the varying names, shape=None) -> the table, which runs the rest."""
+        (env of the varying names, shape=None) -> the table, which runs the rest.
+        Of env and the fixed values, it keeps only those the rest or the roots read."""
         local = dict(env)
         for name, step in self.steps:
             if name in self.fixed:
                 local[name] = step.evaluate(local)
         rest = [step for step in self.steps if step[0] not in self.fixed]
+        read = set(self.roots).union(*(step.variables() for _, step in rest))
+        local = {name: value for name, value in local.items() if name in read}
         return lambda varying, shape=None: self._run(rest, dict(local, **varying), shape)
 
     def _run(self, steps, local: dict, shape) -> np.ndarray:
@@ -242,7 +245,8 @@ def _eval_table(table, env: dict, shape=None) -> np.ndarray:
 
 def _time_levels(table, grid: SpacetimeGrid):
     """t -> the table on grid's spatial mesh at x0 = t, bitwise as evaluated on
-    grid.env_at_time(t); its subtrees without x0 run once, here."""
+    grid.env_at_time(t); its subtrees without x0 run once, here, and of those
+    only the values a level reads are kept."""
     at, shape = _Plan(table, varying=("x0",)).fix(grid.spatial_env()), grid.shape
     return lambda t: at({"x0": np.full(shape, float(t))}, shape)
 

@@ -613,11 +613,6 @@ class _RowStencil:
         return out
 
 
-def _row_lagrange(F: np.ndarray, r: np.ndarray, weights) -> np.ndarray:
-    """_RowStencil on F (nrows, *cols) at one fractional row r[cols] per column."""
-    return _RowStencil(r, np.arange(r.size).reshape(r.shape), F.shape)(F, weights)
-
-
 def _contract(cells: list, weights) -> list:
     """Contract the last stencil axis of a lexicographic list of gathers."""
     return [sum(w * c for w, c in zip(weights, cells[i:i + 4]))

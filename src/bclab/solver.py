@@ -18,8 +18,10 @@ a (2n+1)-point stencil, the node and its neighbours +1 and -1 along each
 axis, built once per step, which is all a sweep applies.  The converged flux
 ahead of a step is the next step's flux behind it.  Every per-step array is
 one contiguous band of flat (C-order) nodes, from the first interior node to
-the last, and each step folds every per-level factor into its coefficients
-once, so steps and sweeps only multiply and add.
+the last.  Each per-level factor is folded into its coefficient where that is
+formed, so steps and sweeps only multiply and add.  A step forms an axis's
+coefficients when it reaches that axis and drops them once applied, so it
+holds one axis's at a time; a static provider's are formed once per run.
 
 One provider, SampledCoefficients, feeds the stepper.  It holds the
 coefficients as node samples, one time level at a time: read from arrays, or
@@ -358,18 +360,23 @@ class _Stepper:
     one slice rule.  In 2D the band's two edge columns pair nodes across a
     row end; they are never read, since `delta` zeroes them.
 
-    `level` builds a step's coefficients (a static provider's once per run)
-    from node levels m and m+1, averaging only the rows a step reads, and
-    folds every per-level factor so that `explicit`, `delta` and `w0p` only
-    multiply and add: the time flux's weights `new` (-conj(new) for the level
-    behind) and `cen` over u(+s) - u(-s); `lead`, the weight of w0p in the
-    time difference (-conj(lead) that of w0q); per axis, rho_h times g's row
-    j on its half nodes with the spacings folded in (`flux`, `cross`,
-    `time`) and `ahead`, 1/h - i A_j / 2, weighing the flux ahead of a node
-    (its conjugate the flux behind); `per_centre`, -1/(rho centre); and the
-    arms of u^{m+1}'s (2n+1)-point stencil over its centre.  `explicit`
-    evaluates, once per step, every term without u^{m+1} over the centre;
-    `delta` adds the stencil, which is all a sweep computes.
+    `level` forms the step's coefficients that no axis owns from node levels
+    m and m+1, averaging only the rows a step reads: the time flux's weights
+    `new` (-conj(new) for the level behind) and `cen` over u(+s) - u(-s);
+    `lead`, the weight of w0p in the time difference (-conj(lead) that of
+    w0q); and the first- and zeroth-order terms.  `explicit` evaluates, once
+    per step, every term without u^{m+1} over the stencil's centre, one axis
+    at a time.  `_axis` forms an axis's factors when explicit reaches it:
+    rho_h times g's row j on its half nodes with the spacings folded in
+    (`flux`, `cross`, `time`) and `ahead`, 1/h - i A_j / 2, weighing the flux
+    ahead of a node (its conjugate the flux behind).  It adds the axis's share
+    to the centre's weight and to the arms of u^{m+1}'s (2n+1)-point stencil,
+    and its factors die once applied.  `_centre` then forms `per_centre`,
+    -1/(rho centre), and scales the arms to it.  A static provider's
+    coefficients and factors are formed once per run by the same code, and
+    kept.  Every factor is folded where it is formed, so `explicit`, `delta`
+    and `w0p` only multiply and add; `delta` adds the stencil, which is all a
+    sweep computes.
     """
 
     def __init__(self, provider, grid: SpacetimeGrid):
@@ -398,13 +405,23 @@ class _Stepper:
         """Weights of the time flux at the half level between node samples lo and
         hi, on the band: w_0 = new u_new - conj(new) u_old + _side(cen, u_new + u_old)."""
         span = self._span
-        g0 = [0.5 * (span(lo["g"][..., 0, k]) + span(hi["g"][..., 0, k]))
-              for k in range(self.n + 1)]  # g's row 0
-        A = [0.5 * (span(lo["A"][..., k]) + span(hi["A"][..., k])) for k in range(self.n + 1)]
-        rho = 0.5 * (span(lo["rho"]) + span(hi["rho"]))
-        a = rho * g0[0] / self.dt
-        b = -0.5j * rho * sum(g * Ak for g, Ak in zip(g0, A))
-        return a + b, [0.25 * rho * g0[k] / self.h[k - 1] for k in range(1, self.n + 1)]
+
+        def mid(x, y):  # the half level's value of node samples x and y
+            out = span(x) + span(y)
+            out *= 0.5
+            return out
+
+        g0 = [mid(lo["g"][..., 0, k], hi["g"][..., 0, k]) for k in range(self.n + 1)]  # g's row 0
+        rho = mid(lo["rho"], hi["rho"])
+        new = -0.5j * rho
+        new *= sum(g * mid(lo["A"][..., k], hi["A"][..., k]) for k, g in enumerate(g0))
+        a = rho * g0[0]
+        a /= self.dt
+        new += a
+        for k in range(1, self.n + 1):
+            g0[k] *= 0.25 * rho
+            g0[k] /= self.h[k - 1]
+        return new, g0[1:]
 
     def time_flux(self, t, u_new, u_old):
         """Flux w_0 at half level t from the bracketing levels, on the band."""
@@ -415,100 +432,148 @@ class _Stepper:
         return w
 
     def level(self, t) -> dict:
-        """Coefficient arrays of the step at node level t."""
+        """The coefficients of the step at node level t that no axis owns; a
+        static provider's once per run, each axis's factors in it as formed."""
         if self._fixed is not None:
             return self._fixed
-        dt, h, span = self.dt, self.h, self._span
-        P = self.provider
+        span, P = self._span, self.provider
         cm = P.at(t)
-        g, A = cm["g"], cm["A"]
-        new, cen = self._flux_weights(cm, P.at(t + dt))
+        new, cen = self._flux_weights(cm, P.at(t + self.dt))
         rho = span(cm["rho"])
-        lead = 1.0 / dt - 0.5j * span(A[..., 0])  # weight of w0p in the time difference
-        weight = lead * new  # of u^{m+1} at the node: -rho times the centre
-        axes, arms = [], []
-
-        def half(x, s):  # average onto the half nodes of the axis of stride s
-            ahead, behind = _pair(span(x, s), s)
-            return 0.5 * (ahead + behind)
-
-        for axis, s in enumerate(self.strides):
-            j = axis + 1
-            rhoh = half(cm["rho"], s)
-            row = [rhoh * half(g[..., j, k], s) for k in range(self.n + 1)]  # rho_h g's row j
-            weights = {"flux": row[j] * (1.0 / h[axis] - 0.5j * half(A[..., j], s)),
-                       "ahead": 1.0 / h[axis] - 0.5j * span(A[..., j]),
-                       "cross": [(k, row[k] / (4.0 * h[k - 1]))
-                                 for k in range(1, self.n + 1) if k != j]}
-            if P.time_cross:
-                # u^{m+1} enters w0p through the centred differences, and the
-                # cross flux rho_h g^{j0} / (2 dt) through its half-node average
-                weights["time"] = row[0] / (4.0 * dt)
-                ahead, behind = _pair(weights["time"], s)
-                up = ahead * weights["ahead"]
-                down = behind * weights["ahead"].conj()
-                slope = lead * cen[axis]
-                weight = weight + up - down
-                arms.append((slope + up, slope + down))
-            axes.append(weights)
+        lead = 0.5j * span(cm["A"][..., 0])
+        np.subtract(1.0 / self.dt, lead, out=lead)  # weight of w0p in the time difference
         first, zeroth = cm["first"], P.zeroth_at(t)
         if first is not None:
-            first = [rho * span(b) / (2.0 * step) for b, step in zip(first, (dt,) + h)]
-            weight = weight - first[0]
+            first = [rho * span(b) / (2.0 * step) for b, step in zip(first, (self.dt,) + self.h)]
         if zeroth is not None:
             zeroth = rho * span(zeroth)
-        per_centre = 1.0 / weight
-        arms = [(plus * per_centre, minus * (per_centre * -1.0)) for plus, minus in arms]
-        out = {"A": [A[..., k].ravel() for k in range(self.n + 1)], "rho": rho,
-               "new": new, "cen": cen, "lead": lead, "axes": axes, "first": first,
-               "zeroth": zeroth, "per_centre": per_centre, "arms": arms}
+        # weight: of u^{m+1} at the node, -rho times the centre, until _centre
+        # inverts it; the axes' time factors add to it and to the arms
+        out = {"node": cm, "A": [cm["A"][..., k].ravel() for k in range(self.n + 1)],
+               "rho": rho, "new": new, "cen": cen, "lead": lead, "weight": lead * new,
+               "axes": [], "arms": [], "first": first, "zeroth": zeroth}
         if P.static:
             self._fixed = out
         return out
 
+    def _axis(self, c, axis) -> dict:
+        """The factors of one axis at c's node level, formed when `explicit`
+        reaches the axis: rho_h times g's row j on its half nodes with the
+        spacings folded in (`flux`, `cross`, `time`) and `ahead`; the time
+        factors add the axis's share to c's weight and arms.  A static
+        provider's are formed once and kept in c; any other's die once applied."""
+        if axis < len(c["axes"]):
+            return c["axes"][axis]
+        span, s, h, j = self._span, self.strides[axis], self.h, axis + 1
+        cm = c["node"]
+        g, A = cm["g"], cm["A"]
+
+        def half(x):  # average onto the axis's half nodes
+            out = np.add(*_pair(span(x, s), s))
+            out *= 0.5
+            return out
+
+        flux = 0.5j * half(A[..., j])
+        np.subtract(1.0 / h[axis], flux, out=flux)
+        rhoh = half(cm["rho"])
+        time, *row = (half(g[..., j, k]) for k in range(self.n + 1))
+        for x in (time, *row):
+            np.multiply(rhoh, x, out=x)  # rho_h g's row j
+        weights = {"flux": np.multiply(row.pop(axis), flux, out=flux),
+                   "ahead": np.subtract(1.0 / h[axis], 0.5j * span(A[..., j])),
+                   "cross": list(zip([k for k in range(1, self.n + 1) if k != j], row))}
+        for k, x in weights["cross"]:
+            x /= 4.0 * h[k - 1]
+        if self.provider.time_cross:
+            # u^{m+1} enters w0p through the centred differences, and the
+            # cross flux rho_h g^{j0} / (2 dt) through its half-node average
+            time /= 4.0 * self.dt
+            weights["time"] = time
+            ahead, behind = _pair(time, s)
+            up = ahead * weights["ahead"]
+            down = weights["ahead"].conj()
+            np.multiply(behind, down, out=down)
+            c["weight"] += up
+            c["weight"] -= down
+            slope = c["lead"] * c["cen"][axis]
+            c["arms"].append((np.add(slope, up, out=up), np.add(slope, down, out=down)))
+        if self.provider.static:
+            c["axes"].append(weights)
+        return weights
+
+    def _centre(self, c):
+        """-1/(rho centre), once every axis has added its share; the arms of
+        u^{m+1}'s (2n+1)-point stencil are then scaled to it, in place."""
+        if "per_centre" not in c:
+            weight = c.pop("weight")
+            if c["first"] is not None:
+                weight -= c["first"][0]
+            per_centre = c["per_centre"] = np.divide(1.0, weight, out=weight)
+            behind = per_centre * -1.0
+            for plus, minus in c["arms"]:
+                plus *= per_centre
+                minus *= behind
+        return c["per_centre"]
+
+    def _add_axis(self, c, axis, um, d0, total):
+        """Add to total the axis's part of the residual: the flux on its half
+        nodes at level m, weighed ahead of each node and behind it.  The axis's
+        factors are reached here and, unless kept by a static provider, live
+        only as long as this call, as does each term of the flux."""
+        span, s, weights = self._span, self.strides[axis], self._axis(c, axis)
+        u = span(um, s)
+        ahead, behind = _pair(u, s)
+        w = weights["flux"] * ahead
+        term = weights["flux"].conj()
+        w -= np.multiply(term, behind, out=term)
+        if d0 is not None:
+            term = np.add(*_pair(span(d0, s), s))
+            w -= np.multiply(weights["time"], term, out=term)
+        for k, weight in weights["cross"]:
+            term = span(c["A"][k], s) * u
+            term *= 2j * self.h[k - 1]
+            sk = self.strides[k - 1]
+            term -= np.subtract(*_pair(span(um, s + sk), 2 * sk))
+            term = np.add(*_pair(term, s))
+            w -= np.multiply(weight, term, out=term)
+        up, down = _pair(w, s)
+        total += up * weights["ahead"]
+        # down overlaps up, which is added already
+        total -= np.multiply(down, weights["ahead"].conj(), out=down)
+
     def explicit(self, c, um1, um, w0q, forcing_val=None):
         """r0, the terms of the residual without u^{m+1} over the stencil's
-        centre on the band, and wum, the u^m part of w0p."""
-        span, dt, h = self._span, self.dt, self.h
-        A, ub, steps = c["A"], span(um), self._steps(um)
-        wum = _side(c["cen"], steps)
+        centre on the band, and wum, the u^m part of w0p.  r0 is formed in
+        w0q's array, which the step reads no more.  Each axis's factors are
+        formed when the loop reaches the axis, so c gets its centre and arms
+        here."""
+        span, dt = self._span, self.dt
+        A, ub = c["A"], span(um)
+        wum = _side(c["cen"], self._steps(um))
         wum -= c["new"].conj() * ub
-        total = c["lead"] * wum
-        total -= c["lead"].conj() * w0q
+        total = np.multiply(c["lead"].conj(), w0q, out=w0q)
+        np.subtract(c["lead"] * wum, total, out=total)
 
         # node-centred covariant derivatives at level m, times -2 dt and -2 h_k;
         # d0 lacks its u^{m+1} part, which the stencil's arms carry
+        d0 = None
         if self.provider.time_cross:
             d0 = A[0] * um.ravel()
             d0 *= 2j * dt
             d0 += um1.ravel()
-        for s, weights in zip(self.strides, c["axes"]):
-            u = span(um, s)
-            ahead, behind = _pair(u, s)
-            w = weights["flux"] * ahead
-            w -= weights["flux"].conj() * behind
-            if "time" in weights:
-                w -= weights["time"] * np.add(*_pair(span(d0, s), s))
-            for k, weight in weights["cross"]:
-                dk = span(A[k], s) * u
-                dk *= 2j * h[k - 1]
-                sk = self.strides[k - 1]
-                dk -= np.subtract(*_pair(span(um, s + sk), 2 * sk))
-                w -= weight * np.add(*_pair(dk, s))
-            up, down = _pair(w, s)
-            total += up * weights["ahead"]
-            total -= down * weights["ahead"].conj()
+        for axis in range(self.n):
+            self._add_axis(c, axis, um, d0, total)
 
         first = c["first"]
         if first is not None:
             total += first[0] * span(um1)
-            for b, step in zip(first[1:], steps):
+            for b, step in zip(first[1:], self._steps(um)):
                 total -= b * step
         if c["zeroth"] is not None:
             total -= c["zeroth"] * ub
         if forcing_val is not None:
             total += c["rho"] * span(forcing_val)
-        return c["per_centre"] * total, wum
+        return np.multiply(self._centre(c), total, out=total), wum
 
     def delta(self, c, r0, up1):
         """The residual at up1 over the stencil's centre, on the band: r0 + up1
@@ -702,14 +767,22 @@ def solve_ibvp(
         t = times[m]
         # extrapolate through every level held: cubic once four exist
         if len(older) == 2:
-            up1 = 4.0 * (u_curr + older[0]) - 6.0 * u_prev - older[1]
+            up1 = u_curr + older[0]
+            up1 *= 4.0
+            up1 -= 6.0 * u_prev
+            up1 -= older[1]
         elif older:
-            up1 = 3.0 * (u_curr - u_prev) + older[0]
+            up1 = u_curr - u_prev
+            up1 *= 3.0
+            up1 += older[0]
         else:
-            up1 = 2.0 * u_curr - u_prev
+            up1 = 2.0 * u_curr
+            up1 -= u_prev
+        if iterate:  # u^{m-3} is read no more
+            older = [u_prev] + older[:1]
         boundary_fill(m + 1, up1)
         fval = forcing_at(t)
-        # before `level`, whose arms would divide by a NaN rho off the cone
+        # before the step forms its coefficients from it: off the cone, rho is NaN
         check_level(m + 1)
         coeffs = stepper.level(t)
         r0, wum = stepper.explicit(coeffs, u_prev, u_curr, w0q, forcing_val=fval)
@@ -732,8 +805,6 @@ def solve_ibvp(
         # freed before the next step's `level` builds its arrays
         coeffs = r0 = wum = delta = None
 
-        if iterate:
-            older = [u_prev] + older[:1]
         u_prev, u_curr = u_curr, up1
         keep(m + 1, u_curr)
 

@@ -57,7 +57,7 @@ def test_numpy_vectorized_evaluation():
 
 
 def test_power_requires_literal_exponent():
-    with pytest.raises(ExprError):
+    with pytest.raises(ExprError, match="exponent must be a numeric literal, got 'x1'"):
         parse_expr("x0^x1")
     # '^' does not chain: its exponent is a literal, not another power
     with pytest.raises(ExprError, match=r"unexpected token '\^'"):

@@ -38,12 +38,11 @@ from bclab.goursat import (
     _grid_indices,
     _integrate_fan,
     _lagrange_dweights,
-    _lagrange_weights,
     _lattice,
     _normal_root,
     _pull_to_chart,
     _resample_rows,
-    _row_lagrange,
+    _RowStencil,
     _solve_small,
     _Stencil,
     _trim_fan,
@@ -718,8 +717,9 @@ def test_lagrange_exact_on_cubics(shape):
     u = r / (rows - 1.0)
     want = sum(ccoef[q] * u ** q for q in range(4))
     dwant = sum(q * ccoef[q] * u ** (q - 1) for q in range(1, 4)) / (rows - 1.0)
-    assert np.abs(_row_lagrange(F, r, _lagrange_weights) - want).max() <= 1e-12
-    assert np.abs(_row_lagrange(F, r, _lagrange_dweights) - dwant).max() <= 1e-12
+    stencil = _RowStencil(r, np.arange(r.size), F.shape)
+    assert np.abs(stencil(F) - want).max() <= 1e-12
+    assert np.abs(stencil(F, _lagrange_dweights) - dwant).max() <= 1e-12
 
 
 @pytest.mark.parametrize("shape", [(9,), (7, 8)])

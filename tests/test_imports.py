@@ -90,7 +90,6 @@ def test_stepper_per_step_methods_hold_no_division_and_no_negation():
 # value must leave this list, so it only shrinks.  Keyed by module and message.
 PLAIN_RAISES_STILL_OPEN = {
     # expr.py: parse errors, which carry the line and column as arguments
-    ("expr.py", "exponent must be a numeric literal"),
     ("expr.py", "unexpected end of expression"),
 }
 
@@ -119,4 +118,4 @@ def test_no_new_plain_string_raise():
     assert len(found) == len(set(found))  # a second copy of a listed site is new too
     assert sorted(set(found) - PLAIN_RAISES_STILL_OPEN) == [], "new plain-string raise"
     assert sorted(PLAIN_RAISES_STILL_OPEN - set(found)) == [], "mended: drop it from the list"
-    assert len(PLAIN_RAISES_STILL_OPEN) <= 2
+    assert len(PLAIN_RAISES_STILL_OPEN) <= 1

@@ -6,6 +6,8 @@ discretization error in the data), and conservation / containment laws that
 the continuum problem satisfies exactly.
 """
 
+import gc
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -25,6 +27,7 @@ from bclab.geometry import (
     NonHyperbolic,
     SpacetimeGrid,
     _Plan,
+    _time_levels,
     apply_conjugation_gauge,
     check_hyperbolicity,
     influence_region,
@@ -319,6 +322,56 @@ def test_hoisted_coefficients_stay_with_their_solve():
     assert run(_cross_grid()).tobytes() == first.tobytes()
 
 
+def test_time_dependent_solve_holds_one_axis_of_factors_at_a_time():
+    # each axis's factors are formed when the step reaches the axis and die
+    # once applied, the step's temporaries are formed in place, and the g/A
+    # plan keeps only the fixed values its remaining steps read.  On this
+    # 33x33 grid the solve peaked at 53 complex levels under tracemalloc when
+    # every axis's factors, the whole fixed plan and the temporaries were
+    # held at once; it now peaks near 45
+    h = 1 / 32
+    g = SpacetimeGrid(n=2, extent=(1.0, 1.0), h=(h, h), dt=h / 4, t1=0.0, t2=0.25)
+    env = g.env_at_time(0.0)
+    u0 = (np.sin(math.pi * env["x1"]) * np.sin(math.pi * env["x2"])).astype(complex)
+    solve_ibvp(TIME_CROSS_2D, None, None, g, initial=(u0, u0), store="boundary")  # warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        solve_ibvp(TIME_CROSS_2D, None, None, g, initial=(u0, u0), store="boundary")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 49 * math.prod(g.shape) * 16
+
+
+@pytest.mark.parametrize("terms", [False, True], ids=["bare", "v1_first"])
+def test_factors_formed_per_step_equal_the_cached_ones(monkeypatch, terms):
+    # a static provider forms its step's factors once per run; forced to
+    # form them every step, by the same code, the run is bitwise the same
+    g = _cross_grid()
+    extra = {}
+    if terms:
+        extra = {"v1": (parse_expr("0.5*cos(x1)"), parse_expr("0.2*x2")),
+                 "first_order": [parse_expr("0.4 + 0.1*x1"), parse_expr("0.3*sin(x2)"),
+                                 (None, parse_expr("0.2*cos(x1)"))]}
+    env = g.env_at_time(0.0)
+    u0 = (np.sin(math.pi * env["x1"]) * np.sin(math.pi * env["x2"])).astype(complex)
+    runs = []
+    for static in (True, False):
+        provider = SampledCoefficients.from_metric(VAR_METRIC_2D, g, **extra)
+        assert provider.static and provider.time_cross
+        monkeypatch.setattr(provider, "static", static)
+        wf = solve_ibvp(None, None, None, g, provider=provider, initial=(u0, u0))
+        runs.append([hashlib.sha256(x.tobytes()).hexdigest()
+                     for x in (wf.samples, wf.diagnostics["sweeps"], wf.diagnostics["cfl"])])
+    assert runs[0] == runs[1]
+    # the time-dependent plan keeps only the fixed values it reads, and every
+    # level is still eval_g on that level's env, bitwise
+    at = _time_levels(TIME_CROSS_2D.g, g)
+    for t in g.times():
+        assert at(t).tobytes() == TIME_CROSS_2D.eval_g(g.env_at_time(t), g.shape).tobytes()
+
+
 def test_staggered_coefficients_hold_only_the_rows_a_step_reads():
     # the provider serves node levels; the stepper averages only what it reads
     g = _cross_grid()
@@ -345,8 +398,9 @@ def test_staggered_coefficients_hold_only_the_rows_a_step_reads():
     # axis j's half nodes: g's row j, A_j and rho of node level m, over the
     # neighbours, each pair of flat nodes one stride apart; the pairs that
     # wrap a row end are never read
-    assert len(c["axes"]) == 2
-    for j, weights in enumerate(c["axes"], 1):
+    axes = [stepper._axis(c, axis) for axis in range(stepper.n)]  # as explicit reaches each
+    assert len(axes) == 2
+    for j, weights in enumerate(axes, 1):
         axis, h = j - 1, g.h[j - 1]
         gh, Ah, rhoh = (_davg(x, axis)
                         for x in (node["g"][..., j, :], node["A"][..., j], node["rho"]))
@@ -687,6 +741,7 @@ def test_stepper_stencil_is_exact(metric, nodes):
     g, stepper, (um1, um, up1, bump) = _stepper_case(metric)
     t = g.times()[3]
     c = stepper.level(t)
+    stepper.explicit(c, um1, um, stepper.time_flux(t - 0.5 * g.dt, um, um1))  # forms arms, centre
     crossed = metric is not TIME_METRIC_1D
     assert len(c["arms"]) == (n if crossed else 0)
     base = operator_residual(stepper, t, up1)
