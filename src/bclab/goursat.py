@@ -22,14 +22,22 @@ Arrays follow the package layout [time, lateral..., depth]; the controlled
 face sits at depth zero and the chart restricts to the identity there.
 Characteristic launches are independent per boundary node and integrate as
 one vectorized batch, so results are deterministic regardless of how the
-work is scheduled.  Every RK4 stage reads a ray's time only through g, so
-when g has no x0 every launch-time slice of a fan is the first shifted in
-time: only that slice is integrated (_distinct_rays), and each fan row is
+work is scheduled.
+
+The time symmetry.  Every RK4 stage reads a ray's time only through g, so
+when g has no x0 (_distinct_rays) every launch-time slice of a fan is the
+first shifted in time: only that slice is integrated, and each fan row is
 inverted at one launch time, then shifted by whole nodes (_resample_rows).
-When A has no x0 either (_one_level, the provider's `static` rule), every
-chart-time level is the middle one shifted in x0: the pull samples that
-level alone, and the chart-space fields and the operator's coefficients are
-it, broadcast over chart time, so the transformed run is static.
+When A has no x0 either (_one_level), every chart-time level is the middle
+one shifted in x0: the pull samples that level alone and returns each
+chart-space field with a zero time stride (np.broadcast_to), shifting only
+x0 and the advancing phase.  From the pull on, that stride is the one mark
+of a field that is the same on every level.  Every per-level reduction (the
+operator's derivatives and V1, the cone bound, the provider's scans) reads
+an array's distinct levels (solver._levels), where a y0 difference of one
+level is exactly zero, as it is on the middle level of a broadcast field;
+a provider of such arrays is static.  A time-dependent g or A runs the same
+code on every level.
 
 Each fan launches from a face lattice padded to what its rays reach
 (_default_pads): per end of the window, from both families' time drift at
@@ -44,10 +52,10 @@ the array's flat view in place.  Each depth row of a fan is a fold-free
 image of the regular launch lattice, so the launch indices of the ray
 through every tensor node come from Newton on the row's interpolant, to a
 tolerance set by the grid's window, not by the pads.  For a time-dependent
-g the rows are solved in turn, each warm-started from the row above; for g
-without x0 the one launch-time row of every fan row is solved in one batch
-from the affine guess.  A node stops once it converges, so its bits do not
-depend on the other nodes of its batch.  The phase and the lateral
+g the rows are solved in turn, each warm-started from the row above; under
+the time symmetry the one launch-time row of every fan row is solved in one
+batch from the affine guess.  A node stops once it converges, so its bits
+do not depend on the other nodes of its batch.  The phase and the lateral
 coordinates are affine in those indices; the converged stencil gives the
 covector slots.  The results are stored depth row first, so one row of
 them is contiguous.  solve_eikonal does not invert: a field inverts its fan
@@ -55,11 +63,11 @@ on the grid's window when first read.
 
 build_chart does not read those fields.  It first places the pull's virtual
 receding rays, launched on the chart's own lattice up to the slab's reach,
-on each row of the trimmed receding fan: for every chart-time level, or for
-the middle one alone when g and A have no x0.  It then inverts both fans on
-the read box: the nodes of the fans' coverage overlap that those rays'
-stencils, the slab differences and the window read; for one level that is
-the window and its edge nodes.  It samples every slab field there once, one
+on each row of the trimmed receding fan: for every chart-time level, or
+under the time symmetry for the middle one alone.  It then inverts both
+fans on the read box: the nodes of the fans' coverage overlap that those
+rays' stencils, the slab differences and the window read; for one level
+that is the window and its edge nodes.  It samples every slab field there once, one
 stencil per fan row for all fields, reading each row in place.  Every such
 box is a tuple of node ranges on the grid's face lattice (_coverage).  Along
 each ray the pull's depth lookup and row values use the 1-axis form of the
@@ -78,7 +86,7 @@ import numpy as np
 
 from .expr import Call, Const, Expr
 from .geometry import MetricField, SpacetimeGrid, _as_expr, _cone, _det, _solve_small
-from .solver import SampledCoefficients, WaveField, _time_free, solve_ibvp
+from .solver import SampledCoefficients, WaveField, _levels, _time_free, solve_ibvp
 
 __all__ = [
     "CharacteristicCrossing",
@@ -221,7 +229,8 @@ def _check_fold(pos_row: np.ndarray, side: str, z: float, rays: slice):
 
 
 def _distinct_rays(metric: MetricField) -> slice:
-    """Launch-time slices whose rays differ: the first alone when g has no x0."""
+    """Launch-time slices whose rays differ: the first alone when g has no x0
+    (the time symmetry, module notes)."""
     return slice(0, 1) if _time_free(tuple(e for row in metric.g for e in row)) else slice(None)
 
 
@@ -358,10 +367,10 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
 
     For a time-dependent g every target node is solved on every row, from
     the affine guess on row 0 (the lattice itself) and warm-started from the
-    previous row's solution after that.  When g has no x0 (fan.rays), the
-    target's lateral nodes are solved at the lattice's middle launch time
-    only, for every fan row in one batch from the affine guess, row m's
-    stencils led by m whole rows of fan.pos.  Each target time row takes that
+    previous row's solution after that.  Under the time symmetry
+    (fan.rays), the target's lateral nodes are solved at the lattice's
+    middle launch time only, for every fan row in one batch from the affine
+    guess, row m's stencils led by m whole rows of fan.pos.  Each target time row takes that
     solution shifted by its whole-node offset, and the solved slots.  Every
     shifted node is checked where it lands, row by row, so a target time off
     the fan's nodes is refused.
@@ -429,8 +438,7 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
 def _phase_on(fan: _Fan, side: str, grid: SpacetimeGrid, target_axes: tuple):
     """(psi, grad, lateral launch coordinates) of one family on the target
     nodes times the depth rows: the phase is the launch time shifted to the
-    window, and grad the ray's covector slots (_resample_rows; for g without
-    x0, one solved launch-time row shifted by whole nodes)."""
+    window, and grad the ray's covector slots (_resample_rows)."""
     launch, grad = _resample_rows(fan, target_axes)
     psi = launch[..., 0] - grid.t1 if side == "+" else grid.t2 - launch[..., 0]
     return psi, grad, [launch[..., j] for j in range(1, grid.n)]
@@ -508,9 +516,7 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
     the launch point of the ray through each node of the grid's window (see
     the module notes).
     The phase is the launch time shifted to the window; a '-' field also has
-    the launch lateral coordinates, which solve_transport_phi returns.  When
-    g has no x0 the fan integrates one launch-time slice (_integrate_fan),
-    and each row is inverted at one launch time, shifted by whole nodes.
+    the launch lateral coordinates, which solve_transport_phi returns.
     Raises CharacteristicCrossing when the family folds over before reaching
     the depth, and ValueError when the fan's coverage box misses the window.
     A row that does not invert inside the padded lattice is refused by the
@@ -684,9 +690,8 @@ class GoursatChart:
     times depth nodes.  Chart-space arrays (d_gauge, g1, x_at_y and the
     pulled coefficient fields) live on y_grid, whose depth axis is the
     distance to the face in chart coordinates.  d_gauge, g1 and the pulled
-    coefficient fields are read-only views; when g and A have no x0
-    (_one_level) they are one chart-time level broadcast over chart time,
-    and x_at_y is that level shifted in x0.  It keeps no phase field.
+    coefficient fields are read-only views, with a zero time stride under the
+    time symmetry (module notes).  It keeps no phase field.
     """
 
     y_of_x: np.ndarray
@@ -733,9 +738,8 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     virtual receding rays launched from the chart's time lattice
     (_virtual_rays, _pull_to_chart), and re-gridded onto a rectangle in chart
     coordinates whose depth step is three times its time step (the forward
-    run then sits safely inside the stability bound).  When neither g nor A
-    reads x0 (_one_level), the rays serve the middle chart-time level alone,
-    and the chart-space fields are that level broadcast over chart time.
+    run then sits safely inside the stability bound).  Under the time
+    symmetry (module notes) the rays serve the middle chart-time level alone.
 
     The slab fields live on the read box (_read_box): the part of the two
     fans' coverage overlap that the virtual rays' stencils and the window
@@ -966,9 +970,8 @@ def _chart_steps(grid: SpacetimeGrid) -> tuple:
 
 
 def _one_level(metric: MetricField) -> bool:
-    """True when neither g nor A reads x0 (the provider's `static` rule): every
-    chart-time level is then the middle one shifted in x0, so the pull samples
-    that level alone and transform_operator keeps it."""
+    """True when neither g nor A reads x0: the pull then serves the middle
+    chart-time level alone (the time symmetry, module notes)."""
     return _time_free((*(e for row in metric.g for e in row), *metric.A))
 
 
@@ -1176,7 +1179,7 @@ class TransformedOperator:
 
     def provider(self) -> SampledCoefficients:
         """Sampled-coefficient view consumed by the forward stepper."""
-        v1 = self.V1 if np.any(self.V1 != 0.0) else None
+        v1 = self.V1 if np.any(_levels(self.V1) != 0.0) else None
         return SampledCoefficients(self.grid, self.metric_matrix,
                                    self.potential_vector, rho=np.ones(self.grid.shape), v1=v1)
 
@@ -1197,39 +1200,43 @@ class TransformedOperator:
         }
 
 
+def _diff(a: np.ndarray, steps: list, axis: int) -> np.ndarray:
+    """Centered difference of a along axis, second order at the ends; along
+    the time axis of one distinct level (_levels) exactly zero."""
+    if axis == 0 and len(a) == 1:
+        return np.zeros_like(a)
+    return np.gradient(a, steps[axis], axis=axis, edge_order=2)
+
+
 def potential_term(g1: np.ndarray, g0_plus_j: list, g0_jk: list,
                    grid: SpacetimeGrid) -> np.ndarray:
-    """Zeroth-order remainder of the lateral volume normalization, sampled.
+    """Zeroth-order remainder of the lateral volume normalization, sampled
+    on g1's levels: every chart-time level, or one (_diff).
 
     Derivatives are centered differences on the chart grid; the in/outgoing
     derivative combinations are formed from the time and depth axes.
     """
     n = grid.n
-    shape = (grid.nt,) + grid.shape
     if n == 1:
-        return np.zeros(shape)
+        return np.zeros(g1.shape)
     steps = grid.steps()
     A = 0.25 * np.log(g1)
-    dA = list(np.gradient(A, *steps, edge_order=2))
+    dA = [_diff(A, steps, axis) for axis in range(n + 1)]
     A_s = 0.5 * (dA[0] - dA[n])
     A_tau = -0.5 * (dA[0] + dA[n])
-    d2_00 = np.gradient(dA[0], steps[0], axis=0, edge_order=2)
-    d2_nn = np.gradient(dA[n], steps[n], axis=n, edge_order=2)
-    A_stau = -0.25 * (d2_00 - d2_nn)
+    A_stau = -0.25 * (_diff(dA[0], steps, 0) - _diff(dA[n], steps, n))
 
     V = -4.0 * A_stau - 4.0 * A_s * A_tau
     for j in range(1, n):
         for k in range(1, n):
             gjk = g0_jk[j - 1][k - 1]
             V = V + gjk * dA[j] * dA[k]
-            V = V + np.gradient(gjk * dA[j], steps[k], axis=k, edge_order=2)
+            V = V + _diff(gjk * dA[j], steps, k)
         bj = g0_plus_j[j - 1]
         V = V + 4.0 * bj * A_s * dA[j]
         flux = bj * dA[j]
-        ds_flux = 0.5 * (np.gradient(flux, steps[0], axis=0, edge_order=2)
-                         - np.gradient(flux, steps[n], axis=n, edge_order=2))
-        dyj = np.gradient(bj * A_s, steps[j], axis=j, edge_order=2)
-        V = V + 2.0 * (ds_flux + dyj)
+        ds_flux = 0.5 * (_diff(flux, steps, 0) - _diff(flux, steps, n))
+        V = V + 2.0 * (ds_flux + _diff(bj * A_s, steps, j))
     return V
 
 
@@ -1277,11 +1284,10 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart) -> Transform
     potential argument must be the one the chart was built with (pass None to
     take it from the metric).  The zeroth-order term V1 is potential_term of
     the chart's sampled volume factor.  Every coefficient array is a read-only
-    view.  For a chart whose g and A have no x0 (_one_level) each is its
-    middle chart-time level broadcast over chart time: a y0 difference of a
-    field constant in y0 is exactly zero there, and only round-off at the
-    one-sided edges.  Its provider is then static, so the transformed run
-    builds its coefficients and checks its cone once.
+    view, formed on the pulled fields' distinct levels and broadcast over
+    chart time (the time symmetry, module notes): for a one-level chart the
+    provider is static, so the transformed run builds its coefficients and
+    checks its cone once.
     """
     if A is None:
         A = metric.A
@@ -1305,27 +1311,18 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart) -> Transform
                           f"{int(np.sum(ghpm <= 0.0))} of {ghpm.size} nodes have ghpm <= 0, "
                           f"least {float(np.min(ghpm)):.3g}")
 
-    g0_plus_j = [pulled[f"ghp{j}"] / ghpm for j in range(n - 1)]
-    g0_jk = [[pulled[f"gh{j}{k}"] / ghpm for k in range(n - 1)] for j in range(n - 1)]
+    # every coefficient is formed on the pulled fields' distinct levels
+    lv = {name: _levels(value) for name, value in pulled.items()}
+    ghpm = lv["ghpm"]
+    g0_plus_j = [lv[f"ghp{j}"] / ghpm for j in range(n - 1)]
+    g0_jk = [[lv[f"gh{j}{k}"] / ghpm for k in range(n - 1)] for j in range(n - 1)]
 
     shape = (y_grid.nt,) + y_grid.shape
     steps = y_grid.steps()
-    d = chart.d_gauge
-    d_y0 = np.gradient(d, steps[0], axis=0, edge_order=2)
-    d_yn = np.gradient(d, steps[n], axis=n, edge_order=2)
-    d_tau = -0.5 * (d_y0 + d_yn)
-    A_minus = pulled["Am"] + d_tau
-    A_j = [pulled[f"Aj{j}"] - np.gradient(d, steps[j + 1], axis=j + 1, edge_order=2)
-           for j in range(n - 1)]
-
-    V1 = potential_term(chart.g1, g0_plus_j, g0_jk, y_grid)
-
-    # a one-level chart (_one_level) is constant in chart time: keep its middle
-    # level, where every y0 difference is exactly zero, and broadcast it back
-    keep = slice(y_grid.nt // 2, y_grid.nt // 2 + 1) if _one_level(chart.metric) else slice(None)
-    g0_plus_j, A_j = [b[keep] for b in g0_plus_j], [a[keep] for a in A_j]
-    g0_jk = [[a[keep] for a in row] for row in g0_jk]
-    A_minus, V1, ghpm = A_minus[keep], V1[keep], ghpm[keep]
+    d = lv["d"]
+    A_minus = lv["Am"] - 0.5 * (_diff(d, steps, 0) + _diff(d, steps, n))
+    A_j = [lv[f"Aj{j}"] - _diff(d, steps, j + 1) for j in range(n - 1)]
+    V1 = potential_term(lv["g1"], g0_plus_j, g0_jk, y_grid)
 
     G = np.zeros(A_minus.shape + (n + 1, n + 1))
     G[..., 0, 0] = 1.0
@@ -1344,7 +1341,7 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart) -> Transform
     for j in range(1, n):
         A_vec[..., j] = A_j[j - 1]
 
-    def every(a):   # the kept levels on every chart-time level, a read-only view
+    def every(a):   # the distinct levels on every chart-time level, a read-only view
         return np.broadcast_to(a, shape + a.shape[len(shape):])
 
     return TransformedOperator(
@@ -1365,7 +1362,7 @@ def transform_operator(metric: MetricField, A, chart: GoursatChart) -> Transform
 def transformed_time_step(op: TransformedOperator) -> float:
     """Half the CFL-limited step of the operator's chart rectangle, at the
     closed-form cone speed bound that solve_ibvp checks every level against."""
-    return 0.5 * min(op.grid.h) / float(np.max(_cone(op.metric_matrix)["speed"]))
+    return 0.5 * min(op.grid.h) / float(np.max(_cone(_levels(op.metric_matrix))["speed"]))
 
 
 def solve_transformed_ibvp(op: TransformedOperator, f, grid: SpacetimeGrid,

@@ -206,10 +206,10 @@ class SampledCoefficients:
     ((-1)^n det g)^(-1/2) of the node samples unless given.  `at` serves node
     levels only, caching those within one of the newest (the two a step
     reads); the stepper averages them onto its staggered points.  `static`
-    (no level depends on time: every array is time-independent, or its levels
-    are bitwise equal, as in a broadcast time axis) and `time_cross` (some
-    g^{0j} is nonzero) are fixed when the provider is built; a static
-    provider serves every level from level 0.
+    (no level depends on time: every array is time-independent or has a zero
+    time stride, _levels) and `time_cross` (some g^{0j} is nonzero) are fixed
+    when the provider is built; a static provider serves every level from
+    level 0.
     """
 
     def __init__(self, grid: SpacetimeGrid, g, A, rho=None, v1=None, first_order=None):
@@ -230,7 +230,7 @@ class SampledCoefficients:
         static = (_level_free(g, grid.n + 2) and _level_free(A, grid.n + 1)
                   and all(_level_free(arr, grid.n) for arr in scalars))
         self._start(grid, g.shape[-1] - 1, sample, static,
-                    bool(np.any(g[..., 0, 1:] != 0.0)))
+                    bool(np.any(_levels(g)[..., 0, 1:] != 0.0)))
 
     @classmethod
     def from_metric(cls, metric: MetricField, grid: SpacetimeGrid,
@@ -288,13 +288,18 @@ class SampledCoefficients:
         return self._node(_time_index(self.grid, t))["v1"]
 
 
+def _levels(a: np.ndarray) -> np.ndarray:
+    """a's distinct time levels: a[:1] when its leading (time) stride is 0,
+    as np.broadcast_to gives, else a.  That zero stride is the one mark of an
+    array that is the same on every level, so a reduction over levels reads
+    the distinct ones."""
+    return a[:1] if a.strides[0] == 0 else a
+
+
 def _level_free(arr: np.ndarray, ndim: int) -> bool:
-    """True for an array of ndim axes without a time axis, or one whose levels
-    are bitwise equal: a broadcast time axis, or equal bytes level by level."""
-    if arr.ndim == ndim or arr.strides[0] == 0:
-        return True
-    levels = np.ascontiguousarray(arr).view(np.uint8).reshape(len(arr), -1)
-    return bool(np.all(levels[1:] == levels[0]))
+    """True for an array of ndim axes without a time axis, or one with a zero
+    time stride (_levels)."""
+    return arr.ndim == ndim or arr.strides[0] == 0
 
 
 def _time_free(field) -> bool:
@@ -726,11 +731,11 @@ def solve_ibvp(
 
     force = spatial = None
     if forcing is not None:
-        # one spatial mesh for every level's forcing env, read-only so that a
-        # forcing callable cannot change what later levels see
-        force, spatial = _complex_evaluator(forcing), grid.spatial_env()
-        for mesh in spatial.values():
-            mesh.flags.writeable = False
+        # every level's forcing env shares the spatial axes, broadcast to the
+        # grid's shape: no mesh is stored, and a callable cannot write to them
+        force = _complex_evaluator(forcing)
+        spatial = {f"x{i}": np.broadcast_to(ax, shape)
+                   for i, ax in enumerate(np.ix_(*axes), start=1)}
 
     def forcing_at(t: float):
         if force is None:

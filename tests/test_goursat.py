@@ -1280,6 +1280,36 @@ def test_one_level_chart_matches_every_level_chart(monkeypatch, metric, grid, de
     assert np.abs(run.samples - run_every.samples).max() <= 1e-10
 
 
+def test_time_stride_not_the_metric_picks_the_one_level_operator():
+    # the operator reads the pulled fields' zero time stride, not the metric:
+    # the same chart with those fields materialised forms every level, and its
+    # middle level is bitwise every level of the broadcast chart's operator
+    *_, chart, op = chart_stages(VAR_METRIC_2D, CHART_GRID_16, 0.3125)
+    full = dataclasses.replace(chart, _pull={k: np.array(v) for k, v in chart._pull.items()},
+                               g1=np.array(chart.g1), d_gauge=np.array(chart.d_gauge))
+    op_full = transform_operator(VAR_METRIC_2D, None, full)
+    mid = chart.y_grid.nt // 2
+
+    def coefficients(o):
+        return [o.A_minus, o.V1, o.gh_pm, o.metric_matrix, o.potential_vector,
+                *o.g0_plus_j, *o.A_j, *(a for row in o.g0_jk for a in row)]
+
+    for i, (got, want) in enumerate(zip(coefficients(op), coefficients(op_full))):
+        assert got.tobytes() == np.broadcast_to(want[mid], got.shape).tobytes(), i
+    assert op.provider().static and not op_full.provider().static
+
+
+def test_transformed_time_step_reads_one_level(monkeypatch):
+    # the cone bound runs on the distinct levels of the metric matrix: one on
+    # an x0-free chart, every chart-time level on a time-dependent one
+    ops = [chart_stages(m, CHART_GRID_16, 0.3125)[-1] for m in (VAR_METRIC_2D, TIME_CROSS_2D)]
+    cone, seen = goursat._cone, []
+    monkeypatch.setattr(goursat, "_cone", lambda g: seen.append(len(g)) or cone(g))
+    for op in ops:
+        transformed_time_step(op)
+    assert seen == [1, ops[1].grid.nt]
+
+
 @pytest.mark.parametrize("metric", [TIME_CROSS_2D, A_READS_X0_2D], ids=["time_cross", "A_x0"])
 def test_time_dependent_chart_pulls_every_level(monkeypatch, metric):
     # a g or an A that reads x0: the pull launches every chart-time level from
@@ -1533,6 +1563,20 @@ def test_chart_route_dn_matches_lab_route_2d():
     # measured 4.60e-3 and 3.09e-3; bounds about 15% above
     assert e1 <= 5.3e-3
     assert e2 <= 3.6e-3
+    assert math.log(e1 / e2) / math.log(20 / 16) >= 1.5
+
+
+def test_chart_route_dn_on_a_time_dependent_metric():
+    """The two routes on TIME_CROSS_2D, whose g reads x0 in every entry of its
+    first row (A = 0): the chart is pulled on every chart-time level, and the
+    operator's y0 differences are real differences.  Taking every level as
+    its middle one gives errors of about 3.6e-2 at both spacings.  This error
+    does not move when V1's y0 differences are zeroed, so it does not pin V1."""
+    e1 = chart_route_dn_error(TIME_CROSS_2D, 1 / 16)
+    e2 = chart_route_dn_error(TIME_CROSS_2D, 1 / 20)
+    # measured 4.835e-3 and 3.179e-3 (order 1.88); bounds about 15% above
+    assert e1 <= 5.6e-3
+    assert e2 <= 3.7e-3
     assert math.log(e1 / e2) / math.log(20 / 16) >= 1.5
 
 
