@@ -745,9 +745,12 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     fans' coverage overlap that the virtual rays' stencils and the window
     read.  Both fans are inverted there, and the phase fields' window values
     are not read, so every stencil and difference sees the values it would
-    on the whole overlap.  A fan row that does not invert inside the padded
-    lattice on that box raises ValueError.  The refusals below, and the
-    focal mask, cover only those nodes.
+    on the whole overlap.  The slab's pointwise algebra is formed one depth
+    row at a time (_slab_fields), so the chart's peak holds the fans, the
+    slab fields on the read box, and one row's intermediates or the pull's
+    samples.  A fan row that does not invert inside the padded lattice on
+    that box raises ValueError.  The refusals below, and the focal mask,
+    cover only those nodes.
 
     y_depth caps the chart depth; the default takes what the slab reaches.
     The virtual rays launch only as far past T2 as the two fans' time drifts
@@ -796,7 +799,7 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     rays = _virtual_rays(minus, grid, T1, T2, y_depth, drop, one_level=_one_level(metric))
     fracs = _grid_indices(rays.pos, overlap_axes)
     box = _read_box(fracs, overlap, grid)
-    # the slab's intermediates die with the helper, before the pull
+    # the slab's intermediates die with their depth row, before the pull
     slab_fields, y_of_x, jac_det, focal = _slab_fields(psi_plus, psi_minus, box, T1, T2, j_max)
 
     # ---- pull the coefficient fields onto a chart-space rectangle ----------
@@ -826,10 +829,14 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
     """The chart's slab quantities on the read box: (the fields the pull
     samples, then y_of_x, the Jacobian determinant and the focal mask on the
     grid's window).  Both fans are inverted on the box here (_phase_on).
-    Every quantity is formed depth row first, (rows, *box), as _resample_rows
+    Every quantity is stored depth row first, (rows, *box), as _resample_rows
     stores them, so each depth row is C-contiguous; the fields leave as
-    (*box, rows) views, and the pull's stencils read a row in place.  Raises
-    FocalRegion where the one-form system is singular."""
+    (*box, rows) views, and the pull's stencils read a row in place.  The
+    pointwise algebra is formed one depth row at a time into those arrays, so
+    its intermediates die with their row; what stays whole on the box is the
+    phases, their slots, the lateral launch coordinates and their gradients
+    (np.gradient couples the rows), and the outputs.  Raises FocalRegion at
+    the first depth row whose one-form system is singular."""
     grid, metric, depth_nodes = psi_plus.grid, psi_plus.metric, psi_plus.depth_nodes
     n = grid.n
     box_axes = _lattice(grid, box)
@@ -840,61 +847,64 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
     def rows_last(a):
         return np.moveaxis(a, 0, n)
 
-    psi_p, grad_p, _ = _phase_on(psi_plus._fan, "+", grid, box_axes)
+    psi_p, grad_p = _phase_on(psi_plus._fan, "+", grid, box_axes)[:2]
     psi_m, grad_m, phi_box = _phase_on(psi_minus._fan, "-", grid, box_axes)
     psi_p, grad_p, psi_m, grad_m = map(rows_first, (psi_p, grad_p, psi_m, grad_m))
     phi_box = [rows_first(p) for p in phi_box]
 
     steps = grid.steps()
-    dphi = []
-    for p in phi_box:
-        parts = np.gradient(p, steps[-1], *steps[:-1], edge_order=2)
-        dphi.append(np.stack(parts[1:] + parts[:1], axis=-1))
+    dphi = [np.stack(parts[1:] + parts[:1], axis=-1)
+            for parts in (np.gradient(p, steps[-1], *steps[:-1], edge_order=2) for p in phi_box)]
 
-    mesh = np.meshgrid(depth_nodes, *box_axes, indexing="ij")
-    env = {f"x{i}": m for i, m in enumerate(mesh[1:] + mesh[:1])}
-    slab_shape = psi_p.shape
-    g = metric.eval_g(env, slab_shape)
+    lat = range(n - 1)
+    names = ["ghpm", "g1", "Ap", "Am", "focal"] + [
+        name for j in lat for name in (f"ghp{j}", f"Aj{j}", *(f"gh{j}{k}" for k in lat))]
+    slab_fields = {"s": psi_p, **{name: np.empty(psi_p.shape) for name in names}}
+    window = (slice(None),) + tuple(slice(-lo, len(ax) - lo)   # rows first
+                                    for ax, (lo, _) in zip(grid.face_axes(), box))
+    jac_det = np.empty(psi_p[window].shape)
+    face = np.meshgrid(*box_axes, indexing="ij")
 
-    ghpm = -0.5 * np.einsum("...jk,...j,...k->...", g, grad_p, grad_m)
-    ghpj = [0.5 * np.einsum("...jk,...j,...k->...", g, grad_p, dphi[j]) for j in range(n - 1)]
-    ghjk = [[np.einsum("...jk,...j,...k->...", g, dphi[a], dphi[b]) for b in range(n - 1)]
-            for a in range(n - 1)]
-    g1_x = 1.0 / np.abs(_det(ghjk)) if ghjk else np.ones(slab_shape)
+    def form_row(r, z):   # its intermediates die on return
+        env = {f"x{i}": m for i, m in enumerate([*face, np.full(face[0].shape, z)])}
+        g = metric.eval_g(env, face[0].shape)
+        gp, gm, dp = grad_p[r], grad_m[r], [d[r] for d in dphi]
+        row = {"ghpm": -0.5 * np.einsum("...jk,...j,...k->...", g, gp, gm)}
+        ghjk = [[np.einsum("...jk,...j,...k->...", g, dp[a], dp[b]) for b in lat] for a in lat]
+        row["g1"] = 1.0 / np.abs(_det(ghjk)) if ghjk else 1.0
+        for j in lat:
+            row[f"ghp{j}"] = 0.5 * np.einsum("...jk,...j,...k->...", g, gp, dp[j])
+            row.update({f"gh{j}{k}": ghjk[j][k] for k in lat})
 
-    # chart map and its Jacobian on the slab
-    y0, yn = GoursatChart.pair_to_normal(psi_p, psi_m, T1, T2)
-    y_comps = [y0] + phi_box + [yn]
-    jac_rows = [0.5 * (grad_p - grad_m)] + dphi + [-0.5 * (grad_p + grad_m)]
-    jac_det = _det([[row[..., k] for k in range(n + 1)] for row in jac_rows])
-    focal = (np.abs(jac_det) > j_max) | (np.abs(jac_det) < 1.0 / j_max) | (ghpm <= 0.0)
+        # the chart map's Jacobian
+        jac_rows = [0.5 * (gp - gm)] + dp + [-0.5 * (gp + gm)]
+        det = _det([[jr[..., k] for k in range(n + 1)] for jr in jac_rows])
+        jac_det[r] = det[window[1:]]
+        row["focal"] = (np.abs(det) > j_max) | (np.abs(det) < 1.0 / j_max) | (row["ghpm"] <= 0.0)
 
-    # hatted potentials from the one-form transformation rule: M hat = A for
-    # the columns -grad psi+, -grad psi-, grad phi_j; det M = +-2 jac_det
-    cols = [-grad_p, -grad_m] + dphi
-    M = [[col[..., i] for col in cols] for i in range(n + 1)]
-    A_x = metric.eval_A(env, slab_shape)
-    det_m = _det(M)
-    if not np.all(det_m):
-        det_m = rows_last(det_m)
-        where = np.unravel_index(int(np.argmin(np.abs(det_m))), det_m.shape)
-        node = tuple(float(ax[k]) for ax, k in zip(box_axes + (depth_nodes,), where))
-        raise FocalRegion(f"one-form system singular at slab node {node}: det {det_m[where]:.3g}")
-    Ap_x, Am_x, *Aj_x = _solve_small(M, [A_x[..., i] for i in range(n + 1)])
+        # hatted potentials from the one-form transformation rule: M hat = A for
+        # the columns -grad psi+, -grad psi-, grad phi_j; det M = +-2 jac_det.
+        # The row is checked before it is solved, which would divide by zero
+        cols = [-gp, -gm] + dp
+        M = [[col[..., i] for col in cols] for i in range(n + 1)]
+        det_m = _det(M)
+        if not np.all(det_m):
+            where = np.unravel_index(int(np.argmin(np.abs(det_m))), det_m.shape)
+            node = tuple(float(ax[k]) for ax, k in zip(box_axes, where)) + (float(z),)
+            raise FocalRegion(f"one-form system singular at slab node {node}: "
+                              f"det {det_m[where]:.3g}")
+        A_x = metric.eval_A(env, face[0].shape)
+        row["Ap"], row["Am"], *Aj = _solve_small(M, [A_x[..., i] for i in range(n + 1)])
+        row.update({f"Aj{j}": Aj[j] for j in lat})
+        for name, value in row.items():
+            slab_fields[name][r] = value
 
-    window = tuple(slice(-lo, len(ax) - lo) for ax, (lo, _) in zip(grid.face_axes(), box))
-    y_of_x = np.stack([rows_last(c)[window] for c in y_comps], axis=-1)
-
-    slab_fields = {"s": psi_p, "ghpm": ghpm, "g1": g1_x,
-                   "Ap": Ap_x, "Am": Am_x, "focal": focal.astype(float)}
-    for j in range(n - 1):
-        slab_fields[f"ghp{j}"] = ghpj[j]
-        slab_fields[f"Aj{j}"] = Aj_x[j]
-        for k in range(n - 1):
-            slab_fields[f"gh{j}{k}"] = ghjk[j][k]
-
+    for r, z in enumerate(depth_nodes):
+        form_row(r, z)
+    y0, yn = GoursatChart.pair_to_normal(psi_p[window], psi_m[window], T1, T2)
+    y_of_x = np.stack([rows_last(c) for c in [y0, *(p[window] for p in phi_box), yn]], axis=-1)
     return ({name: rows_last(f) for name, f in slab_fields.items()}, y_of_x,
-            rows_last(jac_det)[window], rows_last(focal)[window])
+            rows_last(jac_det), rows_last(slab_fields["focal"][window]) == 1.0)
 
 
 def _trim_fan(fan: _Fan, axes: tuple) -> _Fan:
