@@ -26,13 +26,15 @@ work is scheduled.
 
 The time symmetry.  Every RK4 stage reads a ray's time only through g, so
 when g has no x0 (_distinct_rays) every launch-time slice of a fan is the
-first shifted in time: only that slice is integrated, and each fan row is
-inverted at one launch time, then shifted by whole nodes (_resample_rows).
-When A has no x0 either (_one_level), every chart-time level is the middle
-one shifted in x0: the pull samples that level alone and returns each
-chart-space field with a zero time stride (np.broadcast_to), shifting only
-x0 and the advancing phase.  From the pull on, that stride is the one mark
-of a field that is the same on every level.  Every per-level reduction (the
+first shifted in time: only that slice is integrated, and the fan keeps
+its covector p on it alone, broadcast over launch time with a zero stride
+(np.broadcast_to).  That stride marks a fan whose rows are each inverted at
+one launch time, then shifted by whole nodes (_resample_rows).  When A has
+no x0 either (_one_level), every chart-time level is the middle one shifted
+in x0: the pull samples that level alone and returns each chart-space field
+with a zero time stride, shifting only x0.  From the fan to the run, that
+stride is the one mark of an array that is the same at every time.  Every
+per-level reduction (the
 operator's derivatives and V1, the cone bound, the provider's scans) reads
 an array's distinct levels (solver._levels), where a y0 difference of one
 level is exactly zero, as it is on the middle level of a broadcast field;
@@ -157,17 +159,18 @@ def _fan_env(n: int, pos: np.ndarray, z: float) -> dict:
 class _Fan:
     """One characteristic family, integrated in depth from a padded face lattice.
 
-    rays is the _distinct_rays slice it was integrated on; for slice(0, 1)
-    the lateral pos and all of p are bitwise constant along launch time.  tol
-    is the inversion's residual tolerance (_resample_rows), scaled by the
-    grid's window, not by the padded lattice.
+    p is stored on the fan's distinct launch-time slices (_distinct_rays)
+    and broadcast over the lattice: under the time symmetry its launch-time
+    stride is zero, the fan's one mark of it, and the lateral pos is then
+    bitwise constant along launch time too.  tol is the inversion's residual
+    tolerance (_resample_rows), scaled by the grid's window, not by the
+    padded lattice.
     """
 
     axes: tuple            # launch coordinate arrays (time, lateral...)
     depth_nodes: np.ndarray
     pos: np.ndarray        # (nz+1, *lattice, n) tangential positions
     p: np.ndarray          # (nz+1, *lattice, n+1) covector, depth component last
-    rays: slice
     tol: float
 
 
@@ -252,10 +255,11 @@ def _face_drift(metric: MetricField, grid: SpacetimeGrid) -> dict:
 
 def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
     """RK4 in depth of one family from the padded launch lattice, on its
-    distinct launch-time slices (_distinct_rays): the stored rows are full, the
-    step's increments broadcast over launch times and added elementwise, so
-    every slice is bitwise what its own RK4 gives.  Folds are checked on the
-    full rows.  pad_time is one margin for both ends of the window, or a pair
+    distinct launch-time slices (_distinct_rays): the stored positions are
+    full, the step's increments broadcast over launch times and added
+    elementwise, so every slice is bitwise what its own RK4 gives; p is kept
+    on those slices and returned broadcast over the lattice.  Folds are
+    checked on the full rows.  pad_time is one margin for both ends of the window, or a pair
     (before t1, after t2).  Raises ValueError for fewer than three depth
     steps."""
     n = grid.n
@@ -276,10 +280,10 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
     lattice = mesh[0].shape
 
     pos = np.empty((nz + 1,) + lattice + (n,))
-    p = np.empty((nz + 1,) + lattice + (n + 1,))
     cur_pos = np.stack(mesh, axis=-1)
     rays = _distinct_rays(metric)
     cur_p = np.zeros(cur_pos[rays].shape)
+    p = np.empty((nz + 1,) + cur_p.shape[:-1] + (n + 1,))
     cur_p[..., 0] = 1.0 if side == "+" else -1.0
 
     zs = hz * np.arange(nz + 1)
@@ -298,7 +302,7 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
         cur_p = cur_p + (hz / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
 
     tol = 1e-13 * max(1.0, abs(grid.t1), abs(grid.t2), *grid.extent[:-1])
-    return _Fan(tuple(axes), zs, pos, p, rays, tol)
+    return _Fan(tuple(axes), zs, pos, np.broadcast_to(p, pos.shape[:-1] + (n + 1,)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +371,11 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
 
     For a time-dependent g every target node is solved on every row, from
     the affine guess on row 0 (the lattice itself) and warm-started from the
-    previous row's solution after that.  Under the time symmetry
-    (fan.rays), the target's lateral nodes are solved at the lattice's
-    middle launch time only, for every fan row in one batch from the affine
-    guess, row m's stencils led by m whole rows of fan.pos.  Each target time row takes that
+    previous row's solution after that.  Under the time symmetry, marked by
+    fan.p's zero launch-time stride (solver._levels), the target's lateral
+    nodes are solved at the lattice's middle launch time only, for every fan
+    row in one batch from the affine guess, row m's stencils led by m whole
+    rows of fan.pos.  Each target time row takes that
     solution shifted by its whole-node offset, and the solved slots.  Every
     shifted node is checked where it lands, row by row, so a target time off
     the fan's nodes is refused.
@@ -411,7 +416,7 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
             )
         launch[row] = at
 
-    if fan.rays == slice(None):
+    if len(_levels(fan.p[0])) > 1:
         idx = _grid_indices(target, fan.axes)
         for row in range(nrows):
             idx, norm, stencil = newton(idx, row * size, target)
@@ -746,8 +751,9 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     read.  Both fans are inverted there, and the phase fields' window values
     are not read, so every stencil and difference sees the values it would
     on the whole overlap.  The slab's pointwise algebra is formed one depth
-    row at a time (_slab_fields), so the chart's peak holds the fans, the
-    slab fields on the read box, and one row's intermediates or the pull's
+    row at a time (_slab_fields), and the pull drops the slab fields once it
+    has sampled them, so the chart's peak holds the fans and either the slab
+    fields on the read box with one row's intermediates, or the pull's
     samples.  A fan row that does not invert inside the padded lattice on
     that box raises ValueError.  The refusals below, and the focal mask,
     cover only those nodes.
@@ -800,12 +806,14 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     fracs = _grid_indices(rays.pos, overlap_axes)
     box = _read_box(fracs, overlap, grid)
     # the slab's intermediates die with their depth row, before the pull
-    slab_fields, y_of_x, jac_det, focal = _slab_fields(psi_plus, psi_minus, box, T1, T2, j_max)
+    slab = list(_slab_fields(psi_plus, psi_minus, box, T1, T2, j_max))
 
     # ---- pull the coefficient fields onto a chart-space rectangle ----------
-    # shifting by the box's whole-node offset is exact, so every weight is the overlap's
+    # shifting by the box's whole-node offset is exact, so every weight is the
+    # overlap's; the pull holds the slab fields' last reference
     y_grid, pulled, row_index = _pull_to_chart(
-        rays, fracs - [b[0] - o[0] for b, o in zip(box, overlap)], slab_fields, grid, T1, T2)
+        rays, fracs - [b[0] - o[0] for b, o in zip(box, overlap)], slab.pop(0), grid, T1, T2)
+    y_of_x, jac_det, focal = slab
     x_at_y = np.stack(
         [pulled[f"x{d}"] for d in range(n)] + [row_index * hz], axis=-1)
 
@@ -925,7 +933,7 @@ def _trim_fan(fan: _Fan, axes: tuple) -> _Fan:
         slices.append(slice(idx[0], idx[-1] + 1))
     take = (slice(None),) + tuple(slices)
     return _Fan(tuple(ax[s] for ax, s in zip(fan.axes, slices)), fan.depth_nodes,
-                fan.pos[take], fan.p[take], fan.rays, fan.tol)
+                fan.pos[take], fan.p[take], fan.tol)
 
 
 def _read_box(fracs: np.ndarray, overlap: tuple, grid: SpacetimeGrid) -> tuple:
@@ -960,8 +968,6 @@ class _Rays:
     """Virtual receding rays of the chart pull, placed on every fan row."""
 
     pos: np.ndarray        # (nrows, launches, *lateral, n) tangential positions
-    dty: float             # the chart's time step
-    nt_y: int              # the chart's time levels
     first: int             # the first level the rays serve, launched at T1 + first dty
     count: int             # the levels they serve: 1, or nt_y from level 0
     nq_cap: int            # chart depth steps the pull tries first
@@ -1045,7 +1051,7 @@ def _virtual_rays(fan: _Fan, grid: SpacetimeGrid, T1: float, T2: float, y_depth,
 
     nodes = np.stack(np.meshgrid(xi_star, *grid.face_axes()[1:], indexing="ij"), axis=-1)
     launches = _Stencil(_grid_indices(nodes, fan.axes), fan.pos.shape[1:-1])
-    return _Rays(np.stack([launches(row) for row in fan.pos]), dty, nt_y, first, count, nq_cap,
+    return _Rays(np.stack([launches(row) for row in fan.pos]), first, count, nq_cap,
                  launched < reach)
 
 
@@ -1056,7 +1062,8 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
     Stage one samples every slab field (*box, depth rows) at the rays'
     points, fracs (nrows, launches, *lateral, n) fractional indices on the
     box: one _Stencil per fan row, located once for all fields.  A field
-    stored depth row first, as _slab_fields' are, is read in place.  The
+    stored depth row first, as _slab_fields' are, is read in place; a caller
+    that keeps no reference to slab_fields frees them after stage one.  The
     rays' positions become the x{d} rows.  slab_fields must hold the advancing
     phase "s" and the outgoing hatted potential "Ap"; "Ap" leaves as the
     gauge phase "d" = -int Ap ds, zero on the face and integrated along each
@@ -1064,31 +1071,35 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
     phase along each virtual ray (two Newton steps on the 4-point row
     interpolant from a linear bracket) to land on the requested chart depth
     nodes, the targets s* = dty (i - 3q) at the absolute level i; the
-    converged rows locate one _RowStencil, which reads every field's rows at
-    the targets' launches in place and gives the miss check.  It raises
+    converged rows locate one _RowStencil, which gives the miss check, its
+    one read of "s", and reads every other field's rows at the targets'
+    launches in place, each sample dropped once it is read.  It raises
     ValueError when a node still misses its phase value by more than
     1e-9 * dty.  When the rays are short (_virtual_rays) and the chart
     reaches all the depth steps their launches support, it raises ValueError
     rather than return a chart that more launches might deepen.
     Returns (y_grid, pulled fields, fractional row index) on the chart's
     nt_y levels, the index and the fields read-only views.  For rays that
-    serve one level, that level is broadcast over the others, and "s" and
-    "x0" (new arrays) are shifted by (i - first) dty at level i.
+    serve one level, that level is broadcast over the others with a zero
+    time stride, and "x0" (a new array) is shifted by (i - first) dty at
+    level i.
     """
     n = grid.n
-    dty, nt_y, dz = rays.dty, rays.nt_y, 3.0 * rays.dty
+    dty, nt_y = _chart_steps(grid)
+    dz = 3.0 * dty
     nrows = rays.pos.shape[0]
     stage1 = {name: np.empty(rays.pos.shape[:-1]) for name in slab_fields}
     for m in range(nrows):
         stencil = _Stencil(fracs[m], slab_fields["s"].shape[:-1])
         for name, field in slab_fields.items():
             stage1[name][m] = stencil(field[..., m, None])[..., 0]
+    del slab_fields   # the last reference: the slab goes with it
+    S = stage1.pop("s")
     stage1.update({f"x{d}": rays.pos[..., d] for d in range(n)})
-    stage1["d"] = _cumulative_trapezoid(-stage1.pop("Ap"), stage1["s"])
+    stage1["d"] = _cumulative_trapezoid(-stage1.pop("Ap"), S)
     lat_shape = rays.pos.shape[2:-1]
 
     # feasible chart depth: every virtual ray must reach its deepest target
-    S = stage1["s"]
     first, count = rays.first, rays.count
     nq = rays.nq_cap
     while nq > 0:
@@ -1120,6 +1131,7 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
     k = np.clip(np.sum(S_t > s_star, axis=0), 1, nrows - 1)
     lo = np.take_along_axis(S_t, (k - 1)[None], axis=0)[0]
     hi = np.take_along_axis(S_t, k[None], axis=0)[0]
+    del S_t
     theta = np.where(lo > hi, (lo - s_star) / np.where(lo > hi, lo - hi, 1.0), 0.0)
     r = np.clip(k - 1 + theta, 0.0, nrows - 1.0)
     for _ in range(2):
@@ -1129,7 +1141,6 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
         r = np.clip(r - (fval - s_star) / slope, 0.0, nrows - 1.0)
     # located once at the converged rows, for the miss check and every field
     stencil = _RowStencil(r, at, S.shape)
-    on_rows = {name: stencil(rows) for name, rows in stage1.items()}
 
     def to_y_shape(flat):   # (count, nq+1, *lat) -> (nt_y, *lat, nq+1), a broadcast view
         levels = np.moveaxis(flat.reshape((count, nq + 1) + lat_shape), 1, -1)
@@ -1140,7 +1151,7 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
     y_grid = SpacetimeGrid(n=n, extent=extent, h=h, dt=dty, t1=T1, t2=T2,
                            boundary_patch=grid.boundary_patch)
 
-    miss = to_y_shape(np.abs(on_rows["s"] - s_star))
+    miss = to_y_shape(np.abs(stencil(S) - s_star))
     bad = miss > 1e-9 * dty
     if np.any(bad):
         worst = np.unravel_index(np.argmax(miss), miss.shape)
@@ -1151,12 +1162,11 @@ def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: Spac
             f"y = ({', '.join(f'{c:.4f}' for c in node)})); refine the slab depth step"
         )
 
-    pulled = {name: to_y_shape(value) for name, value in on_rows.items()}
-    # level i of one pulled level is that level shifted by i - first chart time
-    # steps, which moves only the advancing phase and x0; zero for every level
-    shift = dty * (np.arange(nt_y) - np.arange(count) - first)
-    for name in ("s", "x0"):
-        pulled[name] = pulled[name] + shift.reshape((nt_y,) + (1,) * (pulled[name].ndim - 1))
+    # each sample goes once it is pulled
+    pulled = {name: to_y_shape(stencil(stage1.pop(name))) for name in list(stage1)}
+    x0 = pulled["x0"]
+    if x0.strides[0] == 0:   # level i is the pulled one shifted by i - first chart time steps
+        pulled["x0"] = x0 + dty * (np.arange(nt_y) - first).reshape((nt_y,) + (1,) * (x0.ndim - 1))
     return y_grid, pulled, to_y_shape(r)
 
 

@@ -237,6 +237,8 @@ def test_sweep_exhaustion_raises():
     u0 = (np.sin(math.pi * x1) * np.sin(math.pi * x2)).astype(complex)
     with pytest.raises(SweepNotConverged, match=r"t = 0\.0156 .* 1 sweeps"):
         solve_ibvp(VAR_METRIC_2D, None, None, g, initial=(u0, u0), max_sweeps=1)
+    with pytest.raises(ValueError, match=r"max_sweeps must be at least 1, got 0"):
+        solve_ibvp(VAR_METRIC_2D, None, None, g, initial=(u0, u0), max_sweeps=0)
     wf = solve_ibvp(VAR_METRIC_2D, None, None, g, initial=(u0, u0))
     assert np.isfinite(wf.samples).all()
 
