@@ -26,20 +26,20 @@ work is scheduled.
 
 The time symmetry.  Every RK4 stage reads a ray's time only through g, so
 when g has no x0 (_distinct_rays) every launch-time slice of a fan is the
-first shifted in time: only that slice is integrated, and the fan keeps
-its covector p on it alone, broadcast over launch time with a zero stride
+first shifted in time: only that slice is integrated, and the fan keeps its
+covector p on it alone, broadcast over launch time with a zero stride
 (np.broadcast_to).  That stride marks a fan whose rows are each inverted at
-one launch time, then shifted by whole nodes (_resample_rows).  When A has
-no x0 either (_one_level), every chart-time level is the middle one shifted
-in x0: the pull samples that level alone and returns each chart-space field
-with a zero time stride, shifting only x0.  From the fan to the run, that
-stride is the one mark of an array that is the same at every time.  Every
-per-level reduction (the
-operator's derivatives and V1, the cone bound, the provider's scans) reads
-an array's distinct levels (solver._levels), where a y0 difference of one
-level is exactly zero, as it is on the middle level of a broadcast field;
-a provider of such arrays is static.  A time-dependent g or A runs the same
-code on every level.
+one launch time, then shifted by whole nodes (_resample_rows); the covector
+slots of such an inversion keep the zero stride, one time row broadcast over
+the target's.  When A has no x0 either (_one_level), every chart-time level
+is the middle one shifted in x0: the pull samples that level alone and
+returns each chart-space field with a zero time stride, shifting only x0.
+From the fan to the run, that stride is the one mark of an array that is the
+same at every time.  Every per-level reduction (the operator's derivatives
+and V1, the cone bound, the provider's scans) reads an array's distinct
+levels (solver._levels), where a y0 difference of one level is exactly zero,
+as it is on the middle level of a broadcast field; a provider of such arrays
+is static.  A time-dependent g or A runs the same code on every level.
 
 Each fan launches from a face lattice padded to what its rays reach
 (_default_pads): per end of the window, from both families' time drift at
@@ -383,6 +383,8 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
     Returns (launch, slots) shaped (*target_counts, nrows, n) and
     (*target_counts, nrows, n+1), the depth row index before the component:
     views of arrays stored depth row first, so each depth row is C-contiguous.
+    Under the time symmetry the slots are a read-only view of the one solved
+    time row, with a zero time stride, as fan.p's.
     Raises ValueError naming the row when a node does not converge or lands
     off the lattice.
     """
@@ -393,7 +395,7 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
     top = np.array(lattice) - 1.0
     nrows, n = fan.pos.shape[0], fan.pos.shape[-1]
     launch = np.empty((nrows,) + target.shape[:-1] + (n,))
-    slots = np.empty((nrows,) + target.shape[:-1] + (n + 1,))
+    slots_shape = (nrows,) + target.shape[:-1] + (n + 1,)
 
     def newton(idx, lead, solve):
         # a node stops once it converges, so its bits do not depend on its batch
@@ -417,6 +419,7 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
         launch[row] = at
 
     if len(_levels(fan.p[0])) > 1:
+        slots = np.empty(slots_shape)
         idx = _grid_indices(target, fan.axes)
         for row in range(nrows):
             idx, norm, stencil = newton(idx, row * size, target)
@@ -430,7 +433,7 @@ def _resample_rows(fan: _Fan, target_axes: tuple):
         rows = np.arange(nrows).reshape((nrows,) + (1,) * (solve.ndim - 1))
         idx, _, stencil = newton(np.broadcast_to(guess, (nrows,) + guess.shape),
                                  size * rows, solve)
-        slots[...] = stencil(fan.p)   # one time row, broadcast over the target's
+        slots = np.broadcast_to(stencil(fan.p), slots_shape)   # one time row, zero stride
         for row in range(nrows):
             at = idx[row] + shift
             accept(row, at, np.max(np.abs(_Stencil(at, lattice, row * size)(fan.pos) - target),
@@ -469,7 +472,8 @@ class EikonalField:
     '-' field's _phi holds the launch lateral coordinates there.  The field
     keeps its fan: the first read of psi, grad or _phi inverts it on the
     window for all three (raising ValueError where a row does not invert),
-    and build_chart inverts it only on the nodes it reads.
+    and build_chart inverts it only on the nodes it reads.  Under the time
+    symmetry grad is a read-only view with a zero time stride (module notes).
     """
 
     side: str
@@ -644,7 +648,8 @@ class _Stencil:
     components first, so every contraction runs along the points.
 
     lead (broadcast against the points) is added to every flat base: with F
-    a stack of grids, lead = m * prod(shape) reads grid m.
+    a stack of grids, lead = m * prod(shape) reads grid m.  A call drops the
+    last call's gathers before it gathers.
     """
 
     def __init__(self, fracs: np.ndarray, shape: tuple, lead=0):
@@ -660,6 +665,7 @@ class _Stencil:
         self._partial = None
 
     def __call__(self, F: np.ndarray) -> np.ndarray:
+        self._partial = None
         k = F.shape[-1]
         flat = F.reshape(-1)
         # flat index of component c of each point's base node, components first
@@ -832,6 +838,18 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     )
 
 
+def _row_gradient(f: np.ndarray, r: int, steps: tuple) -> np.ndarray:
+    """Row r of the gradient of f (rows, time, lateral...), with steps and
+    the components ordered (time, lateral..., rows): np.gradient's
+    second-order differences, bitwise row r of the whole stack's.  Along the
+    rows it differences the three rows around r (clamped at the ends), so
+    numpy's own interior and edge formulas apply."""
+    lo = min(max(r - 1, 0), len(f) - 3)
+    return np.stack([*np.gradient(f[r], *steps[:-1], edge_order=2),
+                     np.gradient(f[lo:lo + 3], steps[-1], axis=0, edge_order=2)[r - lo]],
+                    axis=-1)
+
+
 def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
                  T1: float, T2: float, j_max: float):
     """The chart's slab quantities on the read box: (the fields the pull
@@ -841,10 +859,12 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
     stores them, so each depth row is C-contiguous; the fields leave as
     (*box, rows) views, and the pull's stencils read a row in place.  The
     pointwise algebra is formed one depth row at a time into those arrays, so
-    its intermediates die with their row; what stays whole on the box is the
-    phases, their slots, the lateral launch coordinates and their gradients
-    (np.gradient couples the rows), and the outputs.  Raises FocalRegion at
-    the first depth row whose one-form system is singular."""
+    its intermediates die with their row: each row reads its slots as one
+    contiguous row (a copy only of a zero-stride one) and forms its lateral
+    coordinates' gradients from its neighbour rows (_row_gradient).  What
+    stays whole on the box is the phases, their slots (one time row under the
+    time symmetry), the lateral launch coordinates and the outputs.  Raises
+    FocalRegion at the first depth row whose one-form system is singular."""
     grid, metric, depth_nodes = psi_plus.grid, psi_plus.metric, psi_plus.depth_nodes
     n = grid.n
     box_axes = _lattice(grid, box)
@@ -861,8 +881,6 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
     phi_box = [rows_first(p) for p in phi_box]
 
     steps = grid.steps()
-    dphi = [np.stack(parts[1:] + parts[:1], axis=-1)
-            for parts in (np.gradient(p, steps[-1], *steps[:-1], edge_order=2) for p in phi_box)]
 
     lat = range(n - 1)
     names = ["ghpm", "g1", "Ap", "Am", "focal"] + [
@@ -876,7 +894,9 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
     def form_row(r, z):   # its intermediates die on return
         env = {f"x{i}": m for i, m in enumerate([*face, np.full(face[0].shape, z)])}
         g = metric.eval_g(env, face[0].shape)
-        gp, gm, dp = grad_p[r], grad_m[r], [d[r] for d in dphi]
+        # one contiguous row each: a copy only of a zero-stride row
+        gp, gm = np.ascontiguousarray(grad_p[r]), np.ascontiguousarray(grad_m[r])
+        dp = [_row_gradient(p, r, steps) for p in phi_box]
         row = {"ghpm": -0.5 * np.einsum("...jk,...j,...k->...", g, gp, gm)}
         ghjk = [[np.einsum("...jk,...j,...k->...", g, dp[a], dp[b]) for b in lat] for a in lat]
         row["g1"] = 1.0 / np.abs(_det(ghjk)) if ghjk else 1.0

@@ -42,6 +42,7 @@ from bclab.goursat import (
     _normal_root,
     _pull_to_chart,
     _resample_rows,
+    _row_gradient,
     _RowStencil,
     _solve_small,
     _Stencil,
@@ -607,6 +608,43 @@ def test_shifted_inversion_lands_on_every_target_node(metric, grid, depth):
             _resample_rows(fan, (cover[0] + 0.5 * grid.dt,) + cover[1:])
 
 
+@pytest.mark.parametrize("metric, grid, depth", TIME_FREE_CASES)
+def test_time_free_slots_are_one_time_row_with_zero_stride(monkeypatch, metric, grid, depth):
+    # g without x0: the slots are the converged stencil's one time row,
+    # broadcast over the target's time rows with a zero stride instead of
+    # copied into each; every row is bitwise that of a full array filled from
+    # the stencil.  A time-dependent fan's slots are a writable full array
+    call, gathered = goursat._Stencil.__call__, []
+    monkeypatch.setattr(goursat._Stencil, "__call__",
+                        lambda self, F: gathered.append((F, call(self, F))) or gathered[-1][1])
+    for side in ("+", "-"):
+        fan = solve_eikonal(metric, side, grid, depth)._fan
+        gathered.clear()
+        slots = _resample_rows(fan, _lattice(grid, _coverage(fan, grid)))[1]
+        [row] = [values for F, values in gathered if F is fan.p]
+        full = np.empty(slots.shape[-2:-1] + slots.shape[:-2] + slots.shape[-1:])   # rows first
+        full[...] = row
+        assert slots.strides[0] == 0 and not slots.flags.writeable
+        assert slots.tobytes() == np.moveaxis(full, 0, -2).tobytes()
+    fan = solve_eikonal(TIME_CROSS_2D, "-", CHART_GRID_16, 0.3125)._fan
+    slots = _resample_rows(fan, _lattice(CHART_GRID_16, _coverage(fan, CHART_GRID_16)))[1]
+    assert slots.flags.writeable and 0 not in slots.strides
+
+
+@pytest.mark.parametrize("rows", [3, 4, 7])
+def test_row_gradient_is_the_whole_stack_gradient_bitwise(rows):
+    # the slab forms grad phi one depth row at a time, differencing depth on
+    # the three rows around each: every row, the first and the last included,
+    # is byte for byte that row of np.gradient over the whole stack
+    steps = (0.35 / 20, 1 / 20, 0.3 / 6)   # time, lateral, depth
+    f = np.random.default_rng(rows).standard_normal((rows, 9, 6))
+    parts = np.gradient(f, steps[-1], *steps[:-1], edge_order=2)
+    want = np.stack(parts[1:] + parts[:1], axis=-1)
+    for r in range(rows):
+        got = _row_gradient(f, r, steps)
+        assert got.shape == want[r].shape and got.tobytes() == want[r].tobytes(), r
+
+
 @pytest.mark.parametrize("metric, grid, depth", [
     # the waveguide's fans fold by depth 0.25 on both grids
     pytest.param(WAVEGUIDE, SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 8, 1 / 8),
@@ -1073,6 +1111,7 @@ def test_chart_refuses_singular_one_form_node(monkeypatch):
 
     def inject(fan, target_axes):
         launch, slots = resample(fan, target_axes)
+        slots = np.array(slots)   # a read-only zero-stride view under the time symmetry
         node = (int(np.argmin(np.abs(target_axes[0] - 1.0))), 3)  # t = 1, depth 3/32
         if fan is ep._fan:
             plus["slots"] = slots[node].copy()
@@ -1096,6 +1135,7 @@ def test_chart_refuses_singular_one_form_node_2d(monkeypatch):
 
     def inject(fan, target_axes):
         launch, slots = resample(fan, target_axes)
+        slots = np.array(slots)   # a read-only zero-stride view under the time symmetry
         node = (*(int(np.argmin(np.abs(ax - c))) for ax, c in zip(target_axes, (0.7, 0.25))),
                 2)   # depth 0.125
         if fan is ep._fan:
@@ -1224,19 +1264,22 @@ def test_chart_stages_peak_memory_on_a_time_dependent_metric():
 
 def test_chart_stages_peak_memory_on_a_time_free_metric():
     # the bench's chart metric: neither g nor A reads x0, so the fans keep one
-    # launch-time slice of p and the pull samples one chart-time level.  The
-    # chart stages peak near 5.2 MiB under tracemalloc on the bench grid; with
-    # p stored on every launch time they peaked at 7.1 MiB, with the whole
+    # launch-time slice of p, the inversions return one time row of slots and
+    # the pull samples one chart-time level.  The chart stages peak near
+    # 4.0 MiB under tracemalloc on the bench grid, in the slab's one-form
+    # solve; with the slots and grad phi whole on the read box they peaked at
+    # 5.2 MiB, with p stored on every launch time at 7.1 MiB, with the whole
     # slab's algebra alive at once at 10.9 MiB, and pulling every level at
     # 14.8 MiB
-    assert chart_stages_peak(VAR_METRIC_2D) < 6 * 2 ** 20
+    assert chart_stages_peak(VAR_METRIC_2D) < 4.5 * 2 ** 20
 
 
 def test_chart_stages_peak_memory_when_only_a_reads_x0():
     # one-slice fans and an every-level pull: the chart stages peak near
-    # 7.1 MiB; with p on every launch time and the slab and the samples kept
-    # through the pull they peaked at 10.8 MiB
-    assert chart_stages_peak(A_READS_X0_2D) < 8 * 2 ** 20
+    # 6.3 MiB, in the pull's stage two; with the slots and grad phi whole on the read box they peaked
+    # at 7.1 MiB, with p on every launch time and the slab and the samples
+    # kept through the pull at 10.8 MiB
+    assert chart_stages_peak(A_READS_X0_2D) < 6.8 * 2 ** 20
 
 
 CHART_GRID_16 = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 16, 1 / 16), dt=0.35 / 16,
@@ -1352,6 +1395,9 @@ def whole_box_slab_fields(psi_plus, psi_minus, box, T1, T2, j_max):
     psi_p, grad_p, _ = goursat._phase_on(psi_plus._fan, "+", grid, box_axes)
     psi_m, grad_m, phi_box = goursat._phase_on(psi_minus._fan, "-", grid, box_axes)
     psi_p, grad_p, psi_m, grad_m = map(rows_first, (psi_p, grad_p, psi_m, grad_m))
+    # the slots in full: a zero-stride view read by the whole-box einsum rounds
+    # differently from the contiguous rows the streamed algebra reads
+    grad_p, grad_m = np.ascontiguousarray(grad_p), np.ascontiguousarray(grad_m)
     phi_box = [rows_first(p) for p in phi_box]
     steps = grid.steps()
     dphi = []
