@@ -15,7 +15,10 @@ Conventions used throughout the laboratory:
   float array.  MetricField, Diffeo and GaugeField keep the plans of the
   tables they own; `_eval_table` runs a one-off table such as the DN face
   rows, and `_time_levels` a table walked level by level (the checks, the
-  solver's g and A), with its part without x0 run once;
+  solver's g and A).  A level is nested rows of per-node arrays, the form
+  `_rows` gives, and holds only what varies: its part without x0 runs once,
+  each entry without x0 is one read-only array that every level shares,
+  an entry and its transposed twin are one array, and x0 is one number;
 * per-node matrices are at most 3x3 and are factored in closed form here:
   `_det` (cofactor expansion) and `_solve_small` (Cramer's rule on it) for
   determinants and solves, `_sym_eigs` for the cone's 1x1/2x2 eigenvalues.
@@ -145,9 +148,10 @@ class _Plan:
     are Vars naming earlier steps ("%0", "%1", ..., names no parsed
     expression can use).  A call runs each step once with Expr.evaluate, so
     every value comes from the same numpy operations, in the same order, as
-    walking each entry's tree, and is bitwise equal to it.  Each entry of the
-    output, out[..., j, k], is contiguous.  With `varying` names, each largest
-    compound subtree without them is a step too, which `fix` runs once.
+    walking each entry's tree, and is bitwise equal to it.  Each entry of a
+    call's output, out[..., j, k], is contiguous.  With `varying` names, each
+    largest compound subtree without them is a step too, which `fix` runs
+    once; the table it returns is nested rows of arrays.
     """
 
     def __init__(self, table, varying=()):
@@ -204,23 +208,8 @@ class _Plan:
 
         Every entry is broadcast to shape, which defaults to the broadcast
         shape of the evaluated entries (() when all are constant)."""
-        return self._run(self.steps, dict(env), shape)
-
-    def fix(self, env: dict):
-        """Run the steps without `varying` names over env once, here; returns
-        (env of the varying names, shape=None) -> the table, which runs the rest.
-        Of env and the fixed values, it keeps only those the rest or the roots read."""
         local = dict(env)
         for name, step in self.steps:
-            if name in self.fixed:
-                local[name] = step.evaluate(local)
-        rest = [step for step in self.steps if step[0] not in self.fixed]
-        read = set(self.roots).union(*(step.variables() for _, step in rest))
-        local = {name: value for name, value in local.items() if name in read}
-        return lambda varying, shape=None: self._run(rest, dict(local, **varying), shape)
-
-    def _run(self, steps, local: dict, shape) -> np.ndarray:
-        for name, step in steps:
             local[name] = step.evaluate(local)
         values = [np.asarray(local[name], dtype=float) for name in self.roots]
         if shape is None:
@@ -231,6 +220,48 @@ class _Plan:
         for idx, value in self.fills:
             out[idx] = value
         return np.moveaxis(out, tuple(range(len(self.dims))), tuple(range(-len(self.dims), 0)))
+
+    def fix(self, env: dict, shape: tuple):
+        """Run the steps without `varying` names over env once, here; returns
+        (env of the varying names) -> the table as nested rows of C-contiguous
+        float arrays of shape, which runs the rest.  An entry without them,
+        a constant one included, is one read-only array that every call
+        returns; entries that are one subtree (g's twins) are one array.  Of
+        env and the fixed values, it keeps only those the rest reads."""
+        local = dict(env)
+        for name, step in self.steps:
+            if name in self.fixed:
+                local[name] = step.evaluate(local)
+        rest = [step for step in self.steps if step[0] not in self.fixed]
+
+        def shaped(value):  # value itself when it is a C-contiguous float array of shape
+            value = np.asarray(value, dtype=float)
+            if value.shape == shape and value.flags.c_contiguous:
+                return value
+            return np.broadcast_to(value, shape).copy()
+
+        def frozen(value):  # np.broadcast_to gives a read-only view
+            return np.broadcast_to(shaped(value), shape)
+
+        held = [frozen(local[name]) if name in self.fixed else None for name in self.roots]
+        fills, cells = dict(self.fills), np.empty(self.dims, dtype=object)
+        for idx in set(np.ndindex(self.dims)).difference(idx for idx, _ in self.slots):
+            cells[idx] = frozen(fills.get(idx, 0.0))  # a zero of either sign is +0.0
+        read = set().union(*(step.variables() for _, step in rest))
+        local = {name: value for name, value in local.items() if name in read}
+
+        def level(varying: dict) -> list:
+            values = dict(local, **varying)
+            for name, step in rest:
+                values[name] = step.evaluate(values)
+            roots = [shaped(values[name]) if h is None else h
+                     for name, h in zip(self.roots, held)]
+            out = cells.copy()
+            for idx, i in self.slots:
+                out[idx] = roots[i]
+            return out.tolist()
+
+        return level
 
 
 def _eval_table(table, env: dict, shape=None) -> np.ndarray:
@@ -244,11 +275,15 @@ def _eval_table(table, env: dict, shape=None) -> np.ndarray:
 
 
 def _time_levels(table, grid: SpacetimeGrid):
-    """t -> the table on grid's spatial mesh at x0 = t, bitwise as evaluated on
-    grid.env_at_time(t); its subtrees without x0 run once, here, and of those
-    only the values a level reads are kept."""
-    at, shape = _Plan(table, varying=("x0",)).fix(grid.spatial_env()), grid.shape
-    return lambda t: at({"x0": np.full(shape, float(t))}, shape)
+    """t -> the table on grid's spatial mesh at x0 = t as nested rows of
+    per-node arrays, bitwise as evaluated on grid.env_at_time(t).  Its
+    subtrees without x0 run once, here, and of those only the values a level
+    reads are kept; an entry without x0 is the same read-only array at every
+    level.  x0 is one number per level, held as a (1, ..., 1) array so that a
+    subtree of x0 alone is evaluated once per level, by the numpy functions a
+    full mesh would use (Call.evaluate sends a numpy scalar to math)."""
+    at = _Plan(table, varying=("x0",)).fix(grid.spatial_env(), grid.shape)
+    return lambda t: at({"x0": np.full((1,) * grid.n, float(t))})
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +657,8 @@ class Diffeo:
         """
         g_at, time_gradient = _time_levels(metric.g, grid), _time_levels(self.jacobian[0], grid)
         for t in grid.times():
-            grad = time_gradient(t)
-            form = np.einsum("...p,...pr,...r->...", grad, g_at(t), grad)
+            grad, g = time_gradient(t), g_at(t)
+            form = sum(gp * g[p][r] * gr for p, gp in enumerate(grad) for r, gr in enumerate(grad))
             if np.min(form) <= 0.0:
                 return False
         return True
@@ -649,8 +684,9 @@ def _sym_eigs(entries: list):
     return mid - rad, mid + rad
 
 
-def _cone(g: np.ndarray) -> dict:
-    """Closed-form cone quantities per node of a sampled (..., n+1, n+1) metric.
+def _cone(g) -> dict:
+    """Closed-form cone quantities per node of a sampled metric: nested rows of
+    per-node arrays, or an ndarray (..., n+1, n+1) that _rows normalises.
 
     With b = g^{0j} and the spatial block G, the characteristic polynomial
     g^{00} xi_0^2 + 2 (b.xi) xi_0 + xi.G.xi has discriminant xi.M.xi for
@@ -662,12 +698,13 @@ def _cone(g: np.ndarray) -> dict:
     check all read.  `ell` and `disc` are exact over covectors for the n <= 2
     a SpacetimeGrid allows; solve_ibvp runs it on every node level.
     """
-    pairs = [(1, 1)] if g.shape[-1] == 2 else [(1, 1), (1, 2), (2, 2)]
-    g00 = g[..., 0, 0]
-    G = [g[..., j, k] for j, k in pairs]
-    M = [g[..., 0, j] * g[..., 0, k] - g00 * gjk for (j, k), gjk in zip(pairs, G)]
+    g = _rows(g)
+    pairs = [(1, 1)] if len(g) == 2 else [(1, 1), (1, 2), (2, 2)]
+    g00 = g[0][0]
+    G = [g[j][k] for j, k in pairs]
+    M = [g[0][j] * g[0][k] - g00 * gjk for (j, k), gjk in zip(pairs, G)]
     disc, top = _sym_eigs(M)
-    beta = np.sqrt(sum(g[..., 0, j] ** 2 for j in range(1, g.shape[-1])))
+    beta = np.sqrt(sum(g[0][j] ** 2 for j in range(1, len(g))))
     with np.errstate(divide="ignore", invalid="ignore"):
         speed = (beta + np.sqrt(np.maximum(top, 0.0))) / g00
     return {"ell": -_sym_eigs(G)[1], "disc": disc, "speed": speed}
@@ -703,25 +740,26 @@ class HyperbolicityReport:
             raise NonHyperbolic(condition, point, value)
 
 
-def _cone_failures(g: np.ndarray, cone: dict, t: float, axes: list) -> list:
+def _cone_failures(g, cone: dict, t: float, axes: list) -> list:
     """(condition, node, value) at the worst node of each cone condition that
-    node level t of g fails; cone is _cone(g), axes the level's spatial axes."""
-    n = g.shape[-1] - 1
+    node level t of g, nested rows of per-node arrays, fails; cone is
+    _cone(g), axes the level's spatial axes."""
+    n = len(g) - 1
 
     def worst(values):
         idx = np.unravel_index(int(np.argmin(values)), values.shape)
         idx = idx + (0,) * (n - len(idx))  # the face x_n = 0 lacks the last index
         return (float(t),) + tuple(float(axes[i][idx[i]]) for i in range(n))
 
-    checks = (("time coefficient positivity", g[..., 0, 0], 1.0),
+    checks = (("time coefficient positivity", g[0][0], 1.0),
               ("spatial ellipticity", cone["ell"], -1.0),
               ("real distinct characteristic roots", cone["disc"], 1.0),
-              ("time-like boundary face", -g[..., 0, n, n], -1.0))
+              ("time-like boundary face", -g[n][n][..., 0], -1.0))
     return [(condition, worst(values), sign * float(np.min(values)))
             for condition, values, sign in checks if np.min(values) <= 0.0]
 
 
-def _level_speed(g: np.ndarray, t: float, axes: list, check: bool = True) -> float:
+def _level_speed(g, t: float, axes: list, check: bool = True) -> float:
     """Max of _cone's speed on level t of g; with check, NonHyperbolic if it fails."""
     cone = _cone(g)
     failures = _cone_failures(g, cone, t, axes) if check else []
@@ -747,10 +785,10 @@ def check_hyperbolicity(metric: MetricField, grid: SpacetimeGrid) -> Hyperbolici
     for t in grid.times():
         g = g_at(t)
         cone = _cone(g)
-        c0 = min(c0, float(np.min(g[..., 0, 0])))
+        c0 = min(c0, float(np.min(g[0][0])))
         c1 = min(c1, float(np.min(cone["ell"])))
         min_disc = min(min_disc, float(np.min(cone["disc"])))
-        boundary_max = max(boundary_max, float(np.max(g[..., 0, metric.n, metric.n])))
+        boundary_max = max(boundary_max, float(np.max(g[metric.n][metric.n][..., 0])))
         for failure in _cone_failures(g, cone, t, axes):
             first.setdefault(failure[0], failure)
     return HyperbolicityReport(passed=not first, c0=c0, c1=c1, min_discriminant=min_disc,
@@ -957,23 +995,23 @@ def _neighbor_offsets(n: int) -> list:
     return offsets
 
 
-def _cone_speed(g_lo: np.ndarray, direction: np.ndarray, sign: int) -> np.ndarray:
+def _cone_speed(g_lo: list, direction: np.ndarray, sign: int) -> np.ndarray:
     """Forward (sign=+1) or backward (sign=-1) boundary speed of the velocity cone.
 
     Null velocity vectors (1, w) satisfy g_{00} + 2 g_{0j} w_j + g_{jk} w_j w_k = 0
-    in the sampled covariant metric g_lo (..., n+1, n+1); along a fixed unit
-    direction this is a quadratic in the speed whose positive root is the
-    causal propagation rate.
+    in the sampled covariant metric g_lo, nested rows of per-node arrays;
+    along a fixed unit direction this is a quadratic in the speed whose
+    positive root is the causal propagation rate.
     """
-    n = g_lo.shape[-1] - 1
+    n = len(g_lo) - 1
     w = direction * sign
-    a = np.zeros(g_lo.shape[:-2])
-    b = np.zeros(g_lo.shape[:-2])
+    a = np.zeros(g_lo[0][0].shape)
+    b = np.zeros(g_lo[0][0].shape)
     for j in range(1, n + 1):
-        b += g_lo[..., 0, j] * w[j - 1]
+        b += g_lo[0][j] * w[j - 1]
         for k in range(1, n + 1):
-            a += g_lo[..., j, k] * w[j - 1] * w[k - 1]
-    c = g_lo[..., 0, 0]
+            a += g_lo[j][k] * w[j - 1] * w[k - 1]
+    c = g_lo[0][0]
     disc = np.maximum(b * b - a * c, 0.0)
     # a < 0 (spatial block of the covariant metric is negative definite too)
     v = (b + np.sqrt(disc)) / (-a)
@@ -1027,7 +1065,8 @@ def influence_region(
     covariant, g_at = [], _time_levels(metric.g, grid)
     for elapsed in np.linspace(0.0, reach, 5):
         g = g_at(t_seed + sign * elapsed)
-        covariant.append(np.stack([_solve_small(g, e) for e in np.eye(grid.n + 1)], axis=-1))
+        columns = [_solve_small(g, list(e)) for e in np.eye(grid.n + 1)]
+        covariant.append(list(zip(*columns)))  # rows of the inverse
     hvec = np.array(grid.h)
     travel_tables = []
     for off in offsets:

@@ -51,6 +51,7 @@ from .geometry import (
     _det,
     _level_speed,
     _Plan,
+    _rows,
     _time_levels,
     max_characteristic_speed,
 )
@@ -197,12 +198,15 @@ class WaveField:
 class SampledCoefficients:
     """The stepper's coefficient provider: a store of node levels.
 
-    Node level m holds g^{jk} (*shape, n+1, n+1), A_j (*shape, n+1), rho, an
-    optional complex zeroth-order field v1 and optional first-order
-    coefficients b_j, all on the spatial nodes at t1 + m*dt.  The constructor
-    takes them as arrays, each either with a leading time axis of length nt
-    or time-independent; `from_metric` evaluates them from expressions, one
-    node level at a time, each entry of g and A contiguous.  rho is
+    Node level m holds g^{jk} as nested rows g[j][k] and A_j as a row A[j]
+    of per-node arrays (geometry._rows), rho, an optional complex
+    zeroth-order field v1 and optional first-order coefficients b_j, all on
+    the spatial nodes at t1 + m*dt.  The constructor takes them as arrays,
+    each either with a leading time axis of length nt or time-independent,
+    and serves views of them; `from_metric` evaluates them from expressions
+    (geometry._time_levels): an entry without x0 is one shared read-only
+    array, g's twins g[j][k] and g[k][j] are one array, and only the entries
+    that read x0 are formed for each level.  rho is
     ((-1)^n det g)^(-1/2) of the node samples unless given.  `at` serves node
     levels only, caching those within one of the newest (the two a step
     reads); the stepper averages them onto its staggered points.  `static`
@@ -224,7 +228,8 @@ class SampledCoefficients:
             def pick(arr, extra=0):
                 return arr if arr is None or arr.ndim == grid.n + extra else arr[m]
 
-            return {"g": pick(g, 2), "A": pick(A, 1), "rho": pick(rho), "v1": pick(v1),
+            return {"g": _rows(pick(g, 2)), "A": list(np.moveaxis(pick(A, 1), -1, 0)),
+                    "rho": pick(rho), "v1": pick(v1),
                     "first": None if first is None else [pick(b) for b in first]}
 
         static = (_level_free(g, grid.n + 2) and _level_free(A, grid.n + 1)
@@ -245,9 +250,9 @@ class SampledCoefficients:
 
         def sample(m):
             t = grid.t1 + m * grid.dt
-            table = g_and_A(t)
+            *g, A = g_and_A(t)
             env = grid.env_at_time(t) if v1_at or first_at else None
-            return {"g": table[..., :-1, :], "A": table[..., -1, :], "rho": None,
+            return {"g": g, "A": A, "rho": None,
                     "v1": None if v1_at is None else v1_at(env, shape),
                     "first": None if first_at is None else [b(env, shape) for b in first_at]}
 
@@ -268,15 +273,15 @@ class SampledCoefficients:
     def _node(self, m: int) -> dict:
         m = 0 if self.static else m  # every level is level 0
         if m not in self._cache:
+            # a step reads node levels m and m + 1: the rest go before m is sampled
+            for stale in [cached for cached in self._cache if abs(cached - m) > 1]:
+                del self._cache[stale]
             value = self._sample(m)
             if value["rho"] is None:
                 sign = (-1.0) ** self.n
                 # NaN off the cone; the level check and the NaN guard report it
                 with np.errstate(invalid="ignore"):
                     value["rho"] = (sign * _det(value["g"])) ** -0.5
-            # a step reads node levels m and m + 1
-            for stale in [cached for cached in self._cache if abs(cached - m) > 1]:
-                del self._cache[stale]
             self._cache[m] = value
         return self._cache[m]
 
@@ -416,10 +421,10 @@ class _Stepper:
             out *= 0.5
             return out
 
-        g0 = [mid(lo["g"][..., 0, k], hi["g"][..., 0, k]) for k in range(self.n + 1)]  # g's row 0
+        g0 = [mid(x, y) for x, y in zip(lo["g"][0], hi["g"][0])]  # g's row 0
         rho = mid(lo["rho"], hi["rho"])
         new = -0.5j * rho
-        new *= sum(g * mid(lo["A"][..., k], hi["A"][..., k]) for k, g in enumerate(g0))
+        new *= sum(g * mid(x, y) for g, x, y in zip(g0, lo["A"], hi["A"]))
         a = rho * g0[0]
         a /= self.dt
         new += a
@@ -445,7 +450,7 @@ class _Stepper:
         cm = P.at(t)
         new, cen = self._flux_weights(cm, P.at(t + self.dt))
         rho = span(cm["rho"])
-        lead = 0.5j * span(cm["A"][..., 0])
+        lead = 0.5j * span(cm["A"][0])
         np.subtract(1.0 / self.dt, lead, out=lead)  # weight of w0p in the time difference
         first, zeroth = cm["first"], P.zeroth_at(t)
         if first is not None:
@@ -454,7 +459,7 @@ class _Stepper:
             zeroth = rho * span(zeroth)
         # weight: of u^{m+1} at the node, -rho times the centre, until _centre
         # inverts it; the axes' time factors add to it and to the arms
-        out = {"node": cm, "A": [cm["A"][..., k].ravel() for k in range(self.n + 1)],
+        out = {"node": cm, "A": [a.ravel() for a in cm["A"]],
                "rho": rho, "new": new, "cen": cen, "lead": lead, "weight": lead * new,
                "axes": [], "arms": [], "first": first, "zeroth": zeroth}
         if P.static:
@@ -478,14 +483,14 @@ class _Stepper:
             out *= 0.5
             return out
 
-        flux = 0.5j * half(A[..., j])
+        flux = 0.5j * half(A[j])
         np.subtract(1.0 / h[axis], flux, out=flux)
         rhoh = half(cm["rho"])
-        time, *row = (half(g[..., j, k]) for k in range(self.n + 1))
+        time, *row = (half(x) for x in g[j])
         for x in (time, *row):
             np.multiply(rhoh, x, out=x)  # rho_h g's row j
         weights = {"flux": np.multiply(row.pop(axis), flux, out=flux),
-                   "ahead": np.subtract(1.0 / h[axis], 0.5j * span(A[..., j])),
+                   "ahead": np.subtract(1.0 / h[axis], 0.5j * span(A[j])),
                    "cross": list(zip([k for k in range(1, self.n + 1) if k != j], row))}
         for k, x in weights["cross"]:
             x /= 4.0 * h[k - 1]

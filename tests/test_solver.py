@@ -303,12 +303,33 @@ def test_level_coefficients_evaluate_what_reads_no_x0_once(monkeypatch):
     solve_ibvp(TIME_CROSS_2D, None, None, g, store="boundary")
     assert calls == {False: 4, True: 5 * g.nt}
     monkeypatch.setattr(Call, "evaluate", evaluate)
-    # and each node level holds eval_g and eval_A on its env, bitwise
+    # and each node level holds eval_g and eval_A on its env, bitwise, entry
+    # by entry
     provider = SampledCoefficients.from_metric(TIME_CROSS_2D, g)
     for t in g.times():
         node, env = provider.at(t), g.env_at_time(t)
-        assert node["g"].tobytes() == TIME_CROSS_2D.eval_g(env, g.shape).tobytes()
-        assert node["A"].tobytes() == TIME_CROSS_2D.eval_A(env, g.shape).tobytes()
+        assert_rows_equal(node["g"], TIME_CROSS_2D.eval_g(env, g.shape))
+        assert_rows_equal([node["A"]], TIME_CROSS_2D.eval_A(env, g.shape)[..., None, :])
+
+
+def test_node_levels_share_the_entries_without_x0():
+    # of TIME_CROSS_2D's g, g^11 and g^12 read no x0 and A reads x0 in every
+    # component: the entries without x0 are one read-only array at every
+    # level, g's twins one array, and only the entries that read x0 are formed
+    # for each level
+    g = _cross_grid()
+    provider = SampledCoefficients.from_metric(TIME_CROSS_2D, g)
+    one, two = provider.at(g.times()[2]), provider.at(g.times()[3])
+    for j, k in ((1, 1), (1, 2)):
+        assert one["g"][j][k] is two["g"][j][k]
+        with pytest.raises(ValueError, match="read-only"):
+            one["g"][j][k][0, 0] = 0.0
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        assert one["g"][j][k] is one["g"][k][j]
+    for x, y in [(one["g"][j][k], two["g"][j][k]) for j, k in ((0, 0), (0, 1), (0, 2), (2, 2))] \
+            + list(zip(one["A"], two["A"])):
+        assert x.flags.writeable and not np.shares_memory(x, y)
+        assert not np.array_equal(x, y)
 
 
 def test_hoisted_coefficients_stay_with_their_solve():
@@ -326,11 +347,12 @@ def test_hoisted_coefficients_stay_with_their_solve():
 
 def test_time_dependent_solve_holds_one_axis_of_factors_at_a_time():
     # each axis's factors are formed when the step reaches the axis and die
-    # once applied, the step's temporaries are formed in place, and the g/A
-    # plan keeps only the fixed values its remaining steps read.  On this
-    # 33x33 grid the solve peaked at 53 complex levels under tracemalloc when
-    # every axis's factors, the whole fixed plan and the temporaries were
-    # held at once; it now peaks near 45
+    # once applied, the step's temporaries are formed in place, the g/A plan
+    # keeps only the fixed values its remaining steps read, and a node level
+    # holds only its entries that read x0.  On this 33x33 grid the solve
+    # peaked at 53 complex levels under tracemalloc when every axis's
+    # factors, the whole fixed plan and the temporaries were held at once,
+    # and near 45 while each level held a dense g/A table; it now peaks near 40
     h = 1 / 32
     g = SpacetimeGrid(n=2, extent=(1.0, 1.0), h=(h, h), dt=h / 4, t1=0.0, t2=0.25)
     env = g.env_at_time(0.0)
@@ -343,7 +365,7 @@ def test_time_dependent_solve_holds_one_axis_of_factors_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 49 * math.prod(g.shape) * 16
+    assert peak < 43 * math.prod(g.shape) * 16
 
 
 @pytest.mark.parametrize("terms", [False, True], ids=["bare", "v1_first"])
@@ -371,7 +393,17 @@ def test_factors_formed_per_step_equal_the_cached_ones(monkeypatch, terms):
     # level is still eval_g on that level's env, bitwise
     at = _time_levels(TIME_CROSS_2D.g, g)
     for t in g.times():
-        assert at(t).tobytes() == TIME_CROSS_2D.eval_g(g.env_at_time(t), g.shape).tobytes()
+        assert_rows_equal(at(t), TIME_CROSS_2D.eval_g(g.env_at_time(t), g.shape))
+
+
+def assert_rows_equal(rows, table):
+    """rows, nested rows of per-node arrays, hold the ndarray table (..., d, e)
+    bitwise: each entry a float array of the table's node shape."""
+    assert [len(row) for row in rows] == [table.shape[-1]] * table.shape[-2]
+    for j, row in enumerate(rows):
+        for k, x in enumerate(row):
+            assert x.dtype == table.dtype and x.shape == table.shape[:-2]
+            assert x.tobytes() == table[..., j, k].tobytes()
 
 
 def test_staggered_coefficients_hold_only_the_rows_a_step_reads():
@@ -382,21 +414,22 @@ def test_staggered_coefficients_hold_only_the_rows_a_step_reads():
     stepper = _Stepper(provider, g)
     c = stepper.level(t)
     node, ahead = provider.at(t), provider.at(t + g.dt)
-    assert all(node["g"][..., j, k].flags.c_contiguous and node["A"][..., j].flags.c_contiguous
+    assert all(node["g"][j][k].flags.c_contiguous and node["A"][j].flags.c_contiguous
                for j in range(3) for k in range(3))
     with pytest.raises(ValueError, match="is not a grid level"):
         provider.at(t + 0.5 * g.dt)
     band = stepper.band
     # the half level: the time flux's weights from g's row 0, all of A and
     # rho, averaged over the two node levels, on the band
-    g0 = 0.5 * (node["g"][..., 0, :] + ahead["g"][..., 0, :])
-    A, rho = 0.5 * (node["A"] + ahead["A"]), 0.5 * (node["rho"] + ahead["rho"])
-    a = rho * g0[..., 0] / g.dt
-    b = -0.5j * rho * sum(g0[..., k] * A[..., k] for k in range(3))
+    g0 = [0.5 * (x + y) for x, y in zip(node["g"][0], ahead["g"][0])]
+    A = [0.5 * (x + y) for x, y in zip(node["A"], ahead["A"])]
+    rho = 0.5 * (node["rho"] + ahead["rho"])
+    a = rho * g0[0] / g.dt
+    b = -0.5j * rho * sum(g0[k] * A[k] for k in range(3))
     assert c["new"].tobytes() == (a + b).reshape(-1)[band].tobytes()
     assert (-c["new"].conj()).tobytes() == (b - a).reshape(-1)[band].tobytes()
     assert [w.tobytes() for w in c["cen"]] == [
-        (0.25 * rho * g0[..., k] / g.h[k - 1]).reshape(-1)[band].tobytes() for k in (1, 2)]
+        (0.25 * rho * g0[k] / g.h[k - 1]).reshape(-1)[band].tobytes() for k in (1, 2)]
     # axis j's half nodes: g's row j, A_j and rho of node level m, over the
     # neighbours, each pair of flat nodes one stride apart; the pairs that
     # wrap a row end are never read
@@ -404,11 +437,11 @@ def test_staggered_coefficients_hold_only_the_rows_a_step_reads():
     assert len(axes) == 2
     for j, weights in enumerate(axes, 1):
         axis, h = j - 1, g.h[j - 1]
-        gh, Ah, rhoh = (_davg(x, axis)
-                        for x in (node["g"][..., j, :], node["A"][..., j], node["rho"]))
-        want = {"flux": rhoh * gh[..., j] * (1.0 / h - 0.5j * Ah),
-                "time": rhoh * gh[..., 0] / (4.0 * g.dt),
-                "cross": rhoh * gh[..., 3 - j] / (4.0 * g.h[2 - j])}
+        gh = [_davg(x, axis) for x in node["g"][j]]
+        Ah, rhoh = _davg(node["A"][j], axis), _davg(node["rho"], axis)
+        want = {"flux": rhoh * gh[j] * (1.0 / h - 0.5j * Ah),
+                "time": rhoh * gh[0] / (4.0 * g.dt),
+                "cross": rhoh * gh[3 - j] / (4.0 * g.h[2 - j])}
         (k, cross), = weights["cross"]
         assert k == 3 - j
         for name, got in (("flux", weights["flux"]), ("time", weights["time"]), ("cross", cross)):
@@ -416,7 +449,7 @@ def test_staggered_coefficients_hold_only_the_rows_a_step_reads():
             read = ~np.isnan(laid)
             assert got.shape == laid.shape and read.mean() > 0.9
             assert got[read].tobytes() == laid[read].tobytes()
-        ahead_node = 1.0 / h - 0.5j * node["A"][..., j]
+        ahead_node = 1.0 / h - 0.5j * node["A"][j]
         assert weights["ahead"].tobytes() == ahead_node.reshape(-1)[band].tobytes()
 
 
@@ -665,30 +698,31 @@ def residual_oracle(stepper, t, um1, um, up1, forcing=None):
 
     def time_flux(tt, u_new, u_old):
         lo, hi = P.at(tt - 0.5 * dt), P.at(tt + 0.5 * dt)
-        g0 = 0.5 * (lo["g"][..., 0, :] + hi["g"][..., 0, :])
-        A, rho = 0.5 * (lo["A"] + hi["A"]), 0.5 * (lo["rho"] + hi["rho"])
+        g0 = [0.5 * (x + y) for x, y in zip(lo["g"][0], hi["g"][0])]
+        A = [0.5 * (x + y) for x, y in zip(lo["A"], hi["A"])]
+        rho = 0.5 * (lo["rho"] + hi["rho"])
         mid = 0.5 * (u_new + u_old)
-        w = rho * g0[..., 0] * ((u_new - u_old) / dt - 1j * A[..., 0] * mid)
+        w = rho * g0[0] * ((u_new - u_old) / dt - 1j * A[0] * mid)
         for k in range(1, n + 1):
-            w = w + rho * g0[..., k] * (_dcen(mid, k - 1, h[k - 1]) - 1j * A[..., k] * mid)
+            w = w + rho * g0[k] * (_dcen(mid, k - 1, h[k - 1]) - 1j * A[k] * mid)
         return w
 
     node = P.at(t)
     A, rho = node["A"], node["rho"]
     w0q, w0p = time_flux(t - 0.5 * dt, um, um1), time_flux(t + 0.5 * dt, up1, um)
-    total = (w0p - w0q) / dt - 0.5j * A[..., 0] * (w0p + w0q)
-    dk = [(up1 - um1) / (2.0 * dt) - 1j * A[..., 0] * um]
-    dk += [_dcen(um, k - 1, h[k - 1]) - 1j * A[..., k] * um for k in range(1, n + 1)]
+    total = (w0p - w0q) / dt - 0.5j * A[0] * (w0p + w0q)
+    dk = [(up1 - um1) / (2.0 * dt) - 1j * A[0] * um]
+    dk += [_dcen(um, k - 1, h[k - 1]) - 1j * A[k] * um for k in range(1, n + 1)]
     for j in range(1, n + 1):
         axis = j - 1
-        gh, rhoh = _davg(node["g"][..., j, :], axis), _davg(rho, axis)
-        dj = _ddiff(um, axis, h[axis]) - 1j * _davg(A[..., j], axis) * _davg(um, axis)
-        w = gh[..., j] * dj
+        gh, rhoh = [_davg(x, axis) for x in node["g"][j]], _davg(rho, axis)
+        dj = _ddiff(um, axis, h[axis]) - 1j * _davg(A[j], axis) * _davg(um, axis)
+        w = gh[j] * dj
         for k in range(n + 1):
             if k != j:
-                w = w + gh[..., k] * _davg(dk[k], axis)
+                w = w + gh[k] * _davg(dk[k], axis)
         w = rhoh * w
-        total = total + _half_diff(w, axis, h[axis]) - 1j * A[..., j] * _half_avg(w, axis)
+        total = total + _half_diff(w, axis, h[axis]) - 1j * A[j] * _half_avg(w, axis)
     out = -total / rho
     first, v1 = node["first"], P.zeroth_at(t)
     if first is not None:
