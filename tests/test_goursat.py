@@ -11,6 +11,7 @@ causally clean part of the rectangle.
 
 import csv
 import dataclasses
+import functools
 import gc
 import math
 import tracemalloc
@@ -26,7 +27,8 @@ from bclab import goursat, solver
 from bclab.dn import DNTrace, dn_trace, transform_dn
 from bclab.expr import parse_expr
 from bclab.geometry import (
-    MetricField, NonHyperbolic, SpacetimeGrid, _det, _eval_table, _Plan, trace_bicharacteristic)
+    Diffeo, MetricField, NonHyperbolic, SpacetimeGrid, _det, _eval_table, _Plan, pushforward,
+    trace_bicharacteristic)
 from bclab.goursat import (
     CharacteristicCrossing,
     EikonalField,
@@ -1598,6 +1600,80 @@ def test_potential_sampled_interior_convergence():
     assert d1 <= 5e-6
     assert d2 <= 1.3e-6
     assert math.log2(d1 / d2) >= 1.8
+
+
+# ---------------------------------------------------------------------------
+# Exact oracle: Minkowski pushed forward by a face-fixing, time-dependent map
+# ---------------------------------------------------------------------------
+
+# the lateral shear x1 + 0.15 x2^2 sin(2 x0), then the depth stretch of
+# test_dn_trace_diffeomorphism_invariant_2d_depth_stretch; both fix the face
+# pointwise, and the pushed-forward metric reads x0 in every entry
+_STRETCH_A = "(0.5 + 0.2*sin(x0))"
+_UNSTRETCH = f"0.5*log(1 + x2*(exp({_STRETCH_A}) - 1)/0.5)/{_STRETCH_A}"
+SHEAR_STRETCH = Diffeo(
+    2, ["x0", "x1 + 0.15*x2^2*sin(2*x0)",
+        f"0.5*(exp({_STRETCH_A}*x2/0.5) - 1)/(exp({_STRETCH_A}) - 1)"],
+    ["x0", f"x1 - 0.15*({_UNSTRETCH})^2*sin(2*x0)", _UNSTRETCH])
+SHEARED_MINKOWSKI = pushforward(MetricField.minkowski(2), SHEAR_STRETCH)
+
+
+@functools.lru_cache(maxsize=None)
+def sheared_minkowski_errors(h):
+    """Max abs errors of the chart stages on SHEARED_MINKOWSKI against their
+    closed forms.  With x = SHEAR_STRETCH^-1(X) Minkowski's coordinates of
+    the lab point X, the phases are x0 - x2 and 1.4 - x0 - x2, the transported
+    lateral coordinate is x1, the chart is x itself, so x_at_y at chart node y
+    is SHEAR_STRETCH(y), and the operator is Minkowski's normal form."""
+    grid = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=0.35 * h, t1=0.0, t2=1.4)
+    ep, em, chart, op = chart_stages(SHEARED_MINKOWSKI, grid, h * round(0.3125 / h))
+    lab = np.meshgrid(*grid.face_axes(), ep.depth_nodes, indexing="ij")
+    env = {f"x{i}": m for i, m in enumerate(lab)}
+    x = [np.broadcast_to(c.evaluate(env), lab[0].shape) for c in SHEAR_STRETCH.inverse]
+    y = np.meshgrid(*chart.y_grid.axes(), indexing="ij")
+    x_at_y = SHEAR_STRETCH.eval_forward({f"x{i}": m for i, m in enumerate(y)})
+    return {
+        "psi+": np.abs(ep.psi - (x[0] - x[2])).max(),
+        "psi-": np.abs(em.psi - (1.4 - x[0] - x[2])).max(),
+        "phi": np.abs(solve_transport_phi(SHEARED_MINKOWSKI, em, grid)[0] - x[1]).max(),
+        "x_at_y": np.abs(chart.x_at_y - x_at_y).max(),
+        "gh_pm": np.abs(op.gh_pm - 1.0).max(),
+        "g0_11": np.abs(op.g0_jk[0][0] + 1.0).max(),
+        "g1": np.abs(op.g1 - 1.0).max(),
+        "g0_plus_1": np.abs(op.g0_plus_j[0]).max(),
+        "V1": np.abs(op.V1).max(),
+    }
+
+
+def assert_oracle_errors(bounds, order):
+    """Each quantity's errors at h = 1/16 and 1/32 within its bounds, and its
+    observed order at least order."""
+    coarse, fine = sheared_minkowski_errors(1 / 16), sheared_minkowski_errors(1 / 32)
+    for name, (b1, b2) in bounds.items():
+        assert coarse[name] <= b1 and fine[name] <= b2, (name, coarse[name], fine[name])
+        assert math.log2(coarse[name] / fine[name]) >= order, name
+
+
+def test_sheared_minkowski_phases_match_the_closed_form():
+    # measured 8.6e-8 and 5.3e-9 (psi+), 3.6e-7 and 2.2e-8 (psi-), 3.2e-7 and
+    # 2.0e-8 (phi), all of order 4.0; bounds about 15% above
+    assert_oracle_errors({"psi+": (9.9e-8, 6.1e-9), "psi-": (4.1e-7, 2.6e-8),
+                          "phi": (3.7e-7, 2.3e-8)}, 3.5)
+
+
+def test_sheared_minkowski_chart_points_match_the_closed_form():
+    # measured 1.32e-5 and 1.11e-6 (order 3.58); bounds about 15% above
+    assert_oracle_errors({"x_at_y": (1.52e-5, 1.27e-6)}, 3.5)
+
+
+def test_sheared_minkowski_operator_is_the_normal_form():
+    # measured 6.9e-7 and 4.3e-8 (gh_pm, order 4.0), 5.0e-6 and 4.2e-7 (g0_11
+    # and g1, order 3.6); grad phi is second order, so g0_plus_1 (1.12e-3 and
+    # 3.2e-4, order 1.80) and V1 (1.75e-4 and 5.7e-5, order 1.62) are too.
+    # Bounds about 15% above
+    assert_oracle_errors({"gh_pm": (8.0e-7, 4.9e-8), "g0_11": (5.8e-6, 4.8e-7),
+                          "g1": (5.8e-6, 4.8e-7)}, 3.5)
+    assert_oracle_errors({"g0_plus_1": (1.29e-3, 3.7e-4), "V1": (2.0e-4, 6.5e-5)}, 1.5)
 
 
 def conjugated_chart_field(metric, grid, depth, t2, w_re_s, w_im_s):
