@@ -6,7 +6,7 @@ coordinates:
 
     solve_eikonal        two families of null phase functions seeded on the
                          face, one advancing with time ('+') and one receding
-                         ('-'), integrated along their own characteristics
+                         ('-'), marched in depth, with their characteristics
     solve_transport_phi  lateral coordinates frozen along the receding
                          family's characteristic curves
     build_chart          the boundary-normal chart (time, lateral, depth)
@@ -24,22 +24,38 @@ Characteristic launches are independent per boundary node and integrate as
 one vectorized batch, so results are deterministic regardless of how the
 work is scheduled.
 
-The time symmetry.  Every RK4 stage reads a ray's time only through g, so
-when g has no x0 (_distinct_rays) every launch-time slice of a fan is the
-first shifted in time: only that slice is integrated, and the fan keeps its
-covector p on it alone, broadcast over launch time with a zero stride
-(np.broadcast_to).  That stride marks a fan whose rows are each inverted at
-one launch time, then shifted by whole nodes (_resample_rows); the covector
-slots of such an inversion keep the zero stride, one time row broadcast over
-the target's.  When A has no x0 either (_one_level), every chart-time level
-is the middle one shifted in x0: the pull samples that level alone and
-returns each chart-space field with a zero time stride, shifting only x0.
-From the fan to the run, that stride is the one mark of an array that is the
-same at every time.  Every per-level reduction (the operator's derivatives
-and V1, the cone bound, the provider's scans) reads an array's distinct
-levels (solver._levels), where a y0 difference of one level is exactly zero,
-as it is on the middle level of a broadcast field; a provider of such arrays
-is static.  A time-dependent g or A runs the same code on every level.
+Two views of one family.  Its fan (_integrate_fan) carries the rays from a
+padded face lattice down to the slab depth: it checks the family for folds
+and degenerate roots, bounds the box the family covers (_coverage), sizes
+the chart depth (find_chart_depth) and places the pull's virtual rays.  Its
+phase is marched on the tensor nodes instead (_march): the null constraint
+g(dpsi, dpsi) = 0, read as an evolution in depth, is
+d psi/dz = _normal_root(g, grad_tan psi), stepped by RK4 on the fan's launch
+lattice with fourth-order tangential differences (_difference), enough
+substeps per depth row to keep RK4 stable at the family's face drift
+(_substeps).  The '-' family carries its lateral launch coordinates xi with
+it, d xi/dz = -(v_tan / v_n) . grad_tan xi, the transport along its rays.
+Each EikonalField marches once, on first read, and keeps the phase's
+departure from t - t1 (resp. t2 - t), the covector slots and xi on its
+coverage box, stored depth row first so one row is contiguous; the window
+(psi, grad, solve_transport_phi) and the chart's read box are slices of
+that one march.
+
+The time symmetry.  Every RK4 stage of a ray reads its time only through g,
+so when g has no x0 (_distinct_rays) every launch-time slice of a fan is the
+first shifted in time, and only that slice is integrated.  The march then
+runs on one time row, where d psi/dt is +-1 and d xi/dt is 0 exactly, and
+stores that row broadcast over the box's time rows with a zero stride
+(np.broadcast_to).  When A has no x0 either (_one_level), every chart-time
+level is the middle one shifted in x0: the pull samples that level alone
+and returns each chart-space field with a zero time stride, shifting only
+x0.  From the march to the run, that stride is the one mark of an array that
+is the same at every time.  Every per-level reduction (the operator's
+derivatives and V1, the cone bound, the provider's scans) reads an array's
+distinct levels (solver._levels), where a y0 difference of one level is
+exactly zero, as it is on the middle level of a broadcast field; a provider
+of such arrays is static.  A time-dependent g or A runs the same code on
+every level.
 
 Each fan launches from a face lattice padded to what its rays reach
 (_default_pads): per end of the window, from both families' time drift at
@@ -47,34 +63,19 @@ the face and the chart pull's reach past T2; laterally, from the lateral
 drift.  The pads are coupled across the families, because the pull keeps
 only the receding rays that stay inside both fans' coverage.
 
-Every move between a characteristic fan and a tensor grid goes through one
-n-axis 4-point Lagrange stencil, _Stencil, at fractional grid indices; a
-stencil is located once and applied to every array it reads, gathering from
-the array's flat view in place.  Each depth row of a fan is a fold-free
-image of the regular launch lattice, so the launch indices of the ray
-through every tensor node come from Newton on the row's interpolant, to a
-tolerance set by the grid's window, not by the pads.  For a time-dependent
-g the rows are solved in turn, each warm-started from the row above; under
-the time symmetry the one launch-time row of every fan row is solved in one
-batch from the affine guess.  A node stops once it converges, so its bits
-do not depend on the other nodes of its batch.  The phase and the lateral
-coordinates are affine in those indices; the converged stencil gives the
-covector slots.  The results are stored depth row first, so one row of
-them is contiguous.  solve_eikonal does not invert: a field inverts its fan
-on the grid's window when first read.
-
-build_chart does not read those fields.  It first places the pull's virtual
-receding rays, launched on the chart's own lattice up to the slab's reach,
-on each row of the trimmed receding fan: for every chart-time level, or
-under the time symmetry for the middle one alone.  It then inverts both
-fans on the read box: the nodes of the fans' coverage overlap that those
-rays' stencils, the slab differences and the window read; for one level
-that is the window and its edge nodes.  It samples every slab field there once, one
-stencil per fan row for all fields, reading each row in place.  Every such
-box is a tuple of node ranges on the grid's face lattice (_coverage).  Along
-each ray the pull's depth lookup and row values use the 1-axis form of the
-same stencil, _RowStencil, one fractional row per target: located once per
-Newton step, then once at the converged rows for every field.
+build_chart first places the pull's virtual receding rays, launched on the
+chart's own lattice up to the slab's reach, on each row of the trimmed
+receding fan, with one n-axis 4-point Lagrange stencil, _Stencil, located
+once: for every chart-time level, or under the time symmetry for the middle
+one alone.  It then reads both marches on the read box: the nodes of the
+fans' coverage overlap that those rays' stencils, the slab differences and
+the window read; for one level that is the window and its edge nodes.  It
+samples every slab field there once, one stencil per fan row for all fields,
+reading each row in place.  Every such box is a tuple of node ranges on the
+grid's face lattice (_coverage).  Along each ray the pull's depth lookup and
+row values use the 1-axis form of the same stencil, _RowStencil, one
+fractional row per target: located once per Newton step, then once at the
+converged rows for every field.
 """
 
 from __future__ import annotations
@@ -157,36 +158,37 @@ def _fan_env(n: int, pos: np.ndarray, z: float) -> dict:
 
 @dataclass
 class _Fan:
-    """One characteristic family, integrated in depth from a padded face lattice.
-
-    p is stored on the fan's distinct launch-time slices (_distinct_rays)
-    and broadcast over the lattice: under the time symmetry its launch-time
-    stride is zero, the fan's one mark of it, and the lateral pos is then
-    bitwise constant along launch time too.  tol is the inversion's residual
-    tolerance (_resample_rows), scaled by the grid's window, not by the
-    padded lattice.
+    """One characteristic family's rays, integrated in depth from a padded
+    face lattice: the positions of every ray on every depth row.  Under the
+    time symmetry the lateral positions are bitwise constant along launch
+    time.  The launch lattice is also the lattice the family's phase is
+    marched on (_march).
     """
 
     axes: tuple            # launch coordinate arrays (time, lateral...)
     depth_nodes: np.ndarray
     pos: np.ndarray        # (nz+1, *lattice, n) tangential positions
-    p: np.ndarray          # (nz+1, *lattice, n+1) covector, depth component last
-    tol: float
 
 
-def _fan_row(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
-    """(dH, g, pn) of a fan row at depth z: the Hamiltonian gradient along
-    the face and the metric at the row's points, from one plan
-    (MetricField.eval_ham), and the null depth covector component.  Raises
+def _null_root(g: np.ndarray, ptan: np.ndarray, z: float) -> np.ndarray:
+    """_normal_root on a row of the launch lattice at depth z; raises
     CharacteristicCrossing where no real root exists."""
-    g, dH = metric.eval_ham(_fan_env(metric.n, pos, z), pos.shape[:-1], count=metric.n)
     pn, radicand = _normal_root(g, ptan)
     if np.any(radicand <= 0.0):
         where = tuple(int(i) for i in np.unravel_index(np.argmin(radicand), radicand.shape))
         raise CharacteristicCrossing(
             f"face foliation degenerates near depth {z:.4f}: least radicand "
             f"{radicand[where]:.3g} <= 0 at lateral launch node {where[1:]}")
-    return dH, g, pn
+    return pn
+
+
+def _fan_row(metric: MetricField, pos: np.ndarray, ptan: np.ndarray, z: float):
+    """(dH, g, pn) of a fan row at depth z: the Hamiltonian gradient along
+    the face and the metric at the row's points, from one plan
+    (MetricField.eval_ham), and the null depth covector component
+    (_null_root)."""
+    g, dH = metric.eval_ham(_fan_env(metric.n, pos, z), pos.shape[:-1], count=metric.n)
+    return dH, g, _null_root(g, ptan, z)
 
 
 def _fan_flow(metric: MetricField, row: tuple, ptan: np.ndarray):
@@ -257,11 +259,10 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
     """RK4 in depth of one family from the padded launch lattice, on its
     distinct launch-time slices (_distinct_rays): the stored positions are
     full, the step's increments broadcast over launch times and added
-    elementwise, so every slice is bitwise what its own RK4 gives; p is kept
-    on those slices and returned broadcast over the lattice.  Folds are
-    checked on the full rows.  pad_time is one margin for both ends of the window, or a pair
-    (before t1, after t2).  Raises ValueError for fewer than three depth
-    steps."""
+    elementwise, so every slice is bitwise what its own RK4 gives.  Folds
+    are checked on the full rows.  pad_time is one margin for both ends of
+    the window, or a pair (before t1, after t2).  Raises ValueError for fewer
+    than three depth steps."""
     n = grid.n
     dt = grid.dt
     hz = grid.h[-1]
@@ -283,14 +284,13 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
     cur_pos = np.stack(mesh, axis=-1)
     rays = _distinct_rays(metric)
     cur_p = np.zeros(cur_pos[rays].shape)
-    p = np.empty((nz + 1,) + cur_p.shape[:-1] + (n + 1,))
     cur_p[..., 0] = 1.0 if side == "+" else -1.0
 
     zs = hz * np.arange(nz + 1)
     for m in range(nz + 1):
         ray_pos = cur_pos[rays]
         row = _fan_row(metric, ray_pos, cur_p, zs[m])
-        pos[m], p[m, ..., :n], p[m, ..., n] = cur_pos, cur_p, row[2]
+        pos[m] = cur_pos
         _check_fold(pos[m], side, zs[m], rays)
         if m == nz:
             break
@@ -301,12 +301,11 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
         cur_pos = cur_pos + (hz / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         cur_p = cur_p + (hz / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
 
-    tol = 1e-13 * max(1.0, abs(grid.t1), abs(grid.t2), *grid.extent[:-1])
-    return _Fan(tuple(axes), zs, pos, np.broadcast_to(p, pos.shape[:-1] + (n + 1,)), tol)
+    return _Fan(tuple(axes), zs, pos)
 
 
 # ---------------------------------------------------------------------------
-# Fan -> tensor-slab resampling (row by row)
+# Boxes on the face lattice
 # ---------------------------------------------------------------------------
 
 def _coverage(fan: _Fan, grid: SpacetimeGrid) -> tuple:
@@ -348,108 +347,120 @@ def _lattice(grid: SpacetimeGrid, box: tuple) -> tuple:
                  for ax, step, (lo, hi) in zip(grid.face_axes(), grid.steps(), box))
 
 
-_NEWTON_STEPS = 20
-
-
 def _grid_indices(points: np.ndarray, axes) -> np.ndarray:
     """Fractional indices of points[..., d] on the regular axes[d]."""
     return (points - [ax[0] for ax in axes]) / [ax[1] - ax[0] for ax in axes]
 
 
-def _resample_rows(fan: _Fan, target_axes: tuple):
-    """Launch coordinates and covector slots of the ray through each target node.
+# ---------------------------------------------------------------------------
+# The depth march of a null phase
+# ---------------------------------------------------------------------------
 
-    Every fan row is a fold-free image of the regular launch lattice, so
-    pos[m](indices) = node has one solution in the lattice.  Newton on the
-    row's Lagrange interpolant finds it: a step locates one _Stencil, takes
-    its slopes only when the residual check fails and solves in closed form
-    (_solve_small).  A node whose residual is within the fan's tolerance
-    keeps its bits while the others step on.  The tolerance scales with the
-    grid's window, so a node takes the same steps on any target box that
-    holds it and on any padded lattice.  The converged stencil gives the
-    slots; the launch coordinates are affine in the indices.
+# RK4's reach along the imaginary axis, 2 sqrt(2), over the largest eigenvalue
+# of the fourth-order central difference, 1.372 / h: the stable Courant number
+_RK4_REACH = 2.06
 
-    For a time-dependent g every target node is solved on every row, from
-    the affine guess on row 0 (the lattice itself) and warm-started from the
-    previous row's solution after that.  Under the time symmetry, marked by
-    fan.p's zero launch-time stride (solver._levels), the target's lateral
-    nodes are solved at the lattice's middle launch time only, for every fan
-    row in one batch from the affine guess, row m's stencils led by m whole
-    rows of fan.pos.  Each target time row takes that
-    solution shifted by its whole-node offset, and the solved slots.  Every
-    shifted node is checked where it lands, row by row, so a target time off
-    the fan's nodes is refused.
+# five-point one-sided differences at the first two nodes of an axis, fourth
+# order, acting on f[1:5] - f[0]
+_EDGE = np.array([[48.0, -36.0, 16.0, -3.0], [-10.0, 18.0, -6.0, 1.0]]) / 12.0
 
-    Returns (launch, slots) shaped (*target_counts, nrows, n) and
-    (*target_counts, nrows, n+1), the depth row index before the component:
-    views of arrays stored depth row first, so each depth row is C-contiguous.
-    Under the time symmetry the slots are a read-only view of the one solved
-    time row, with a zero time stride, as fan.p's.
-    Raises ValueError naming the row when a node does not converge or lands
-    off the lattice.
+
+def _difference(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """d/dx of f along axis, fourth order: five-point central differences,
+    and one-sided ones (_EDGE) at the two edge nodes of each end.  Formed
+    from differences of f, so exactly zero where f is constant; along an axis
+    of one node (the time symmetry) exactly zero."""
+    f = np.moveaxis(f, axis, 0)
+    out = np.zeros_like(f)
+    if len(f) > 1:
+        out[2:-2] = (8.0 * (f[3:-1] - f[1:-3]) - (f[4:] - f[:-4])) / (12.0 * h)
+        out[:2] = np.tensordot(_EDGE, f[1:5] - f[0], 1) / h
+        out[-2:] = -np.tensordot(_EDGE[::-1], f[-2:-6:-1] - f[-1], 1) / h
+    return np.moveaxis(out, 0, axis)
+
+
+def _substeps(grid: SpacetimeGrid, drift: tuple) -> int:
+    """RK4 substeps per depth row of the march: the fewest that keep the
+    Courant number of a substep, at one side's face drift (_face_drift) over
+    each tangential spacing, within _RK4_REACH."""
+    fwd, bwd, lat = drift
+    courant = grid.h[-1] * (max(fwd, bwd) / grid.dt + sum(lat / h for h in grid.h[:-1]))
+    return max(1, math.ceil(courant / _RK4_REACH))
+
+
+def _march(metric: MetricField, side: str, grid: SpacetimeGrid, fan: _Fan, box: tuple):
+    """One family's phase, covector slots and, for '-', lateral launch
+    coordinates on every depth row, marched in depth on the fan's launch
+    lattice and kept on the box (node ranges on the face lattice, _coverage).
+
+    With psi = +-(t - t_ref) + delta, the phase's departure delta is 0 on the
+    face and evolves as d delta/dz = _normal_root(g, grad_tan psi), the null
+    constraint read as an evolution in depth.  A lateral launch coordinate
+    xi_j = x_j + eta_j is constant along the rays, d xi_j/dz = -(v_tan / v_n)
+    . grad_tan xi_j with v = 2 g p, p the full covector (_fan_flow).  The
+    tangential derivatives are fourth-order differences (_difference) and the
+    march is RK4 with _substeps substeps per depth row, the metric evaluated
+    once per distinct stage depth.  Under the time symmetry (_distinct_rays)
+    the lattice has one time row: d psi/dt is +-1 and d xi/dt is 0 exactly.
+    The slots are (grad_tan psi, the root) at each row.
+
+    Returns (delta, slots, xi) shaped (rows, *box), (rows, *box, n+1) and
+    n-1 (rows, *box) arrays ('+' has none), read-only and, under the time
+    symmetry, with a zero time stride.  Raises CharacteristicCrossing where a
+    node of the lattice has no real root.
     """
-    target = np.stack(np.meshgrid(*target_axes, indexing="ij"), axis=-1)
-    tol = fan.tol
-    lattice = fan.pos.shape[1:-1]
-    size = math.prod(lattice)   # nodes per fan row: row m's stencils lead by m * size
-    top = np.array(lattice) - 1.0
-    nrows, n = fan.pos.shape[0], fan.pos.shape[-1]
-    launch = np.empty((nrows,) + target.shape[:-1] + (n,))
-    slots_shape = (nrows,) + target.shape[:-1] + (n + 1,)
+    n = grid.n
+    sign = 1.0 if side == "+" else -1.0
+    steps = grid.steps()[:-1]
+    axes = (fan.axes[0][_distinct_rays(metric)],) + fan.axes[1:]
+    pos = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    lattice = pos.shape[:-1]
+    # the box's nodes on the lattice; its one time row under the symmetry
+    origin = [int(round((ax[0] - face[0]) / step))
+              for ax, face, step in zip(fan.axes, grid.face_axes(), steps)]
+    take = tuple(slice(lo - o, hi - o + 1) for (lo, hi), o in zip(box, origin))
+    take = (take[0] if lattice[0] > 1 else slice(None),) + take[1:]
+    lateral = n - 1 if side == "-" else 0
 
-    def newton(idx, lead, solve):
-        # a node stops once it converges, so its bits do not depend on its batch
-        for step in range(_NEWTON_STEPS + 1):
-            stencil = _Stencil(idx, lattice, lead)
-            res = stencil(fan.pos) - solve
-            norm = np.max(np.abs(res), axis=-1)
-            live = ~(norm <= tol)
-            if not np.any(live) or step == _NEWTON_STEPS:
-                return idx, norm, stencil
-            idx = np.where(live[..., None], idx - _solve_small(stencil.slopes(), res), idx)
+    def metric_at(z):
+        return metric.eval_g(_fan_env(n, pos, z), lattice)
 
-    def accept(row, at, norm):
-        bad = ~(norm <= tol) | np.any((at < -1e-9) | (at > top + 1e-9), axis=-1)
-        if np.any(bad):
-            raise ValueError(
-                f"fan row {row} (depth {fan.depth_nodes[row]:.4f}): {int(np.sum(bad))} target "
-                f"nodes do not invert inside the launch lattice (worst residual "
-                f"{float(np.max(norm[bad])):.2e}, tolerance {tol:.2e}); increase pad_time/pad_lat"
-            )
-        launch[row] = at
+    def slope(g, state, z):   # (d state/dz, the covector (grad_tan psi, root))
+        d = [_difference(state, step, axis + 1) for axis, step in enumerate(steps)]
+        ptan = np.stack([sign + d[0][0]] + [dk[0] for dk in d[1:]], axis=-1)
+        p = np.concatenate([ptan, _null_root(g, ptan, z)[..., None]], axis=-1)
+        rates = [p[..., n]]
+        if lateral:
+            v = 2.0 * sum(g[..., k] * p[..., k, None] for k in range(n + 1))
+            rates += [-sum(v[..., k] * (d[k][1 + j] + (k == 1 + j)) for k in range(n)) / v[..., n]
+                      for j in range(lateral)]
+        return np.stack(rates), p
 
-    if len(_levels(fan.p[0])) > 1:
-        slots = np.empty(slots_shape)
-        idx = _grid_indices(target, fan.axes)
-        for row in range(nrows):
-            idx, norm, stencil = newton(idx, row * size, target)
-            accept(row, idx, norm)
-            slots[row] = stencil(fan.p)
-    else:
-        solve = np.stack(np.meshgrid(fan.axes[0][len(fan.axes[0]) // 2, None],
-                                     *target_axes[1:], indexing="ij"), axis=-1)
-        guess = _grid_indices(solve, fan.axes)
-        shift = np.round(_grid_indices(target, fan.axes) - guess)   # whole time nodes
-        rows = np.arange(nrows).reshape((nrows,) + (1,) * (solve.ndim - 1))
-        idx, _, stencil = newton(np.broadcast_to(guess, (nrows,) + guess.shape),
-                                 size * rows, solve)
-        slots = np.broadcast_to(stencil(fan.p), slots_shape)   # one time row, zero stride
-        for row in range(nrows):
-            at = idx[row] + shift
-            accept(row, at, np.max(np.abs(_Stencil(at, lattice, row * size)(fan.pos) - target),
-                                   axis=-1))
-    for d, ax in enumerate(fan.axes):
-        launch[..., d] = ax[0] + (ax[1] - ax[0]) * launch[..., d]
-    return np.moveaxis(launch, 0, -2), np.moveaxis(slots, 0, -2)
+    zs, substeps = fan.depth_nodes, _substeps(grid, _face_drift(metric, grid)[side])
+    kept = np.empty((1 + lateral, len(zs)) + pos[take].shape[:-1])   # delta, then each eta_j
+    slots = np.empty(kept.shape[1:] + (n + 1,))
+    state = np.zeros((1 + lateral,) + lattice)
+    g = metric_at(zs[0])
+    for m, z in enumerate(zs):
+        k1, p = slope(g, state, z)
+        kept[:, m], slots[m] = state[(slice(None),) + take], p[take]
+        if m == len(zs) - 1:
+            break
+        depths = np.linspace(z, zs[m + 1], 2 * substeps + 1)   # the stage depths
+        hs = (zs[m + 1] - z) / substeps
+        for q in range(0, 2 * substeps, 2):
+            if q:
+                k1 = slope(g, state, depths[q])[0]
+            mid, g = metric_at(depths[q + 1]), metric_at(depths[q + 2])
+            k2 = slope(mid, state + 0.5 * hs * k1, depths[q + 1])[0]
+            k3 = slope(mid, state + 0.5 * hs * k2, depths[q + 1])[0]
+            k4 = slope(g, state + hs * k3, depths[q + 2])[0]
+            state = state + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-
-def _phase_on(fan: _Fan, side: str, grid: SpacetimeGrid, target_axes: tuple):
-    """(psi, grad, lateral launch coordinates) of one family on the target
-    nodes times the depth rows: the phase is the launch time shifted to the
-    window, and grad the ray's covector slots (_resample_rows)."""
-    launch, grad = _resample_rows(fan, target_axes)
-    psi = launch[..., 0] - grid.t1 if side == "+" else grid.t2 - launch[..., 0]
-    return psi, grad, [launch[..., j] for j in range(1, grid.n)]
+    full = (len(zs),) + tuple(hi - lo + 1 for lo, hi in box)
+    xi = [pos[take][..., 1 + j] + eta for j, eta in enumerate(kept[1:])]
+    return (np.broadcast_to(kept[0], full), np.broadcast_to(slots, full + (n + 1,)),
+            [np.broadcast_to(x, full) for x in xi])
 
 
 def _slab_env(*axes) -> dict:
@@ -466,14 +477,15 @@ def _slab_env(*axes) -> dict:
 class EikonalField:
     """One null phase family sampled on the slab 0 <= x_n <= depth.
 
-    psi holds the phase, grad its spacetime gradient with the depth component
-    recomputed from the null constraint along each ray.  Both live on the
-    grid's (time, lateral) window times the slab depth nodes, depth last; a
-    '-' field's _phi holds the launch lateral coordinates there.  The field
-    keeps its fan: the first read of psi, grad or _phi inverts it on the
-    window for all three (raising ValueError where a row does not invert),
-    and build_chart inverts it only on the nodes it reads.  Under the time
-    symmetry grad is a read-only view with a zero time stride (module notes).
+    psi holds the phase, grad its spacetime gradient, whose depth component
+    closes it to a null covector.  Both live on the grid's (time, lateral)
+    window times the slab depth nodes, depth last; a '-' field's _phi holds
+    the lateral launch coordinates there.  The field keeps its fan and the
+    fan's coverage box (_coverage).  The first read of psi, grad or _phi, or
+    build_chart, marches the phase once on the fan's launch lattice (_march)
+    and keeps it on the coverage box, from which every box read is a slice.
+    grad and _phi are read-only views, with a zero time stride under the time
+    symmetry (module notes).
     """
 
     side: str
@@ -481,11 +493,28 @@ class EikonalField:
     depth_nodes: np.ndarray
     metric: MetricField
     _fan: _Fan
+    _box: tuple
+
+    @cached_property
+    def _marched(self) -> tuple:
+        return _march(self.metric, self.side, self.grid, self._fan, self._box)
+
+    def _on(self, box: tuple) -> tuple:
+        """(psi, slots, lateral launch coordinates) on a box inside the
+        coverage box, depth row first: psi a new array, the rest views of the
+        march."""
+        delta, slots, xi = self._marched
+        take = (slice(None),) + tuple(slice(lo - c, hi - c + 1)
+                                      for (lo, hi), (c, _) in zip(box, self._box))
+        times = _lattice(self.grid, box)[0].reshape((-1,) + (1,) * (self.grid.n - 1))
+        base = times - self.grid.t1 if self.side == "+" else self.grid.t2 - times
+        return base + delta[take], slots[take], [x[take] for x in xi]
 
     @cached_property
     def _window(self) -> tuple:
-        psi, grad, phi = _phase_on(self._fan, self.side, self.grid, self.grid.face_axes())
-        return psi, grad, phi if self.side == "-" else []
+        n = self.grid.n
+        psi, grad, phi = self._on(tuple((0, len(ax) - 1) for ax in self.grid.face_axes()))
+        return np.moveaxis(psi, 0, n), np.moveaxis(grad, 0, n), [np.moveaxis(p, 0, n) for p in phi]
 
     psi = property(lambda self: self._window[0])
     grad = property(lambda self: self._window[1])
@@ -516,20 +545,20 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
     """Integrate one null phase family from the face down to the given depth.
 
     side '+' seeds the phase advancing with time, '-' the receding one.  The
-    phase is frozen along each characteristic; rays launch from a padded face
-    lattice.  By default its margins (_default_pads) are sized per end and
-    per axis to the two families' drift and to the chart pull's reach;
-    pad_time (both ends of the window) and pad_lat (both ends of every
-    lateral axis) override them.  Nothing is inverted here: the first read
-    of the field's psi, grad or _phi inverts every depth row of the fan for
-    the launch point of the ray through each node of the grid's window (see
-    the module notes).
-    The phase is the launch time shifted to the window; a '-' field also has
-    the launch lateral coordinates, which solve_transport_phi returns.
+    phase is frozen along each characteristic, and equals t - t1 ('+') or
+    t2 - t ('-') on the face.  The family's rays launch from a padded face
+    lattice, and its fan checks folds and the coverage of the window.  By
+    default the lattice's margins (_default_pads) are sized per end and per
+    axis to the two families' drift and to the chart pull's reach; pad_time
+    (both ends of the window) and pad_lat (both ends of every lateral axis)
+    override them.  The phase itself is not formed here: the field's first
+    read marches it in depth on that lattice (_march, module notes).  A '-'
+    field also carries the lateral launch coordinates, which
+    solve_transport_phi returns.
     Raises CharacteristicCrossing when the family folds over before reaching
     the depth, and ValueError when the fan's coverage box misses the window.
-    A row that does not invert inside the padded lattice is refused by the
-    first read of the field, or by build_chart.
+    The march raises CharacteristicCrossing where a lattice node has no null
+    root.
     """
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
@@ -541,8 +570,7 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
         pad_lat = default_lat if pad_lat is None else pad_lat
 
     fan = _integrate_fan(metric, side, grid, depth, pad_time, pad_lat)
-    _coverage(fan, grid)   # refuses a fan whose coverage misses the window
-    return EikonalField(side, grid, fan.depth_nodes, metric, fan)
+    return EikonalField(side, grid, fan.depth_nodes, metric, fan, _coverage(fan, grid))
 
 
 def _default_pads(grid: SpacetimeGrid, depth: float, drift: dict, side: str) -> tuple:
@@ -571,10 +599,10 @@ def solve_transport_phi(metric: MetricField, psi_minus: EikonalField,
     """Lateral coordinates carried along the receding family's characteristics.
 
     Each field equals its launch value on the face and is constant along the
-    rays of psi_minus, which realizes the defining first-order transport
-    equation exactly at ray points.  This returns the n-1 window arrays of
-    psi_minus._phi, which inverts the fan on the grid's window on its first
-    read; neither metric nor grid is read.
+    rays of psi_minus: the first-order transport equation, marched in depth
+    with psi_minus's phase (_march).  This returns the n-1 window arrays of
+    psi_minus._phi, read-only views of that one march; neither metric nor
+    grid is read.
     """
     if psi_minus.side != "-":
         raise ValueError("transport runs along the receding ('-') family, got side "
@@ -583,7 +611,7 @@ def solve_transport_phi(metric: MetricField, psi_minus: EikonalField,
 
 
 # ---------------------------------------------------------------------------
-# Cubic Lagrange stencils (fan resampling and the chart pulls)
+# Cubic Lagrange stencils (the chart pull)
 # ---------------------------------------------------------------------------
 
 def _lagrange_weights(t: np.ndarray):
@@ -609,8 +637,8 @@ class _RowStencil:
     at[p] is the flat index within one row of point p's column.  Calling the
     stencil on F gathers F's four rows there from its flat view (a copy only
     when F is not C-contiguous) and returns the values shaped like r; weights
-    is _lagrange_weights (the default) or _lagrange_dweights for slopes.  Near
-    an edge the stencil clamps.
+    is _lagrange_weights (the default) or _lagrange_dweights for the
+    derivative along the rows.  Near an edge the stencil clamps.
     """
 
     def __init__(self, r: np.ndarray, at: np.ndarray, shape: tuple):
@@ -641,52 +669,32 @@ class _Stencil:
     the stencil clamps to the four edge nodes.  The stencil keeps each
     point's flat cell base and value weights, and applies them to any array
     on that grid: calling it on F (*shape, k) returns the (..., k) values.
-    slopes() then returns their (..., k, d) derivatives along each axis from
-    the same gather.  Sum-factorized: one flat gather per stencil node, then
-    one contraction per axis, last axis first.  The gathers read F's flat
-    view in place (a copy only when F is not C-contiguous) and land
-    components first, so every contraction runs along the points.
-
-    lead (broadcast against the points) is added to every flat base: with F
-    a stack of grids, lead = m * prod(shape) reads grid m.  A call drops the
-    last call's gathers before it gathers.
+    Sum-factorized: one flat gather per stencil node, then one contraction
+    per axis, last axis first, each dropping the gathers it contracts.  The
+    gathers read F's flat view in place (a copy only when F is not
+    C-contiguous) and land components first, so every contraction runs along
+    the points.
     """
 
-    def __init__(self, fracs: np.ndarray, shape: tuple, lead=0):
+    def __init__(self, fracs: np.ndarray, shape: tuple):
         ndim = len(shape)
         strides = [int(np.prod(shape[d + 1:])) for d in range(ndim)]
-        self.base, self.ts = lead, []
+        self.base, self.weights = 0, []
         for d in range(ndim):
             i0 = np.clip(np.floor(fracs[..., d]).astype(int), 1, shape[d] - 3)
             self.base = self.base + strides[d] * i0
-            self.ts.append(fracs[..., d] - i0)
+            self.weights.append(_lagrange_weights(fracs[..., d] - i0))
         self.offsets = [int(np.dot(offs, strides)) for offs in product((-1, 0, 1, 2), repeat=ndim)]
-        self.weights = [_lagrange_weights(t) for t in self.ts]
-        self._partial = None
 
     def __call__(self, F: np.ndarray) -> np.ndarray:
-        self._partial = None
         k = F.shape[-1]
         flat = F.reshape(-1)
         # flat index of component c of each point's base node, components first
         first = k * self.base + np.arange(k).reshape((k,) + (1,) * np.ndim(self.base))
-        # partial[j]: the last j axes contracted with value weights
-        partial = [[flat.take(first + k * off) for off in self.offsets]]
+        cells = [flat.take(first + k * off) for off in self.offsets]
         for w in reversed(self.weights):
-            partial.append(_contract(partial[-1], w))
-        self._partial = partial
-        return np.moveaxis(partial[-1][0], 0, -1)
-
-    def slopes(self) -> np.ndarray:
-        """Derivatives of the last call's values along each grid axis."""
-        ndim = len(self.ts)
-        jac = []
-        for d in range(ndim):
-            part = _contract(self._partial[ndim - 1 - d], _lagrange_dweights(self.ts[d]))
-            for e in reversed(range(d)):
-                part = _contract(part, self.weights[e])
-            jac.append(part[0])
-        return np.moveaxis(np.stack(jac, axis=-1), 0, -2)
+            cells = _contract(cells, w)
+        return np.moveaxis(cells[0], 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -754,15 +762,14 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
 
     The slab fields live on the read box (_read_box): the part of the two
     fans' coverage overlap that the virtual rays' stencils and the window
-    read.  Both fans are inverted there, and the phase fields' window values
-    are not read, so every stencil and difference sees the values it would
-    on the whole overlap.  The slab's pointwise algebra is formed one depth
-    row at a time (_slab_fields), and the pull drops the slab fields once it
-    has sampled them, so the chart's peak holds the fans and either the slab
-    fields on the read box with one row's intermediates, or the pull's
-    samples.  A fan row that does not invert inside the padded lattice on
-    that box raises ValueError.  The refusals below, and the focal mask,
-    cover only those nodes.
+    read.  Each phase field's one march (_march) serves that box as a slice,
+    so every stencil and difference sees the values it would on the whole
+    overlap.  The slab's pointwise algebra is formed one depth row at a time
+    (_slab_fields), and the pull drops the slab fields once it has sampled
+    them, so the chart's peak holds the fans, the marches, and either the
+    slab fields on the read box with one row's intermediates, or the pull's
+    samples.  The refusals below, and the focal mask, cover only those
+    nodes.
 
     y_depth caps the chart depth; the default takes what the slab reaches.
     The virtual rays launch only as far past T2 as the two fans' time drifts
@@ -799,8 +806,8 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
         raise ValueError(f"phase fields sampled to different depths: {len(depth_nodes)} rows "
                          f"to {depth_nodes[-1]:.6g} and {len(other)} rows to {other[-1]:.6g}")
 
-    cover_p, cover_m = _coverage(psi_plus._fan, grid), _coverage(psi_minus._fan, grid)
-    overlap = tuple((max(p[0], m[0]), min(p[1], m[1])) for p, m in zip(cover_p, cover_m))
+    overlap = tuple((max(p[0], m[0]), min(p[1], m[1]))
+                    for p, m in zip(psi_plus._box, psi_minus._box))
     overlap_axes = _lattice(grid, overlap)
 
     # the pull's virtual rays, and the box of overlap nodes they and the window read
@@ -854,32 +861,27 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
                  T1: float, T2: float, j_max: float):
     """The chart's slab quantities on the read box: (the fields the pull
     samples, then y_of_x, the Jacobian determinant and the focal mask on the
-    grid's window).  Both fans are inverted on the box here (_phase_on).
-    Every quantity is stored depth row first, (rows, *box), as _resample_rows
-    stores them, so each depth row is C-contiguous; the fields leave as
+    grid's window).  Both phase fields are read on the box as slices of their
+    marches (EikonalField._on).  Every quantity is stored depth row first,
+    (rows, *box), so each depth row is C-contiguous; the fields leave as
     (*box, rows) views, and the pull's stencils read a row in place.  The
     pointwise algebra is formed one depth row at a time into those arrays, so
     its intermediates die with their row: each row reads its slots as one
-    contiguous row (a copy only of a zero-stride one) and forms its lateral
-    coordinates' gradients from its neighbour rows (_row_gradient).  What
-    stays whole on the box is the phases, their slots (one time row under the
-    time symmetry), the lateral launch coordinates and the outputs.  Raises
-    FocalRegion at the first depth row whose one-form system is singular."""
+    contiguous row (a copy of a strided or zero-stride one) and forms its
+    lateral coordinates' gradients from its neighbour rows (_row_gradient).
+    What stays whole on the box is the phases and the outputs; the slots and
+    the lateral launch coordinates are views of the marches (one time row
+    under the time symmetry).  Raises FocalRegion at the first depth row
+    whose one-form system is singular."""
     grid, metric, depth_nodes = psi_plus.grid, psi_plus.metric, psi_plus.depth_nodes
     n = grid.n
     box_axes = _lattice(grid, box)
 
-    def rows_first(a):   # (*box, rows, ...) -> (rows, *box, ...), a view
-        return np.moveaxis(a, n, 0)
-
-    def rows_last(a):
+    def rows_last(a):   # (rows, *box, ...) -> (*box, rows, ...), a view
         return np.moveaxis(a, 0, n)
 
-    psi_p, grad_p = _phase_on(psi_plus._fan, "+", grid, box_axes)[:2]
-    psi_m, grad_m, phi_box = _phase_on(psi_minus._fan, "-", grid, box_axes)
-    psi_p, grad_p, psi_m, grad_m = map(rows_first, (psi_p, grad_p, psi_m, grad_m))
-    phi_box = [rows_first(p) for p in phi_box]
-
+    psi_p, grad_p, _ = psi_plus._on(box)
+    psi_m, grad_m, phi_box = psi_minus._on(box)
     steps = grid.steps()
 
     lat = range(n - 1)
@@ -953,7 +955,7 @@ def _trim_fan(fan: _Fan, axes: tuple) -> _Fan:
         slices.append(slice(idx[0], idx[-1] + 1))
     take = (slice(None),) + tuple(slices)
     return _Fan(tuple(ax[s] for ax, s in zip(fan.axes, slices)), fan.depth_nodes,
-                fan.pos[take], fan.p[take], fan.tol)
+                fan.pos[take])
 
 
 def _read_box(fracs: np.ndarray, overlap: tuple, grid: SpacetimeGrid) -> tuple:
@@ -1429,8 +1431,8 @@ def find_chart_depth(metric: MetricField, grid: SpacetimeGrid, cap: float) -> fl
     Bisects on the crossing error.  Each probe only integrates the two fans
     with solve_eikonal's default pads at the probed depth (_default_pads,
     per family and per end) and checks folds, radicands and coverage;
-    nothing is resampled.  Those are the checks where
-    solve_eikonal refuses a fold, so both agree on the depth.  The positivity
+    nothing is marched.  Those are the checks where solve_eikonal refuses a
+    fold, so both agree on the depth.  The positivity
     of the phase-pair normalization is enforced later by the chart's focal
     mask.
     """

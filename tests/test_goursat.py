@@ -43,7 +43,6 @@ from bclab.goursat import (
     _lattice,
     _normal_root,
     _pull_to_chart,
-    _resample_rows,
     _row_gradient,
     _RowStencil,
     _solve_small,
@@ -466,38 +465,6 @@ def test_ray_oracle_transport_2d():
     assert np.abs(sample_field(em.psi, g, pts) - (1.4 - t0)).max() <= 1e-7
 
 
-def test_launch_inversion_oracle_2d():
-    h = 1 / 16
-    g = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=0.35 * h,
-                      t1=0.0, t2=1.4)
-    em = solve_eikonal(VAR_METRIC_2D, "-", g, 0.25)
-    fan, box = em._fan, _coverage(em._fan, g)
-    cover = _lattice(g, box)
-    launch, slots = _resample_rows(fan, cover)
-    idx = _grid_indices(launch, fan.axes)
-    # the rays drift by several lattice cells, so the warm starts do work
-    assert np.abs(idx[..., -1, :] - idx[..., 0, :]).max() > 2.0
-    # every row's solved indices map back onto the target nodes
-    target = np.stack(np.meshgrid(*cover, indexing="ij"), axis=-1)
-    for m, pos in enumerate(fan.pos):
-        assert np.abs(_Stencil(idx[..., m, :], pos.shape[:-1])(pos) - target).max() <= 1e-12
-    # the launch coordinates are affine in the indices, so interpolating the
-    # launch lattice at the solved indices reproduces them to round-off
-    lattice = np.stack(np.meshgrid(*fan.axes, indexing="ij"), axis=-1)
-    for m in range(len(fan.pos)):
-        got = _Stencil(idx[..., m, :], lattice.shape[:-1])(lattice)
-        assert np.abs(launch[..., m, :] - got).max() <= 1e-13
-    # the window's fields are the coverage box's, bitwise: a node's Newton
-    # steps do not depend on which other targets share its row
-    window = tuple(slice(-lo, len(ax) - lo) for ax, (lo, _) in zip(g.face_axes(), box))
-    assert em.psi.tobytes() == (1.4 - launch[window][..., 0]).tobytes()
-    assert em.grad.tobytes() == slots[window].tobytes()
-    assert em._phi[0].tobytes() == np.ascontiguousarray(launch[window][..., 1]).tobytes()
-    # the whole launch box inverts at the face, but the drifting rows leave it
-    with pytest.raises(ValueError, match=r"fan row 1 .*target nodes.*worst residual"):
-        _resample_rows(fan, fan.axes)
-
-
 def test_eikonal_bitwise_deterministic_2d():
     h = 1 / 16
     g = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=0.35 * h,
@@ -535,18 +502,17 @@ def test_time_free_fan_matches_the_whole_lattice_bitwise(metric, grid, depth):
     # g without x0: each launch-time slice of a fan is the first shifted in
     # time, so only that slice is integrated; the copy whose g reads x0 (times
     # zero) integrates every slice and must give the same fan bits.  Its
-    # inversion solves every target node, where the x0-free one solves one
-    # time row and shifts it by whole nodes, so the fields agree to round-off
+    # march runs on every time row, where the x0-free one runs on one, so the
+    # fields agree to round-off
     timed = with_time_read(metric)
     assert goursat._distinct_rays(metric) == slice(0, 1)
     assert goursat._distinct_rays(timed) == slice(None)
     assert goursat._face_drift(metric, grid) == goursat._face_drift(timed, grid)
     for side in ("+", "-"):
         free, full = (solve_eikonal(m, side, grid, depth) for m in (metric, timed))
-        # the one mark of the symmetry on a fan: p's zero launch-time stride
-        assert free._fan.p.strides[1] == 0 != full._fan.p.strides[1]
+        # the one mark of the symmetry: the march's zero time stride
+        assert free._marched[1].strides[1] == 0 != full._marched[1].strides[1]
         assert free._fan.pos.tobytes() == full._fan.pos.tobytes()
-        assert free._fan.p.tobytes() == full._fan.p.tobytes()
         assert np.abs(free.psi - full.psi).max() <= 1e-12
         assert np.abs(free.grad - full.grad).max() <= 1e-12
     phis = [solve_transport_phi(m, e, grid) for m, e in ((metric, free), (timed, full))]
@@ -554,7 +520,7 @@ def test_time_free_fan_matches_the_whole_lattice_bitwise(metric, grid, depth):
     assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(*phis))
 
 
-# the x0-free cases above, for the tests of the whole-node shift
+# the x0-free cases above, for the tests of the one-row fans and march
 TIME_FREE_CASES = [
     pytest.param(WAVEGUIDE, SpacetimeGrid(n=2, extent=(1.0, 0.25), h=(1 / 16, 1 / 16),
                                           dt=0.3 / 16, t1=0.0, t2=0.8), 0.1875, id="waveguide"),
@@ -566,16 +532,14 @@ TIME_FREE_CASES = [
 
 @pytest.mark.parametrize("metric, grid, depth", TIME_FREE_CASES)
 def test_time_free_fan_rows_are_constant_along_launch_time(metric, grid, depth):
-    # the premise of the whole-node shift: for g without x0 every stored row's
-    # lateral positions and covector are one launch-time slice, bitwise, and
-    # its times are that slice's shifted by the whole launch steps
+    # the premise of the fold check's one-slice verdict and of the one-level
+    # pull: for g without x0 every stored row's lateral positions are one
+    # launch-time slice, bitwise, and its times are that slice's shifted by
+    # the whole launch steps
     for side in ("+", "-"):
         fan = solve_eikonal(metric, side, grid, depth)._fan
-        assert fan.p.strides[1] == 0
-        assert _trim_fan(fan, _lattice(grid, _coverage(fan, grid))).p.strides[1] == 0
         lateral = fan.pos[..., 1:]
         assert lateral.tobytes() == np.broadcast_to(lateral[:, :1], lateral.shape).tobytes()
-        assert fan.p.tobytes() == np.broadcast_to(fan.p[:, :1], fan.p.shape).tobytes()
         steps = (fan.axes[0] - grid.t1) / grid.dt
         assert np.abs(steps - np.round(steps)).max() <= 1e-9
         drift = fan.pos[..., 0] - fan.axes[0][(slice(None),) + (None,) * (grid.n - 1)]
@@ -583,54 +547,52 @@ def test_time_free_fan_rows_are_constant_along_launch_time(metric, grid, depth):
 
 
 @pytest.mark.parametrize("metric, grid, depth", TIME_FREE_CASES)
-def test_shifted_inversion_lands_on_every_target_node(metric, grid, depth):
-    # g without x0: each fan row is inverted at one launch time and shifted by
-    # whole nodes to the others; every shifted node must still invert its
-    # target inside the lattice, whichever box holds it
-    for side in ("+", "-"):
+def test_time_free_slots_are_one_time_row_with_zero_stride(metric, grid, depth):
+    # g without x0: the march runs on one time row, where d psi/dt is +-1 and
+    # d xi/dt is 0 exactly, and keeps the phase's departure from t - t1 or
+    # t2 - t, its slots and the lateral launch coordinates on that row alone,
+    # broadcast over the coverage box's time rows with a zero stride; the
+    # window reads are views of them.  A time-dependent g's march stores
+    # every time row
+    for side, sign in (("+", 1.0), ("-", -1.0)):
         fld = solve_eikonal(metric, side, grid, depth)
-        fan, box = fld._fan, _coverage(fld._fan, grid)
-        cover = _lattice(grid, box)
-        launch, slots = _resample_rows(fan, cover)
-        idx = _grid_indices(launch, fan.axes)
-        target = np.stack(np.meshgrid(*cover, indexing="ij"), axis=-1)
-        top = np.array(fan.pos.shape[1:-1]) - 1.0
-        for m, pos in enumerate(fan.pos):
-            assert np.abs(_Stencil(idx[..., m, :], pos.shape[:-1])(pos) - target).max() <= 1e-12
-            assert np.all((idx[..., m, :] >= -1e-9) & (idx[..., m, :] <= top + 1e-9))
-        window = tuple(slice(-lo, len(ax) - lo) for ax, (lo, _) in zip(grid.face_axes(), box))
-        at = launch[window]
-        psi = at[..., 0] - grid.t1 if side == "+" else grid.t2 - at[..., 0]
-        assert fld.psi.tobytes() == psi.tobytes()
-        assert fld.grad.tobytes() == slots[window].tobytes()
-        phi = [np.ascontiguousarray(at[..., j]).tobytes() for j in range(1, grid.n)]
-        assert [p.tobytes() for p in fld._phi] == (phi if side == "-" else [])
-        # half a step off the fan's launch times no whole-node shift lands
-        with pytest.raises(ValueError, match=r"fan row \d+ .*target nodes.*worst residual"):
-            _resample_rows(fan, (cover[0] + 0.5 * grid.dt,) + cover[1:])
+        delta, slots, xi = fld._marched
+        assert len(xi) == (grid.n - 1 if side == "-" else 0)
+        for stored in (delta, slots, *xi):
+            assert stored.shape[:grid.n + 1] == delta.shape   # (rows, *coverage box)
+            assert stored.strides[1] == 0 and not stored.flags.writeable
+        assert np.all(delta[0] == 0.0) and np.all(slots[..., 0] == sign)
+        for x, ax in zip(xi, _lattice(grid, fld._box)[1:]):
+            assert np.all(x[0] == ax)   # on the face, the lateral coordinate itself
+        assert fld.grad.strides[0] == 0 and all(p.strides[0] == 0 for p in fld._phi)
+    delta, slots, xi = solve_eikonal(TIME_CROSS_2D, "-", CHART_GRID_16, 0.3125)._marched
+    for stored in (delta, slots, *xi):
+        assert 0 not in stored.strides and not stored.flags.writeable
 
 
-@pytest.mark.parametrize("metric, grid, depth", TIME_FREE_CASES)
-def test_time_free_slots_are_one_time_row_with_zero_stride(monkeypatch, metric, grid, depth):
-    # g without x0: the slots are the converged stencil's one time row,
-    # broadcast over the target's time rows with a zero stride instead of
-    # copied into each; every row is bitwise that of a full array filled from
-    # the stencil.  A time-dependent fan's slots are a writable full array
-    call, gathered = goursat._Stencil.__call__, []
-    monkeypatch.setattr(goursat._Stencil, "__call__",
-                        lambda self, F: gathered.append((F, call(self, F))) or gathered[-1][1])
-    for side in ("+", "-"):
-        fan = solve_eikonal(metric, side, grid, depth)._fan
-        gathered.clear()
-        slots = _resample_rows(fan, _lattice(grid, _coverage(fan, grid)))[1]
-        [row] = [values for F, values in gathered if F is fan.p]
-        full = np.empty(slots.shape[-2:-1] + slots.shape[:-2] + slots.shape[-1:])   # rows first
-        full[...] = row
-        assert slots.strides[0] == 0 and not slots.flags.writeable
-        assert slots.tobytes() == np.moveaxis(full, 0, -2).tobytes()
-    fan = solve_eikonal(TIME_CROSS_2D, "-", CHART_GRID_16, 0.3125)._fan
-    slots = _resample_rows(fan, _lattice(CHART_GRID_16, _coverage(fan, CHART_GRID_16)))[1]
-    assert slots.flags.writeable and 0 not in slots.strides
+def test_march_substeps_come_from_the_grid_and_the_drift(monkeypatch):
+    # RK4 with fourth-order central differences is stable up to a Courant
+    # number of about 2.06.  On the bench chart grid a family drifts about
+    # 1.0-1.1 in time per unit depth, so a depth row's hz drift / dt is about
+    # 3.0 and the march takes 2 substeps per row, evaluating g once per
+    # distinct stage depth: twice per substep, and once on the face.  Half
+    # the dt doubles the Courant number and takes more substeps
+    half = dataclasses.replace(BENCH_CHART_GRID, dt=BENCH_CHART_GRID.dt / 2)
+    for metric in (VAR_METRIC_2D, TIME_CROSS_2D):
+        drift = goursat._face_drift(metric, BENCH_CHART_GRID)
+        for side in "+-":
+            courant = BENCH_CHART_GRID.h[-1] * max(drift[side][:2]) / BENCH_CHART_GRID.dt
+            assert 2.8 < courant < 3.2
+            assert goursat._substeps(BENCH_CHART_GRID, drift[side]) == 2
+            assert goursat._substeps(half, drift[side]) > 2
+    fld = solve_eikonal(TIME_CROSS_2D, "-", BENCH_CHART_GRID, 0.3)
+    eval_g, depths = MetricField.eval_g, []
+    monkeypatch.setattr(MetricField, "eval_g", lambda metric, env, shape: depths.append(
+        float(env["x2"])) or eval_g(metric, env, shape))
+    assert fld._marched   # marched here, on first read
+    rows = len(fld.depth_nodes)
+    assert len(depths) == len(set(depths)) == 1 + 2 * 2 * (rows - 1)
+    assert depths[::4] == list(fld.depth_nodes)
 
 
 @pytest.mark.parametrize("rows", [3, 4, 7])
@@ -690,45 +652,19 @@ def test_time_free_fold_check_matches_the_full_jacobian(monkeypatch, metric, gri
     assert any(folds) == (metric is WAVEGUIDE) and not all(folds)
 
 
-def test_launch_inversion_oracle_1d():
-    g = grid1(1 / 32)
-    em = solve_eikonal(VAR_METRIC_1D, "-", g, 0.375)
-    fan, box = em._fan, _coverage(em._fan, g)
-    cover = _lattice(g, box)
-    launch, slots = _resample_rows(fan, cover)
-    idx = _grid_indices(launch, fan.axes)
-    assert np.abs(idx[:, -1] - idx[:, 0]).max() > 2.0
-    target = cover[0][:, None]
-    for m, pos in enumerate(fan.pos):
-        assert np.abs(_Stencil(idx[:, m], pos.shape[:-1])(pos) - target).max() <= 1e-12
-    for m in range(len(fan.pos)):
-        got = _Stencil(idx[:, m], fan.axes[0].shape)(fan.axes[0][:, None])
-        assert np.abs(launch[:, m] - got).max() <= 1e-13
-    window = tuple(slice(-lo, len(ax) - lo) for ax, (lo, _) in zip(g.face_axes(), box))
-    assert em.psi.tobytes() == (2.0 - launch[window][..., 0]).tobytes()
-    assert em.grad.tobytes() == slots[window].tobytes()
-    with pytest.raises(ValueError, match=r"fan row 1 .*target nodes.*worst residual"):
-        _resample_rows(fan, fan.axes)
-
-
 @pytest.mark.parametrize("shape", [(9,), (7, 8), (6, 7, 5)])
 def test_lagrange_exact_on_cubics(shape):
-    """Values and every slope of a tensor cubic, edge cells included."""
+    """Values of a tensor cubic, edge cells included, and the along-ray
+    form's values and derivatives."""
     ndim = len(shape)
     rng = np.random.default_rng(ndim)
     coef = rng.standard_normal((4,) * ndim + (2,))
     spec = ",".join(f"...{a}" for a in "abc"[:ndim]) + f",{'abc'[:ndim]}k->...k"
 
-    def poly(idx, along=None):
-        # cubic in every u_d = idx_d / (N_d - 1); along=d takes d/d(idx_d)
-        factors = []
-        for d, size in enumerate(shape):
-            u = idx[..., d] / (size - 1.0)
-            if d == along:
-                basis = [np.zeros_like(u), np.ones_like(u), 2.0 * u, 3.0 * u * u]
-                factors.append(np.stack(basis, axis=-1) / (size - 1.0))
-            else:
-                factors.append(np.stack([u ** p for p in range(4)], axis=-1))
+    def poly(idx):
+        # cubic in every u_d = idx_d / (N_d - 1)
+        factors = [np.stack([(idx[..., d] / (size - 1.0)) ** p for p in range(4)], axis=-1)
+                   for d, size in enumerate(shape)]
         return np.einsum(spec, *factors, coef)
 
     nodes = np.stack(np.meshgrid(*[np.arange(float(s)) for s in shape], indexing="ij"), axis=-1)
@@ -740,13 +676,10 @@ def test_lagrange_exact_on_cubics(shape):
                           np.zeros((1, ndim)), top[None]])
     stencil = _Stencil(pts, shape)
     value = stencil(F)
-    jac = stencil.slopes()
-    assert jac.shape == (len(pts), 2, ndim)
+    assert value.shape == (len(pts), 2)
     assert np.abs(value - poly(pts)).max() <= 1e-12
     # one located stencil serves any array on the grid
     assert stencil(F[..., ::-1]).tobytes() == np.ascontiguousarray(value[..., ::-1]).tobytes()
-    for d in range(ndim):
-        assert np.abs(jac[..., d] - poly(pts, along=d)).max() <= 1e-12
 
     # the along-ray form: column c holds its own cubic in u = row / (rows - 1)
     # and is read at its own fractional row r[c], edge cells and end rows included
@@ -776,10 +709,9 @@ def test_stencil_reads_a_strided_view_as_its_copy(shape, k):
     copy = np.ascontiguousarray(view)
     pts = rng.random((15, len(shape))) * (np.array(shape) - 1.0)
     stencil = _Stencil(pts, shape)
-    got, got_slopes = stencil(view), stencil.slopes()
-    assert got.shape == (15, k) and got_slopes.shape == (15, k, len(shape))
+    got = stencil(view)
+    assert got.shape == (15, k)
     assert got.tobytes() == stencil(copy).tobytes()
-    assert got_slopes.tobytes() == stencil.slopes().tobytes()
 
 
 def test_stencil_gathers_without_copying_its_source():
@@ -794,23 +726,6 @@ def test_stencil_gathers_without_copying_its_source():
     finally:
         tracemalloc.stop()
     assert peak < F.nbytes
-
-
-@pytest.mark.parametrize("metric", [VAR_METRIC_2D, TIME_CROSS_2D], ids=["var", "time_cross"])
-def test_inversion_of_one_column_is_the_box_column(metric):
-    # a converged node stops, so its bits do not depend on the other targets
-    # it is solved with: for the x0-free batch of every fan row, and for a
-    # time-dependent g's row-by-row solve alike
-    h = 1 / 16
-    g = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=0.35 * h, t1=0.0, t2=1.4)
-    for side in ("+", "-"):
-        fan = solve_eikonal(metric, side, g, 0.25)._fan
-        cover = _lattice(g, _coverage(fan, g))
-        launch, slots = _resample_rows(fan, cover)
-        for j in (0, len(cover[1]) // 2):
-            col_launch, col_slots = _resample_rows(fan, (cover[0], cover[1][j:j + 1]))
-            assert col_launch.tobytes() == np.ascontiguousarray(launch[:, j:j + 1]).tobytes()
-            assert col_slots.tobytes() == np.ascontiguousarray(slots[:, j:j + 1]).tobytes()
 
 
 def test_chart_pull_refuses_unconverged_depth_lookup():
@@ -852,14 +767,12 @@ def test_chart_path_refusals_name_the_quantity_and_its_bound():
     # the pull: the launch range against what the chart needs
     trimmed = _trim_fan(fan, cover)
     k = int(np.searchsorted(trimmed.axes[0], 0.1))
-    late = dataclasses.replace(trimmed, axes=(trimmed.axes[0][k:],), pos=trimmed.pos[:, k:],
-                               p=trimmed.p[:, k:])
+    late = dataclasses.replace(trimmed, axes=(trimmed.axes[0][k:],), pos=trimmed.pos[:, k:])
     with pytest.raises(ValueError, match=rf"launches from t = {num}, after the window start "
                                          r"0\.0000; increase pad_time"):
         _virtual_rays(late, g, 0.0, 2.0, None)
     k = int(np.searchsorted(trimmed.axes[0], 2.1))
-    early = dataclasses.replace(trimmed, axes=(trimmed.axes[0][:k],), pos=trimmed.pos[:, :k],
-                                p=trimmed.p[:, :k])
+    early = dataclasses.replace(trimmed, axes=(trimmed.axes[0][:k],), pos=trimmed.pos[:, :k])
     with pytest.raises(ValueError, match=rf"launches end at t = {num}, -?\d+ chart depth steps "
                                          rf"of {num} past T2 = 2\.0000, need 4; increase pad_time"):
         _virtual_rays(early, g, 0.0, 2.0, None)
@@ -874,7 +787,7 @@ def test_chart_path_refusals_name_the_quantity_and_its_bound():
     fan2 = _trim_fan(em2._fan, _lattice(g2, _coverage(em2._fan, g2)))
     k = int(np.searchsorted(fan2.axes[1], 0.1))
     narrow = dataclasses.replace(fan2, axes=(fan2.axes[0], fan2.axes[1][k:]),
-                                 pos=fan2.pos[:, :, k:], p=fan2.p[:, :, k:])
+                                 pos=fan2.pos[:, :, k:])
     with pytest.raises(ValueError, match=rf"launches span \[{num}, {num}\] on x1, the chart "
                                          r"needs \[0\.0000, 1\.0000\]; increase pad_lat"):
         _virtual_rays(narrow, g2, 0.0, 1.4, None)
@@ -994,7 +907,7 @@ LATERAL_DRIFT_2D = MetricField(
 
 @pytest.mark.parametrize("metric", [VAR_METRIC_2D, LATERAL_DRIFT_2D], ids=["var", "drift"])
 def test_chart_read_box_matches_the_whole_overlap(monkeypatch, metric):
-    # build_chart inverts the fans and builds the slab fields only on the
+    # build_chart reads the marches and builds the slab fields only on the
     # nodes its stencils, differences and window read; on the whole coverage
     # overlap every chart output is bitwise the same
     h = 1 / 16
@@ -1024,15 +937,17 @@ def test_chart_read_box_matches_the_whole_overlap(monkeypatch, metric):
 
 
 @pytest.mark.parametrize("metric", [VAR_METRIC_2D, TIME_CROSS_2D], ids=["var", "time_cross"])
-def test_each_fan_is_inverted_once_per_chart(monkeypatch, metric):
-    # solve_eikonal only integrates; the '-' window inversion runs once, for
-    # solve_transport_phi, and every window field comes from it; build_chart
-    # inverts each fan on its read box alone
+def test_each_field_is_marched_once_per_chart(monkeypatch, metric):
+    # solve_eikonal only integrates the fans; the '-' field marches once, for
+    # solve_transport_phi, and every window field comes from that march;
+    # build_chart marches the '+' field and reads both on its read box as
+    # slices of the two marches
     g = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 16, 1 / 16), dt=0.35 / 16,
                       t1=0.0, t2=1.4)
-    resample, calls = goursat._resample_rows, []
-    monkeypatch.setattr(goursat, "_resample_rows",
-                        lambda fan, axes: calls.append(id(fan)) or resample(fan, axes))
+    march, calls = goursat._march, []
+    monkeypatch.setattr(goursat, "_march",
+                        lambda metric, side, grid, fan, box:
+                        calls.append(id(fan)) or march(metric, side, grid, fan, box))
     ep, em = (solve_eikonal(metric, side, g, 0.3125) for side in "+-")
     assert calls == []
     phi = solve_transport_phi(metric, em, g)
@@ -1040,7 +955,7 @@ def test_each_fan_is_inverted_once_per_chart(monkeypatch, metric):
     assert em.psi.shape == em.grad.shape[:-1] == phi[0].shape
     assert calls == [id(em._fan)]
     build_chart(ep, em, phi, 0.0, 1.4)
-    assert calls == [id(em._fan), id(ep._fan), id(em._fan)]
+    assert calls == [id(em._fan), id(ep._fan)]
 
 
 def test_chart_inverse_map_roundtrip_1d():
@@ -1100,28 +1015,36 @@ def test_chart_input_refusals_name_the_value_and_its_bound():
         build_chart(ep2, em2, [np.zeros((3, 3))], 0.0, 0.8)
 
 
+def give_minus_the_plus_slots(monkeypatch, coords, row):
+    """Make build_chart read psi-'s slots as psi+'s at one node of its read
+    box: the (time, lateral...) node nearest coords, on the given depth row.
+    Both fields are read on that box through EikonalField._on."""
+    on, plus = EikonalField._on, {}
+
+    def inject(field, box):
+        psi, slots, xi = on(field, box)
+        slots = np.array(slots)   # a read-only view of the march
+        node = (row, *(int(np.argmin(np.abs(ax - c)))
+                       for ax, c in zip(_lattice(field.grid, box), coords)))
+        if field.side == "+":
+            plus["slots"] = slots[node].copy()
+        else:
+            slots[node] = plus["slots"]
+        return psi, slots, xi
+
+    monkeypatch.setattr(EikonalField, "_on", inject)
+
+
 def test_chart_refuses_singular_one_form_node(monkeypatch):
     # psi- taking psi+'s gradient at one window node makes the one-form system
     # for the hatted potentials exactly singular there; flat phases have
-    # constant gradients.  build_chart inverts both fans again on the nodes it
-    # reads, so the gradient goes in where it inverts them.
+    # constant gradients.  build_chart reads both fields on the nodes it
+    # needs, so the gradient goes in where it reads them.
     flat = MetricField.minkowski(1)
     g = grid1(1 / 32)
     ep = solve_eikonal(flat, "+", g, 0.375)
     em = solve_eikonal(flat, "-", g, 0.375)
-    resample, plus = goursat._resample_rows, {}
-
-    def inject(fan, target_axes):
-        launch, slots = resample(fan, target_axes)
-        slots = np.array(slots)   # a read-only zero-stride view under the time symmetry
-        node = (int(np.argmin(np.abs(target_axes[0] - 1.0))), 3)  # t = 1, depth 3/32
-        if fan is ep._fan:
-            plus["slots"] = slots[node].copy()
-        else:
-            slots[node] = plus["slots"]
-        return launch, slots
-
-    monkeypatch.setattr(goursat, "_resample_rows", inject)
+    give_minus_the_plus_slots(monkeypatch, (1.0,), 3)   # t = 1, depth 3/32
     with pytest.raises(FocalRegion, match=r"singular at slab node \(.*, 0\.09375\): det 0"):
         build_chart(ep, em, [], 0.0, 2.0)
 
@@ -1133,20 +1056,7 @@ def test_chart_refuses_singular_one_form_node_2d(monkeypatch):
     flat, g = MetricField.minkowski(2), CHART_GRID_16
     ep, em = (solve_eikonal(flat, side, g, 0.3125) for side in "+-")
     phi = solve_transport_phi(flat, em, g)
-    resample, plus = goursat._resample_rows, {}
-
-    def inject(fan, target_axes):
-        launch, slots = resample(fan, target_axes)
-        slots = np.array(slots)   # a read-only zero-stride view under the time symmetry
-        node = (*(int(np.argmin(np.abs(ax - c))) for ax, c in zip(target_axes, (0.7, 0.25))),
-                2)   # depth 0.125
-        if fan is ep._fan:
-            plus["slots"] = slots[node].copy()
-        else:
-            slots[node] = plus["slots"]
-        return launch, slots
-
-    monkeypatch.setattr(goursat, "_resample_rows", inject)
+    give_minus_the_plus_slots(monkeypatch, (0.7, 0.25), 2)   # depth 0.125
     with pytest.raises(FocalRegion, match=r"singular at slab node \(0\.7, 0\.25, 0\.125\): "
                                           r"det 0$"):
         build_chart(ep, em, phi, 0.0, 1.4)
@@ -1229,9 +1139,9 @@ def test_chart_refuses_launches_that_end_before_its_reach():
     # the chart reaches 12 depth steps of 1/32; launches that end 8 steps past
     # T2 are refused instead of giving a shallower chart
     flat, g = MetricField.minkowski(1), grid1(1 / 32)
-    ep, em = (EikonalField(side, g, fan.depth_nodes, flat, fan) for side, fan in (
-        ("+", _integrate_fan(flat, "+", g, 0.375, (0.8, 0.5), 0.0)),
-        ("-", _integrate_fan(flat, "-", g, 0.375, (0.4, 0.625), 0.0))))
+    ep, em = (EikonalField(side, g, fan.depth_nodes, flat, fan, _coverage(fan, g))
+              for side, fan in (("+", _integrate_fan(flat, "+", g, 0.375, (0.8, 0.5), 0.0)),
+                                ("-", _integrate_fan(flat, "-", g, 0.375, (0.4, 0.625), 0.0))))
     with pytest.raises(ValueError, match=r"the rays reach all 8 chart depth steps of 0\.0312 "
                                          r"that the launches support, and the slab may reach "
                                          r"deeper; increase pad_time"):
@@ -1254,33 +1164,36 @@ def chart_stages_peak(metric):
 
 
 def test_chart_stages_peak_memory_on_a_time_dependent_metric():
-    # the paper's case: every launch slice integrated, every target inverted.
-    # With lattices padded to the reach, the slab algebra formed one depth row
-    # at a time and the pull dropping the slab and each sample once read, the
-    # chart stages peak near 9.8 MiB under tracemalloc on the bench grid, in
-    # the read box's inversions; with the slab and the samples kept through
-    # the pull they peaked at 10.8 MiB, with the whole slab's algebra alive at
-    # once at 14.8 MiB, and padded to half the window on every side at 20 MB
-    assert chart_stages_peak(TIME_CROSS_2D) < 10.5 * 2 ** 20
+    # the paper's case: every launch slice integrated, every time row marched.
+    # With the phases marched once per field and kept on the coverage box, the
+    # fans keeping positions alone, the slab algebra formed one depth row at a
+    # time and the pull dropping the slab and each sample once read, the chart
+    # stages peak near 8.46 MiB under tracemalloc on the bench grid, in the
+    # pull's stage two; with the fans inverted onto the read box, Newton's
+    # slopes on top, they peaked at 9.78 MiB, with the slab and the samples
+    # kept through the pull at 10.8 MiB, with the whole slab's algebra alive
+    # at once at 14.8 MiB, and padded to half the window on every side at 20 MB
+    assert chart_stages_peak(TIME_CROSS_2D) < 9.1 * 2 ** 20
 
 
 def test_chart_stages_peak_memory_on_a_time_free_metric():
-    # the bench's chart metric: neither g nor A reads x0, so the fans keep one
-    # launch-time slice of p, the inversions return one time row of slots and
-    # the pull samples one chart-time level.  The chart stages peak near
-    # 4.0 MiB under tracemalloc on the bench grid, in the slab's one-form
-    # solve; with the slots and grad phi whole on the read box they peaked at
-    # 5.2 MiB, with p stored on every launch time at 7.1 MiB, with the whole
-    # slab's algebra alive at once at 10.9 MiB, and pulling every level at
-    # 14.8 MiB
+    # the bench's chart metric: neither g nor A reads x0, so the fans
+    # integrate one launch-time slice, the marches run on one time row and the
+    # pull samples one chart-time level.  The chart stages peak near 3.7 MiB
+    # under tracemalloc on the bench grid, in the slab's one-form solve; with
+    # the fans inverted onto the read box they peaked at 4.0 MiB, with the
+    # slots and grad phi whole on the read box at 5.2 MiB, with p stored on
+    # every launch time at 7.1 MiB, with the whole slab's algebra alive at
+    # once at 10.9 MiB, and pulling every level at 14.8 MiB
     assert chart_stages_peak(VAR_METRIC_2D) < 4.5 * 2 ** 20
 
 
 def test_chart_stages_peak_memory_when_only_a_reads_x0():
-    # one-slice fans and an every-level pull: the chart stages peak near
-    # 6.3 MiB, in the pull's stage two; with the slots and grad phi whole on the read box they peaked
-    # at 7.1 MiB, with p on every launch time and the slab and the samples
-    # kept through the pull at 10.8 MiB
+    # one-slice fans, one-row marches and an every-level pull: the chart
+    # stages peak near 6.15 MiB, in the pull's stage two; with the fans
+    # inverted onto the read box they peaked at 6.3 MiB, with the slots and
+    # grad phi whole on the read box at 7.1 MiB, with p on every launch time
+    # and the slab and the samples kept through the pull at 10.8 MiB
     assert chart_stages_peak(A_READS_X0_2D) < 6.8 * 2 ** 20
 
 
@@ -1388,19 +1301,14 @@ def whole_box_slab_fields(psi_plus, psi_minus, box, T1, T2, j_max):
     n = grid.n
     box_axes = _lattice(grid, box)
 
-    def rows_first(a):
-        return np.moveaxis(a, n, 0)
-
     def rows_last(a):
         return np.moveaxis(a, 0, n)
 
-    psi_p, grad_p, _ = goursat._phase_on(psi_plus._fan, "+", grid, box_axes)
-    psi_m, grad_m, phi_box = goursat._phase_on(psi_minus._fan, "-", grid, box_axes)
-    psi_p, grad_p, psi_m, grad_m = map(rows_first, (psi_p, grad_p, psi_m, grad_m))
+    psi_p, grad_p, _ = psi_plus._on(box)
+    psi_m, grad_m, phi_box = psi_minus._on(box)
     # the slots in full: a zero-stride view read by the whole-box einsum rounds
     # differently from the contiguous rows the streamed algebra reads
     grad_p, grad_m = np.ascontiguousarray(grad_p), np.ascontiguousarray(grad_m)
-    phi_box = [rows_first(p) for p in phi_box]
     steps = grid.steps()
     dphi = []
     for p in phi_box:
