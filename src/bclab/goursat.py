@@ -25,10 +25,13 @@ one vectorized batch, so results are deterministic regardless of how the
 work is scheduled.
 
 Two views of one family.  Its fan (_integrate_fan) carries the rays from a
-padded face lattice down to the slab depth: it checks the family for folds
-and degenerate roots, bounds the box the family covers (_coverage), sizes
-the chart depth (find_chart_depth) and places the pull's virtual rays.  Its
-phase is marched on the tensor nodes instead (_march): the null constraint
+padded face lattice down to the slab depth, one depth row at a time
+(_ray_rows), and keeps no row: it checks each for folds and degenerate
+roots, folds its edge slices into the bounds of the box the family covers
+(_coverage) and keeps the family's largest time drift, which is all
+find_chart_depth and the chart pull read.  The pull's virtual rays are
+integrated by the same kernel from their own launches.  The family's phase
+is marched on the tensor nodes instead (_march): the null constraint
 g(dpsi, dpsi) = 0, read as an evolution in depth, is
 d psi/dz = _normal_root(g, grad_tan psi), stepped by RK4 on the fan's launch
 lattice with fourth-order tangential differences (_difference), enough
@@ -60,22 +63,22 @@ every level.
 Each fan launches from a face lattice padded to what its rays reach
 (_default_pads): per end of the window, from both families' time drift at
 the face and the chart pull's reach past T2; laterally, from the lateral
-drift.  The pads are coupled across the families, because the pull keeps
-only the receding rays that stay inside both fans' coverage.
+drift.  The pads are coupled across the families, because the pull refuses
+a receding ray that leaves both fans' coverage overlap.
 
-build_chart first places the pull's virtual receding rays, launched on the
-chart's own lattice up to the slab's reach, on each row of the trimmed
-receding fan, with one n-axis 4-point Lagrange stencil, _Stencil, located
-once: for every chart-time level, or under the time symmetry for the middle
-one alone.  It then reads both marches on the read box: the nodes of the
-fans' coverage overlap that those rays' stencils, the slab differences and
-the window read; for one level that is the window and its edge nodes.  It
-samples every slab field there once, one stencil per fan row for all fields,
-reading each row in place.  Every such box is a tuple of node ranges on the
-grid's face lattice (_coverage).  Along each ray the pull's depth lookup and
-row values use the 1-axis form of the same stencil, _RowStencil, one
-fractional row per target: located once per Newton step, then once at the
-converged rows for every field.
+build_chart first integrates the pull's virtual receding rays, launched on
+the chart's own lattice up to the slab's reach (_virtual_rays): for every
+chart-time level, or for the middle one alone when neither g nor A reads
+x0; when g has no x0 the kernel integrates one launch slice.  It then reads
+both marches on the read box: the nodes of the fans' coverage overlap that
+those rays' stencils, the slab differences and the window read; for one
+level that is the window and its edge nodes.  It samples every slab field
+there once, with one n-axis 4-point Lagrange stencil, _Stencil, per slab
+depth row for all fields, reading each row in place.  Every such box is a
+tuple of node ranges on the grid's face lattice (_coverage).  Along each
+ray the pull's depth lookup and row values use the 1-axis form of the same
+stencil, _RowStencil, one fractional row per target: located once per
+Newton step, then once at the converged rows for every field.
 """
 
 from __future__ import annotations
@@ -158,16 +161,17 @@ def _fan_env(n: int, pos: np.ndarray, z: float) -> dict:
 
 @dataclass
 class _Fan:
-    """One characteristic family's rays, integrated in depth from a padded
-    face lattice: the positions of every ray on every depth row.  Under the
-    time symmetry the lateral positions are bitwise constant along launch
-    time.  The launch lattice is also the lattice the family's phase is
-    marched on (_march).
+    """One characteristic family's fan, integrated in depth from a padded
+    face lattice (_ray_rows) and checked one depth row at a time: it keeps
+    the launch axes, the depth nodes, the bounds of the box every row covers
+    and the family's largest time drift, not the rays' positions.  The launch
+    lattice is also the lattice the family's phase is marched on (_march).
     """
 
     axes: tuple            # launch coordinate arrays (time, lateral...)
     depth_nodes: np.ndarray
-    pos: np.ndarray        # (nz+1, *lattice, n) tangential positions
+    bounds: tuple          # per (time, lateral) axis, the (lo, hi) every row covers (_coverage)
+    drift: float           # largest time drift by the last row: forward '+', backward '-'
 
 
 def _null_root(g: np.ndarray, ptan: np.ndarray, z: float) -> np.ndarray:
@@ -255,14 +259,39 @@ def _face_drift(metric: MetricField, grid: SpacetimeGrid) -> dict:
     return drift
 
 
+def _ray_rows(metric, side, axes, hz, nz):
+    """RK4 in depth of one family's rays launched on the mesh of the (time,
+    lateral...) axes, on its distinct launch-time slices (_distinct_rays):
+    each step's increments broadcast over launch times and are added
+    elementwise, so every slice is bitwise what its own RK4 gives.  Yields
+    (z, positions (*mesh, n)) on each depth row z = m hz, m = 0..nz, once the
+    row's null root is checked (_null_root); each row is a new array."""
+    pos = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    rays = _distinct_rays(metric)
+    p = np.zeros(pos[rays].shape)
+    p[..., 0] = 1.0 if side == "+" else -1.0
+    zs = hz * np.arange(nz + 1)
+    for m in range(nz + 1):
+        ray_pos = pos[rays]
+        row = _fan_row(metric, ray_pos, p, zs[m])
+        yield zs[m], pos
+        if m == nz:
+            break
+        k1 = _fan_flow(metric, row, p)
+        k2 = _fan_rhs(metric, ray_pos + 0.5 * hz * k1[0], p + 0.5 * hz * k1[1], zs[m] + 0.5 * hz)
+        k3 = _fan_rhs(metric, ray_pos + 0.5 * hz * k2[0], p + 0.5 * hz * k2[1], zs[m] + 0.5 * hz)
+        k4 = _fan_rhs(metric, ray_pos + hz * k3[0], p + hz * k3[1], zs[m] + hz)
+        pos = pos + (hz / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        p = p + (hz / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+
+
 def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
-    """RK4 in depth of one family from the padded launch lattice, on its
-    distinct launch-time slices (_distinct_rays): the stored positions are
-    full, the step's increments broadcast over launch times and added
-    elementwise, so every slice is bitwise what its own RK4 gives.  Folds
-    are checked on the full rows.  pad_time is one margin for both ends of
-    the window, or a pair (before t1, after t2).  Raises ValueError for fewer
-    than three depth steps."""
+    """One family's fan from the padded launch lattice (_ray_rows), keeping
+    no row: each is checked for folds on the full lattice (_check_fold) and
+    folded into the bounds of the box its edge slices leave (_coverage), and
+    the last gives the largest time drift.  pad_time is one margin for both
+    ends of the window, or a pair (before t1, after t2).  Raises ValueError
+    for fewer than three depth steps."""
     n = grid.n
     dt = grid.dt
     hz = grid.h[-1]
@@ -277,31 +306,18 @@ def _integrate_fan(metric, side, grid, depth, pad_time, pad_lat) -> _Fan:
         h = grid.h[i - 1]
         k_pad = int(math.ceil(pad_lat / h)) + 2
         axes.append(h * np.arange(-k_pad, grid.shape[i - 1] + k_pad))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lattice = mesh[0].shape
 
-    pos = np.empty((nz + 1,) + lattice + (n,))
-    cur_pos = np.stack(mesh, axis=-1)
     rays = _distinct_rays(metric)
-    cur_p = np.zeros(cur_pos[rays].shape)
-    cur_p[..., 0] = 1.0 if side == "+" else -1.0
-
-    zs = hz * np.arange(nz + 1)
-    for m in range(nz + 1):
-        ray_pos = cur_pos[rays]
-        row = _fan_row(metric, ray_pos, cur_p, zs[m])
-        pos[m] = cur_pos
-        _check_fold(pos[m], side, zs[m], rays)
-        if m == nz:
-            break
-        k1 = _fan_flow(metric, row, cur_p)
-        k2 = _fan_rhs(metric, ray_pos + 0.5 * hz * k1[0], cur_p + 0.5 * hz * k1[1], zs[m] + 0.5 * hz)
-        k3 = _fan_rhs(metric, ray_pos + 0.5 * hz * k2[0], cur_p + 0.5 * hz * k2[1], zs[m] + 0.5 * hz)
-        k4 = _fan_rhs(metric, ray_pos + hz * k3[0], cur_p + hz * k3[1], zs[m] + hz)
-        cur_pos = cur_pos + (hz / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        cur_p = cur_p + (hz / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-
-    return _Fan(tuple(axes), zs, pos)
+    lo, hi = [-math.inf] * n, [math.inf] * n
+    for z, row in _ray_rows(metric, side, axes, hz, nz):
+        _check_fold(row, side, z, rays)
+        for d in range(n):
+            edge = (slice(None),) * d   # the first and last launch slices along axis d
+            lo[d] = max(lo[d], float(np.max(row[edge + (0, ..., d)])))
+            hi[d] = min(hi[d], float(np.min(row[edge + (-1, ..., d)])))
+    launch = axes[0].reshape((-1,) + (1,) * (n - 1))
+    drift = float(np.max(row[..., 0] - launch if side == "+" else launch - row[..., 0]))
+    return _Fan(tuple(axes), hz * np.arange(nz + 1), tuple(zip(lo, hi)), drift)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +331,8 @@ def _coverage(fan: _Fan, grid: SpacetimeGrid) -> tuple:
     For each direction the bound comes from the boundary slice of the launch
     lattice: the box lies to the right of every image of the first slice and
     to the left of every image of the last one, which keeps it inside the
-    fold-free rows.  The box must contain the grid's own window.
+    fold-free rows; the fan folds those bounds in row by row (_Fan.bounds).
+    The box must contain the grid's own window.
     """
     n = grid.n
     spacings = grid.steps()[:-1]
@@ -323,10 +340,7 @@ def _coverage(fan: _Fan, grid: SpacetimeGrid) -> tuple:
     spans = [(grid.t1, grid.t2)] + [(0.0, grid.extent[i - 1]) for i in range(1, n)]
     inset = 1 if n > 1 else 0
     box = []
-    for d in range(n):
-        edge = (slice(None),) * (d + 1)   # the launch slices' views, read in place
-        lo = float(np.max(fan.pos[edge + (0, ..., d)]))
-        hi = float(np.min(fan.pos[edge + (-1, ..., d)]))
+    for d, (lo, hi) in enumerate(fan.bounds):
         step, org = spacings[d], origins[d]
         i_lo = int(math.ceil((lo - org) / step - 1e-9)) + inset
         i_hi = int(math.floor((hi - org) / step + 1e-9)) - inset
@@ -547,7 +561,8 @@ def solve_eikonal(metric: MetricField, side: str, grid: SpacetimeGrid, depth: fl
     side '+' seeds the phase advancing with time, '-' the receding one.  The
     phase is frozen along each characteristic, and equals t - t1 ('+') or
     t2 - t ('-') on the face.  The family's rays launch from a padded face
-    lattice, and its fan checks folds and the coverage of the window.  By
+    lattice, and its fan checks folds and the coverage of the window one
+    depth row at a time, keeping no ray positions (_integrate_fan).  By
     default the lattice's margins (_default_pads) are sized per end and per
     axis to the two families' drift and to the chart pull's reach; pad_time
     (both ends of the window) and pad_lat (both ends of every lateral axis)
@@ -578,13 +593,14 @@ def _default_pads(grid: SpacetimeGrid, depth: float, drift: dict, side: str) -> 
     the given depth.  Each drift is a _face_drift rate times 1.6 * depth; the
     margins add 4 dt in time and 4 h laterally.
 
-    The margins are coupled across the families.  _trim_fan keeps only the
-    receding rays that stay inside both fans' coverage overlap, and the pull
-    launches them from T1 to its reach past T2 (_depth_steps, at the '+'
-    forward plus the '-' backward drift).  So every fan covers the times from
-    T1 less the '-' backward drift to the reach plus the '-' forward drift,
-    and the lateral span widened by the '-' lateral drift; each end is
-    widened again by the fan's own drift into the window.
+    The margins are coupled across the families.  The pull's receding rays
+    must stay inside both fans' coverage overlap (_virtual_rays refuses one
+    that leaves it), and the pull launches them from T1 to its reach past T2
+    (_depth_steps, at the '+' forward plus the '-' backward drift).  So every
+    fan covers the times from T1 less the '-' backward drift to the reach
+    plus the '-' forward drift, and the lateral span widened by the '-'
+    lateral drift; each end is widened again by the fan's own drift into the
+    window.
     """
     fwd, bwd, lat = (1.6 * depth * rate for rate in drift[side])
     fwd_m, bwd_m, lat_m = (1.6 * depth * rate for rate in drift["-"])
@@ -766,20 +782,21 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     so every stencil and difference sees the values it would on the whole
     overlap.  The slab's pointwise algebra is formed one depth row at a time
     (_slab_fields), and the pull drops the slab fields once it has sampled
-    them, so the chart's peak holds the fans, the marches, and either the
-    slab fields on the read box with one row's intermediates, or the pull's
-    samples.  The refusals below, and the focal mask, cover only those
-    nodes.
+    them.  The fans keep no ray positions, so the chart's peak holds the
+    marches, the virtual rays, and either the slab fields on the read box
+    with one row's intermediates, or the pull's samples.  The refusals
+    below, and the focal mask, cover only those nodes.
 
     y_depth caps the chart depth; the default takes what the slab reaches.
     The virtual rays launch only as far past T2 as the two fans' time drifts
     let the chart reach (_virtual_rays), and a chart that reaches every
     launch while the slab may reach deeper raises ValueError (increase
-    pad_time) instead of coming out shallower.  Nodes where the Jacobian
-    leaves [1/j_max, j_max], or where the phase-pair normalization loses
-    positivity, are flagged in focal_mask.  Raises FocalRegion where the
-    one-form system for the hatted potentials is singular at a node of the
-    read box.
+    pad_time) instead of coming out shallower.  A virtual ray that leaves
+    the two fans' coverage overlap raises ValueError (increase pad_time or
+    pad_lat).  Nodes where the Jacobian leaves [1/j_max, j_max], or where
+    the phase-pair normalization loses positivity, are flagged in
+    focal_mask.  Raises FocalRegion where the one-form system for the
+    hatted potentials is singular at a node of the read box.
     """
     if psi_plus.side != "+" or psi_minus.side != "-":
         raise ValueError("build_chart expects ('+', '-') phase fields in that order, got "
@@ -810,12 +827,11 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
                     for p, m in zip(psi_plus._box, psi_minus._box))
     overlap_axes = _lattice(grid, overlap)
 
-    # the pull's virtual rays, and the box of overlap nodes they and the window read
-    minus, plus = _trim_fan(psi_minus._fan, overlap_axes), psi_plus._fan
-    # the most the advancing phase falls along a virtual ray (_virtual_rays)
-    drop = float(np.max(minus.pos[0, ..., 0] - minus.pos[-1, ..., 0])
-                 + np.max(plus.pos[-1, ..., 0] - plus.pos[0, ..., 0]))
-    rays = _virtual_rays(minus, grid, T1, T2, y_depth, drop, one_level=_one_level(metric))
+    # the pull's virtual rays, and the box of overlap nodes they and the window read;
+    # the advancing phase falls along a virtual ray by at most drop (_virtual_rays)
+    drop = psi_minus._fan.drift + psi_plus._fan.drift
+    rays = _virtual_rays(metric, grid, overlap_axes, len(depth_nodes), y_depth, drop,
+                         one_level=_one_level(metric))
     fracs = _grid_indices(rays.pos, overlap_axes)
     box = _read_box(fracs, overlap, grid)
     # the slab's intermediates die with their depth row, before the pull
@@ -937,27 +953,6 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
             rows_last(jac_det), rows_last(slab_fields["focal"][window]) == 1.0)
 
 
-def _trim_fan(fan: _Fan, axes: tuple) -> _Fan:
-    """Drop outer rays whose positions ever leave the box of the (time,
-    lateral) axes."""
-    n_tan = fan.pos.shape[-1]
-    slices = []
-    for d in range(n_tan):
-        lo, hi = axes[d][0], axes[d][-1]
-        red = tuple(a for a in range(fan.pos.ndim - 1) if a != d + 1)
-        inside = (fan.pos[..., d].min(axis=red) >= lo - 1e-12) & \
-                 (fan.pos[..., d].max(axis=red) <= hi + 1e-12)
-        idx = np.nonzero(inside)[0]
-        if idx.size < 8:
-            raise ValueError(
-                f"only {idx.size} of {inside.size} rays along launch axis {d} stay inside "
-                f"the slab's [{lo:.4f}, {hi:.4f}], need 8; increase pads")
-        slices.append(slice(idx[0], idx[-1] + 1))
-    take = (slice(None),) + tuple(slices)
-    return _Fan(tuple(ax[s] for ax, s in zip(fan.axes, slices)), fan.depth_nodes,
-                fan.pos[take])
-
-
 def _read_box(fracs: np.ndarray, overlap: tuple, grid: SpacetimeGrid) -> tuple:
     """Node ranges (as _coverage's) of every node the chart reads.
 
@@ -987,7 +982,8 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Rays:
-    """Virtual receding rays of the chart pull, placed on every fan row."""
+    """Virtual receding rays of the chart pull, integrated on every slab
+    depth row (_virtual_rays)."""
 
     pos: np.ndarray        # (nrows, launches, *lateral, n) tangential positions
     first: int             # the first level the rays serve, launched at T1 + first dty
@@ -1023,58 +1019,58 @@ def _depth_steps(window: float, dz: float, y_depth, drop) -> int:
     return steps if drop is None else min(steps, int(math.floor(drop / (2.0 * dz))) + 1)
 
 
-def _virtual_rays(fan: _Fan, grid: SpacetimeGrid, T1: float, T2: float, y_depth,
-                  drop=None, one_level=False) -> _Rays:
-    """Stage one of the chart pull: rays launched on the chart's own time
-    lattice (_chart_steps) and the grid's lateral nodes, placed on each row of
-    the trimmed receding fan by one _Stencil located once for all rows.
+def _virtual_rays(metric: MetricField, grid: SpacetimeGrid, cover: tuple, rows: int,
+                  y_depth, drop=None, one_level=False) -> _Rays:
+    """Stage one of the chart pull: receding rays launched on the chart's own
+    time lattice (_chart_steps) and the grid's lateral nodes, integrated in
+    depth over the slab's rows by the fans' kernel (_ray_rows).  Under the
+    time symmetry the kernel integrates one launch slice.
 
     Chart level i at depth step q reads the ray launched at T1 + (i + 3q) dty.
     The rays serve every level, or with one_level (_one_level) the middle
-    one, nt_y // 2, alone: then only its 1 + 3 nq_cap launches are placed.
+    one, nt_y // 2, alone: then only its 1 + 3 nq_cap launches are integrated.
     The launches run on past the last level served as far as the chart depth
     can reach: capped by y_depth and half the window and, given drop, by the
-    slab's reach.  The launches the fan supports are counted past T2 either
-    way, so both give the same depth cap.  On row 0 the advancing phase along
-    the ray launched at xi is xi - T1; on the last row it is lower by that
-    receding ray's backward time drift plus the forward drift of the
-    advancing ray through its end, at most drop (both fans' largest drifts).
-    The pull's depth test at nq steps of dz needs a fall of 2 nq dz, so it
-    cannot pass past drop / (2 dz) (_depth_steps).
-    Raises ValueError when the fan's launches miss the window or support
-    fewer than four chart depth steps.  The rays are marked short when the
-    launches end before the depth the chart may reach, which the pull then
-    refuses if its chart reaches them all.
+    slab's reach.  The launches that the fans' coverage overlap (cover, its
+    (time, lateral) axes) supports are counted past T2 either way, so both
+    give the same depth cap.  On row 0 the advancing phase along the ray
+    launched at xi is xi - T1; on the last row it is lower by that receding
+    ray's backward time drift plus the forward drift of the advancing ray
+    through its end, at most drop (both fans' largest drifts).  The pull's
+    depth test at nq steps of dz needs a fall of 2 nq dz, so it cannot pass
+    past drop / (2 dz) (_depth_steps).
+    Raises ValueError when the overlap supports fewer than four chart depth
+    steps past T2, or when a ray leaves the overlap, where the pull's
+    stencils would clamp.  The rays are marked short when the launches end
+    before the depth the chart may reach, which the pull then refuses if its
+    chart reaches them all.
     """
-    n = grid.n
+    T1, T2 = grid.t1, grid.t2
     dty, nt_y = _chart_steps(grid)
     dz = 3.0 * dty
 
-    if fan.axes[0][0] > T1 + 1e-12:
-        raise ValueError(f"trimmed fan launches from t = {fan.axes[0][0]:.4f}, after the "
-                         f"window start {T1:.4f}; increase pad_time")
-    for i in range(1, n):
-        have, need = (fan.axes[i][0], fan.axes[i][-1]), (0.0, grid.extent[i - 1])
-        if have[0] > need[0] + 1e-12 or have[1] < need[1] - 1e-12:
-            raise ValueError(f"trimmed fan launches span [{have[0]:.4f}, {have[1]:.4f}] on "
-                             f"x{i}, the chart needs [{need[0]:.4f}, {need[1]:.4f}]; "
-                             "increase pad_lat")
-
     nq_cap = _depth_steps(T2 - T1, dz, y_depth, None)
-    launched = (int(math.floor((fan.axes[0][-1] - T1) / dty + 1e-9)) + 1 - nt_y) // 3
+    launched = (int(math.floor((cover[0][-1] - T1) / dty + 1e-9)) + 1 - nt_y) // 3
     if min(nq_cap, launched) < 4:
-        raise ValueError(f"fan launch coverage too narrow for the chart: launches end at "
-                         f"t = {fan.axes[0][-1]:.4f}, {min(nq_cap, launched)} chart depth steps "
+        raise ValueError(f"fan coverage overlap too narrow for the chart: launches end at "
+                         f"t = {cover[0][-1]:.4f}, {min(nq_cap, launched)} chart depth steps "
                          f"of {dz:.4f} past T2 = {T2:.4f}, need 4; increase pad_time")
     reach = _depth_steps(T2 - T1, dz, y_depth, drop)
     nq_cap = min(reach, launched)
     first, count = (nt_y // 2, 1) if one_level else (0, nt_y)
-    xi_star = T1 + dty * (first + np.arange(count + 3 * nq_cap))
-
-    nodes = np.stack(np.meshgrid(xi_star, *grid.face_axes()[1:], indexing="ij"), axis=-1)
-    launches = _Stencil(_grid_indices(nodes, fan.axes), fan.pos.shape[1:-1])
-    return _Rays(np.stack([launches(row) for row in fan.pos]), first, count, nq_cap,
-                 launched < reach)
+    launches = (T1 + dty * (first + np.arange(count + 3 * nq_cap)), *grid.face_axes()[1:])
+    pos = np.stack([row for _, row in _ray_rows(metric, "-", launches, grid.h[-1], rows - 1)])
+    for d, ax in enumerate(cover):
+        outside = np.maximum(ax[0] - pos[..., d], pos[..., d] - ax[-1])
+        if np.max(outside) > 1e-12:
+            m, *at = np.unravel_index(np.argmax(outside), outside.shape)
+            launch = ", ".join(f"{a[k]:.4f}" for a, k in zip(launches, at))
+            raise ValueError(
+                f"virtual receding ray launched at ({launch}) reaches x{d} = "
+                f"{pos[(m, *at, d)]:.4f} on depth row {m}, outside the fans' coverage "
+                f"overlap [{ax[0]:.4f}, {ax[-1]:.4f}]; increase "
+                f"{'pad_time' if d == 0 else 'pad_lat'}")
+    return _Rays(pos, first, count, nq_cap, launched < reach)
 
 
 def _pull_to_chart(rays: _Rays, fracs: np.ndarray, slab_fields: dict, grid: SpacetimeGrid,
@@ -1430,11 +1426,11 @@ def find_chart_depth(metric: MetricField, grid: SpacetimeGrid, cap: float) -> fl
 
     Bisects on the crossing error.  Each probe only integrates the two fans
     with solve_eikonal's default pads at the probed depth (_default_pads,
-    per family and per end) and checks folds, radicands and coverage;
-    nothing is marched.  Those are the checks where solve_eikonal refuses a
-    fold, so both agree on the depth.  The positivity
-    of the phase-pair normalization is enforced later by the chart's focal
-    mask.
+    per family and per end) and checks folds, radicands and coverage row by
+    row; no fan keeps its rows and nothing is marched.  Those are the checks
+    where solve_eikonal refuses a fold, so both agree on the depth.  The
+    positivity of the phase-pair normalization is enforced later by the
+    chart's focal mask.
     """
     hz = grid.h[-1]
     nz_cap = int(math.floor(cap / hz + 1e-9))

@@ -203,7 +203,9 @@ class SampledCoefficients:
     zeroth-order field v1 and optional first-order coefficients b_j, all on
     the spatial nodes at t1 + m*dt.  The constructor takes them as arrays,
     each either with a leading time axis of length nt or time-independent,
-    and serves views of them; `from_metric` evaluates them from expressions
+    and serves each entry of g and A as one C-contiguous copy per sampled
+    level (the stepper's flat reads are then views), the rest as views;
+    `from_metric` evaluates them from expressions
     (geometry._time_levels): an entry without x0 is one shared read-only
     array, g's twins g[j][k] and g[k][j] are one array, and only the entries
     that read x0 are formed for each level.  rho is
@@ -228,7 +230,9 @@ class SampledCoefficients:
             def pick(arr, extra=0):
                 return arr if arr is None or arr.ndim == grid.n + extra else arr[m]
 
-            return {"g": _rows(pick(g, 2)), "A": list(np.moveaxis(pick(A, 1), -1, 0)),
+            # each entry one C-contiguous array, so a flat read of it is a view
+            return {"g": [[np.ascontiguousarray(e) for e in row] for row in _rows(pick(g, 2))],
+                    "A": [np.ascontiguousarray(a) for a in np.moveaxis(pick(A, 1), -1, 0)],
                     "rho": pick(rho), "v1": pick(v1),
                     "first": None if first is None else [pick(b) for b in first]}
 

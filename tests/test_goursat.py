@@ -47,7 +47,6 @@ from bclab.goursat import (
     _RowStencil,
     _solve_small,
     _Stencil,
-    _trim_fan,
     _virtual_rays,
     build_chart,
     export_chart_csv,
@@ -512,7 +511,12 @@ def test_time_free_fan_matches_the_whole_lattice_bitwise(metric, grid, depth):
         free, full = (solve_eikonal(m, side, grid, depth) for m in (metric, timed))
         # the one mark of the symmetry: the march's zero time stride
         assert free._marched[1].strides[1] == 0 != full._marched[1].strides[1]
-        assert free._fan.pos.tobytes() == full._fan.pos.tobytes()
+        # the fans keep no rows: their bounds and drift, and every row the ray
+        # kernel hands them, are the same bits
+        assert (free._fan.bounds, free._fan.drift) == (full._fan.bounds, full._fan.drift)
+        rows = [goursat._ray_rows(m, side, free._fan.axes, grid.h[-1], len(free.depth_nodes) - 1)
+                for m in (metric, timed)]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(*rows))
         assert np.abs(free.psi - full.psi).max() <= 1e-12
         assert np.abs(free.grad - full.grad).max() <= 1e-12
     phis = [solve_transport_phi(m, e, grid) for m, e in ((metric, free), (timed, full))]
@@ -533,17 +537,20 @@ TIME_FREE_CASES = [
 @pytest.mark.parametrize("metric, grid, depth", TIME_FREE_CASES)
 def test_time_free_fan_rows_are_constant_along_launch_time(metric, grid, depth):
     # the premise of the fold check's one-slice verdict and of the one-level
-    # pull: for g without x0 every stored row's lateral positions are one
-    # launch-time slice, bitwise, and its times are that slice's shifted by
-    # the whole launch steps
+    # pull: for g without x0 every row the ray kernel hands the fan has its
+    # lateral positions on one launch-time slice, bitwise, and its times are
+    # that slice's shifted by the whole launch steps
     for side in ("+", "-"):
         fan = solve_eikonal(metric, side, grid, depth)._fan
-        lateral = fan.pos[..., 1:]
-        assert lateral.tobytes() == np.broadcast_to(lateral[:, :1], lateral.shape).tobytes()
         steps = (fan.axes[0] - grid.t1) / grid.dt
         assert np.abs(steps - np.round(steps)).max() <= 1e-9
-        drift = fan.pos[..., 0] - fan.axes[0][(slice(None),) + (None,) * (grid.n - 1)]
-        assert np.abs(drift - drift[:, :1]).max() <= 1e-12
+        launch = fan.axes[0][(slice(None),) + (None,) * (grid.n - 1)]
+        rows = goursat._ray_rows(metric, side, fan.axes, grid.h[-1], len(fan.depth_nodes) - 1)
+        for _, row in rows:
+            lateral = row[..., 1:]
+            assert lateral.tobytes() == np.broadcast_to(lateral[:1], lateral.shape).tobytes()
+            drift = row[..., 0] - launch
+            assert np.abs(drift - drift[:1]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("metric, grid, depth", TIME_FREE_CASES)
@@ -730,9 +737,10 @@ def test_stencil_gathers_without_copying_its_source():
 
 def test_chart_pull_refuses_unconverged_depth_lookup():
     g = grid1(1 / 32)
-    em = solve_eikonal(MetricField.minkowski(1), "-", g, 0.375)
+    flat = MetricField.minkowski(1)
+    em = solve_eikonal(flat, "-", g, 0.375)
     cover = _lattice(g, _coverage(em._fan, g))
-    rays = _virtual_rays(_trim_fan(em._fan, cover), g, 0.0, 2.0, None)
+    rays = _virtual_rays(flat, g, cover, len(em.depth_nodes), None)
     fracs = _grid_indices(rays.pos, cover)
     ext_t, z = cover[0], em.depth_nodes
     # flat space: the advancing phase on the slab is t - z - t1, and the
@@ -757,40 +765,41 @@ def test_chart_path_refusals_name_the_quantity_and_its_bound():
                                          rf"needs \[0\.0000, 2\.0000\]; increase pad_time/pad_lat"):
         _coverage(short, g)
     em = solve_eikonal(flat, "-", g, 0.375)
-    fan = em._fan
-    cover = _lattice(g, _coverage(fan, g))
-    # trimming: the count of rays that stay inside, against the 8 needed
-    with pytest.raises(ValueError, match=rf"only 0 of {fan.pos.shape[1]} rays along launch axis 0 "
-                                         rf"stay inside the slab's \[{num}, {num}\], need 8; "
-                                         r"increase pads"):
-        _trim_fan(fan, (cover[0][:1] + 50.0,))
-    # the pull: the launch range against what the chart needs
-    trimmed = _trim_fan(fan, cover)
-    k = int(np.searchsorted(trimmed.axes[0], 0.1))
-    late = dataclasses.replace(trimmed, axes=(trimmed.axes[0][k:],), pos=trimmed.pos[:, k:])
-    with pytest.raises(ValueError, match=rf"launches from t = {num}, after the window start "
-                                         r"0\.0000; increase pad_time"):
-        _virtual_rays(late, g, 0.0, 2.0, None)
-    k = int(np.searchsorted(trimmed.axes[0], 2.1))
-    early = dataclasses.replace(trimmed, axes=(trimmed.axes[0][:k],), pos=trimmed.pos[:, :k])
+    cover = _lattice(g, _coverage(em._fan, g))
+    rows = len(em.depth_nodes)
+    # containment: a virtual ray that leaves the fans' coverage overlap, here
+    # one moved 50 past every ray, names the axis, the overlap and the pad
+    with pytest.raises(ValueError, match=rf"virtual receding ray launched at \({num}\) reaches "
+                                         rf"x0 = {num} on depth row \d+, outside the fans' "
+                                         rf"coverage overlap \[{num}, {num}\]; increase pad_time"):
+        _virtual_rays(flat, g, (cover[0] + 50.0,), rows, None)
+    # the pull: the launch range against what the chart needs.  An overlap that
+    # starts after the window start loses the rays launched there; the message
+    # names the deepest point of the worst ray: t = -0.375 at depth 0.375
+    k = int(np.searchsorted(cover[0], 0.1))
+    with pytest.raises(ValueError, match=r"launched at \(0\.0000\) reaches x0 = -0\.3750 on depth "
+                                         r"row 12, outside the fans' coverage overlap \[0\.1000, "
+                                         rf"{num}\]; increase pad_time"):
+        _virtual_rays(flat, g, (cover[0][k:],), rows, None)
+    k = int(np.searchsorted(cover[0], 2.1))
     with pytest.raises(ValueError, match=rf"launches end at t = {num}, -?\d+ chart depth steps "
                                          rf"of {num} past T2 = 2\.0000, need 4; increase pad_time"):
-        _virtual_rays(early, g, 0.0, 2.0, None)
-    rays = _virtual_rays(trimmed, g, 0.0, 2.0, None)
+        _virtual_rays(flat, g, (cover[0][:k],), rows, None)
+    rays = _virtual_rays(flat, g, cover, rows, None)
     s = cover[0][:, None] - g.t1 - em.depth_nodes
     with pytest.raises(ValueError, match=r"the rays reach \d+ chart depth steps of "
                                          rf"{num}, need 4; deepen the slab"):
         _pull_to_chart(rays, _grid_indices(rays.pos, cover), {"s": s + 10.0, "Ap": 0 * s},
                        g, 0.0, 2.0)
     g2 = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 16, 1 / 16), dt=0.35 / 16, t1=0.0, t2=1.4)
-    em2 = solve_eikonal(MetricField.minkowski(2), "-", g2, 0.25)
-    fan2 = _trim_fan(em2._fan, _lattice(g2, _coverage(em2._fan, g2)))
-    k = int(np.searchsorted(fan2.axes[1], 0.1))
-    narrow = dataclasses.replace(fan2, axes=(fan2.axes[0], fan2.axes[1][k:]),
-                                 pos=fan2.pos[:, :, k:])
-    with pytest.raises(ValueError, match=rf"launches span \[{num}, {num}\] on x1, the chart "
-                                         r"needs \[0\.0000, 1\.0000\]; increase pad_lat"):
-        _virtual_rays(narrow, g2, 0.0, 1.4, None)
+    flat2 = MetricField.minkowski(2)
+    em2 = solve_eikonal(flat2, "-", g2, 0.25)
+    cover2 = _lattice(g2, _coverage(em2._fan, g2))
+    k = int(np.searchsorted(cover2[1], 0.1))
+    with pytest.raises(ValueError, match=rf"launched at \({num}, 0\.0000\) reaches x1 = 0\.0000 "
+                                         rf"on depth row 0, outside the fans' coverage overlap "
+                                         rf"\[0\.1250, 1\.\d+\]; increase pad_lat"):
+        _virtual_rays(flat2, g2, (cover2[0], cover2[1][k:]), len(em2.depth_nodes), None)
 
 
 def test_fan_refusals_name_the_value_and_its_bound():
@@ -1103,7 +1112,7 @@ def test_fan_lattices_fit_the_drift_and_the_reach(metric):
     # the window and the time slope on every side, and the chart keeps its shape
     ep, em, chart, _ = chart_stages(metric, BENCH_CHART_GRID, 0.3)
     for fan in (ep._fan, em._fan):
-        assert fan.pos.shape[1] < 235 and fan.pos.shape[2] < 55
+        assert len(fan.axes[0]) < 235 and len(fan.axes[1]) < 55
     assert chart.y_grid.shape == (21, 6) and chart.y_grid.nt == 85
 
 
@@ -1120,8 +1129,8 @@ def test_reach_cap_leaves_the_chart_bitwise_equal(monkeypatch, metric, grid, dep
     phi = solve_transport_phi(metric, em, grid)
     virtual, launches = goursat._virtual_rays, []
 
-    def spy(fan, grid, T1, T2, y_depth, drop=None, one_level=False):   # the second: no cap
-        rays = virtual(fan, grid, T1, T2, y_depth, None if launches else drop, one_level)
+    def spy(metric, grid, cover, rows, y_depth, drop=None, one_level=False):   # the second: no cap
+        rays = virtual(metric, grid, cover, rows, y_depth, None if launches else drop, one_level)
         launches.append(rays.pos.shape[1])
         return rays
 
@@ -1165,36 +1174,56 @@ def chart_stages_peak(metric):
 
 def test_chart_stages_peak_memory_on_a_time_dependent_metric():
     # the paper's case: every launch slice integrated, every time row marched.
-    # With the phases marched once per field and kept on the coverage box, the
-    # fans keeping positions alone, the slab algebra formed one depth row at a
+    # With the fans keeping no positions, the phases marched once per field
+    # and kept on the coverage box, the slab algebra formed one depth row at a
     # time and the pull dropping the slab and each sample once read, the chart
-    # stages peak near 8.46 MiB under tracemalloc on the bench grid, in the
-    # pull's stage two; with the fans inverted onto the read box, Newton's
-    # slopes on top, they peaked at 9.78 MiB, with the slab and the samples
-    # kept through the pull at 10.8 MiB, with the whole slab's algebra alive
-    # at once at 14.8 MiB, and padded to half the window on every side at 20 MB
-    assert chart_stages_peak(TIME_CROSS_2D) < 9.1 * 2 ** 20
+    # stages peak near 7.42 MiB under tracemalloc on the bench grid; with the
+    # fans keeping every ray's positions they peaked at 8.72 MiB, with the
+    # fans inverted onto the read box, Newton's slopes on top, at 9.78 MiB,
+    # with the slab and the samples kept through the pull at 10.8 MiB, with
+    # the whole slab's algebra alive at once at 14.8 MiB, and padded to half
+    # the window on every side at 20 MB
+    assert chart_stages_peak(TIME_CROSS_2D) < 8.0 * 2 ** 20
 
 
 def test_chart_stages_peak_memory_on_a_time_free_metric():
     # the bench's chart metric: neither g nor A reads x0, so the fans
     # integrate one launch-time slice, the marches run on one time row and the
-    # pull samples one chart-time level.  The chart stages peak near 3.7 MiB
-    # under tracemalloc on the bench grid, in the slab's one-form solve; with
-    # the fans inverted onto the read box they peaked at 4.0 MiB, with the
-    # slots and grad phi whole on the read box at 5.2 MiB, with p stored on
-    # every launch time at 7.1 MiB, with the whole slab's algebra alive at
-    # once at 10.9 MiB, and pulling every level at 14.8 MiB
-    assert chart_stages_peak(VAR_METRIC_2D) < 4.5 * 2 ** 20
+    # pull samples one chart-time level.  The chart stages peak near 2.36 MiB
+    # under tracemalloc on the bench grid; with the fans keeping every ray's
+    # positions they peaked at 3.66 MiB, with the fans inverted onto the read
+    # box at 4.0 MiB, with the slots and grad phi whole on the read box at
+    # 5.2 MiB, with p stored on every launch time at 7.1 MiB, with the whole
+    # slab's algebra alive at once at 10.9 MiB, and pulling every level at
+    # 14.8 MiB
+    assert chart_stages_peak(VAR_METRIC_2D) < 2.6 * 2 ** 20
 
 
 def test_chart_stages_peak_memory_when_only_a_reads_x0():
     # one-slice fans, one-row marches and an every-level pull: the chart
-    # stages peak near 6.15 MiB, in the pull's stage two; with the fans
-    # inverted onto the read box they peaked at 6.3 MiB, with the slots and
-    # grad phi whole on the read box at 7.1 MiB, with p on every launch time
-    # and the slab and the samples kept through the pull at 10.8 MiB
-    assert chart_stages_peak(A_READS_X0_2D) < 6.8 * 2 ** 20
+    # stages peak near 4.85 MiB; with the fans keeping every ray's positions
+    # they peaked at 6.15 MiB, with the fans inverted onto the read box at
+    # 6.3 MiB, with the slots and grad phi whole on the read box at 7.1 MiB,
+    # with p on every launch time and the slab and the samples kept through
+    # the pull at 10.8 MiB
+    assert chart_stages_peak(A_READS_X0_2D) < 5.3 * 2 ** 20
+
+
+def test_chart_depth_search_peak_memory():
+    # the bench's depth search on the waveguide: each probe integrates two
+    # fans that check every row as it goes and keep none, so the search peaks
+    # near 0.46 MiB under tracemalloc; with every fan keeping its rays'
+    # positions on every row it peaked at 1.42 MiB
+    g = SpacetimeGrid(n=2, extent=(1.0, 0.25), h=(1 / 16, 1 / 16), dt=0.3 / 16, t1=0.0, t2=0.8)
+    assert find_chart_depth(WAVEGUIDE, g, 0.5) == 0.1875   # warm: plans, lazy imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        find_chart_depth(WAVEGUIDE, g, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2 ** 20
 
 
 CHART_GRID_16 = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(1 / 16, 1 / 16), dt=0.35 / 16,
@@ -1237,6 +1266,24 @@ def spy_rays(monkeypatch):
     monkeypatch.setattr(goursat, "_virtual_rays",
                         lambda *args, **kw: launched.append(virtual(*args, **kw)) or launched[-1])
     return launched
+
+
+def test_virtual_rays_match_the_ray_oracle(monkeypatch):
+    # the pull's receding rays are integrated from their own launches on the
+    # chart's time lattice, which lie between the fans' launch nodes.  On
+    # TIME_CROSS_2D, where every launch slice differs, each sampled ray matches
+    # scipy's independent integration on every slab row: measured 4.0e-10 at
+    # worst against a time drift near 0.3; bound about 15% above
+    launched = spy_rays(monkeypatch)
+    ep, *_ = chart_stages(TIME_CROSS_2D, BENCH_CHART_GRID, 0.3)
+    rays, = launched
+    dty = goursat._chart_steps(BENCH_CHART_GRID)[0]
+    lateral = BENCH_CHART_GRID.axis(1)
+    zs = ep.depth_nodes
+    for i, j in ((0, 0), (17, 5), (42, 10), (84, 20), (105, 13)):
+        launch = np.array([BENCH_CHART_GRID.t1 + dty * (rays.first + i), lateral[j]])
+        want = ray_oracle(TIME_CROSS_2D, "-", launch, zs[-1]).sol(zs)[:2].T
+        assert np.abs(rays.pos[:, i, j] - want).max() <= 4.7e-10, (i, j)
 
 
 @pytest.mark.parametrize("metric, grid, depth", ONE_LEVEL_CASES)
@@ -1739,9 +1786,9 @@ def test_chart_route_dn_with_a_potential_reading_x0_in_every_component():
 
 
 def test_chart_route_dn_when_only_a_reads_x0():
-    """The two routes on A_READS_X0_2D: g has no x0, so both fans keep one
-    launch-time slice and invert it shifted by whole nodes, while A reads x0,
-    so the pull serves every chart-time level.  Taking every level as its
+    """The two routes on A_READS_X0_2D: g has no x0, so both fans integrate
+    one launch-time slice and both phases are marched on one time row, while
+    A reads x0, so the pull serves every chart-time level.  Taking every level as its
     middle one gives 3.99e-2 and 3.49e-2."""
     e1 = chart_route_dn_error(A_READS_X0_2D, 1 / 16)
     e2 = chart_route_dn_error(A_READS_X0_2D, 1 / 20)

@@ -332,6 +332,30 @@ def test_node_levels_share_the_entries_without_x0():
         assert not np.array_equal(x, y)
 
 
+def test_sampled_array_entries_are_read_in_place():
+    # the array constructor takes dense (nt, *shape, n+1, n+1) and (nt, *shape,
+    # n+1) tables, node-major as the chart's transformed operator forms them,
+    # so an entry g[..., j, k] of a level is strided; each level serves every g
+    # and A entry as one C-contiguous array, so the stepper's flat read of a
+    # time-dependent level is a view, not a copy per read
+    g = _cross_grid()
+    garr, aarr = (np.ascontiguousarray(np.stack([table(g.env_at_time(t), shape=g.shape)
+                                                 for t in g.times()]))
+                  for table in (TIME_CROSS_2D.eval_g, TIME_CROSS_2D.eval_A))
+    assert not garr[0, ..., 0, 0].flags.c_contiguous and not aarr[0, ..., 0].flags.c_contiguous
+    provider = SampledCoefficients(g, garr, aarr)
+    assert not provider.static
+    stepper = _Stepper(provider, g)
+    m = 3
+    level = provider.at(g.times()[m])
+    entries = [*(e for row in level["g"] for e in row), *level["A"]]
+    assert len(entries) == 12
+    for e, want in zip(entries, [*(garr[m, ..., j, k] for j in range(3) for k in range(3)),
+                                 *(aarr[m, ..., j] for j in range(3))]):
+        assert e.flags.c_contiguous and e.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.shares_memory(stepper._span(e, 1), e)
+
+
 def test_hoisted_coefficients_stay_with_their_solve():
     # the metric keeps no values between solves: a run on grid a, one on
     # grid b, then a again on a gives the first run's samples, bitwise
