@@ -39,10 +39,10 @@ substeps per depth row to keep RK4 stable at the family's face drift
 (_substeps).  The '-' family carries its lateral launch coordinates xi with
 it, d xi/dz = -(v_tan / v_n) . grad_tan xi, the transport along its rays.
 Each EikonalField marches once, on first read, and keeps the phase's
-departure from t - t1 (resp. t2 - t), the covector slots and xi on its
-coverage box, stored depth row first so one row is contiguous; the window
-(psi, grad, solve_transport_phi) and the chart's read box are slices of
-that one march.
+departure from t - t1 (resp. t2 - t), the covector slots, xi and grad_tan xi
+on its coverage box, stored depth row first so one row is contiguous; the
+window (psi, grad, solve_transport_phi) and the chart's read box are slices
+of that one march.
 
 The time symmetry.  Every RK4 stage of a ray reads its time only through g,
 so when g has no x0 (_distinct_rays) every launch-time slice of a fan is the
@@ -71,14 +71,17 @@ the chart's own lattice up to the slab's reach (_virtual_rays): for every
 chart-time level, or for the middle one alone when neither g nor A reads
 x0; when g has no x0 the kernel integrates one launch slice.  It then reads
 both marches on the read box: the nodes of the fans' coverage overlap that
-those rays' stencils, the slab differences and the window read; for one
-level that is the window and its edge nodes.  It samples every slab field
-there once, with one n-axis 4-point Lagrange stencil, _Stencil, per slab
-depth row for all fields, reading each row in place.  Every such box is a
-tuple of node ranges on the grid's face lattice (_coverage).  Along each
-ray the pull's depth lookup and row values use the 1-axis form of the same
-stencil, _RowStencil, one fractional row per target: located once per
-Newton step, then once at the converged rows for every field.
+those rays' stencils and the window read; for one level that is the window
+and the stencils' reach past it.  Every derivative the slab reads comes
+from the march, grad xi closed in depth by xi's transport equation, so the
+slab is pointwise algebra on the marched fields (_slab_fields).  It samples
+every slab field there once, with one n-axis 4-point Lagrange stencil,
+_Stencil, per slab depth row for all fields, reading each row in place.
+Every such box is a tuple of node ranges on the grid's face lattice
+(_coverage).  Along each ray the pull's depth lookup and row values use the
+1-axis form of the same stencil, _RowStencil, one fractional row per
+target: located once per Newton step, then once at the converged rows for
+every field.
 """
 
 from __future__ import annotations
@@ -393,6 +396,16 @@ def _difference(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def _transport_rates(g: np.ndarray, p: np.ndarray, grads: list) -> list:
+    """d xi_j/dz = -(v_tan / v_n) . grad_tan xi_j along the rays of the null
+    covector p, v = 2 g p (_fan_flow): the rate of a coordinate constant
+    along the rays, for each grads[j], the n tangential components of
+    grad_tan xi_j."""
+    n = p.shape[-1] - 1
+    v = 2.0 * sum(g[..., k] * p[..., k, None] for k in range(n + 1))
+    return [-sum(v[..., k] * dx[k] for k in range(n)) / v[..., n] for dx in grads]
+
+
 def _substeps(grid: SpacetimeGrid, drift: tuple) -> int:
     """RK4 substeps per depth row of the march: the fewest that keep the
     Courant number of a substep, at one side's face drift (_face_drift) over
@@ -404,24 +417,27 @@ def _substeps(grid: SpacetimeGrid, drift: tuple) -> int:
 
 def _march(metric: MetricField, side: str, grid: SpacetimeGrid, fan: _Fan, box: tuple):
     """One family's phase, covector slots and, for '-', lateral launch
-    coordinates on every depth row, marched in depth on the fan's launch
-    lattice and kept on the box (node ranges on the face lattice, _coverage).
+    coordinates and their tangential gradients on every depth row, marched in
+    depth on the fan's launch lattice and kept on the box (node ranges on the
+    face lattice, _coverage).
 
     With psi = +-(t - t_ref) + delta, the phase's departure delta is 0 on the
     face and evolves as d delta/dz = _normal_root(g, grad_tan psi), the null
     constraint read as an evolution in depth.  A lateral launch coordinate
     xi_j = x_j + eta_j is constant along the rays, d xi_j/dz = -(v_tan / v_n)
-    . grad_tan xi_j with v = 2 g p, p the full covector (_fan_flow).  The
-    tangential derivatives are fourth-order differences (_difference) and the
-    march is RK4 with _substeps substeps per depth row, the metric evaluated
-    once per distinct stage depth.  Under the time symmetry (_distinct_rays)
+    . grad_tan xi_j with v = 2 g p, p the full covector (_transport_rates).
+    The tangential derivatives are fourth-order differences (_difference) and
+    the march is RK4 with _substeps substeps per depth row, the metric
+    evaluated once per distinct stage depth.  Under the time symmetry (_distinct_rays)
     the lattice has one time row: d psi/dt is +-1 and d xi/dt is 0 exactly.
-    The slots are (grad_tan psi, the root) at each row.
+    The slots are (grad_tan psi, the root) at each row, and grad_tan xi_j is
+    the difference of eta_j the march steps with, plus the unit vector of x_j.
 
-    Returns (delta, slots, xi) shaped (rows, *box), (rows, *box, n+1) and
-    n-1 (rows, *box) arrays ('+' has none), read-only and, under the time
-    symmetry, with a zero time stride.  Raises CharacteristicCrossing where a
-    node of the lattice has no real root.
+    Returns (delta, slots, xi, grad_tan xi) shaped (rows, *box),
+    (rows, *box, n+1), n-1 (rows, *box) and n-1 (rows, *box, n) arrays ('+'
+    has no xi), read-only and, under the time symmetry, with a zero time
+    stride.  Raises CharacteristicCrossing where a node of the lattice has no
+    real root.
     """
     n = grid.n
     sign = 1.0 if side == "+" else -1.0
@@ -439,25 +455,25 @@ def _march(metric: MetricField, side: str, grid: SpacetimeGrid, fan: _Fan, box: 
     def metric_at(z):
         return metric.eval_g(_fan_env(n, pos, z), lattice)
 
-    def slope(g, state, z):   # (d state/dz, the covector (grad_tan psi, root))
+    def slope(g, state, z):   # (d state/dz, the covector (grad_tan psi, root), grad_tan xi)
         d = [_difference(state, step, axis + 1) for axis, step in enumerate(steps)]
         ptan = np.stack([sign + d[0][0]] + [dk[0] for dk in d[1:]], axis=-1)
         p = np.concatenate([ptan, _null_root(g, ptan, z)[..., None]], axis=-1)
-        rates = [p[..., n]]
-        if lateral:
-            v = 2.0 * sum(g[..., k] * p[..., k, None] for k in range(n + 1))
-            rates += [-sum(v[..., k] * (d[k][1 + j] + (k == 1 + j)) for k in range(n)) / v[..., n]
-                      for j in range(lateral)]
-        return np.stack(rates), p
+        dxi = [[d[k][1 + j] + (k == 1 + j) for k in range(n)] for j in range(lateral)]
+        rates = [p[..., n]] + (_transport_rates(g, p, dxi) if lateral else [])
+        return np.stack(rates), p, dxi
 
     zs, substeps = fan.depth_nodes, _substeps(grid, _face_drift(metric, grid)[side])
     kept = np.empty((1 + lateral, len(zs)) + pos[take].shape[:-1])   # delta, then each eta_j
     slots = np.empty(kept.shape[1:] + (n + 1,))
+    grads = np.empty((lateral,) + kept.shape[1:] + (n,))   # grad_tan xi_j
     state = np.zeros((1 + lateral,) + lattice)
     g = metric_at(zs[0])
     for m, z in enumerate(zs):
-        k1, p = slope(g, state, z)
+        k1, p, dxi = slope(g, state, z)
         kept[:, m], slots[m] = state[(slice(None),) + take], p[take]
+        for j, dx in enumerate(dxi):
+            grads[j, m] = np.stack(dx, axis=-1)[take]
         if m == len(zs) - 1:
             break
         depths = np.linspace(z, zs[m + 1], 2 * substeps + 1)   # the stage depths
@@ -474,7 +490,8 @@ def _march(metric: MetricField, side: str, grid: SpacetimeGrid, fan: _Fan, box: 
     full = (len(zs),) + tuple(hi - lo + 1 for lo, hi in box)
     xi = [pos[take][..., 1 + j] + eta for j, eta in enumerate(kept[1:])]
     return (np.broadcast_to(kept[0], full), np.broadcast_to(slots, full + (n + 1,)),
-            [np.broadcast_to(x, full) for x in xi])
+            [np.broadcast_to(x, full) for x in xi],
+            [np.broadcast_to(d, full + (n,)) for d in grads])
 
 
 def _slab_env(*axes) -> dict:
@@ -497,9 +514,10 @@ class EikonalField:
     the lateral launch coordinates there.  The field keeps its fan and the
     fan's coverage box (_coverage).  The first read of psi, grad or _phi, or
     build_chart, marches the phase once on the fan's launch lattice (_march)
-    and keeps it on the coverage box, from which every box read is a slice.
-    grad and _phi are read-only views, with a zero time stride under the time
-    symmetry (module notes).
+    and keeps it, with a '-' field's lateral coordinates and their tangential
+    gradients, on the coverage box, from which every box read (_on) is a
+    slice.  grad and _phi are read-only views, with a zero time stride under
+    the time symmetry (module notes).
     """
 
     side: str
@@ -514,20 +532,20 @@ class EikonalField:
         return _march(self.metric, self.side, self.grid, self._fan, self._box)
 
     def _on(self, box: tuple) -> tuple:
-        """(psi, slots, lateral launch coordinates) on a box inside the
-        coverage box, depth row first: psi a new array, the rest views of the
-        march."""
-        delta, slots, xi = self._marched
+        """(psi, slots, lateral launch coordinates, their tangential
+        gradients) on a box inside the coverage box, depth row first: psi a
+        new array, the rest views of the march."""
+        delta, slots, xi, dxi = self._marched
         take = (slice(None),) + tuple(slice(lo - c, hi - c + 1)
                                       for (lo, hi), (c, _) in zip(box, self._box))
         times = _lattice(self.grid, box)[0].reshape((-1,) + (1,) * (self.grid.n - 1))
         base = times - self.grid.t1 if self.side == "+" else self.grid.t2 - times
-        return base + delta[take], slots[take], [x[take] for x in xi]
+        return base + delta[take], slots[take], [x[take] for x in xi], [d[take] for d in dxi]
 
     @cached_property
     def _window(self) -> tuple:
         n = self.grid.n
-        psi, grad, phi = self._on(tuple((0, len(ax) - 1) for ax in self.grid.face_axes()))
+        psi, grad, phi, _ = self._on(tuple((0, len(ax) - 1) for ax in self.grid.face_axes()))
         return np.moveaxis(psi, 0, n), np.moveaxis(grad, 0, n), [np.moveaxis(p, 0, n) for p in phi]
 
     psi = property(lambda self: self._window[0])
@@ -779,13 +797,14 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     The slab fields live on the read box (_read_box): the part of the two
     fans' coverage overlap that the virtual rays' stencils and the window
     read.  Each phase field's one march (_march) serves that box as a slice,
-    so every stencil and difference sees the values it would on the whole
-    overlap.  The slab's pointwise algebra is formed one depth row at a time
-    (_slab_fields), and the pull drops the slab fields once it has sampled
-    them.  The fans keep no ray positions, so the chart's peak holds the
-    marches, the virtual rays, and either the slab fields on the read box
-    with one row's intermediates, or the pull's samples.  The refusals
-    below, and the focal mask, cover only those nodes.
+    so every stencil sees the values it would on the whole overlap, and the
+    march's derivatives make the slab pointwise.  The slab's algebra is
+    formed one depth row at a time (_slab_fields), and the pull drops the
+    slab fields once it has sampled them.  The fans keep no ray positions,
+    so the chart's peak holds the marches, the virtual rays, and either the
+    slab fields on the read box with one row's intermediates, or the pull's
+    samples.  The refusals below, and the focal mask, cover only those
+    nodes.
 
     y_depth caps the chart depth; the default takes what the slab reaches.
     The virtual rays launch only as far past T2 as the two fans' time drifts
@@ -861,18 +880,6 @@ def build_chart(psi_plus: EikonalField, psi_minus: EikonalField, phi: list,
     )
 
 
-def _row_gradient(f: np.ndarray, r: int, steps: tuple) -> np.ndarray:
-    """Row r of the gradient of f (rows, time, lateral...), with steps and
-    the components ordered (time, lateral..., rows): np.gradient's
-    second-order differences, bitwise row r of the whole stack's.  Along the
-    rows it differences the three rows around r (clamped at the ends), so
-    numpy's own interior and edge formulas apply."""
-    lo = min(max(r - 1, 0), len(f) - 3)
-    return np.stack([*np.gradient(f[r], *steps[:-1], edge_order=2),
-                     np.gradient(f[lo:lo + 3], steps[-1], axis=0, edge_order=2)[r - lo]],
-                    axis=-1)
-
-
 def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
                  T1: float, T2: float, j_max: float):
     """The chart's slab quantities on the read box: (the fields the pull
@@ -881,13 +888,15 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
     marches (EikonalField._on).  Every quantity is stored depth row first,
     (rows, *box), so each depth row is C-contiguous; the fields leave as
     (*box, rows) views, and the pull's stencils read a row in place.  The
-    pointwise algebra is formed one depth row at a time into those arrays, so
-    its intermediates die with their row: each row reads its slots as one
-    contiguous row (a copy of a strided or zero-stride one) and forms its
-    lateral coordinates' gradients from its neighbour rows (_row_gradient).
-    What stays whole on the box is the phases and the outputs; the slots and
-    the lateral launch coordinates are views of the marches (one time row
-    under the time symmetry).  Raises FocalRegion at the first depth row
+    algebra is pointwise, formed one depth row at a time into those arrays,
+    so its intermediates die with their row: each row reads its slots and
+    the march's grad_tan phi as one contiguous row each (a copy of a strided
+    or zero-stride one), and closes grad phi in depth by phi's transport
+    equation at the '-' slots (_transport_rates), the rate the march steps.
+    Nothing is differenced here.  What stays whole on the box is the phases
+    and the outputs; the slots, the lateral launch coordinates and their
+    gradients are views of the marches (one time row under the time
+    symmetry).  Raises FocalRegion at the first depth row
     whose one-form system is singular."""
     grid, metric, depth_nodes = psi_plus.grid, psi_plus.metric, psi_plus.depth_nodes
     n = grid.n
@@ -896,9 +905,8 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
     def rows_last(a):   # (rows, *box, ...) -> (*box, rows, ...), a view
         return np.moveaxis(a, 0, n)
 
-    psi_p, grad_p, _ = psi_plus._on(box)
-    psi_m, grad_m, phi_box = psi_minus._on(box)
-    steps = grid.steps()
+    psi_p, grad_p, *_ = psi_plus._on(box)
+    psi_m, grad_m, phi_box, dphi_box = psi_minus._on(box)
 
     lat = range(n - 1)
     names = ["ghpm", "g1", "Ap", "Am", "focal"] + [
@@ -914,7 +922,11 @@ def _slab_fields(psi_plus: EikonalField, psi_minus: EikonalField, box: tuple,
         g = metric.eval_g(env, face[0].shape)
         # one contiguous row each: a copy only of a zero-stride row
         gp, gm = np.ascontiguousarray(grad_p[r]), np.ascontiguousarray(grad_m[r])
-        dp = [_row_gradient(p, r, steps) for p in phi_box]
+        # grad phi_j: its tangential part from the march, its depth part the
+        # rate the march steps phi_j with along the '-' rays
+        dp = [np.ascontiguousarray(d[r]) for d in dphi_box]
+        rates = _transport_rates(g, gm, [np.moveaxis(d, -1, 0) for d in dp])
+        dp = [np.concatenate([d, rate[..., None]], axis=-1) for d, rate in zip(dp, rates)]
         row = {"ghpm": -0.5 * np.einsum("...jk,...j,...k->...", g, gp, gm)}
         ghjk = [[np.einsum("...jk,...j,...k->...", g, dp[a], dp[b]) for b in lat] for a in lat]
         row["g1"] = 1.0 / np.abs(_det(ghjk)) if ghjk else 1.0
@@ -958,17 +970,15 @@ def _read_box(fracs: np.ndarray, overlap: tuple, grid: SpacetimeGrid) -> tuple:
 
     fracs[..., d] are fractional indices on the overlap box's axis d.  Per
     axis, the hull of their cells is widened by the stencil's reach (-1 to +2
-    nodes), then by one node for np.gradient's edge stencil, joined with the
-    window widened by one node, and clipped to the overlap.  On the box,
+    nodes), joined with the window, and clipped to the overlap.  On the box,
     every stencil at fracs minus the box's offset clamps, weighs and reads as
-    on the whole overlap, and every difference at those nodes and on the
-    window is a centred one wherever it is on the whole overlap.
+    on the whole overlap; nothing on it is differenced (_slab_fields).
     """
     box = []
     for d, ((o_lo, o_hi), ax) in enumerate(zip(overlap, grid.face_axes())):
         cells = np.floor(fracs[..., d])
-        lo = min(o_lo + int(cells.min()) - 2, -1)        # reach -1, then the edge node
-        hi = max(o_lo + int(cells.max()) + 3, len(ax))   # reach +2, then the edge node
+        lo = min(o_lo + int(cells.min()) - 1, 0)             # reach -1
+        hi = max(o_lo + int(cells.max()) + 2, len(ax) - 1)   # reach +2
         box.append((max(lo, o_lo), min(hi, o_hi)))
     return tuple(box)
 
@@ -1424,13 +1434,12 @@ def solve_transformed_ibvp(op: TransformedOperator, f, grid: SpacetimeGrid,
 def find_chart_depth(metric: MetricField, grid: SpacetimeGrid, cap: float) -> float:
     """Largest slab depth (multiple of the depth spacing) both families reach.
 
-    Bisects on the crossing error.  Each probe only integrates the two fans
-    with solve_eikonal's default pads at the probed depth (_default_pads,
-    per family and per end) and checks folds, radicands and coverage row by
-    row; no fan keeps its rows and nothing is marched.  Those are the checks
-    where solve_eikonal refuses a fold, so both agree on the depth.  The
-    positivity of the phase-pair normalization is enforced later by the
-    chart's focal mask.
+    Bisects on the crossing error.  Each probe is solve_eikonal for both
+    families at the probed depth, with its default pads: the fans check
+    folds, radicands and coverage row by row, keep no rows, and nothing is
+    marched.  So the search and solve_eikonal agree on the depth by
+    construction.  The positivity of the phase-pair normalization is
+    enforced later by the chart's focal mask.
     """
     hz = grid.h[-1]
     nz_cap = int(math.floor(cap / hz + 1e-9))
@@ -1438,13 +1447,10 @@ def find_chart_depth(metric: MetricField, grid: SpacetimeGrid, cap: float) -> fl
         raise ValueError(f"cap {cap:.4f} allows {nz_cap} depth steps of h_n = {hz:.4f}; "
                          f"need at least 3 * h_n = {3 * hz:.4f}")
 
-    drift = _face_drift(metric, grid)
-
     def crossing(nz: int):  # (side, refusal) of the first family that crosses, or None
         for side in ("+", "-"):
-            pads = _default_pads(grid, nz * hz, drift, side)
             try:
-                _coverage(_integrate_fan(metric, side, grid, nz * hz, *pads), grid)
+                solve_eikonal(metric, side, grid, nz * hz)
             except CharacteristicCrossing as err:
                 return side, err
         return None

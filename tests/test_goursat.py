@@ -43,7 +43,6 @@ from bclab.goursat import (
     _lattice,
     _normal_root,
     _pull_to_chart,
-    _row_gradient,
     _RowStencil,
     _solve_small,
     _Stencil,
@@ -557,23 +556,25 @@ def test_time_free_fan_rows_are_constant_along_launch_time(metric, grid, depth):
 def test_time_free_slots_are_one_time_row_with_zero_stride(metric, grid, depth):
     # g without x0: the march runs on one time row, where d psi/dt is +-1 and
     # d xi/dt is 0 exactly, and keeps the phase's departure from t - t1 or
-    # t2 - t, its slots and the lateral launch coordinates on that row alone,
-    # broadcast over the coverage box's time rows with a zero stride; the
-    # window reads are views of them.  A time-dependent g's march stores
-    # every time row
+    # t2 - t, its slots, the lateral launch coordinates and their tangential
+    # gradients on that row alone, broadcast over the coverage box's time rows
+    # with a zero stride; the window reads are views of them.  A
+    # time-dependent g's march stores every time row
     for side, sign in (("+", 1.0), ("-", -1.0)):
         fld = solve_eikonal(metric, side, grid, depth)
-        delta, slots, xi = fld._marched
-        assert len(xi) == (grid.n - 1 if side == "-" else 0)
-        for stored in (delta, slots, *xi):
+        delta, slots, xi, dxi = fld._marched
+        assert len(xi) == len(dxi) == (grid.n - 1 if side == "-" else 0)
+        for stored in (delta, slots, *xi, *dxi):
             assert stored.shape[:grid.n + 1] == delta.shape   # (rows, *coverage box)
             assert stored.strides[1] == 0 and not stored.flags.writeable
         assert np.all(delta[0] == 0.0) and np.all(slots[..., 0] == sign)
-        for x, ax in zip(xi, _lattice(grid, fld._box)[1:]):
+        for j, (x, d, ax) in enumerate(zip(xi, dxi, _lattice(grid, fld._box)[1:])):
             assert np.all(x[0] == ax)   # on the face, the lateral coordinate itself
+            assert d.shape[-1] == grid.n and np.all(d[..., 0] == 0.0)
+            assert np.all(d[0] == np.eye(grid.n)[1 + j])
         assert fld.grad.strides[0] == 0 and all(p.strides[0] == 0 for p in fld._phi)
-    delta, slots, xi = solve_eikonal(TIME_CROSS_2D, "-", CHART_GRID_16, 0.3125)._marched
-    for stored in (delta, slots, *xi):
+    delta, slots, xi, dxi = solve_eikonal(TIME_CROSS_2D, "-", CHART_GRID_16, 0.3125)._marched
+    for stored in (delta, slots, *xi, *dxi):
         assert 0 not in stored.strides and not stored.flags.writeable
 
 
@@ -600,20 +601,6 @@ def test_march_substeps_come_from_the_grid_and_the_drift(monkeypatch):
     rows = len(fld.depth_nodes)
     assert len(depths) == len(set(depths)) == 1 + 2 * 2 * (rows - 1)
     assert depths[::4] == list(fld.depth_nodes)
-
-
-@pytest.mark.parametrize("rows", [3, 4, 7])
-def test_row_gradient_is_the_whole_stack_gradient_bitwise(rows):
-    # the slab forms grad phi one depth row at a time, differencing depth on
-    # the three rows around each: every row, the first and the last included,
-    # is byte for byte that row of np.gradient over the whole stack
-    steps = (0.35 / 20, 1 / 20, 0.3 / 6)   # time, lateral, depth
-    f = np.random.default_rng(rows).standard_normal((rows, 9, 6))
-    parts = np.gradient(f, steps[-1], *steps[:-1], edge_order=2)
-    want = np.stack(parts[1:] + parts[:1], axis=-1)
-    for r in range(rows):
-        got = _row_gradient(f, r, steps)
-        assert got.shape == want[r].shape and got.tobytes() == want[r].tobytes(), r
 
 
 @pytest.mark.parametrize("metric, grid, depth", [
@@ -1031,7 +1018,7 @@ def give_minus_the_plus_slots(monkeypatch, coords, row):
     on, plus = EikonalField._on, {}
 
     def inject(field, box):
-        psi, slots, xi = on(field, box)
+        psi, slots, xi, dxi = on(field, box)
         slots = np.array(slots)   # a read-only view of the march
         node = (row, *(int(np.argmin(np.abs(ax - c)))
                        for ax, c in zip(_lattice(field.grid, box), coords)))
@@ -1039,7 +1026,7 @@ def give_minus_the_plus_slots(monkeypatch, coords, row):
             plus["slots"] = slots[node].copy()
         else:
             slots[node] = plus["slots"]
-        return psi, slots, xi
+        return psi, slots, xi, dxi
 
     monkeypatch.setattr(EikonalField, "_on", inject)
 
@@ -1175,10 +1162,11 @@ def chart_stages_peak(metric):
 def test_chart_stages_peak_memory_on_a_time_dependent_metric():
     # the paper's case: every launch slice integrated, every time row marched.
     # With the fans keeping no positions, the phases marched once per field
-    # and kept on the coverage box, the slab algebra formed one depth row at a
-    # time and the pull dropping the slab and each sample once read, the chart
-    # stages peak near 7.42 MiB under tracemalloc on the bench grid; with the
-    # fans keeping every ray's positions they peaked at 8.72 MiB, with the
+    # and kept on the coverage box with grad_tan phi, the slab algebra formed
+    # one depth row at a time and the pull dropping the slab and each sample
+    # once read, the chart stages peak near 7.92 MiB under tracemalloc on the
+    # bench grid; without the march's grad_tan phi they peaked at 7.42 MiB,
+    # with the fans keeping every ray's positions at 8.72 MiB, with the
     # fans inverted onto the read box, Newton's slopes on top, at 9.78 MiB,
     # with the slab and the samples kept through the pull at 10.8 MiB, with
     # the whole slab's algebra alive at once at 14.8 MiB, and padded to half
@@ -1189,9 +1177,10 @@ def test_chart_stages_peak_memory_on_a_time_dependent_metric():
 def test_chart_stages_peak_memory_on_a_time_free_metric():
     # the bench's chart metric: neither g nor A reads x0, so the fans
     # integrate one launch-time slice, the marches run on one time row and the
-    # pull samples one chart-time level.  The chart stages peak near 2.36 MiB
-    # under tracemalloc on the bench grid; with the fans keeping every ray's
-    # positions they peaked at 3.66 MiB, with the fans inverted onto the read
+    # pull samples one chart-time level.  The chart stages peak near 2.21 MiB
+    # under tracemalloc on the bench grid; with grad phi differenced on a
+    # wider read box they peaked at 2.36 MiB, with the fans keeping every
+    # ray's positions at 3.66 MiB, with the fans inverted onto the read
     # box at 4.0 MiB, with the slots and grad phi whole on the read box at
     # 5.2 MiB, with p stored on every launch time at 7.1 MiB, with the whole
     # slab's algebra alive at once at 10.9 MiB, and pulling every level at
@@ -1201,7 +1190,7 @@ def test_chart_stages_peak_memory_on_a_time_free_metric():
 
 def test_chart_stages_peak_memory_when_only_a_reads_x0():
     # one-slice fans, one-row marches and an every-level pull: the chart
-    # stages peak near 4.85 MiB; with the fans keeping every ray's positions
+    # stages peak near 4.83 MiB; with the fans keeping every ray's positions
     # they peaked at 6.15 MiB, with the fans inverted onto the read box at
     # 6.3 MiB, with the slots and grad phi whole on the read box at 7.1 MiB,
     # with p on every launch time and the slab and the samples kept through
@@ -1343,7 +1332,8 @@ def test_time_stride_not_the_metric_picks_the_one_level_operator():
 def whole_box_slab_fields(psi_plus, psi_minus, box, T1, T2, j_max):
     """_slab_fields' outputs formed on the whole read box at once: every
     intermediate over every depth row, as the slab algebra was formed before
-    it was streamed one row at a time."""
+    it was streamed one row at a time.  grad phi is the march's tangential
+    gradient, closed in depth by phi's transport along the '-' rays."""
     grid, metric, depth_nodes = psi_plus.grid, psi_plus.metric, psi_plus.depth_nodes
     n = grid.n
     box_axes = _lattice(grid, box)
@@ -1351,20 +1341,21 @@ def whole_box_slab_fields(psi_plus, psi_minus, box, T1, T2, j_max):
     def rows_last(a):
         return np.moveaxis(a, 0, n)
 
-    psi_p, grad_p, _ = psi_plus._on(box)
-    psi_m, grad_m, phi_box = psi_minus._on(box)
-    # the slots in full: a zero-stride view read by the whole-box einsum rounds
-    # differently from the contiguous rows the streamed algebra reads
+    psi_p, grad_p, *_ = psi_plus._on(box)
+    psi_m, grad_m, phi_box, dphi_box = psi_minus._on(box)
+    # the march's views in full: a zero-stride view read by the whole-box
+    # einsum rounds differently from the contiguous rows the streamed algebra
+    # reads
     grad_p, grad_m = np.ascontiguousarray(grad_p), np.ascontiguousarray(grad_m)
-    steps = grid.steps()
-    dphi = []
-    for p in phi_box:
-        parts = np.gradient(p, steps[-1], *steps[:-1], edge_order=2)
-        dphi.append(np.stack(parts[1:] + parts[:1], axis=-1))
     mesh = np.meshgrid(depth_nodes, *box_axes, indexing="ij")
     env = {f"x{i}": m for i, m in enumerate(mesh[1:] + mesh[:1])}
     shape = psi_p.shape
     g = metric.eval_g(env, shape)
+    v = 2.0 * sum(g[..., k] * grad_m[..., k, None] for k in range(n + 1))
+    dphi = []
+    for d in map(np.ascontiguousarray, dphi_box):
+        dz = -sum(v[..., k] * d[..., k] for k in range(n)) / v[..., n]
+        dphi.append(np.concatenate([d, dz[..., None]], axis=-1))
 
     def contract(a, b):
         return np.einsum("...jk,...j,...k->...", g, a, b)
@@ -1622,13 +1613,46 @@ def test_sheared_minkowski_chart_points_match_the_closed_form():
 
 
 def test_sheared_minkowski_operator_is_the_normal_form():
-    # measured 6.9e-7 and 4.3e-8 (gh_pm, order 4.0), 5.0e-6 and 4.2e-7 (g0_11
-    # and g1, order 3.6); grad phi is second order, so g0_plus_1 (1.12e-3 and
-    # 3.2e-4, order 1.80) and V1 (1.75e-4 and 5.7e-5, order 1.62) are too.
+    # measured 6.9e-9 and 4.3e-10 (gh_pm and g0_11), 2.93e-9 and 1.83e-10
+    # (g0_plus_1), all of order 4.0: grad phi comes from the march at fourth
+    # order (with np.gradient's second order, g0_plus_1 read 1.12e-3 and
+    # 3.2e-4).  Bounds about 15% above; gh_pm's still the fans' (6.9e-7).
+    # g1 and V1 sit at round-off, 8.9e-16 at both sizes and 8.1e-13 and
+    # 6.8e-12: g(d xi, d xi) is stationary at the exact xi, so their error is
+    # quadratic in xi's
+    assert_oracle_errors({"gh_pm": (8.0e-7, 4.9e-8), "g0_11": (8.0e-9, 5.0e-10),
+                          "g0_plus_1": (3.4e-9, 2.1e-10)}, 3.5)
+    for h in (1 / 16, 1 / 32):
+        errors = sheared_minkowski_errors(h)
+        assert errors["g1"] <= 1e-14 and errors["V1"] <= 1e-10, (h, errors["g1"], errors["V1"])
+
+
+@functools.lru_cache(maxsize=None)
+def sheared_potential_errors(h):
+    """Max abs errors of the chart's gauge and hatted potentials on Minkowski
+    with the constant one-form (0.3, 0.2, -0.7), pushed forward by
+    SHEAR_STRETCH.  The pulled-back one-form reads x0, yet the chart is
+    Minkowski's own, so the closed forms are the flat chart's: d_gauge =
+    (a2 - a0) yn, A_minus = a0 and A_1 = a1."""
+    a0, a1, a2 = 0.3, 0.2, -0.7
+    metric = pushforward(MetricField.minkowski(2).with_potential([a0, a1, a2]), SHEAR_STRETCH)
+    grid = SpacetimeGrid(n=2, extent=(1.0, 0.5), h=(h, h), dt=0.35 * h, t1=0.0, t2=1.4)
+    *_, chart, op = chart_stages(metric, grid, h * round(0.3125 / h))
+    return {"d_gauge": np.abs(chart.d_gauge - (a2 - a0) * chart.y_grid.axes()[-1]).max(),
+            "A_minus": np.abs(op.A_minus - a0).max(),
+            "A_1": np.abs(op.A_j[0] - a1).max()}
+
+
+def test_sheared_minkowski_constant_potential_is_the_flat_gauge():
+    # measured 7.1e-10 and 4.6e-11 (d_gauge), 1.23e-9 and 7.8e-11 (A_minus),
+    # both of order 4.0, and A_1 at round-off (1.4e-14); with np.gradient's
+    # grad phi, d_gauge read 2.6e-5 and 9.9e-6 and A_minus 8.2e-5 and 2.3e-5.
     # Bounds about 15% above
-    assert_oracle_errors({"gh_pm": (8.0e-7, 4.9e-8), "g0_11": (5.8e-6, 4.8e-7),
-                          "g1": (5.8e-6, 4.8e-7)}, 3.5)
-    assert_oracle_errors({"g0_plus_1": (1.29e-3, 3.7e-4), "V1": (2.0e-4, 6.5e-5)}, 1.5)
+    coarse, fine = sheared_potential_errors(1 / 16), sheared_potential_errors(1 / 32)
+    for name, (b1, b2) in {"d_gauge": (8.2e-10, 5.3e-11), "A_minus": (1.42e-9, 9.0e-11)}.items():
+        assert coarse[name] <= b1 and fine[name] <= b2, (name, coarse[name], fine[name])
+        assert math.log2(coarse[name] / fine[name]) >= 3.5, name
+    assert coarse["A_1"] <= 1.5e-14 and fine["A_1"] <= 1.5e-14, (coarse["A_1"], fine["A_1"])
 
 
 def conjugated_chart_field(metric, grid, depth, t2, w_re_s, w_im_s):

@@ -1,7 +1,7 @@
 """The package runs on numpy alone, its export lists hold, it factors every
-per-node matrix through geometry._det and geometry._solve_small, the
-stepper's per-step methods only multiply and add, and no raise site adds a
-plain string-literal message.
+per-node matrix through geometry._det and geometry._solve_small, the chart
+slab differences nothing, the stepper's per-step methods only multiply and
+add, and no raise site adds a plain string-literal message.
 
 A fresh interpreter imports bclab from src/; every top-level module the
 import adds must be bclab itself, numpy or part of the standard library.
@@ -62,6 +62,28 @@ def test_no_numpy_matrix_routine_factors_a_node_matrix():
              for path in sorted((SRC / "bclab").glob("*.py"))
              for number, line in enumerate(path.read_text().splitlines(), 1)
              if routine.search(line)]
+    assert found == []
+
+
+def test_chart_slab_differences_nothing():
+    # every derivative the chart slab reads comes from the phases' depth march
+    # (goursat._march), so _slab_fields, and every goursat function it calls
+    # by name, is pointwise algebra: neither np.gradient nor _difference
+    tree = ast.parse((SRC / "bclab" / "goursat.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found, seen, todo = [], set(), ["_slab_fields"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if not isinstance(node, ast.Call):
+                continue
+            called = node.func.attr if isinstance(node.func, ast.Attribute) \
+                else getattr(node.func, "id", None)
+            if called in ("gradient", "_difference"):
+                found.append(f"{name}: {called}")
+            elif isinstance(node.func, ast.Name) and called in functions and called not in seen:
+                todo.append(called)
     assert found == []
 
 
